@@ -11,16 +11,11 @@ vectorization:
   :meth:`daily_series_for` must match the reference masked scan
   exactly and be >= 10x faster on a store where the target domain
   owns a small fraction of the rows;
-- **serial vs sharded generation** — ``generate(jobs=4)`` must be
-  fingerprint-identical to ``generate(jobs=1)`` (hard gate); the
-  wall-time comparison is printed for the record.  Sharded generation
-  only wins on hosts with spare cores and big populations, so no
-  speedup is asserted anywhere.
-- **parallel vs serial aggregates** — every generation-keyed aggregate
-  (monthly series, TLD histogram, lifespan decay, digest, fingerprint)
-  must be bit-identical at ``aggregate_jobs`` ∈ {1, 2, 4} (hard gate);
-  the >= 2x wall-time contract at 4 jobs only holds with 4 real cores,
-  so it is asserted off-CI on such hosts and printed elsewhere.
+- **generation and aggregate rebuild** — wall time of one trace
+  generation and of rebuilding every generation-keyed aggregate
+  (monthly series, TLD histogram, lifespan decay, digest,
+  fingerprint) from primed columns, printed for the record; the
+  rebuild must reproduce the cached values exactly.
 - **fast lane vs record-at-a-time ingest** — the pipeline's batched
   clean-stretch lane must land a fingerprint-identical store (hard
   gate) and beat the record path; the win is bounded because channel
@@ -49,9 +44,6 @@ from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 BATCH_MIN_SPEEDUP = 5.0
 #: Indexed per-domain series must beat the masked scan by this factor.
 INDEX_MIN_SPEEDUP = 10.0
-#: Chunk-parallel aggregates at 4 jobs must beat serial by this factor
-#: — but only where 4 real cores exist (off-CI, cpu_count >= 4).
-PARALLEL_AGG_MIN_SPEEDUP = 2.0
 #: The fast lane removes the per-row store work but shares per-record
 #: channel dispatch and admission with the record path, so its floor
 #: is modest (measured ~1.3x on one core).
@@ -70,7 +62,6 @@ N_DOMAINS = 600
 SERIES_ROWS = 400_000
 SERIES_DOMAINS = 2_000
 TRACE_CONFIG = TraceConfig(total_domains=1_500, squat_count=60)
-TRACE_JOBS = 4
 
 
 def _timed(fn):
@@ -169,38 +160,22 @@ def test_indexed_series_beats_scan():
         )
 
 
-def test_sharded_generation_matches_serial():
-    serial_time, serial = _timed(
+def test_generation_timing():
+    generate_time, trace = _timed(
         lambda: NxdomainTraceGenerator(seed=0, config=TRACE_CONFIG).generate()
     )
-    sharded_time, sharded = _timed(
-        lambda: NxdomainTraceGenerator(seed=0, config=TRACE_CONFIG).generate(
-            jobs=TRACE_JOBS
-        )
-    )
-    cores = os.cpu_count() or 1
     print()
     print(
-        f"serial generate: {serial_time * 1e3:8.1f} ms   "
-        f"jobs={TRACE_JOBS}: {sharded_time * 1e3:8.1f} ms   "
-        f"({serial_time / sharded_time:.2f}x, {cores} cores)"
+        f"generate: {generate_time * 1e3:8.1f} ms   "
+        f"({TRACE_CONFIG.total_domains} domains)"
     )
-    # The determinism contract is the hard gate at any core count.
-    assert serial.nx_db.fingerprint() == sharded.nx_db.fingerprint()
-    assert (
-        serial.pre_expiry_db.fingerprint()
-        == sharded.pre_expiry_db.fingerprint()
-    )
-    assert [r.domain for r in serial.population] == [
-        r.domain for r in sharded.population
-    ]
+    assert len(trace.population) == TRACE_CONFIG.total_domains
 
 
-# -- chunk-parallel aggregates ----------------------------------------------
+# -- aggregate rebuild -------------------------------------------------------
 
 AGG_ROWS = 200_000
 AGG_DOMAINS = 2_000
-AGG_JOBS = 4
 
 
 def _aggregate_bundle(db):
@@ -216,46 +191,31 @@ def _aggregate_bundle(db):
     )
 
 
-def test_parallel_aggregates_match_serial_and_win():
+def test_aggregate_rebuild_timing():
     rng = make_rng(2)
     domains = [DomainName(f"agg-{i}.com") for i in range(AGG_DOMAINS)]
-    picks = rng.integers(0, AGG_DOMAINS, size=AGG_ROWS)
-    times = rng.integers(0, 500, size=AGG_ROWS).astype(np.int64) * 86_400
-    counts = rng.integers(1, 6, size=AGG_ROWS).astype(np.int64)
+    db = PassiveDnsDatabase()
+    ids = db.intern_many(domains)
+    db.add_batch(
+        ids[rng.integers(0, AGG_DOMAINS, size=AGG_ROWS)],
+        rng.integers(0, 500, size=AGG_ROWS).astype(np.int64) * 86_400,
+        rng.integers(1, 6, size=AGG_ROWS).astype(np.int64),
+    )
+    first = _aggregate_bundle(db)
 
-    def build(jobs):
-        db = PassiveDnsDatabase(aggregate_jobs=jobs)
-        ids = db.intern_many(domains)
-        db.add_batch(ids[picks], times, counts)
-        return db
-
-    stores = {jobs: build(jobs) for jobs in (1, 2, AGG_JOBS)}
-    bundles = {jobs: _aggregate_bundle(db) for jobs, db in stores.items()}
-    # Hard gate: bit-identical aggregates at every worker count.
-    assert bundles[2] == bundles[1]
-    assert bundles[AGG_JOBS] == bundles[1]
-
-    def rebuild_aggregates(db):
+    def rebuild_aggregates():
         # The caches are generation-keyed; dropping them makes each
         # round rebuild from the (already primed) columns.
         db._agg_cache.clear()  # noqa: SLF001
         return _aggregate_bundle(db)
 
-    serial_time, _ = _timed(lambda: rebuild_aggregates(stores[1]))
-    parallel_time, _ = _timed(lambda: rebuild_aggregates(stores[AGG_JOBS]))
-    speedup = serial_time / parallel_time
-    cores = os.cpu_count() or 1
+    rebuild_time, rebuilt = _timed(rebuild_aggregates)
     print()
     print(
-        f"serial aggregates: {serial_time * 1e3:8.1f} ms   "
-        f"jobs={AGG_JOBS}: {parallel_time * 1e3:8.1f} ms   "
-        f"({speedup:.2f}x, {AGG_ROWS} rows, {cores} cores)"
+        f"aggregate rebuild: {rebuild_time * 1e3:8.1f} ms   "
+        f"({AGG_ROWS} rows)"
     )
-    if not IN_CI and cores >= AGG_JOBS:
-        assert speedup > PARALLEL_AGG_MIN_SPEEDUP, (
-            f"parallel aggregate speedup {speedup:.2f}x; "
-            f"contract is > {PARALLEL_AGG_MIN_SPEEDUP}x"
-        )
+    assert rebuilt == first
 
 
 # -- ingest fast lane --------------------------------------------------------

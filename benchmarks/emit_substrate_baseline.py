@@ -5,11 +5,10 @@ canonical seeded workload and writes a machine-readable summary:
 
 - a ``contracts`` section that is **deterministic** (store
   fingerprints of the canonical workloads, batch-vs-scalar equality,
-  serial-vs-sharded generation identity, parallel-vs-serial aggregate
-  identity at jobs ∈ {1, 2, 4}, fast-lane-vs-record-path identity on
-  clean and degraded streams) — diffs here mean ingest, generation, or
-  aggregation *semantics* changed, and the committed copy at the repo
-  root is the regression anchor;
+  indexed-vs-scanned series equality, fast-lane-vs-record-path
+  identity on clean and degraded streams) — diffs here mean ingest,
+  generation, or aggregation *semantics* changed, and the committed
+  copy at the repo root is the regression anchor;
 - a ``timings`` section that is informational (speedup ratios measured
   on whatever host ran the script) — CI uploads it as an artifact so
   trends are visible, but it is not diffed or gated.
@@ -41,12 +40,10 @@ from repro.passivedns.spill import atomic_write_bytes
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
-VERSION = 2
+VERSION = 3
 N_ROWS = 60_000
 N_DOMAINS = 600
 TRACE_CONFIG = TraceConfig(total_domains=1_500, squat_count=60)
-TRACE_JOBS = 4
-AGG_JOBS = 4
 PIPE_ROWS = 30_000
 #: The degraded fast-lane contract replays this plan at seed 7.
 DEGRADED_PLAN = FaultPlan(
@@ -110,28 +107,17 @@ def _aggregate_bundle(db):
     )
 
 
-def _parallel_aggregates(workload):
-    """Aggregate identity at jobs ∈ {1, 2, 4} plus serial/parallel
-    rebuild timings (cache cleared per round, columns stay primed)."""
-    domains, picks, times, counts = workload
+def _aggregate_rebuild_time(db):
+    """Rebuild time of every aggregate (cache cleared per round,
+    columns stay primed)."""
+    _aggregate_bundle(db)
 
-    def build(jobs):
-        db = PassiveDnsDatabase(aggregate_jobs=jobs)
-        ids = db.intern_many(domains)
-        db.add_batch(ids[picks], times, counts)
-        return db
-
-    stores = {jobs: build(jobs) for jobs in (1, 2, AGG_JOBS)}
-    bundles = {jobs: _aggregate_bundle(db) for jobs, db in stores.items()}
-    identical = bundles[2] == bundles[1] and bundles[AGG_JOBS] == bundles[1]
-
-    def rebuild(db):
+    def rebuild():
         db._agg_cache.clear()  # noqa: SLF001
         return _aggregate_bundle(db)
 
-    serial_time, _ = _timed(lambda: rebuild(stores[1]))
-    parallel_time, _ = _timed(lambda: rebuild(stores[AGG_JOBS]))
-    return identical, serial_time, parallel_time
+    elapsed, _ = _timed(rebuild)
+    return elapsed
 
 
 def _pipeline_observations():
@@ -180,9 +166,7 @@ def build_snapshot():
     workload = _workload()
     scalar_time, scalar_db = _timed(lambda: _scalar_ingest(workload))
     batch_time, batch_db = _timed(lambda: _batch_ingest(workload))
-    aggregates_match, agg_serial_time, agg_parallel_time = (
-        _parallel_aggregates(workload)
-    )
+    aggregate_time = _aggregate_rebuild_time(_batch_ingest(workload))
     observations = _pipeline_observations()
     clean_match, degraded_match, fast_time, record_time, fast = _fast_lane(
         observations
@@ -198,13 +182,8 @@ def build_snapshot():
         lambda: batch_db._daily_series_scan(target, *window)  # noqa: SLF001
     )
 
-    serial_time, serial = _timed(
+    generate_time, trace = _timed(
         lambda: NxdomainTraceGenerator(seed=0, config=TRACE_CONFIG).generate()
-    )
-    sharded_time, sharded = _timed(
-        lambda: NxdomainTraceGenerator(seed=0, config=TRACE_CONFIG).generate(
-            jobs=TRACE_JOBS
-        )
     )
 
     return {
@@ -213,8 +192,6 @@ def build_snapshot():
             "ingest_rows": N_ROWS,
             "ingest_domains": N_DOMAINS,
             "trace_domains": TRACE_CONFIG.total_domains,
-            "trace_jobs": TRACE_JOBS,
-            "aggregate_jobs": AGG_JOBS,
             "pipeline_rows": PIPE_ROWS,
         },
         "contracts": {
@@ -225,16 +202,10 @@ def build_snapshot():
             "indexed_series_matches_scan": bool(
                 np.array_equal(indexed, scanned)
             ),
-            "trace_nx_fingerprint": serial.nx_db.fingerprint(),
+            "trace_nx_fingerprint": trace.nx_db.fingerprint(),
             "trace_pre_expiry_fingerprint": (
-                serial.pre_expiry_db.fingerprint()
+                trace.pre_expiry_db.fingerprint()
             ),
-            "sharded_matches_serial": (
-                serial.nx_db.fingerprint() == sharded.nx_db.fingerprint()
-                and serial.pre_expiry_db.fingerprint()
-                == sharded.pre_expiry_db.fingerprint()
-            ),
-            "parallel_aggregates_match_serial": aggregates_match,
             "fast_lane_fingerprint": fast.database.fingerprint(),
             "fast_lane_matches_record_path": clean_match,
             "fast_lane_matches_record_path_degraded": degraded_match,
@@ -246,11 +217,8 @@ def build_snapshot():
             "series_scan_us": round(scan_time * 1e6, 1),
             "series_indexed_us": round(indexed_time * 1e6, 1),
             "index_speedup": round(scan_time / indexed_time, 1),
-            "serial_generate_ms": round(serial_time * 1e3, 1),
-            "sharded_generate_ms": round(sharded_time * 1e3, 1),
-            "aggregate_serial_ms": round(agg_serial_time * 1e3, 1),
-            "aggregate_jobs4_ms": round(agg_parallel_time * 1e3, 1),
-            "aggregate_speedup": round(agg_serial_time / agg_parallel_time, 2),
+            "serial_generate_ms": round(generate_time * 1e3, 1),
+            "aggregate_serial_ms": round(aggregate_time * 1e3, 1),
             "record_path_ms": round(record_time * 1e3, 1),
             "fast_lane_ms": round(fast_time * 1e3, 1),
             "fast_lane_speedup": round(record_time / fast_time, 2),

@@ -312,9 +312,8 @@ class WorkerSharedStateMutation(ProjectRule):
         or captured state via ``nonlocal``.
 
     Why:
-        The sharded trace generator and the parallel lint engine fan
-        work out over processes today and the query-serving tier will
-        add threads; a worker that appends to a module-global dict is
+        The parallel lint engine fans work out over processes and the
+        query-serving tier runs worker threads; a worker that appends to a module-global dict is
         a data race under threads and a silently-divergent no-op under
         processes (each child mutates its own copy).  Either way the
         result depends on the executor, not the seed — the exact

@@ -52,21 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fraction of the paper's 5.93M honeypot requests to generate",
         )
         p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for trace generation (output is "
-            "fingerprint-identical at any worker count)",
-        )
-        p.add_argument(
-            "--aggregate-jobs",
-            type=int,
-            default=1,
-            help="worker count for the parallel aggregate builders and "
-            "sharded analysis loops (results are bit-identical at any "
-            "worker count)",
-        )
-        p.add_argument(
             "--spill-dir",
             default=None,
             help="back the NX store with the crash-safe on-disk spill "
@@ -183,23 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace_generate.add_argument("out", help="output directory")
     trace_generate.add_argument("--seed", type=int, default=0)
     trace_generate.add_argument("--domains", type=int, default=6_000)
-    trace_generate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for query emission (deterministic)",
-    )
     trace_analyze = trace_sub.add_parser(
         "analyze", help="run the §4 analyses over a saved trace"
     )
     trace_analyze.add_argument("path", help="directory written by 'trace generate'")
-    trace_analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count for the parallel aggregate builders "
-        "(bit-identical results at any worker count)",
-    )
 
     sub_dga = sub.add_parser("dga", help="classify domains with the DGA detector")
     sub_dga.add_argument("names", nargs="+", help="domain names to classify")
@@ -252,8 +224,6 @@ def _study_from(args: argparse.Namespace) -> NxdomainStudy:
         trace_domains=args.domains,
         squat_count=max(args.domains // 25, 50),
         honeypot_scale=args.honeypot_scale,
-        trace_jobs=args.jobs,
-        aggregate_jobs=args.aggregate_jobs,
         spill_dir=args.spill_dir,
     )
     return NxdomainStudy(seed=args.seed, config=config)
@@ -677,9 +647,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         config = TraceConfig(
             total_domains=args.domains, squat_count=max(args.domains // 25, 50)
         )
-        trace = NxdomainTraceGenerator(seed=args.seed, config=config).generate(
-            jobs=args.jobs
-        )
+        trace = NxdomainTraceGenerator(seed=args.seed, config=config).generate()
         root = save_trace(trace, args.out)
         print(
             f"saved trace: {trace.nx_db.unique_domains():,} domains, "
@@ -687,7 +655,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         return 0
     trace = load_trace(args.path)
-    trace.nx_db.aggregate_jobs = args.jobs
     print(
         f"loaded trace: {trace.nx_db.unique_domains():,} domains, "
         f"{trace.nx_db.total_responses():,} responses"

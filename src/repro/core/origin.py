@@ -15,7 +15,7 @@ Three analyses over the trace population:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from repro.blocklist.categories import ThreatCategory
 from repro.dga.detector import DetectorMetrics, DgaDetector
 from repro.dns.name import DomainName
 from repro.errors import RateLimitExceeded
-from repro.parallel import map_shards, shard_bounds
 from repro.passivedns.sampling import sample_domains
 from repro.squatting.detector import SquattingDetector, SquattingType
 from repro.whois.history import WhoisHistoryDatabase
@@ -59,32 +58,13 @@ class WhoisJoinResult:
 def whois_join(
     domains: List[DomainName],
     whois: WhoisHistoryDatabase,
-    jobs: int = 1,
 ) -> WhoisJoinResult:
-    """§5.1's expired/never-registered split of the population.
-
-    ``jobs`` shards the domain list over a thread pool of independent
-    read-only :meth:`WhoisHistoryDatabase.join` calls; the per-shard
-    counts sum in shard order, so the result equals the one serial
-    join at any worker count.
-    """
-    def join_shard(bounds: Tuple[int, int]):
-        lo, hi = bounds
-        return whois.join(domains[lo:hi])
-
-    total = 0
-    hit_count = 0
-    never_registered = 0
-    for result in map_shards(
-        join_shard, shard_bounds(len(domains), jobs), jobs
-    ):
-        total += result.total
-        hit_count += result.hit_count
-        never_registered += result.never_registered_count
+    """§5.1's expired/never-registered split of the population."""
+    result = whois.join(domains)
     return WhoisJoinResult(
-        total_domains=total,
-        with_history=hit_count,
-        never_registered=never_registered,
+        total_domains=result.total,
+        with_history=result.hit_count,
+        never_registered=result.never_registered_count,
     )
 
 

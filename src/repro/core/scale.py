@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.clock import SECONDS_PER_DAY
-from repro.parallel import map_shards, shard_bounds
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.workloads.trace import TraceResult
 from repro.errors import RangeError
@@ -261,20 +260,12 @@ def expiry_timeline(
     sample_size: int = 1_000,
     min_nx_days: int = 120,
     rng: Optional[np.random.Generator] = None,
-    jobs: int = 1,
 ) -> ExpiryTimeline:
     """Figure 6 over a sample of long-lived expired NXDomains.
 
     Combines the pre-expiry (NOERROR) store for the 60 days before the
     pivot with the NX store for the 120 days after, exactly the two
     sides of the paper's status-change axis.
-
-    ``jobs`` shards the sampled candidates over a thread pool (the
-    per-domain series are CSR-index numpy gathers over a quiescent
-    store).  Each shard accumulates its own integer series and the
-    shard sums are added in shard order; integer addition commutes
-    and every value stays far below 2**53, so the float average is
-    bit-identical to the serial loop at any worker count.
     """
     candidates = [
         record
@@ -286,32 +277,15 @@ def expiry_timeline(
         candidates = [candidates[int(i)] for i in indices]
     else:
         candidates = candidates[:sample_size]
-    # Build the shared caches (CSR index, columns) once before the
-    # shards fan out, so worker threads only read published state.
-    if jobs > 1 and candidates:
-        trace.pre_expiry_db.warm_query_caches()
-        trace.nx_db.warm_query_caches()
-
-    def accumulate_shard(bounds: Tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        shard_sum = np.zeros(180, dtype=np.int64)
-        for record in candidates[lo:hi]:
-            pivot = record.became_nx_at
-            before = trace.pre_expiry_db.daily_series_for(
-                record.domain, pivot - 60 * SECONDS_PER_DAY, pivot
-            )
-            after = trace.nx_db.daily_series_for(
-                record.domain, pivot, pivot + 120 * SECONDS_PER_DAY
-            )
-            shard_sum[:60] += before
-            shard_sum[60:] += after
-        return shard_sum
-
     accumulator = np.zeros(180, dtype=np.int64)
-    for shard_sum in map_shards(
-        accumulate_shard, shard_bounds(len(candidates), jobs), jobs
-    ):
-        accumulator += shard_sum
+    for record in candidates:
+        pivot = record.became_nx_at
+        accumulator[:60] += trace.pre_expiry_db.daily_series_for(
+            record.domain, pivot - 60 * SECONDS_PER_DAY, pivot
+        )
+        accumulator[60:] += trace.nx_db.daily_series_for(
+            record.domain, pivot, pivot + 120 * SECONDS_PER_DAY
+        )
     count = max(len(candidates), 1)
     return ExpiryTimeline(
         accumulator.astype(float) / count, sampled_domains=len(candidates)

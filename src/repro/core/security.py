@@ -87,13 +87,8 @@ def run_security_experiment(
     rng: np.random.Generator,
     scale: float = 0.005,
     include_noise: bool = True,
-    jobs: int = 1,
 ) -> SecurityRunResult:
-    """The full §6 pipeline, from raw traffic to Table 1.
-
-    ``jobs`` shards the noise-filter passes over a thread pool
-    (output-identical to serial; see :meth:`TwoStageFilter.apply`).
-    """
+    """The full §6 pipeline, from raw traffic to Table 1."""
     reverse_ip = ReverseIpTable()
     web_filter = WebFilter()
     profiles = registered_domain_profiles()
@@ -115,8 +110,8 @@ def run_security_experiment(
             honeypot.accept_packet(packet)
 
     honeypot.calibrate(no_hosting, control_group)
-    _, stats = honeypot.filtered_requests(jobs=jobs)
-    categorized = honeypot.categorized_requests(jobs=jobs)
+    _, stats = honeypot.filtered_requests()
+    categorized = honeypot.categorized_requests()
     table1 = honeypot.reports()
     return SecurityRunResult(
         honeypot=honeypot,

@@ -51,18 +51,6 @@ class StudyConfig:
     #: ``None`` (the default) leaves the pipeline untouched and the
     #: study byte-identical to a pre-fault-harness run.
     fault_plan: Optional[FaultPlan] = None
-    #: Worker processes for trace query emission.  Generation is
-    #: fingerprint-identical at any worker count (per-record seed
-    #: streams, population-order merge), so this is purely a wall-time
-    #: knob.
-    trace_jobs: int = 1
-    #: Worker count for the analysis side: the store's chunk-parallel
-    #: aggregate builders (monthly series, TLD histogram, lifespan
-    #: decay, digest, fingerprint) plus the sharded §4–§6 loops
-    #: (expiry timeline, WHOIS join, honeypot noise filter).  Every
-    #: result is bit-identical at any worker count — like
-    #: ``trace_jobs``, purely a wall-time knob.
-    aggregate_jobs: int = 1
     #: When set, the NX store backing every analysis is the crash-safe
     #: on-disk segment store under this directory (committed as one
     #: manifest generation; reopened stores are fingerprint-verified).
@@ -154,7 +142,7 @@ class NxdomainStudy:
                     seed=self._seeds.child_seed("trace"),
                     config=self.config.trace_config(),
                 )
-                base = generator.generate(jobs=self.config.trace_jobs)
+                base = generator.generate()
             if self.config.fault_plan is not None:
                 base, self.fault_stats = base.degraded(
                     self.config.fault_plan,
@@ -162,10 +150,6 @@ class NxdomainStudy:
                 )
             if self.config.spill_dir is not None:
                 base = base.spilled(self.config.spill_dir)
-            # Set after every transform so degraded/spilled rebuilds
-            # inherit the knob too (it changes scheduling, not output).
-            base.nx_db.aggregate_jobs = self.config.aggregate_jobs
-            base.pre_expiry_db.aggregate_jobs = self.config.aggregate_jobs
             self._trace = base
         return self._trace
 
@@ -191,7 +175,6 @@ class NxdomainStudy:
                 trace,
                 sample_size=self.config.expiry_timeline_sample,
                 rng=self._seeds.rng("expiry-sample"),
-                jobs=self.config.aggregate_jobs,
             ),
             long_lived=scale_mod.long_lived_cohort(trace.nx_db, min_years=2.0),
             total_responses=trace.nx_db.total_responses(),
@@ -204,9 +187,7 @@ class NxdomainStudy:
         trace = self.trace
         domains = [record.domain for record in trace.population]
         return OriginAnalysis(
-            whois_join=origin_mod.whois_join(
-                domains, trace.whois, jobs=self.config.aggregate_jobs
-            ),
+            whois_join=origin_mod.whois_join(domains, trace.whois),
             dga_census=origin_mod.dga_census(trace, self.dga_detector),
             dga_registration=origin_mod.dga_registration_rate(trace),
             squatting_census=origin_mod.squatting_census(
@@ -236,7 +217,6 @@ class NxdomainStudy:
             self._security = security_mod.run_security_experiment(
                 self._seeds.rng("honeypot"),
                 scale=self.config.honeypot_scale,
-                jobs=self.config.aggregate_jobs,
             )
         return self._security
 

@@ -21,7 +21,6 @@ from typing import Iterable, List, Set, Tuple
 
 from repro.honeypot.http import HttpRequest, PacketRecord
 from repro.honeypot.recorder import TrafficRecorder
-from repro.parallel import map_shards, shard_bounds
 
 
 @dataclass
@@ -117,48 +116,20 @@ class TwoStageFilter:
         ]
 
     def apply(
-        self, requests: Iterable[HttpRequest], jobs: int = 1
+        self, requests: Iterable[HttpRequest]
     ) -> Tuple[List[HttpRequest], FilterStats]:
-        """Split traffic into (kept, stats) per Figure 9.
-
-        ``jobs`` shards the request list over a thread pool: each
-        shard classifies against the (frozen-after-calibration) noise
-        signatures independently, then the kept lists concatenate and
-        the stage counters sum in shard order — output-identical to
-        the serial loop, since each request's verdict depends only on
-        itself.
-        """
-        pending = list(requests)
-
-        def filter_shard(
-            bounds: Tuple[int, int]
-        ) -> Tuple[List[HttpRequest], FilterStats]:
-            lo, hi = bounds
-            stats = FilterStats()
-            kept: List[HttpRequest] = []
-            for request in pending[lo:hi]:
-                stats.input_requests += 1
-                if self.is_scanner_noise(request):
-                    stats.dropped_by_ip_baseline += 1
-                elif self.is_establishment_noise(request):
-                    stats.dropped_by_control_group += 1
-                else:
-                    kept.append(request)
-            stats.kept = len(kept)
-            return kept, stats
-
+        """Split traffic into (kept, stats) per Figure 9."""
         stats = FilterStats()
-        kept = []
-        for shard_kept, shard_stats in map_shards(
-            filter_shard, shard_bounds(len(pending), jobs), jobs
-        ):
-            kept.extend(shard_kept)
-            stats.input_requests += shard_stats.input_requests
-            stats.dropped_by_ip_baseline += shard_stats.dropped_by_ip_baseline
-            stats.dropped_by_control_group += (
-                shard_stats.dropped_by_control_group
-            )
-            stats.kept += shard_stats.kept
+        kept: List[HttpRequest] = []
+        for request in requests:
+            stats.input_requests += 1
+            if self.is_scanner_noise(request):
+                stats.dropped_by_ip_baseline += 1
+            elif self.is_establishment_noise(request):
+                stats.dropped_by_control_group += 1
+            else:
+                kept.append(request)
+        stats.kept = len(kept)
         return kept, stats
 
     @property

@@ -125,24 +125,18 @@ class NxdHoneypot:
         self.noise_filter = TwoStageFilter.calibrated(no_hosting, control_group)
         return self.noise_filter
 
-    def filtered_requests(
-        self, jobs: int = 1
-    ) -> Tuple[List[HttpRequest], FilterStats]:
-        """All recorded requests after noise filtering.
-
-        ``jobs`` shards the filter pass (output-identical to serial,
-        see :meth:`TwoStageFilter.apply`).
-        """
+    def filtered_requests(self) -> Tuple[List[HttpRequest], FilterStats]:
+        """All recorded requests after noise filtering."""
         requests = self.recorder.requests()
         if self.noise_filter is None:
             stats = FilterStats(
                 input_requests=len(requests), kept=len(requests)
             )
             return requests, stats
-        return self.noise_filter.apply(requests, jobs=jobs)
+        return self.noise_filter.apply(requests)
 
-    def categorized_requests(self, jobs: int = 1) -> List[CategorizedRequest]:
-        kept, _ = self.filtered_requests(jobs=jobs)
+    def categorized_requests(self) -> List[CategorizedRequest]:
+        kept, _ = self.filtered_requests()
         return self.categorizer.categorize_many(kept)
 
     def report_for(self, domain: str) -> HoneypotReport:

@@ -58,7 +58,6 @@ import numpy as np
 from repro.clock import SECONDS_PER_DAY, month_key
 from repro.dns.message import RCode
 from repro.dns.name import DomainName
-from repro.parallel import map_shards, shard_bounds
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.spill import DIGEST_MASK, SpillStore
 from repro.errors import ConfigError, CorruptArchiveError
@@ -67,18 +66,6 @@ from repro.errors import ConfigError, CorruptArchiveError
 #: min/max updates against them always lose to a real timestamp.
 _FIRST_SEEN_SENTINEL = np.int64(2**62)
 _LAST_SEEN_SENTINEL = np.int64(-(2**62))
-
-
-# -- aggregate map tasks ------------------------------------------------------
-#
-# The chunk-parallel aggregate builders cut the row parts into
-# contiguous shards and map one of the pure functions below over each
-# shard (on a process pool when ``aggregate_jobs > 1`` — the digest
-# and fingerprint maps are per-row :mod:`hashlib` work that never
-# releases the GIL).  Each function reads only its task tuple and
-# touches no shared state, so the associative reduces in the builders
-# are bit-identical to the serial pass at any worker count and any
-# shard layout.
 
 
 def _row_lines(row_names: np.ndarray, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -90,106 +77,6 @@ def _row_lines(row_names: np.ndarray, times: np.ndarray, counts: np.ndarray) -> 
             np.ascontiguousarray(column, dtype=np.int64).astype(np.str_),
         )
     return lines
-
-
-def _digest_map(task: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
-    """Mergeable multiset digest of one row shard (sum mod 2**128)."""
-    row_names, times, counts = task
-    total = 0
-    for line in _row_lines(row_names, times, counts).tolist():
-        piece = hashlib.blake2b(line.encode("utf-8"), digest_size=16).digest()
-        total += int.from_bytes(piece, "big")
-    return total & DIGEST_MASK
-
-
-def _fingerprint_map(
-    task: Tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> bytes:
-    """UTF-8 bytes of one already-sorted fingerprint slice."""
-    row_names, times, counts = task
-    return "\n".join(_row_lines(row_names, times, counts).tolist()).encode(
-        "utf-8"
-    )
-
-
-def _monthly_map(
-    task: Tuple[np.ndarray, np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-shard (distinct days, query sums per day)."""
-    times, counts = task
-    days = times // SECONDS_PER_DAY
-    unique_days, inverse = np.unique(days, return_inverse=True)
-    sums = np.zeros(len(unique_days), dtype=np.int64)
-    np.add.at(sums, inverse, counts)
-    return unique_days, sums
-
-
-def _lifespan_map(
-    task: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-shard (query sums per offset, unique (offset, domain) keys)."""
-    ids, times, counts, first_subset, max_days, n_domains = task
-    offsets = (times - first_subset) // SECONDS_PER_DAY
-    in_window = (offsets >= 0) & (offsets < max_days)
-    queries = np.zeros(max_days, dtype=np.int64)
-    np.add.at(queries, offsets[in_window], counts[in_window])
-    pair_keys = offsets[in_window] * np.int64(n_domains) + ids[in_window]
-    return queries, np.unique(pair_keys)
-
-
-def _tld_map(
-    task: Tuple[np.ndarray, np.ndarray, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-shard (domains per TLD, queries per TLD) over domain columns."""
-    tld_ids, totals, n_tlds = task
-    domains_per = np.bincount(tld_ids, minlength=n_tlds).astype(np.int64)
-    queries_per = np.zeros(n_tlds, dtype=np.int64)
-    np.add.at(queries_per, tld_ids, totals)
-    return domains_per, queries_per
-
-
-def _reshard_rows(
-    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], jobs: int
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Re-cut row parts into ~``jobs`` contiguous row-range shards.
-
-    Chunk/segment boundaries follow ingest batching, so a store can
-    hold one huge consolidated chunk or dozens of tiny ones; the
-    worker pool wants neither.  This re-cuts the concatenated row
-    space with :func:`shard_bounds` — every aggregate reduce is
-    associative over rows, so the cut is invisible in the result.
-    """
-    total = sum(len(part[0]) for part in parts)
-    if total == 0:
-        return []
-    starts = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([len(part[0]) for part in parts], out=starts[1:])
-    shards: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for lo, hi in shard_bounds(total, jobs):
-        if lo == hi:
-            continue
-        pieces = []
-        for index, part in enumerate(parts):
-            part_lo, part_hi = int(starts[index]), int(starts[index + 1])
-            cut_lo, cut_hi = max(lo, part_lo), min(hi, part_hi)
-            if cut_lo >= cut_hi:
-                continue
-            pieces.append(
-                tuple(
-                    column[cut_lo - part_lo : cut_hi - part_lo]
-                    for column in part
-                )
-            )
-        if len(pieces) == 1:
-            shards.append(pieces[0])
-        else:
-            shards.append(
-                tuple(
-                    np.concatenate([piece[i] for piece in pieces])
-                    for i in range(3)
-                )
-            )
-    return shards
 
 
 class _IntColumn:
@@ -299,19 +186,11 @@ class PassiveDnsDatabase:
         spill_paranoid: bool = False,
         spill_read_only: bool = False,
         spill_compact_threshold: int = 0,
-        aggregate_jobs: int = 1,
     ) -> None:
         if spill_compact_threshold < 0 or spill_compact_threshold == 1:
             raise ConfigError(
                 "spill_compact_threshold must be 0 (off) or at least 2"
             )
-        if aggregate_jobs < 1:
-            raise ConfigError("aggregate_jobs must be at least 1")
-        #: Worker count for the chunk-parallel aggregate builders
-        #: (monthly series, TLD histogram, lifespan decay, digest,
-        #: fingerprint).  ``1`` keeps every reduce inline; any value
-        #: produces bit-identical aggregates (see ``_reshard_rows``).
-        self.aggregate_jobs = aggregate_jobs
         self._id_of: Dict[DomainName, int] = {}
         self._domains: List[DomainName] = []
         # Per-domain aggregate columns (parallel to ``_domains``).
@@ -740,17 +619,6 @@ class PassiveDnsDatabase:
             self._index_cache = (self._generation, order, starts)
         return order, starts
 
-    def warm_query_caches(self) -> None:
-        """Build the columns and CSR-index caches on the calling thread.
-
-        Analyses that fan per-domain queries out over reader threads
-        (``expiry_timeline(jobs=N)``) call this once first: the lazy
-        builders may reshape the chunk layout (tail seal,
-        consolidation), which is single-writer by contract, so the
-        caches must be published before readers race on them.
-        """
-        self._row_index()
-
     def _rows_for(self, domain_id: int) -> np.ndarray:
         order, starts = self._row_index()
         return order[starts[domain_id] : starts[domain_id + 1]]
@@ -810,43 +678,11 @@ class PassiveDnsDatabase:
         first_seen, last_seen, totals = self._aggregate_columns()
         return list(self._domains), first_seen, last_seen, totals
 
-    # -- parallel aggregate plumbing ----------------------------------------
-
     def _row_name_array(self) -> np.ndarray:
         """Domain names as a fixed-width numpy string array, id-indexed."""
         return np.asarray(
             [str(d) for d in self._domains], dtype=np.str_
         )
-
-    def _row_shards(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Row parts re-cut for the aggregate worker pool.
-
-        The part-list snapshot happens under ``_cache_lock`` (REP30x
-        discipline: snapshot under the lock, build outside it); the
-        mapped work never runs while the lock is held.  With
-        ``aggregate_jobs <= 1`` the parts come back untouched, so the
-        serial builders keep streaming one mmap'd segment at a time;
-        otherwise they are re-cut into ~``aggregate_jobs`` contiguous
-        row-range shards for the pool.
-        """
-        with self._cache_lock:
-            parts = self._parts()
-        if self.aggregate_jobs <= 1:
-            return parts
-        return _reshard_rows(parts, self.aggregate_jobs)
-
-    def _map_tasks(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        """Map ``fn`` over shard tasks on the aggregate worker pool.
-
-        Process workers: the digest/fingerprint maps are per-row
-        :mod:`hashlib` loops that hold the GIL, and the numpy maps are
-        cheap enough that fork cost dominates only when the store is
-        tiny (where ``map_shards`` runs inline anyway).  Tasks must be
-        plain-array tuples — never ``self`` (the store holds an
-        unpicklable lock, and shipping it would re-run every map
-        against a private copy).
-        """
-        return map_shards(fn, tasks, jobs=self.aggregate_jobs, process=True)
 
     @classmethod
     def _from_arrays(
@@ -894,7 +730,11 @@ class PassiveDnsDatabase:
         return self._spill
 
     def _rows_digest(
-        self, ids: np.ndarray, times: np.ndarray, counts: np.ndarray
+        self,
+        ids: np.ndarray,
+        times: np.ndarray,
+        counts: np.ndarray,
+        row_names: Optional[np.ndarray] = None,
     ) -> int:
         """Mergeable 128-bit multiset digest of the given rows.
 
@@ -902,14 +742,21 @@ class PassiveDnsDatabase:
         line, summed mod 2**128 — order-insensitive and additive, so
         the digest of a merged segment is the sum of its inputs' and a
         commit's whole-store digest is one sum over per-segment values
-        instead of a concat+sort over every row.
+        instead of a concat+sort over every row.  ``row_names`` is the
+        :meth:`_row_name_array`, passed in when hashing many parts.
         """
         if len(ids) == 0:
             return 0
-        row_names = self._row_name_array()[
-            np.ascontiguousarray(ids, dtype=np.int64)
-        ]
-        return _digest_map((row_names, times, counts))
+        if row_names is None:
+            row_names = self._row_name_array()
+        lines = _row_lines(
+            row_names[np.ascontiguousarray(ids, dtype=np.int64)], times, counts
+        )
+        total = 0
+        for line in lines.tolist():
+            piece = hashlib.blake2b(line.encode("utf-8"), digest_size=16).digest()
+            total += int.from_bytes(piece, "big")
+        return total & DIGEST_MASK
 
     def digest(self) -> str:
         """Order-insensitive, mergeable whole-store digest (32 hex).
@@ -928,49 +775,25 @@ class PassiveDnsDatabase:
         # Snapshot under the lock, hash outside it (REP30x): parts,
         # the segment-name list, and the per-segment cache are read in
         # one atomic step; the per-row BLAKE2 work — the expensive
-        # part — then runs lock-free on the worker pool.
+        # part — then runs lock-free, one part at a time.
         with self._cache_lock:
             parts = self._parts()
             names = list(self._chunk_spill_names)
             cached = dict(self._segment_digest_cache)
+        row_names = self._row_name_array()
         total = 0
-        pending_named: List[Tuple[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-        unnamed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        computed: Dict[str, int] = {}
         for index, part in enumerate(parts):
             name = names[index] if index < len(names) else None
-            if name is None:
-                unnamed.append(part)
-                continue
-            value = cached.get(name)
+            value = cached.get(name) if name is not None else None
             if value is None:
-                # Uncached segments are hashed whole (not re-cut) so
-                # the result is cacheable per segment name.
-                pending_named.append((name, part))
-            else:
-                total += value
-        row_names = self._row_name_array()
-
-        def task_of(part: Tuple[np.ndarray, np.ndarray, np.ndarray]):
-            ids, times, counts = part
-            return (
-                row_names[np.ascontiguousarray(ids, dtype=np.int64)],
-                times,
-                counts,
-            )
-
-        shards = (
-            unnamed
-            if self.aggregate_jobs <= 1
-            else _reshard_rows(unnamed, self.aggregate_jobs)
-        )
-        tasks = [task_of(part) for _, part in pending_named]
-        tasks += [task_of(shard) for shard in shards]
-        values = self._map_tasks(_digest_map, tasks)
-        if pending_named:
+                value = self._rows_digest(*part, row_names=row_names)
+                if name is not None:
+                    computed[name] = value
+            total += value
+        if computed:
             with self._cache_lock:
-                for (name, _), value in zip(pending_named, values):
-                    self._segment_digest_cache[name] = value
-        total += sum(values)
+                self._segment_digest_cache.update(computed)
         return f"{total & DIGEST_MASK:032x}"
 
     def _restore_from_spill(self, paranoid: bool = False) -> None:
@@ -1218,20 +1041,8 @@ class PassiveDnsDatabase:
         rank = np.empty(len(names), dtype=np.int64)
         rank[np.argsort(names, kind="stable")] = np.arange(len(names))
         order = np.lexsort((counts, times, rank[ids]))
-        # The canonical sort fixes the line sequence; the UTF-8 line
-        # rendering is then embarrassingly parallel over contiguous
-        # slices of it, and joining the slices with the same "\n"
-        # separator reproduces the serial byte stream exactly.
-        sorted_names = names[ids[order]]
-        sorted_times = times[order]
-        sorted_counts = counts[order]
-        tasks = [
-            (sorted_names[lo:hi], sorted_times[lo:hi], sorted_counts[lo:hi])
-            for lo, hi in shard_bounds(len(order), self.aggregate_jobs)
-            if lo != hi
-        ]
-        pieces = self._map_tasks(_fingerprint_map, tasks)
-        digest.update(b"\n".join(pieces))
+        lines = _row_lines(names[ids[order]], times[order], counts[order])
+        digest.update("\n".join(lines.tolist()).encode("utf-8"))
         digest.update(b"\n")
         return digest.hexdigest()
 
@@ -1277,13 +1088,19 @@ class PassiveDnsDatabase:
         # Bucket by month via 30.44-day bins would drift; instead map
         # each distinct day to its month key once (cheap: few thousand
         # distinct days over the study window).  Per-day sums stream
-        # over the row shards (one map task each) so a spill-backed
-        # store never concatenates; day-keyed sums commute across any
-        # shard layout, and the final ascending-day walk reproduces
-        # the single-pass insertion order exactly.
+        # over the row parts so a spill-backed store never
+        # concatenates; day-keyed sums commute across any part layout,
+        # and the final ascending-day walk reproduces the single-pass
+        # insertion order exactly.
         day_sums: Dict[int, int] = {}
-        tasks = [(times, counts) for _, times, counts in self._row_shards()]
-        for unique_days, sums in self._map_tasks(_monthly_map, tasks):
+        with self._cache_lock:
+            parts = self._parts()
+        for _, times, counts in parts:
+            unique_days, inverse = np.unique(
+                times // SECONDS_PER_DAY, return_inverse=True
+            )
+            sums = np.zeros(len(unique_days), dtype=np.int64)
+            np.add.at(sums, inverse, counts)
             for day, total in zip(unique_days.tolist(), sums.tolist()):
                 day_sums[day] = day_sums.get(day, 0) + total
         for day in sorted(day_sums):
@@ -1300,24 +1117,14 @@ class PassiveDnsDatabase:
             return {}
         # Snapshot the domain columns under the lock, reduce outside
         # it.  This histogram reduces the per-domain columns, not the
-        # row parts, so the shard cut runs over the domain-id space.
+        # row parts.
         with self._cache_lock:
             tld_ids = self._tld_ids.view().copy()
             totals = self._totals.view().copy()
             tlds = list(self._tlds)
-        if self.aggregate_jobs <= 1:
-            tasks = [(tld_ids, totals, len(tlds))]
-        else:
-            tasks = [
-                (tld_ids[lo:hi], totals[lo:hi], len(tlds))
-                for lo, hi in shard_bounds(len(tld_ids), self.aggregate_jobs)
-                if lo != hi
-            ]
-        domains_per = np.zeros(len(tlds), dtype=np.int64)
+        domains_per = np.bincount(tld_ids, minlength=len(tlds)).astype(np.int64)
         queries_per = np.zeros(len(tlds), dtype=np.int64)
-        for shard_domains, shard_queries in self._map_tasks(_tld_map, tasks):
-            domains_per += shard_domains
-            queries_per += shard_queries
+        np.add.at(queries_per, tld_ids, totals)
         return {
             tld: (int(domains_per[tld_id]), int(queries_per[tld_id]))
             for tld_id, tld in enumerate(tlds)
@@ -1445,20 +1252,21 @@ class PassiveDnsDatabase:
         with self._cache_lock:
             first_seen = self._first_seen.view().copy()
             n_domains = len(self._domains)
-        # Map the row shards: query sums accumulate per shard and add
+            parts = self._parts()
+        # Stream the row parts: query sums accumulate per part and add
         # up in any cut; distinct domains per offset need unique
-        # (offset, domain) pairs, so per-shard uniques are pooled and
+        # (offset, domain) pairs, so per-part uniques are pooled and
         # deduplicated globally (the pool holds unique pairs only, far
-        # fewer than rows — and a global unique of per-shard uniques
-        # equals the unique of the raw rows, whatever the shard cut).
-        tasks = [
-            (ids, times, counts, first_seen[ids], max_days, n_domains)
-            for ids, times, counts in self._row_shards()
-        ]
+        # fewer than rows — and a global unique of per-part uniques
+        # equals the unique of the raw rows, whatever the part cut).
         pair_pool: List[np.ndarray] = []
-        for shard_queries, shard_pairs in self._map_tasks(_lifespan_map, tasks):
-            queries_series += shard_queries
-            pair_pool.append(shard_pairs)
+        for ids, times, counts in parts:
+            offsets = (times - first_seen[ids]) // SECONDS_PER_DAY
+            in_window = (offsets >= 0) & (offsets < max_days)
+            np.add.at(queries_series, offsets[in_window], counts[in_window])
+            pair_pool.append(
+                np.unique(offsets[in_window] * np.int64(n_domains) + ids[in_window])
+            )
         if pair_pool:
             unique_pairs = np.unique(np.concatenate(pair_pool))
             pair_offsets = unique_pairs // n_domains

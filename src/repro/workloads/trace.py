@@ -31,9 +31,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -292,24 +291,14 @@ class NxdomainTraceGenerator:
 
     # -- public API -----------------------------------------------------
 
-    def generate(self, jobs: int = 1) -> TraceResult:
-        """Build population, WHOIS, blocklist, and both databases.
-
-        ``jobs`` shards query emission across a process pool.  Every
-        per-record RNG stream is derived from the record's population
-        index (not its shard), and shard results are merged back in
-        population order, so the output is fingerprint-identical at
-        any worker count — ``generate(jobs=4)`` is byte-for-byte
-        ``generate(jobs=1)``, just faster.
-        """
-        if jobs < 1:
-            raise WorkloadError("jobs must be at least 1")
+    def generate(self) -> TraceResult:
+        """Build population, WHOIS, blocklist, and both databases."""
         population = self._build_population()
         whois = self._build_whois(population)
         blocklist = self._build_blocklist(population)
         nx_db = PassiveDnsDatabase()
         pre_db = PassiveDnsDatabase()
-        self._emit_queries(population, nx_db, pre_db, jobs=jobs)
+        self._emit_queries(population, nx_db, pre_db)
         return TraceResult(
             config=self.config,
             nx_db=nx_db,
@@ -538,69 +527,21 @@ class NxdomainTraceGenerator:
         population: List[TraceDomain],
         nx_db: PassiveDnsDatabase,
         pre_db: PassiveDnsDatabase,
-        jobs: int = 1,
     ) -> None:
-        """Emit every domain's query arrays and merge them in order.
+        """Emit every domain's query arrays into the stores in order.
 
-        Serial and sharded paths run the exact same per-record code
-        with the exact same per-record seeds; parallelism only changes
-        *where* the arrays are computed, never what they contain.
+        Each record draws from its own stream, derived from the
+        ``queries`` seed and the record's population index, so one
+        record's draws never depend on how many another one made.
         """
-        emit_seed = self._seeds.child_seed("queries")
-        if jobs == 1 or len(population) < 2 * jobs:
-            emissions = _emit_shard(emit_seed, self.config, population, 0)
-        else:
-            bounds = [
-                (len(population) * shard) // jobs for shard in range(jobs + 1)
-            ]
-            shards = [
-                (emit_seed, self.config, population[lo:hi], lo)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            emissions = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                # Deterministic merge: results collected in shard
-                # order, regardless of completion order.
-                for shard_result in pool.map(_emit_shard_args, shards):
-                    emissions.extend(shard_result)
-        for record, (nx_times, nx_counts, pre_times, pre_counts) in zip(
-            population, emissions
-        ):
+        factory = SeedSequenceFactory(self._seeds.child_seed("queries"))
+        for index, record in enumerate(population):
+            rng = factory.rng(f"record-{index}")
+            nx_times, nx_counts = _emit_nx_activity(rng, record, self.config)
             nx_db.add_rows(record.domain, nx_times, nx_counts)
             if record.kind.is_expired:
+                pre_times, pre_counts = _emit_pre_expiry(rng, record)
                 pre_db.add_rows(record.domain, pre_times, pre_counts)
-
-
-def _emit_shard_args(
-    args: Tuple[int, TraceConfig, List[TraceDomain], int]
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Process-pool adapter: unpack one shard's argument tuple."""
-    return _emit_shard(*args)
-
-
-def _emit_shard(
-    emit_seed: int,
-    config: TraceConfig,
-    records: Sequence[TraceDomain],
-    start_index: int,
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Emit query arrays for one contiguous population shard.
-
-    Each record draws from its own stream, derived from ``emit_seed``
-    and the record's *global* population index — the property that
-    makes any sharding of the population produce identical arrays.
-    """
-    factory = SeedSequenceFactory(emit_seed)
-    out = []
-    for offset, record in enumerate(records):
-        rng = factory.rng(f"record-{start_index + offset}")
-        nx_times, nx_counts = _emit_nx_activity(rng, record, config)
-        if record.kind.is_expired:
-            pre_times, pre_counts = _emit_pre_expiry(rng, record)
-        else:
-            pre_times = pre_counts = np.empty(0, dtype=np.int64)
-        out.append((nx_times, nx_counts, pre_times, pre_counts))
-    return out
 
 
 def _emit_nx_activity(

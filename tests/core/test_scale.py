@@ -88,3 +88,17 @@ class TestFigure6:
     def test_sample_bounded(self, trace):
         timeline = expiry_timeline(trace, sample_size=10, rng=make_rng(3))
         assert timeline.sampled_domains <= 10
+
+    @pytest.mark.parametrize("extra", [-3, 50])
+    def test_sample_size_around_candidate_count(self, trace, extra):
+        """Below the candidate count the sample is drawn; above it every
+        candidate is taken.  Either way a fixed rng seed reproduces the
+        series exactly."""
+        candidates = sum(
+            1 for r in trace.expired_domains() if r.activity_days >= 120
+        )
+        size = candidates + extra
+        first = expiry_timeline(trace, sample_size=size, rng=make_rng(5))
+        again = expiry_timeline(trace, sample_size=size, rng=make_rng(5))
+        assert first.sampled_domains == min(size, candidates)
+        assert first.average_series.tobytes() == again.average_series.tobytes()

@@ -30,6 +30,15 @@ class TestTable1:
         assert result.filter_stats.kept / result.filter_stats.input_requests > 0.85
 
 
+class TestDeterminism:
+    def test_same_seed_same_run(self, result):
+        again = run_security_experiment(make_rng(13), scale=0.002)
+        assert again.filter_stats == result.filter_stats
+        assert [
+            (c.request, c.category, c.subcategory) for c in again.categorized
+        ] == [(c.request, c.category, c.subcategory) for c in result.categorized]
+
+
 class TestFigure10:
     def test_shape_checks(self, result):
         ports = port_distribution(result)

@@ -1,20 +1,20 @@
-"""Sharded §4–§6 analysis loops ≡ serial at every worker count.
+"""§4–§6 analysis loops decompose over contiguous shards.
 
-Each loop uses the same global-index sharding trick as trace
-generation: cut [0, n) into contiguous shards, run each shard
-independently, merge in shard order.  Because the shards partition the
-index space exactly and every merge is an integer sum or an in-order
-concatenation, the output is *equal* (not merely statistically close)
-to the serial loop.
+Each loop is a single serial pass whose merge is an integer sum or an
+in-order concatenation.  Cutting the input into contiguous shards,
+running the loop (or its per-item step) on each shard and merging in
+shard order must therefore reproduce the whole-input result *exactly*,
+not merely statistically.  This is the property any future sharded
+scheduler would have to preserve.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.origin import whois_join
+from repro.clock import SECONDS_PER_DAY
+from repro.core.origin import WhoisJoinResult, whois_join
 from repro.core.scale import expiry_timeline
-from repro.core.security import run_security_experiment
-from repro.honeypot.filtering import TwoStageFilter
+from repro.honeypot.filtering import FilterStats, TwoStageFilter
 from repro.honeypot.http import HttpRequest, PacketRecord
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
@@ -27,42 +27,74 @@ def trace():
     return generator.generate()
 
 
+def _shards(items, count):
+    """``items`` cut into ``count`` contiguous, order-preserving pieces."""
+    bounds = np.linspace(0, len(items), count + 1).astype(int)
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 # -- §4: expiry timeline -----------------------------------------------------
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_expiry_timeline_sharded_matches_serial(trace, jobs):
-    serial = expiry_timeline(
-        trace, sample_size=60, rng=np.random.default_rng(5), jobs=1
-    )
-    sharded = expiry_timeline(
-        trace, sample_size=60, rng=np.random.default_rng(5), jobs=jobs
-    )
-    assert sharded.sampled_domains == serial.sampled_domains
-    assert sharded.average_series.tobytes() == serial.average_series.tobytes()
+    serial = expiry_timeline(trace, sample_size=60)
+    candidates = [
+        record
+        for record in trace.expired_domains()
+        if record.activity_days >= 120
+    ][:60]
+    accumulator = np.zeros(180, dtype=np.int64)
+    for shard in _shards(candidates, jobs):
+        partial = np.zeros(180, dtype=np.int64)
+        for record in shard:
+            pivot = record.became_nx_at
+            partial[:60] += trace.pre_expiry_db.daily_series_for(
+                record.domain, pivot - 60 * SECONDS_PER_DAY, pivot
+            )
+            partial[60:] += trace.nx_db.daily_series_for(
+                record.domain, pivot, pivot + 120 * SECONDS_PER_DAY
+            )
+        accumulator += partial
+    sharded = accumulator.astype(float) / max(len(candidates), 1)
+    assert serial.sampled_domains == len(candidates) > 0
+    assert sharded.tobytes() == serial.average_series.tobytes()
 
-
-def test_expiry_timeline_overshard(trace):
-    serial = expiry_timeline(trace, sample_size=3, jobs=1)
-    sharded = expiry_timeline(trace, sample_size=3, jobs=16)
-    assert sharded.average_series.tobytes() == serial.average_series.tobytes()
+    seeded = expiry_timeline(trace, sample_size=60, rng=np.random.default_rng(5))
+    again = expiry_timeline(trace, sample_size=60, rng=np.random.default_rng(5))
+    assert again.sampled_domains == seeded.sampled_domains
+    assert again.average_series.tobytes() == seeded.average_series.tobytes()
 
 
 # -- §5: WHOIS join ----------------------------------------------------------
 
 
+def _merged_join(domains, whois, jobs):
+    merged = WhoisJoinResult(total_domains=0, with_history=0, never_registered=0)
+    for shard in _shards(domains, jobs):
+        part = whois_join(shard, whois)
+        merged = WhoisJoinResult(
+            total_domains=merged.total_domains + part.total_domains,
+            with_history=merged.with_history + part.with_history,
+            never_registered=merged.never_registered + part.never_registered,
+        )
+    return merged
+
+
 @pytest.mark.parametrize("jobs", [2, 3, 4])
 def test_whois_join_sharded_matches_serial(trace, jobs):
     domains = [record.domain for record in trace.population]
-    assert whois_join(domains, trace.whois, jobs=jobs) == whois_join(
-        domains, trace.whois, jobs=1
-    )
+    serial = whois_join(domains, trace.whois)
+    assert _merged_join(domains, trace.whois, jobs) == serial
+    assert serial.with_history > 0 and serial.never_registered > 0
 
 
 def test_whois_join_empty_population(trace):
-    assert whois_join([], trace.whois, jobs=4) == whois_join(
-        [], trace.whois, jobs=1
+    empty = whois_join([], trace.whois)
+    assert empty == WhoisJoinResult(
+        total_domains=0, with_history=0, never_registered=0
     )
+    assert _merged_join([], trace.whois, 4) == empty
 
 
 # -- §6: honeypot noise filter -----------------------------------------------
@@ -114,28 +146,16 @@ def _calibrated_filter():
 def test_noise_filter_sharded_matches_serial(jobs):
     traffic = _synthetic_traffic()
     noise_filter = _calibrated_filter()
-    serial_kept, serial_stats = noise_filter.apply(traffic, jobs=1)
-    sharded_kept, sharded_stats = noise_filter.apply(traffic, jobs=jobs)
+    serial_kept, serial_stats = noise_filter.apply(traffic)
+    sharded_kept, sharded_stats = [], FilterStats()
+    for shard in _shards(traffic, jobs):
+        kept, stats = noise_filter.apply(shard)
+        sharded_kept.extend(kept)
+        sharded_stats.input_requests += stats.input_requests
+        sharded_stats.dropped_by_ip_baseline += stats.dropped_by_ip_baseline
+        sharded_stats.dropped_by_control_group += stats.dropped_by_control_group
+        sharded_stats.kept += stats.kept
     assert sharded_kept == serial_kept  # order-preserving concatenation
     assert sharded_stats == serial_stats
-    assert serial_stats.dropped > 0  # the matrix actually exercised both stages
-
-
-def test_noise_filter_empty_input():
-    kept, stats = _calibrated_filter().apply([], jobs=4)
-    assert kept == [] and stats.input_requests == 0
-
-
-# -- end to end: the study-level knob ----------------------------------------
-
-
-def test_security_experiment_sharded_matches_serial():
-    serial = run_security_experiment(np.random.default_rng(4), scale=0.003)
-    sharded = run_security_experiment(
-        np.random.default_rng(4), scale=0.003, jobs=4
-    )
-    assert sharded.filter_stats == serial.filter_stats
-    assert len(sharded.categorized) == len(serial.categorized)
-    assert [
-        (c.request, c.category, c.subcategory) for c in sharded.categorized
-    ] == [(c.request, c.category, c.subcategory) for c in serial.categorized]
+    assert serial_stats.dropped_by_ip_baseline > 0
+    assert serial_stats.dropped_by_control_group > 0

@@ -112,6 +112,10 @@ class TestTwoStageFilter:
         assert stats.dropped == 2
         assert stats.drop_fraction() == pytest.approx(2 / 3)
 
+    def test_empty_input(self, noise_filter):
+        kept, stats = noise_filter.apply([])
+        assert kept == [] and stats.input_requests == 0 and stats.kept == 0
+
     def test_learning_counters(self, noise_filter):
         assert noise_filter.scanner_ip_count == 2
         assert noise_filter.control_signature_count >= 3

@@ -1,12 +1,13 @@
-"""Chunk-parallel aggregates ≡ serial, byte for byte.
+"""Part-by-part aggregates ≡ single-part aggregates, byte for byte.
 
-The tentpole contract: every generation-keyed aggregate the store
-builds (monthly series, TLD histogram, lifespan decay, multiset row
-digest, canonical fingerprint) must be *bit-identical* at any
-``aggregate_jobs`` value, over both the in-memory chunk list and the
-spill-backed segment store.  Each case builds fresh stores per worker
-count — the caches are generation-keyed, so reusing one store would
-just serve the serial build back.
+Every generation-keyed aggregate the store builds (monthly series,
+TLD histogram, lifespan decay, multiset row digest, canonical
+fingerprint) streams over the row parts one at a time and merges the
+partial results.  The same rows must therefore give *bit-identical*
+aggregates whether they land as one part or as ``parts`` batches, over
+both the in-memory chunk list and the spill-backed segment store.
+Each case builds fresh stores — the caches are generation-keyed, so
+reusing one store would just serve the first build back.
 """
 
 import numpy as np
@@ -16,8 +17,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.dns.name import DomainName
-from repro.errors import ConfigError
-from repro.parallel import map_shards, shard_bounds
 from repro.passivedns.database import PassiveDnsDatabase
 
 _DOMAINS = [
@@ -25,19 +24,21 @@ _DOMAINS = [
 ]
 
 
-def _fill(db, seed, rows):
-    """Append ``rows`` seeded rows in three batches (forces several
-    tail states: sealed chunk boundaries in-memory, multiple segments
-    once spilled)."""
+def _fill(db, seed, rows, parts, commit_each=False):
+    """Append ``rows`` seeded rows as ``parts`` contiguous batches (one
+    sealed chunk boundary per batch in memory; one segment per batch
+    when ``commit_each`` spills every batch)."""
     rng = np.random.default_rng(seed)
     ids = db.intern_many(_DOMAINS)
     picks = rng.integers(0, len(_DOMAINS), rows)
     times = np.sort(rng.integers(0, 300 * 86_400, rows)).astype(np.int64)
     counts = rng.integers(1, 6, rows).astype(np.int64)
-    third = max(rows // 3, 1)
-    for lo in range(0, rows, third):
-        hi = min(lo + third, rows)
+    bounds = np.linspace(0, rows, parts + 1).astype(int)
+    for lo, hi in zip(bounds, bounds[1:]):
         db.add_batch(ids[picks[lo:hi]], times[lo:hi], counts[lo:hi])
+        if commit_each:
+            db.spill_commit({"source": "part-aggregate-test"})
+    return db
 
 
 def _aggregates(db):
@@ -53,14 +54,13 @@ def _aggregates(db):
 
 
 def _build(seed, rows, jobs, spill_dir=None):
-    db = PassiveDnsDatabase(aggregate_jobs=jobs, spill_dir=spill_dir)
-    _fill(db, seed, rows)
-    if spill_dir is not None:
-        db.spill_commit({"source": "parallel-aggregate-test"})
+    """A store holding the seeded rows in ``jobs`` parts."""
+    db = PassiveDnsDatabase(spill_dir=spill_dir)
+    _fill(db, seed, rows, jobs, commit_each=spill_dir is not None)
     return db
 
 
-# -- property: parallel ≡ serial ---------------------------------------------
+# -- property: many parts ≡ one part -----------------------------------------
 
 
 @settings(deadline=None, max_examples=8)
@@ -78,11 +78,11 @@ def test_parallel_aggregates_match_serial_in_memory(seed, jobs, rows):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_parallel_aggregates_match_serial_spilled(tmp_path, seed, jobs):
-    serial = _aggregates(_build(seed, 350, jobs=1, spill_dir=tmp_path / "s"))
-    parallel = _aggregates(
-        _build(seed, 350, jobs=jobs, spill_dir=tmp_path / f"p{jobs}")
-    )
-    assert parallel == serial
+    serial_db = _build(seed, 350, jobs=1, spill_dir=tmp_path / "s")
+    parallel_db = _build(seed, 350, jobs=jobs, spill_dir=tmp_path / f"p{jobs}")
+    assert len(serial_db.spill.segments()) == 1
+    assert len(parallel_db.spill.segments()) == jobs
+    assert _aggregates(parallel_db) == _aggregates(serial_db)
 
 
 def test_spill_and_memory_backends_agree_under_parallelism(tmp_path):
@@ -92,69 +92,21 @@ def test_spill_and_memory_backends_agree_under_parallelism(tmp_path):
 
 
 def test_reopened_spill_store_serves_identical_parallel_aggregates(tmp_path):
-    committed = _build(11, 300, jobs=1, spill_dir=tmp_path / "d")
+    committed = _build(11, 300, jobs=4, spill_dir=tmp_path / "d")
     expected = _aggregates(committed)
     reopened = PassiveDnsDatabase(
-        spill_dir=tmp_path / "d", spill_read_only=True, aggregate_jobs=4
+        spill_dir=tmp_path / "d", spill_read_only=True
     )
+    assert len(reopened.spill.segments()) == 4
     assert _aggregates(reopened) == expected
+    assert _aggregates(_build(11, 300, jobs=1)) == expected
 
 
 # -- edges -------------------------------------------------------------------
 
 
-def test_empty_store_parallel_aggregates():
-    assert _aggregates(_build(0, 0, jobs=4)) == _aggregates(_build(0, 0, jobs=1))
-
-
 def test_overshard_more_jobs_than_rows():
-    """jobs far beyond the row count degrades to fewer shards, not an
-    error, and stays identical."""
+    """More batches than rows leaves some batches empty; the empty
+    parts add nothing and the aggregates stay identical."""
     serial = _aggregates(_build(5, 7, jobs=1))
     assert _aggregates(_build(5, 7, jobs=16)) == serial
-
-
-def test_aggregate_jobs_validation():
-    with pytest.raises(ConfigError):
-        PassiveDnsDatabase(aggregate_jobs=0)
-    with pytest.raises(ConfigError):
-        PassiveDnsDatabase(aggregate_jobs=-2)
-
-
-def test_aggregate_jobs_is_not_part_of_identity():
-    """The knob changes scheduling only: same rows, different jobs,
-    same digest *and* same fingerprint — so fault-sweep comparisons
-    may mix worker counts freely."""
-    a = _build(9, 200, jobs=1)
-    b = _build(9, 200, jobs=4)
-    assert a.digest() == b.digest()
-    assert a.fingerprint() == b.fingerprint()
-
-
-# -- shard helper contracts --------------------------------------------------
-
-
-def test_shard_bounds_partition_exactly():
-    for total in (0, 1, 7, 100):
-        for jobs in (1, 2, 3, 8):
-            bounds = shard_bounds(total, jobs)
-            assert bounds[0][0] == 0 and bounds[-1][1] == total
-            for (_, a_hi), (b_lo, _) in zip(bounds, bounds[1:]):
-                assert a_hi == b_lo
-
-
-def test_shard_bounds_validation():
-    with pytest.raises(ConfigError):
-        shard_bounds(10, 0)
-    with pytest.raises(ConfigError):
-        shard_bounds(-1, 2)
-
-
-def test_map_shards_preserves_task_order():
-    tasks = list(range(11))
-    assert map_shards(lambda x: x * x, tasks, jobs=3) == [
-        x * x for x in tasks
-    ]
-    assert map_shards(lambda x: x + 1, tasks, jobs=1) == [
-        x + 1 for x in tasks
-    ]

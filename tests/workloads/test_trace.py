@@ -162,7 +162,11 @@ class TestQueryActivity:
         a = NxdomainTraceGenerator(seed=1, config=config).generate()
         b = NxdomainTraceGenerator(seed=1, config=config).generate()
         assert a.nx_db.total_responses() == b.nx_db.total_responses()
-        assert [d.domain for d in a.population] == [d.domain for d in b.population]
+        assert [(d.domain, d.kind) for d in a.population] == [
+            (d.domain, d.kind) for d in b.population
+        ]
+        assert a.nx_db.fingerprint() == b.nx_db.fingerprint()
+        assert a.pre_expiry_db.fingerprint() == b.pre_expiry_db.fingerprint()
 
     def test_seed_changes_trace(self):
         config = TraceConfig(total_domains=500, squat_count=40)

@@ -1,61 +1,41 @@
-"""Serial ≡ parallel property tests for sharded trace generation.
+"""Trace generation is a pure function of (seed, config).
 
-The determinism contract: ``generate(jobs=N)`` is byte-identical to
-``generate(jobs=1)`` for any worker count, because each population
-record's emission RNG is keyed by its *global* index (not its shard)
-and shard results are merged back in population order.
+Each population record's emission RNG is keyed by its *global* index
+(``record-{index}``), not by any scheduling unit, so two independent
+generators with the same seed and config must produce byte-identical
+stores and the same population in the same order.  This is the
+contract a sharded generator would have to keep.
 """
 
 import pytest
 
-from repro.errors import WorkloadError
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
 SMALL = TraceConfig(total_domains=400, squat_count=16)
 
 
-def _generate(seed, jobs):
-    return NxdomainTraceGenerator(seed=seed, config=SMALL).generate(jobs=jobs)
+def _generate(seed):
+    return NxdomainTraceGenerator(seed=seed, config=SMALL).generate()
 
 
 class TestSerialParallelIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_fingerprints_identical(self, seed):
-        serial = _generate(seed, jobs=1)
-        parallel = _generate(seed, jobs=4)
-        assert serial.nx_db.fingerprint() == parallel.nx_db.fingerprint()
+        first = _generate(seed)
+        second = _generate(seed)
+        assert first.nx_db.fingerprint() == second.nx_db.fingerprint()
         assert (
-            serial.pre_expiry_db.fingerprint()
-            == parallel.pre_expiry_db.fingerprint()
+            first.pre_expiry_db.fingerprint()
+            == second.pre_expiry_db.fingerprint()
         )
+        assert first.nx_db.digest() == second.nx_db.digest()
 
     def test_population_order_identical(self):
-        serial = _generate(3, jobs=1)
-        parallel = _generate(3, jobs=4)
-        assert [r.domain for r in serial.population] == [
-            r.domain for r in parallel.population
+        first = _generate(3)
+        second = _generate(3)
+        assert [r.domain for r in first.population] == [
+            r.domain for r in second.population
         ]
-        assert [r.kind for r in serial.population] == [
-            r.kind for r in parallel.population
+        assert [r.kind for r in first.population] == [
+            r.kind for r in second.population
         ]
-
-    def test_worker_count_invariance(self):
-        """Different non-trivial worker counts agree with each other."""
-        two = _generate(5, jobs=2)
-        three = _generate(5, jobs=3)
-        assert two.nx_db.fingerprint() == three.nx_db.fingerprint()
-        assert (
-            two.pre_expiry_db.fingerprint()
-            == three.pre_expiry_db.fingerprint()
-        )
-
-    def test_small_population_falls_back_to_serial(self):
-        """jobs far beyond the population still produces the same trace."""
-        serial = _generate(9, jobs=1)
-        oversharded = _generate(9, jobs=512)
-        assert serial.nx_db.fingerprint() == oversharded.nx_db.fingerprint()
-
-    def test_jobs_validation(self):
-        generator = NxdomainTraceGenerator(seed=0, config=SMALL)
-        with pytest.raises(WorkloadError):
-            generator.generate(jobs=0)
