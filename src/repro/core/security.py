@@ -110,9 +110,9 @@ def run_security_experiment(
             honeypot.accept_packet(packet)
 
     honeypot.calibrate(no_hosting, control_group)
-    _, stats = honeypot.filtered_requests()
-    categorized = honeypot.categorized_requests()
-    table1 = honeypot.reports()
+    kept, stats = honeypot.filtered_requests()
+    categorized = categorizer.categorize_many(kept)
+    table1 = honeypot.reports_from(categorized)
     return SecurityRunResult(
         honeypot=honeypot,
         no_hosting=no_hosting,

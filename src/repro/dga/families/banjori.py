@@ -13,9 +13,7 @@ from typing import List
 
 from repro.dga.base import DgaFamily
 
-
-def _map_to_lowercase_letter(value: int) -> str:
-    return chr(ord("a") + value % 26)
+_A = ord("a")
 
 
 class Banjori(DgaFamily):
@@ -27,22 +25,35 @@ class Banjori(DgaFamily):
     seed_label = "earnestnessbiophysicalohax"
 
     def generate_labels(self, day_index: int, count: int) -> List[str]:
-        # Advance the rolling mutation day_index*count steps so each
-        # day picks up where the previous left off, like the malware.
-        label = self.seed_label
+        # Advance the rolling mutation day_index * domains_per_day steps
+        # so each day picks up where the previous left off, like the
+        # malware.  Each step's checksum is the code-point sum of the
+        # previous label plus the seed and the step number.  Only the
+        # first four characters ever change, so the chain's whole state
+        # is the sum of those four codes; the tail adds a constant.
+        # Labels are built only for the steps that are returned.
+        tail = self.seed_label[4:]
+        offset = sum(map(ord, tail)) + self.seed
+        head = sum(map(ord, self.seed_label[:4]))
+        first = day_index * self.domains_per_day
+        for step in range(first):
+            checksum = (head + offset + step) & 0xFFFF
+            head = (
+                4 * _A
+                + checksum % 26
+                + (checksum >> 3) % 26
+                + (checksum >> 5) % 26
+                + (checksum >> 7) % 26
+            )
         labels = []
-        total_steps = day_index * self.domains_per_day + count
-        for step in range(total_steps):
-            label = self._next_label(label, step)
-            if step >= day_index * self.domains_per_day:
-                labels.append(label)
-        return labels[:count]
-
-    def _next_label(self, label: str, step: int) -> str:
-        chars = list(label)
-        checksum = (sum(ord(c) for c in label) + self.seed + step) & 0xFFFF
-        chars[0] = _map_to_lowercase_letter(checksum)
-        chars[1] = _map_to_lowercase_letter(checksum >> 3)
-        chars[2] = _map_to_lowercase_letter(checksum >> 5)
-        chars[3] = _map_to_lowercase_letter(checksum >> 7)
-        return "".join(chars)
+        for step in range(first, first + count):
+            checksum = (head + offset + step) & 0xFFFF
+            codes = (
+                _A + checksum % 26,
+                _A + (checksum >> 3) % 26,
+                _A + (checksum >> 5) % 26,
+                _A + (checksum >> 7) % 26,
+            )
+            head = sum(codes)
+            labels.append("".join(map(chr, codes)) + tail)
+        return labels

@@ -35,11 +35,12 @@ FEATURE_NAMES = (
 )
 
 _VOWELS = frozenset("aeiou")
-_WORDS = sorted(
-    set(NOUNS) | set(VERBS) | set(ADJECTIVES) | set(BRAND_SUFFIXES),
-    key=len,
-    reverse=True,
+_DICTIONARY = frozenset(
+    word
+    for word in set(NOUNS) | set(VERBS) | set(ADJECTIVES) | set(BRAND_SUFFIXES)
+    if len(word) >= 2
 )
+_DICTIONARY_LENGTHS = tuple(sorted({len(w) for w in _DICTIONARY}, reverse=True))
 
 
 def _build_bigram_model() -> Dict[str, float]:
@@ -103,25 +104,29 @@ def mean_bigram_logprob(text: str) -> float:
 def dictionary_coverage(text: str) -> float:
     """Fraction of characters covered by greedy dictionary matching.
 
-    Scans left to right, always taking the longest word that matches at
-    the current position; uncovered characters advance by one.  Word-
+    Scans left to right, always taking the longest word (of two or more
+    characters) that matches at the current position; uncovered
+    characters advance by one.  The longest match is found by set
+    lookup, trying each dictionary word length from the longest down.
+    Two distinct words of one length cannot both match at a position,
+    so the match is the same whichever order the words are in.  Word-
     concatenation DGAs score near 1.0; random labels score near 0.
     """
-    if not text:
+    size = len(text)
+    if not size:
         return 0.0
     covered = 0
     position = 0
-    while position < len(text):
-        match = next(
-            (w for w in _WORDS if len(w) >= 2 and text.startswith(w, position)),
-            None,
-        )
-        if match is not None:
-            covered += len(match)
-            position += len(match)
+    while position < size:
+        for length in _DICTIONARY_LENGTHS:
+            end = position + length
+            if end <= size and text[position:end] in _DICTIONARY:
+                covered += length
+                position = end
+                break
         else:
             position += 1
-    return covered / len(text)
+    return covered / size
 
 
 def extract_features(domain: Union[DomainName, str]) -> np.ndarray:

@@ -152,7 +152,12 @@ class NxdHoneypot:
 
     def reports(self) -> List[HoneypotReport]:
         """Table 1 rows for every hosted domain, by traffic volume."""
-        categorized = self.categorized_requests()
+        return self.reports_from(self.categorized_requests())
+
+    def reports_from(
+        self, categorized: Iterable[CategorizedRequest]
+    ) -> List[HoneypotReport]:
+        """Table 1 rows built from an already categorized request list."""
         by_domain: Dict[str, List[CategorizedRequest]] = {
             d: [] for d in self.hosted_domains
         }

@@ -30,6 +30,14 @@ class TestTable1:
         assert result.filter_stats.kept / result.filter_stats.input_requests > 0.85
 
 
+class TestSinglePass:
+    def test_table1_equals_honeypot_reports(self, result):
+        assert result.table1 == result.honeypot.reports()
+
+    def test_categorized_equals_honeypot_categorization(self, result):
+        assert result.categorized == result.honeypot.categorized_requests()
+
+
 class TestDeterminism:
     def test_same_seed_same_run(self, result):
         again = run_security_experiment(make_rng(13), scale=0.002)

@@ -1,6 +1,8 @@
 """Tests shared across all DGA family generators, plus family specifics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dga.base import DgaFamily, Lcg
 from repro.dga.families import ALL_FAMILIES, family_by_name
@@ -101,6 +103,59 @@ class TestFamilyFingerprints:
         assert [s.domain for s in family.domains_for_day(10)] == [
             s.domain for s in family.domains_for_day(11)
         ]
+
+
+def _map_to_lowercase_letter(value: int) -> str:
+    return chr(ord("a") + value % 26)
+
+
+def _reference_next_label(label: str, seed: int, step: int) -> str:
+    chars = list(label)
+    checksum = (sum(ord(c) for c in label) + seed + step) & 0xFFFF
+    chars[0] = _map_to_lowercase_letter(checksum)
+    chars[1] = _map_to_lowercase_letter(checksum >> 3)
+    chars[2] = _map_to_lowercase_letter(checksum >> 5)
+    chars[3] = _map_to_lowercase_letter(checksum >> 7)
+    return "".join(chars)
+
+
+def reference_banjori_labels(seed: int, day_index: int, count: int):
+    """Banjori by full string replay of the mutation chain."""
+    label = Banjori.seed_label
+    first = day_index * Banjori.domains_per_day
+    labels = []
+    for step in range(first + count):
+        label = _reference_next_label(label, seed, step)
+        if step >= first:
+            labels.append(label)
+    return labels
+
+
+class TestBanjoriChain:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=-(2**20), max_value=2**20),
+        day_index=st.integers(min_value=0, max_value=3000),
+        count=st.integers(min_value=1, max_value=40),
+    )
+    def test_matches_string_replay(self, seed, day_index, count):
+        assert Banjori(seed=seed).generate_labels(
+            day_index, count
+        ) == reference_banjori_labels(seed, day_index, count)
+
+    @pytest.mark.parametrize(
+        "day_index, expected",
+        [
+            (0, ["xmjvestnessbiophysicalohax", "dqkwestnessbiophysicalohax",
+                 "qpkwestnessbiophysicalohax"]),
+            (1, ["ovlwestnessbiophysicalohax", "uwmwestnessbiophysicalohax",
+                 "dxmwestnessbiophysicalohax"]),
+            (2900, ["pyzzestnessbiophysicalohax", "zjcaestnessbiophysicalohax",
+                    "zdaaestnessbiophysicalohax"]),
+        ],
+    )
+    def test_golden_labels_seed_3(self, day_index, expected):
+        assert Banjori(seed=3).generate_labels(day_index, 3) == expected
 
 
 class TestLcg:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dga.features import (
@@ -14,9 +14,49 @@ from repro.dga.features import (
     mean_bigram_logprob,
     shannon_entropy,
 )
+from repro.dga.wordlists import ADJECTIVES, BRAND_SUFFIXES, NOUNS, VERBS
 from repro.dns.name import DomainName
 
 label_st = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=30)
+
+_REFERENCE_WORDS = sorted(
+    set(NOUNS) | set(VERBS) | set(ADJECTIVES) | set(BRAND_SUFFIXES),
+    key=len,
+    reverse=True,
+)
+
+
+def reference_dictionary_coverage(text: str) -> float:
+    """Greedy longest match by trying every word at every position."""
+    if not text:
+        return 0.0
+    covered = 0
+    position = 0
+    while position < len(text):
+        match = next(
+            (
+                w
+                for w in _REFERENCE_WORDS
+                if len(w) >= 2 and text.startswith(w, position)
+            ),
+            None,
+        )
+        if match is not None:
+            covered += len(match)
+            position += len(match)
+        else:
+            position += 1
+    return covered / len(text)
+
+
+_word_st = st.sampled_from(sorted(_REFERENCE_WORDS))
+#: Whole words, cut-off word prefixes and short junk runs, so labels
+#: hold words, overlaps between words, and words cut off at the end.
+_piece_st = st.one_of(
+    _word_st,
+    _word_st.flatmap(lambda w: st.integers(1, len(w)).map(lambda k: w[:k])),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0-", min_size=1, max_size=3),
+)
 
 
 class TestPrimitives:
@@ -45,6 +85,19 @@ class TestPrimitives:
     def test_dictionary_coverage_partial(self):
         coverage = dictionary_coverage("xxhousexx")
         assert 0.0 < coverage < 1.0
+
+    @pytest.mark.parametrize(
+        "text", ["meet", "believeline", "", "xxhousexx", "workhouse", "e", "es"]
+    )
+    def test_dictionary_coverage_matches_reference(self, text):
+        # Labels that end part-way into a longer word must not match
+        # the truncated slice at the end of the text.
+        assert dictionary_coverage(text) == reference_dictionary_coverage(text)
+
+    @settings(max_examples=300)
+    @given(st.lists(_piece_st, max_size=8).map("".join))
+    def test_dictionary_coverage_equals_greedy_scan(self, text):
+        assert dictionary_coverage(text) == reference_dictionary_coverage(text)
 
 
 class TestExtractFeatures:

@@ -279,6 +279,20 @@ class TestHoneypotServer:
         assert [r.domain for r in reports] == ["b.com", "a.com"]
         assert reports[0].total == 3
 
+    def test_reports_equal_reports_from_categorized(self):
+        honeypot = NxdHoneypot(["c.com", "a.com", "b.com", "d.com"])
+        for host, n in (("b.com", 2), ("c.com", 2), ("a.com", 2), ("d.com", 1)):
+            for _ in range(n):
+                honeypot.accept_request(req(host=host, user_agent=CHROME))
+        honeypot.accept_request(req(host="a.com", user_agent="curl/7.68.0"))
+        honeypot.accept_request(req(host="c.com", user_agent="curl/7.68.0"))
+        reports = honeypot.reports()
+        assert reports == honeypot.reports_from(honeypot.categorized_requests())
+        # Equal totals are ordered by domain name.
+        assert [(r.domain, r.total) for r in reports] == [
+            ("a.com", 3), ("c.com", 3), ("b.com", 2), ("d.com", 1),
+        ]
+
     def test_unhosted_domain_traffic_excluded_from_reports(self):
         honeypot = NxdHoneypot(["a.com"])
         honeypot.accept_request(req(host="stranger.com", user_agent=CHROME))
