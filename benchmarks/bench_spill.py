@@ -87,10 +87,11 @@ def test_spill_store_is_byte_identical_and_fast_enough(tmp_path):
     )
 
     def fingerprint_uncached(db):
-        # The fingerprint is generation-cached; poke the cache key out
-        # by rebuilding from a cleared cache via a fresh cache entry.
+        # Drop the generation cache and the per-segment digests, so
+        # the public fingerprint() rehashes every row (mmap'd or not).
         db._agg_cache = {}  # noqa: SLF001 - bench measures the rebuild
-        return db._build_fingerprint()  # noqa: SLF001
+        db._segment_digest_cache = {}  # noqa: SLF001
+        return db.fingerprint()
 
     memory_fpr_time, _ = _timed(lambda: fingerprint_uncached(memory))
     disk_fpr_time, _ = _timed(lambda: fingerprint_uncached(disk))

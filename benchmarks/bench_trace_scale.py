@@ -186,7 +186,6 @@ def _aggregate_bundle(db):
         db.tld_histogram(),
         domains_series.tobytes(),
         queries_series.tobytes(),
-        db.digest(),
         db.fingerprint(),
     )
 

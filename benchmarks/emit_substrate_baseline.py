@@ -40,7 +40,7 @@ from repro.passivedns.spill import atomic_write_bytes
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
-VERSION = 3
+VERSION = 4
 N_ROWS = 60_000
 N_DOMAINS = 600
 TRACE_CONFIG = TraceConfig(total_domains=1_500, squat_count=60)
@@ -102,7 +102,6 @@ def _aggregate_bundle(db):
         db.tld_histogram(),
         domains_series.tobytes(),
         queries_series.tobytes(),
-        db.digest(),
         db.fingerprint(),
     )
 

@@ -609,7 +609,7 @@ def cmd_spill(args: argparse.Namespace) -> int:
             f"(hits {report.cache_hits}, "
             f"streamed {report.segments_crc_streamed})"
         )
-        print(f"store digest: {db.digest()}")
+        print(f"store digest: {db.fingerprint()}")
         for entry in report.quarantined:
             print(f"  would quarantine {entry.path}: {entry.kind}")
         return 0 if report.clean() else 1

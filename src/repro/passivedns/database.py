@@ -4,9 +4,10 @@ The analytical heart of the scale study.  Rows are
 ``(domain_id, timestamp, count)`` triples held in consolidated numpy
 chunks (the BigQuery-mirror stand-in); a domain dictionary interns
 names and keeps per-domain aggregates (first/last seen, total queries,
-interned TLD id) in parallel numpy columns.  All §4 aggregations —
-monthly volume, TLD histograms, lifespan decay, the per-domain
-timelines of Figure 6 — are numpy reductions over these columns.
+interned TLD id, 64-bit name hash) in parallel numpy columns.  All §4
+aggregations — monthly volume, TLD histograms, lifespan decay, the
+per-domain timelines of Figure 6 — are numpy reductions over these
+columns.
 
 Performance layout (see ``docs/PERFORMANCE.md``):
 
@@ -18,6 +19,9 @@ Performance layout (see ``docs/PERFORMANCE.md``):
   fingerprint) are cached against a generation counter that every
   mutation bumps, so repeated analysis passes over a quiescent store
   cost one computation;
+- **identity**: :meth:`fingerprint` sums per-row 128-bit splitmix64
+  mixes in ``uint64`` numpy — no sort, no per-row Python — so it
+  ignores row order and each segment's digest is computed once;
 - **per-domain queries** go through a CSR-style domain→rows index, so
   :meth:`daily_series_for` touches one domain's rows instead of
   scanning the full columns.
@@ -29,8 +33,8 @@ memory-mapped ``.npy`` segments instead of staying resident, the
 aggregate builders stream over the part list instead of forcing one
 in-memory concatenation, and :meth:`spill_commit` makes the current
 contents a durable manifest generation.  Every query — the CSR index,
-the aggregates, the order-insensitive :meth:`fingerprint` — answers
-byte-identically to the in-memory path.
+the aggregates, the :meth:`fingerprint` — answers byte-identically to
+the in-memory path.
 """
 
 from __future__ import annotations
@@ -67,16 +71,39 @@ from repro.errors import ConfigError, CorruptArchiveError
 _FIRST_SEEN_SENTINEL = np.int64(2**62)
 _LAST_SEEN_SENTINEL = np.int64(-(2**62))
 
+#: splitmix64's finalizer multipliers.
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_B = np.uint64(0x94D049BB133111EB)
+#: Seeds of the two row-digest lanes (high and low 64 bits).
+_LANE_SEEDS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD1B54A32D192ED03))
 
-def _row_lines(row_names: np.ndarray, times: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Canonical ``name\\x00time\\x00count`` line per row (vectorized)."""
-    lines = row_names
-    for column in (times, counts):
-        lines = np.char.add(
-            np.char.add(lines, "\x00"),
-            np.ascontiguousarray(column, dtype=np.int64).astype(np.str_),
-        )
-    return lines
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on a wrapping ``uint64`` array."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX_A
+    x ^= x >> np.uint64(27)
+    x *= _MIX_B
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _hash_name(text: str) -> int:
+    """64-bit identity of a domain name (signed, for an int64 column)."""
+    raw = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(raw, "little", signed=True)
+
+
+def pack_names(names: Iterable[Any]) -> np.ndarray:
+    """Pickle-free on-disk domain table: ``\\x00``-joined UTF-8 bytes."""
+    joined = "\x00".join(str(name) for name in names).encode("utf-8")
+    return np.frombuffer(joined, dtype=np.uint8)
+
+
+def unpack_names(buffer: np.ndarray) -> List[DomainName]:
+    """Inverse of :func:`pack_names`."""
+    text = np.asarray(buffer, dtype=np.uint8).tobytes().decode("utf-8")
+    return [DomainName(name) for name in text.split("\x00")] if text else []
 
 
 class _IntColumn:
@@ -199,6 +226,9 @@ class PassiveDnsDatabase:
         self._totals = _IntColumn()
         #: Interned per-domain TLD ids (index into ``_tlds``).
         self._tld_ids = _IntColumn()
+        #: Per-domain 64-bit name hash (:func:`_hash_name`) for the row
+        #: digest; derived, so restores recompute it from the names.
+        self._name_hash = _IntColumn()
         self._tld_of: Dict[str, int] = {}
         self._tlds: List[str] = []
         # Row storage: immutable consolidated chunks plus a numpy tail
@@ -412,14 +442,45 @@ class PassiveDnsDatabase:
                 self._first_seen.append(_FIRST_SEEN_SENTINEL)
                 self._last_seen.append(_LAST_SEEN_SENTINEL)
                 self._totals.append(0)
-                tld = domain.tld
-                tld_id = self._tld_of.get(tld)
-                if tld_id is None:
-                    tld_id = len(self._tlds)
-                    self._tld_of[tld] = tld_id
-                    self._tlds.append(tld)
-                self._tld_ids.append(tld_id)
+                self._append_domain_keys(domain)
         return domain_id
+
+    def _append_domain_keys(self, domain: DomainName) -> None:
+        """Append ``domain``'s TLD id and name hash (rows lock held)."""
+        tld = domain.tld
+        tld_id = self._tld_of.get(tld)
+        if tld_id is None:
+            tld_id = len(self._tlds)
+            # Per-domain keys change no row aggregate; every caller
+            # lands rows or a whole table next and sets the generation.
+            self._tld_of[tld] = tld_id  # repro: noqa[REP204]
+            self._tlds.append(tld)
+        self._tld_ids.append(tld_id)
+        self._name_hash.append(_hash_name(str(domain)))
+
+    def _adopt_domains(
+        self,
+        domains: List[DomainName],
+        first_seen: np.ndarray,
+        last_seen: np.ndarray,
+        totals: np.ndarray,
+    ) -> None:
+        """Install a whole domain table with its aggregate columns.
+
+        Runs before the store is shared; the rows lock keeps the
+        lockset uniform (REP301).
+        """
+        with self._rows_lock:
+            # Callers set the generation once the rows are in place.
+            self._id_of = {  # repro: noqa[REP204]
+                domain: i for i, domain in enumerate(domains)
+            }
+            self._domains = list(domains)
+            self._first_seen.extend(np.asarray(first_seen, dtype=np.int64))
+            self._last_seen.extend(np.asarray(last_seen, dtype=np.int64))
+            self._totals.extend(np.asarray(totals, dtype=np.int64))
+            for domain in domains:
+                self._append_domain_keys(domain)
 
     def _touch(self) -> None:
         self._generation += 1
@@ -534,8 +595,8 @@ class PassiveDnsDatabase:
             return self._columns_cache[1]
         if self._spill is not None:
             # Spill mode: a transient, *uncached* concatenation.  Only
-            # the whole-store sorts (fingerprint, the reference scan)
-            # still need it; everything else streams `_parts()`.
+            # the reference scan and archive saving still need it;
+            # everything else streams `_parts()`.
             # Caching or consolidating here would pin the full store in
             # RAM and defeat the mmap'd layout.
             parts = self._parts()
@@ -678,12 +739,6 @@ class PassiveDnsDatabase:
         first_seen, last_seen, totals = self._aggregate_columns()
         return list(self._domains), first_seen, last_seen, totals
 
-    def _row_name_array(self) -> np.ndarray:
-        """Domain names as a fixed-width numpy string array, id-indexed."""
-        return np.asarray(
-            [str(d) for d in self._domains], dtype=np.str_
-        )
-
     @classmethod
     def _from_arrays(
         cls,
@@ -697,19 +752,7 @@ class PassiveDnsDatabase:
     ) -> "PassiveDnsDatabase":
         """Rebuild a store from its column snapshot (archive loading)."""
         db = cls()
-        db._id_of = {domain: i for i, domain in enumerate(domains)}
-        db._domains = list(domains)
-        db._first_seen.extend(np.asarray(first_seen, dtype=np.int64))
-        db._last_seen.extend(np.asarray(last_seen, dtype=np.int64))
-        db._totals.extend(np.asarray(totals, dtype=np.int64))
-        for domain in domains:
-            tld = domain.tld
-            tld_id = db._tld_of.get(tld)
-            if tld_id is None:
-                tld_id = len(db._tlds)
-                db._tld_of[tld] = tld_id
-                db._tlds.append(tld)
-            db._tld_ids.append(tld_id)
+        db._adopt_domains(domains, first_seen, last_seen, totals)
         db._chunks = [
             (
                 np.ascontiguousarray(row_domain, dtype=np.int64),
@@ -730,64 +773,47 @@ class PassiveDnsDatabase:
         return self._spill
 
     def _rows_digest(
-        self,
-        ids: np.ndarray,
-        times: np.ndarray,
-        counts: np.ndarray,
-        row_names: Optional[np.ndarray] = None,
+        self, ids: np.ndarray, times: np.ndarray, counts: np.ndarray
     ) -> int:
         """Mergeable 128-bit multiset digest of the given rows.
 
-        Per-row BLAKE2 hashes of the canonical ``name\\x00time\\x00count``
-        line, summed mod 2**128 — order-insensitive and additive, so
-        the digest of a merged segment is the sum of its inputs' and a
-        commit's whole-store digest is one sum over per-segment values
-        instead of a concat+sort over every row.  ``row_names`` is the
-        :meth:`_row_name_array`, passed in when hashing many parts.
+        Each row ``(name hash, time, count)`` is chained through
+        :func:`_mix64` once per lane seed — a chain, so a name swap
+        between two rows cannot cancel out.  Summing the high lane mod
+        2**64 and the low lane exactly (as 32-bit halves) gives the sum
+        of the rows' 128-bit values mod 2**128, which merges by addition.
         """
         if len(ids) == 0:
             return 0
-        if row_names is None:
-            row_names = self._row_name_array()
-        lines = _row_lines(
-            row_names[np.ascontiguousarray(ids, dtype=np.int64)], times, counts
+        names = self._name_hash.view().view(np.uint64)
+        keys = names[np.asarray(ids, dtype=np.int64)]
+        times = np.asarray(times, dtype=np.int64).view(np.uint64)
+        counts = np.asarray(counts, dtype=np.int64).view(np.uint64)
+        high, low = (
+            _mix64(_mix64(_mix64(keys ^ seed) + times) + counts)
+            for seed in _LANE_SEEDS
         )
-        total = 0
-        for line in lines.tolist():
-            piece = hashlib.blake2b(line.encode("utf-8"), digest_size=16).digest()
-            total += int.from_bytes(piece, "big")
-        return total & DIGEST_MASK
-
-    def digest(self) -> str:
-        """Order-insensitive, mergeable whole-store digest (32 hex).
-
-        The multiset-sum counterpart of :meth:`fingerprint`: same rows
-        in any order give the same value, but unlike the fingerprint it
-        is computed from cached per-segment digests in O(#segments) on
-        a spill-backed store — what makes checkpoint commits O(new
-        rows).  :meth:`fingerprint` (SHA-256 over a canonical sort)
-        stays the external identity; this digest is the store's own
-        integrity record in the manifest.
-        """
-        return self._cached(("digest",), self._build_digest)
+        low_sum = (int(np.sum(low >> np.uint64(32))) << 32) + int(
+            np.sum(low & np.uint64(0xFFFFFFFF))
+        )
+        return ((int(np.sum(high)) << 64) + low_sum) & DIGEST_MASK
 
     def _build_digest(self) -> str:
         # Snapshot under the lock, hash outside it (REP30x): parts,
         # the segment-name list, and the per-segment cache are read in
-        # one atomic step; the per-row BLAKE2 work — the expensive
-        # part — then runs lock-free, one part at a time.
+        # one atomic step; parts without a cached value (in-memory
+        # chunks, the tail) are hashed lock-free, one at a time.
         with self._cache_lock:
             parts = self._parts()
             names = list(self._chunk_spill_names)
             cached = dict(self._segment_digest_cache)
-        row_names = self._row_name_array()
         total = 0
         computed: Dict[str, int] = {}
         for index, part in enumerate(parts):
             name = names[index] if index < len(names) else None
             value = cached.get(name) if name is not None else None
             if value is None:
-                value = self._rows_digest(*part, row_names=row_names)
+                value = self._rows_digest(*part)
                 if name is not None:
                     computed[name] = value
             total += value
@@ -799,13 +825,12 @@ class PassiveDnsDatabase:
     def _restore_from_spill(self, paranoid: bool = False) -> None:
         """Rehydrate from the spill store's recovered generation.
 
-        The domain table comes from the ``domains`` sidecar; the row
-        parts stay on disk as memory maps.  Per-segment digests are
-        adopted from the manifest (``paranoid=True`` recomputes each
-        from its rows and rejects a mismatch), then the whole-store
-        digest — and, for manifests from before the digest era, the
-        legacy whole-store fingerprint — is verified against the
-        committed record.  A mismatch raises
+        The domain table comes from the ``domains`` sidecar (name
+        hashes are recomputed from it); the row parts stay on disk as
+        memory maps.  Per-segment digests are adopted from the manifest
+        (``paranoid=True`` recomputes each from its rows and rejects a
+        mismatch), then the whole-store digest is verified against the
+        committed ``store_digest``.  A mismatch raises
         :class:`CorruptArchiveError` rather than serving silently
         wrong data.
         """
@@ -813,35 +838,16 @@ class PassiveDnsDatabase:
         assert store is not None
         blob = store.read_sidecar("domains")
         if blob is not None:
-            with np.load(
-                _stdio.BytesIO(blob), allow_pickle=True
-            ) as payload:
-                names = [str(d) for d in payload["domains"]]
+            with np.load(_stdio.BytesIO(blob), allow_pickle=False) as payload:
+                domains = unpack_names(payload["domains"])
                 first_seen = np.asarray(payload["first_seen"], dtype=np.int64)
                 last_seen = np.asarray(payload["last_seen"], dtype=np.int64)
                 totals = np.asarray(payload["totals"], dtype=np.int64)
-            if not (len(first_seen) == len(last_seen) == len(totals) == len(names)):
+            if not (len(first_seen) == len(last_seen) == len(totals) == len(domains)):
                 raise CorruptArchiveError(
                     store.directory, "domain sidecar column lengths differ"
                 )
-            domains = [DomainName(name) for name in names]
-            # Restore runs before the store is shared, but the guard
-            # keeps the lockset uniform (REP301): every writer of the
-            # domain table and row layout holds the rows lock.
-            with self._rows_lock:
-                self._id_of = {domain: i for i, domain in enumerate(domains)}
-                self._domains = domains
-                self._first_seen.extend(first_seen)
-                self._last_seen.extend(last_seen)
-                self._totals.extend(totals)
-                for domain in domains:
-                    tld = domain.tld
-                    tld_id = self._tld_of.get(tld)
-                    if tld_id is None:
-                        tld_id = len(self._tlds)
-                        self._tld_of[tld] = tld_id
-                        self._tlds.append(tld)
-                    self._tld_ids.append(tld_id)
+            self._adopt_domains(domains, first_seen, last_seen, totals)
         for info in store.segments():
             ids, times, counts = store.mmap_segment(info)
             if len(ids) and int(ids.max()) >= len(self._domains):
@@ -853,32 +859,20 @@ class PassiveDnsDatabase:
                 self._chunks.append((ids, times, counts))
                 self._chunk_spill_names.append(info.name)
                 self._n_rows += len(ids)
-            if info.digest is not None and not paranoid:
-                value = info.digest
-            else:
-                value = self._rows_digest(ids, times, counts)
-                if info.digest is not None and value != info.digest:
-                    raise CorruptArchiveError(
-                        store.directory / "segments" / info.name,
-                        "segment row digest does not match manifest",
-                    )
+            if paranoid and self._rows_digest(ids, times, counts) != info.digest:
+                raise CorruptArchiveError(
+                    store.directory / "segments" / info.name,
+                    "segment row digest does not match manifest",
+                )
             with self._cache_lock:
-                self._segment_digest_cache[info.name] = value
+                self._segment_digest_cache[info.name] = info.digest
         if self._n_rows:
             self._generation = 1
-        expected_digest = store.meta.get("store_digest")
-        if expected_digest is not None and self.digest() != expected_digest:
-            raise CorruptArchiveError(
-                store.directory,
-                "recovered store digest does not match manifest",
-            )
-        # Manifests committed before the digest era carried the sorted
-        # whole-store fingerprint instead; keep honouring it.
-        expected = store.meta.get("store_fingerprint")
+        expected = store.meta.get("store_digest")
         if expected is not None and self.fingerprint() != expected:
             raise CorruptArchiveError(
                 store.directory,
-                "recovered store fingerprint does not match manifest",
+                "recovered store digest does not match manifest",
             )
 
     def _domains_sidecar_bytes(self) -> bytes:
@@ -887,9 +881,7 @@ class PassiveDnsDatabase:
         buffer = _stdio.BytesIO()
         np.savez_compressed(
             buffer,
-            domains=np.asarray(
-                [str(d) for d in self._domains], dtype=object
-            ),
+            domains=pack_names(self._domains),
             first_seen=first_seen,
             last_seen=last_seen,
             totals=totals,
@@ -913,7 +905,7 @@ class PassiveDnsDatabase:
         self._seal_tail()
         self._spill.write_sidecar("domains", self._domains_sidecar_bytes())
         manifest_meta = dict(meta or {})
-        manifest_meta["store_digest"] = self.digest()
+        manifest_meta["store_digest"] = self.fingerprint()
         manifest_meta["rows"] = int(self._n_rows)
         manifest_meta["domains"] = len(self._domains)
         generation = self._spill.commit(manifest_meta)
@@ -930,12 +922,11 @@ class PassiveDnsDatabase:
         Delegates to :meth:`SpillStore.compact` (crash-safe generation
         supersession), then re-chunks this store's resident memory
         maps onto the merged segment.  Row content and order are
-        unchanged, so every aggregate cache, the fingerprint, and the
-        digest stay valid — which is also the post-compaction check:
-        the merged segment's digest is recomputed from its rows and
-        must equal the sum of its inputs' recorded digests (O(new
-        rows)).  Returns the new generation, or ``None`` when there
-        was nothing to compact.
+        unchanged, so every aggregate cache and the fingerprint stay
+        valid — which is also the post-compaction check: the merged
+        segment's digest is recomputed from its rows and must equal
+        the sum of its inputs' recorded digests.  Returns the new
+        generation, or ``None`` when there was nothing to compact.
         """
         if self._spill is None:
             raise ConfigError("store was not opened with spill_dir")
@@ -952,7 +943,7 @@ class PassiveDnsDatabase:
             part = self._spill.mmap_segment(info)
             if info.name not in self._segment_digest_cache:
                 value = self._rows_digest(*part)
-                if info.digest is not None and value != info.digest:
+                if value != info.digest:
                     raise CorruptArchiveError(
                         self._spill.directory / "segments" / info.name,
                         "merged segment rows do not reproduce the "
@@ -1018,33 +1009,22 @@ class PassiveDnsDatabase:
                 )
 
     def fingerprint(self) -> str:
-        """Order-insensitive SHA-256 of the store's contents.
+        """Order-insensitive 128-bit digest of the store's rows (32 hex).
 
-        Rows are hashed in a canonical sort so that two stores holding
-        the same observations — regardless of arrival order (retries
-        and dead-letter replay reorder rows) — fingerprint identically.
-        The sort and the per-row byte layout are computed with numpy
-        (lexsort over interned name ranks, then one vectorized string
-        build), but the digest is bit-identical to hashing the sorted
-        ``name\\x00time\\x00count`` lines one by one.
+        Two stores holding the same observations — regardless of
+        arrival order (retries and dead-letter replay reorder rows) —
+        fingerprint identically.  The value is the mod-2**128 sum of
+        per-part :meth:`_rows_digest` values; on a spill-backed store
+        the per-segment values are cached from seal, commit, compaction
+        and open, so only parts without one are hashed.  It guards
+        identity against bugs, not adversaries: CRC32 guards the bytes
+        on disk.
         """
-        return self._cached(("fingerprint",), self._build_fingerprint)
+        return self._cached(("fingerprint",), self._build_digest)
 
-    def _build_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        ids, times, counts = self._columns()
-        if len(ids) == 0:
-            return digest.hexdigest()
-        names = self._row_name_array()
-        # Rank of each domain id under lexicographic name order; equal
-        # to sorting the stringified rows since ids map 1:1 to names.
-        rank = np.empty(len(names), dtype=np.int64)
-        rank[np.argsort(names, kind="stable")] = np.arange(len(names))
-        order = np.lexsort((counts, times, rank[ids]))
-        lines = _row_lines(names[ids[order]], times[order], counts[order])
-        digest.update("\n".join(lines.tolist()).encode("utf-8"))
-        digest.update(b"\n")
-        return digest.hexdigest()
+    #: Former name of :meth:`fingerprint`, kept because the benchmark
+    #: harness's per-layer table still wraps it by name.
+    digest = fingerprint
 
     def recent_keys(self) -> List[tuple]:
         """The dedup window's keys, oldest first (checkpoint payload)."""

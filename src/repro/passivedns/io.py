@@ -3,8 +3,10 @@
 An 8-year trace takes tens of seconds to generate; analyses over it
 take milliseconds.  Saving the columnar store lets a generated trace
 be reused across sessions (and shipped as a dataset artifact).  The
-format is a single compressed ``.npz``: the interned domain table as a
-string array, the per-domain aggregates, and the three row columns.
+format is a single compressed ``.npz``: the interned domain table as
+one ``\\x00``-joined UTF-8 byte buffer (no pickled objects: archives
+load with ``allow_pickle=False``), the per-domain aggregates, and the
+three row columns.
 
 Durability contract: every writer here is atomic (same-directory temp
 file, fsync, ``os.replace``) so a crash mid-save never destroys the
@@ -21,7 +23,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import pickle
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -30,25 +31,29 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.dns.name import DomainName
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.database import (
+    PassiveDnsDatabase,
+    pack_names,
+    unpack_names,
+)
 from repro.passivedns.spill import atomic_write_bytes
 from repro.errors import ConfigError, CorruptArchiveError
 
-FORMAT_VERSION = 1
-CHECKPOINT_VERSION = 1
+FORMAT_VERSION = 2
+CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: Low-level failure modes a damaged ``.npz`` surfaces as.  Narrow on
-#: purpose: ``ConfigError`` is a ``ValueError``, so a broad ``except
-#: ValueError`` here would swallow our own version checks.
+#: Low-level failure modes a damaged ``.npz`` surfaces as (``ValueError``
+#: covers a member numpy refuses to load, such as a pickled object
+#: array; ``ConfigError`` is a ``ValueError`` and is re-raised first).
 _CORRUPTION_ERRORS = (
     zipfile.BadZipFile,
     KeyError,
     EOFError,
     zlib.error,
-    pickle.UnpicklingError,
+    ValueError,
+    OSError,
 )
 
 
@@ -60,7 +65,7 @@ def save_database(db: PassiveDnsDatabase, path: PathLike) -> None:
     np.savez_compressed(
         buffer,
         version=np.int64(FORMAT_VERSION),
-        domains=np.asarray([str(d) for d in db.all_domains()], dtype=object),
+        domains=pack_names(db.all_domains()),
         first_seen=first_seen,
         last_seen=last_seen,
         totals=totals,
@@ -84,16 +89,15 @@ def load_database(path: PathLike) -> PassiveDnsDatabase:
     (a well-formed archive we simply do not speak).
     """
     try:
-        with np.load(path, allow_pickle=True) as archive:
+        with np.load(path, allow_pickle=False) as archive:
             version = int(archive["version"])
             if version != FORMAT_VERSION:
                 raise ConfigError(
                     f"unsupported passive-DNS archive version {version} "
                     f"(expected {FORMAT_VERSION})"
                 )
-            domains = [DomainName(str(d)) for d in archive["domains"]]
             db = PassiveDnsDatabase._from_arrays(  # noqa: SLF001 - same package
-                domains=domains,
+                domains=unpack_names(archive["domains"]),
                 first_seen=np.asarray(archive["first_seen"], dtype=np.int64),
                 last_seen=np.asarray(archive["last_seen"], dtype=np.int64),
                 totals=np.asarray(archive["totals"], dtype=np.int64),
@@ -101,11 +105,9 @@ def load_database(path: PathLike) -> PassiveDnsDatabase:
                 row_time=np.asarray(archive["row_time"], dtype=np.int64),
                 row_count=np.asarray(archive["row_count"], dtype=np.int64),
             )
-    except FileNotFoundError:
+    except (FileNotFoundError, ConfigError):
         raise
     except _CORRUPTION_ERRORS as error:
-        raise CorruptArchiveError(path, f"unreadable npz archive: {error}")
-    except OSError as error:
         raise CorruptArchiveError(path, f"unreadable npz archive: {error}")
     _validate(db)
     return db

@@ -278,7 +278,7 @@ class ResilientIngestPipeline:
         appended, in the same order.  ``intern_many`` assigns new ids
         in first-appearance order and ``add_batch``'s scatter min/max/
         sum reductions equal the sequential per-row updates, so the
-        resulting store — fingerprint, digest, profiles, intern order —
+        resulting store — fingerprint, profiles, intern order —
         is identical; only chunk-seal timing moves, which no content
         hash observes.
         """

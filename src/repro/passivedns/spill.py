@@ -70,13 +70,13 @@ import numpy as np
 
 from repro.errors import ConfigError, CorruptArchiveError
 
-SPILL_FORMAT_VERSION = 1
+SPILL_FORMAT_VERSION = 2
 VERIFIED_CACHE_VERSION = 1
 VERIFIED_CACHE_NAME = "verified.json"
 QUARANTINE_INDEX_NAME = "index.json"
 
 #: Modulus of the mergeable per-segment row digest (see
-#: ``PassiveDnsDatabase.digest``): per-row BLAKE2 hashes summed mod
+#: ``PassiveDnsDatabase.fingerprint``): 128-bit row values summed mod
 #: 2**128, so the digest of a merged segment is the sum of its inputs'.
 DIGEST_MASK = (1 << 128) - 1
 
@@ -277,24 +277,20 @@ class SegmentInfo:
     name: str
     rows: int
     crc32: int
-    #: Optional mergeable 128-bit multiset digest of the rows (sum of
-    #: per-row BLAKE2 hashes mod 2**128).  ``None`` for segments
-    #: written before the digest era; merged segments inherit the sum
-    #: of their inputs' digests, which is what makes post-compaction
-    #: verification O(new rows) instead of O(store).
-    digest: Optional[int] = None
+    #: Mergeable 128-bit multiset digest of the rows (row values summed
+    #: mod 2**128).  Merged segments inherit the sum of their inputs'
+    #: digests, which the database checks against the merged rows.
+    digest: int
 
     def to_json(self) -> List[Any]:
-        """Compact manifest form (digest as hex, omitted when absent)."""
-        if self.digest is None:
-            return [self.name, self.rows, self.crc32]
+        """Compact manifest form (digest as hex)."""
         return [self.name, self.rows, self.crc32, f"{self.digest:032x}"]
 
     @classmethod
     def from_json(cls, payload: List[Any]) -> "SegmentInfo":
         """Inverse of :meth:`to_json`."""
-        digest = int(str(payload[3]), 16) if len(payload) > 3 else None
-        return cls(str(payload[0]), int(payload[1]), int(payload[2]), digest)
+        name, rows, crc32, digest = payload
+        return cls(str(name), int(rows), int(crc32), int(str(digest), 16))
 
 
 @dataclass(frozen=True)
@@ -595,7 +591,9 @@ class SpillStore:
 
         Raises :class:`CorruptArchiveError` when ``directory`` exists
         but is not a spill store (e.g. it is a file, or holds foreign
-        content where the layout should be).
+        content where the layout should be), and :class:`ConfigError`,
+        moving nothing, when it holds an intact store of another
+        ``SPILL_FORMAT_VERSION``.
         """
         root = Path(directory)
         if root.exists() and not root.is_dir():
@@ -617,6 +615,9 @@ class SpillStore:
         io_layer = _DurableIo(faults)
         report = RecoveryReport()
         sink = _QuarantineSink(None if read_only else quarantine_dir, report)
+        # First, so a store of another format is refused before
+        # anything is moved.
+        manifests = cls._scan_manifests(root, sink)
         if paranoid:
             cache: Optional[_VerifiedCache] = None
             report.verified_cache = "paranoid"
@@ -633,7 +634,6 @@ class SpillStore:
                     "fell back to the full scan",
                 )
         journal_intents = cls._scan_journal(root, report)
-        manifests = cls._scan_manifests(root, sink)
         chosen = cls._choose_generation(root, manifests, sink, report, cache)
         cls._quarantine_strays(
             root,
@@ -704,17 +704,24 @@ class SpillStore:
     def _scan_manifests(
         root: Path, sink: _QuarantineSink
     ) -> List[Tuple[Path, _Manifest]]:
-        """Load every manifest file, quarantining the unverifiable ones."""
+        """Load every manifest file, quarantining the unverifiable ones.
+
+        A checksum-valid manifest of another format raises
+        :class:`ConfigError` before anything is quarantined.
+        """
         found: List[Tuple[Path, _Manifest]] = []
+        torn: List[Tuple[Path, str]] = []
         for path in sorted(root.glob("manifest-*.json")):
             if not _MANIFEST_RE.match(path.name):
                 continue
             try:
                 manifest = _parse_manifest(path.read_bytes())
             except CorruptArchiveError as error:
-                sink.take(path, path.name, "torn-manifest", error.detail)
+                torn.append((path, error.detail))
                 continue
             found.append((path, manifest))
+        for path, detail in torn:
+            sink.take(path, path.name, "torn-manifest", detail)
         found.sort(key=lambda item: item[1].generation)
         return found
 
@@ -921,7 +928,7 @@ class SpillStore:
         ids: np.ndarray,
         times: np.ndarray,
         counts: np.ndarray,
-        digest: Optional[int] = None,
+        digest: int,
     ) -> SegmentInfo:
         """Stage one immutable row segment (durable but uncommitted).
 
@@ -930,6 +937,8 @@ class SpillStore:
         but does not recompute it — rows are the caller's domain.
         """
         self._assert_writable("append_segment()")
+        if not isinstance(digest, int) or not 0 <= digest <= DIGEST_MASK:
+            raise ConfigError("a segment needs its 128-bit row digest")
         if not (len(ids) == len(times) == len(counts)):
             raise ConfigError("segment columns must have equal length")
         if len(ids) == 0:
@@ -1108,17 +1117,11 @@ class SpillStore:
         data = buffer.getvalue()
         name = f"seg-{self._next_segment:07d}.npy"
         self._next_segment += 1
-        digest: Optional[int] = 0
-        for info in inputs:
-            if info.digest is None:
-                digest = None
-                break
-            digest = (digest + info.digest) & DIGEST_MASK
         merged = SegmentInfo(
             name=name,
             rows=int(stacked.shape[1]),
             crc32=_crc32(data),
-            digest=digest,
+            digest=sum(info.digest for info in inputs) & DIGEST_MASK,
         )
         generation = self.generation + 1
         self._journal(
@@ -1437,8 +1440,11 @@ def _parse_manifest(data: bytes) -> _Manifest:
     if _crc32(encoded) != document.get("checksum"):
         raise CorruptArchiveError("<manifest>", "manifest checksum mismatch")
     if payload.get("format") != SPILL_FORMAT_VERSION:
-        raise CorruptArchiveError(
-            "<manifest>", f"unsupported spill format {payload.get('format')}"
+        # Intact but foreign: refuse it rather than treat it as torn,
+        # which would quarantine a whole older-format store.
+        raise ConfigError(
+            f"unsupported spill format {payload.get('format')} "
+            f"(this build speaks {SPILL_FORMAT_VERSION})"
         )
     return _Manifest(
         generation=int(payload["generation"]),

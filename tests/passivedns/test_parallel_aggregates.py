@@ -48,7 +48,6 @@ def _aggregates(db):
         db.tld_histogram(),
         domains_series.tobytes(),
         queries_series.tobytes(),
-        db.digest(),
         db.fingerprint(),
     )
 

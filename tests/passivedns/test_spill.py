@@ -24,6 +24,9 @@ Three layers:
   mid-ingest crash.
 """
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ from repro.faults.injectors import (
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import load_checkpoint, save_checkpoint
 from repro.passivedns.pipeline import ResilientIngestPipeline
-from repro.passivedns.spill import SpillStore
+from repro.passivedns.spill import SPILL_FORMAT_VERSION, SpillStore
 from repro.rand import derive_seed, make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
@@ -99,7 +102,7 @@ def _check_recovery(root, recorded, completed):
     assert generation == report.generation
     if generation > 0:
         expected = db.spill.meta.get("store_digest")
-        assert expected is not None and db.digest() == expected
+        assert expected is not None and db.fingerprint() == expected
         if generation in recorded:
             assert db.fingerprint() == recorded[generation]
     else:
@@ -120,7 +123,7 @@ class TestSpillStoreBasics:
     def test_commit_and_reopen(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(10, dtype=np.int64)
-        store.append_segment(ids, ids * 7, ids + 1)
+        store.append_segment(ids, ids * 7, ids + 1, digest=0)
         assert store.commit({"tag": "first"}) == 1
         again = SpillStore.open(tmp_path / "s")
         assert again.generation == 1
@@ -134,9 +137,9 @@ class TestSpillStoreBasics:
     def test_uncommitted_segment_is_quarantined_on_reopen(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(5, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
-        store.append_segment(ids, ids, ids + 2)  # staged, never committed
+        store.append_segment(ids, ids, ids + 2, digest=0)  # staged, never committed
         again = SpillStore.open(tmp_path / "s")
         assert again.generation == 1
         assert again.row_count() == 5
@@ -146,9 +149,9 @@ class TestSpillStoreBasics:
     def test_damaged_segment_falls_back_a_generation(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(6, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
-        info = store.append_segment(ids, ids * 3, ids + 1)
+        info = store.append_segment(ids, ids * 3, ids + 1, digest=0)
         store.commit()
         victim = tmp_path / "s" / "segments" / info.name
         raw = bytearray(victim.read_bytes())
@@ -165,7 +168,7 @@ class TestSpillStoreBasics:
     def test_torn_manifest_is_quarantined(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(4, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
         manifest = tmp_path / "s" / "manifest-0000001.json"
         manifest.write_bytes(manifest.read_bytes()[:-20])
@@ -184,7 +187,7 @@ class TestSpillStoreBasics:
         store = SpillStore.open(tmp_path / "s")
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ConfigError):
-            store.append_segment(empty, empty, empty)
+            store.append_segment(empty, empty, empty, digest=0)
 
     def test_sidecar_roundtrip_and_kind_validation(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
@@ -192,7 +195,7 @@ class TestSpillStoreBasics:
             store.write_sidecar("Bad-Kind", b"x")
         store.write_sidecar("domains", b"payload")
         ids = np.arange(3, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
         again = SpillStore.open(tmp_path / "s")
         assert again.read_sidecar("domains") == b"payload"
@@ -201,9 +204,9 @@ class TestSpillStoreBasics:
     def test_segment_names_never_reused_after_quarantine(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(3, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)  # uncommitted -> quarantined
+        store.append_segment(ids, ids, ids + 1, digest=0)  # uncommitted -> quarantined
         again = SpillStore.open(tmp_path / "s")
-        info = again.append_segment(ids, ids, ids + 1)
+        info = again.append_segment(ids, ids, ids + 1, digest=0)
         assert info.name == "seg-0000002.npy"
 
 
@@ -366,7 +369,7 @@ def _three_generation_store(root):
     store = SpillStore.open(root)
     for round_index in range(3):
         ids = np.arange(8, dtype=np.int64) + round_index * 100
-        store.append_segment(ids, ids * 3, ids % 5 + 1)
+        store.append_segment(ids, ids * 3, ids % 5 + 1, digest=0)
         store.commit({"round": round_index})
     return store
 
@@ -410,7 +413,7 @@ class TestCompaction:
     def test_compact_below_min_segments_is_a_noop(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(4, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
         assert store.compact() is None
         assert store.generation == 1
@@ -418,7 +421,7 @@ class TestCompaction:
     def test_compact_rejects_staged_segments(self, tmp_path):
         store = _three_generation_store(tmp_path / "s")
         ids = np.arange(4, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         with pytest.raises(ConfigError):
             store.compact()
 
@@ -438,31 +441,27 @@ class TestCompaction:
         merged = store.segments()[0]
         assert merged.digest == (17 + (1 << 128) - 9) & ((1 << 128) - 1)
 
-    def test_merged_digest_none_when_any_input_lacks_one(self, tmp_path):
+    def test_segment_without_digest_is_refused(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(5, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1, digest=17)
-        store.commit()
-        store.append_segment(ids, ids * 2, ids + 1)  # pre-digest era
-        store.commit()
-        store.compact()
-        assert store.segments()[0].digest is None
+        for digest in (None, -1, 1 << 128):
+            with pytest.raises(ConfigError):
+                store.append_segment(ids, ids, ids + 1, digest=digest)
+        assert store.segments() == []
+        assert list((tmp_path / "s" / "segments").iterdir()) == []
 
     def test_database_compaction_preserves_everything(self, tmp_path):
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         _fill(db, rounds=3)
         fingerprint = db.fingerprint()
-        digest = db.digest()
         histogram = db.tld_histogram()
         generation = db.spill_compact()
         assert generation is not None
         assert db.fingerprint() == fingerprint
-        assert db.digest() == digest
         assert db.tld_histogram() == histogram
         reopened = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         assert reopened.spill.last_recovery.clean()
         assert reopened.fingerprint() == fingerprint
-        assert reopened.digest() == digest
 
     def test_database_compact_requires_committed_tail(self, tmp_path):
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
@@ -619,9 +618,9 @@ class TestReadOnlyOpen:
     def test_read_only_reports_damage_without_moving_it(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(5, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
-        store.append_segment(ids, ids, ids + 2)  # staged, uncommitted
+        store.append_segment(ids, ids, ids + 2, digest=0)  # staged, uncommitted
         before = self._listing(tmp_path / "s")
         reader = SpillStore.open(tmp_path / "s", read_only=True)
         kinds = {e.kind for e in reader.last_recovery.quarantined}
@@ -633,7 +632,7 @@ class TestReadOnlyOpen:
         reader = SpillStore.open(tmp_path / "s", read_only=True)
         ids = np.arange(3, dtype=np.int64)
         with pytest.raises(ConfigError):
-            reader.append_segment(ids, ids, ids + 1)
+            reader.append_segment(ids, ids, ids + 1, digest=0)
         with pytest.raises(ConfigError):
             reader.write_sidecar("domains", b"x")
         with pytest.raises(ConfigError):
@@ -669,14 +668,52 @@ class TestReadOnlyOpen:
             )
 
 
+class TestFormatVersion:
+    """A store of another spill format is refused, never quarantined."""
+
+    @staticmethod
+    def _listing(root):
+        return sorted(
+            (path.relative_to(root).as_posix(), path.read_bytes())
+            for path in root.rglob("*")
+            if path.is_file()
+        )
+
+    @staticmethod
+    def _resign_as(root, version):
+        """Rewrite every manifest as ``version`` with a valid checksum."""
+        for manifest in root.glob("manifest-*.json"):
+            document = json.loads(manifest.read_text())
+            document["payload"]["format"] = version
+            encoded = json.dumps(document["payload"], sort_keys=True)
+            document["checksum"] = zlib.crc32(encoded.encode()) & 0xFFFFFFFF
+            manifest.write_text(json.dumps(document, sort_keys=True, indent=1))
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_older_format_is_refused_and_nothing_moves(
+        self, tmp_path, read_only
+    ):
+        root = tmp_path / "s"
+        _fill(PassiveDnsDatabase(spill_dir=root), rounds=2)
+        self._resign_as(root, SPILL_FORMAT_VERSION - 1)
+        # A torn manifest scanned first must not be moved either.
+        (root / "manifest-0000000.json").write_text("{ torn")
+        before = self._listing(root)
+        with pytest.raises(ConfigError, match="spill format"):
+            SpillStore.open(root, read_only=read_only)
+        with pytest.raises(ConfigError, match="spill format"):
+            PassiveDnsDatabase(spill_dir=root, spill_read_only=read_only)
+        assert self._listing(root) == before
+
+
 class TestQuarantineReclamation:
     def _store_with_orphans(self, root, orphans=2):
         store = SpillStore.open(root)
         ids = np.arange(6, dtype=np.int64)
-        store.append_segment(ids, ids, ids + 1)
+        store.append_segment(ids, ids, ids + 1, digest=0)
         store.commit()
         for _ in range(orphans):
-            store.append_segment(ids, ids, ids + 2)  # never committed
+            store.append_segment(ids, ids, ids + 2, digest=0)  # never committed
         return SpillStore.open(root)  # quarantines the orphans
 
     def test_entries_are_typed_and_indexed(self, tmp_path):
@@ -760,7 +797,7 @@ class TestConcurrentReaders:
         assert store.read_only
         if store.generation > 0:
             expected = store.meta.get("store_digest")
-            assert expected is not None and reader.digest() == expected
+            assert expected is not None and reader.fingerprint() == expected
             if store.generation in recorded:
                 assert reader.fingerprint() == recorded[store.generation]
         assert self._listing(root) == before

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.dns.name import DomainName
+from repro.errors import ConfigError
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import load_database, save_database
 from repro.whois.history import WhoisHistoryDatabase
@@ -126,6 +127,49 @@ class TestCorruptArchives:
         save_database(other, tmp_path / "checkpoint.npz")
         with pytest.raises(CorruptArchiveError):
             load_checkpoint(tmp_path)
+
+
+    def test_old_checkpoint_version_is_refused_not_corrupt(self, tmp_path):
+        from repro.passivedns.io import (
+            CHECKPOINT_VERSION,
+            load_checkpoint,
+            save_checkpoint,
+        )
+
+        db = PassiveDnsDatabase()
+        db.add(D1, timestamp=0, count=1)
+        save_checkpoint(db, tmp_path, cursor=1)
+        manifest_path = tmp_path / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        # An older build's manifest: its version and its (SHA-256)
+        # fingerprint both predate this build.
+        manifest["version"] = CHECKPOINT_VERSION - 1
+        manifest["fingerprint"] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="checkpoint version"):
+            load_checkpoint(tmp_path)
+
+    def test_pickled_domain_table_is_refused_unloaded(self, tmp_path):
+        import numpy as np
+
+        from repro.errors import CorruptArchiveError
+        from repro.passivedns.io import FORMAT_VERSION
+
+        path = tmp_path / "pickled.npz"
+        empty = np.asarray([], dtype=np.int64)
+        np.savez_compressed(
+            path,
+            version=np.int64(FORMAT_VERSION),
+            domains=np.asarray(["alpha.com"], dtype=object),
+            first_seen=empty,
+            last_seen=empty,
+            totals=empty,
+            row_domain=empty,
+            row_time=empty,
+            row_count=empty,
+        )
+        with pytest.raises(CorruptArchiveError, match="pickle"):
+            load_database(path)
 
 
 class TestWhoisIo:
