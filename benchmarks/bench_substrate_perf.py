@@ -20,6 +20,7 @@ from repro.dns.wire import decode_message, encode_message
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.rand import make_rng
 from repro.squatting.detector import SquattingDetector
+from tests.passivedns.reference import daily_series_scan
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,7 @@ def test_perf_daily_series_scan(benchmark, series_db):
     """Reference full-column masked scan (the pre-index baseline)."""
     db, domains = series_db
     target = domains[7]
-    series = benchmark(db._daily_series_scan, target, 0, 400 * 86_400)
+    series = benchmark(daily_series_scan, db, target, 0, 400 * 86_400)
     assert series.sum() == db.profile(target).total_queries
 
 

@@ -16,10 +16,10 @@ vectorization:
   (monthly series, TLD histogram, lifespan decay, digest,
   fingerprint) from primed columns, printed for the record; the
   rebuild must reproduce the cached values exactly.
-- **fast lane vs record-at-a-time ingest** — the pipeline's batched
-  clean-stretch lane must land a fingerprint-identical store (hard
-  gate) and beat the record path; the win is bounded because channel
-  dispatch and admission stay per-record, so the floor is modest.
+- **columnar vs record-at-a-time ingest** — the columnar pipeline must
+  land the same store as the record-at-a-time reference model in
+  ``tests/passivedns/reference.py`` (fingerprint, intern order and
+  stats: the hard gate) and beat it.
 
 ``time.perf_counter`` is a monotonic interval timer, not a wall-clock
 read, so it is (deliberately) outside REP001's ban list.
@@ -39,15 +39,18 @@ from repro.passivedns.pipeline import ResilientIngestPipeline
 from repro.passivedns.record import DnsObservation
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
+from tests.passivedns.reference import ReferencePipeline, daily_series_scan
 
 #: Batch ingest must beat scalar ingest by this factor (off-CI only).
 BATCH_MIN_SPEEDUP = 5.0
 #: Indexed per-domain series must beat the masked scan by this factor.
 INDEX_MIN_SPEEDUP = 10.0
-#: The fast lane removes the per-row store work but shares per-record
-#: channel dispatch and admission with the record path, so its floor
-#: is modest (measured ~1.3x on one core).
-FAST_LANE_MIN_SPEEDUP = 1.1
+#: The columnar pipeline must beat the record-at-a-time reference
+#: model by this factor on a clean stream (off-CI only).  Every row
+#: here carries a fresh ``DomainName``, so per-row name hashing
+#: bounds the win (measured ~2.2x on one core; 3.6x on the perfbench
+#: ingest stream, whose rows share name objects).
+COLUMNAR_MIN_SPEEDUP = 1.5
 ROUNDS = 3
 #: Timing ratios are informational on CI; structural contracts
 #: (fingerprint equality, identical series) are the hard gates
@@ -143,7 +146,7 @@ def test_indexed_series_beats_scan():
         lambda: db.daily_series_for(target, *window)
     )
     scan_time, scanned = _timed(
-        lambda: db._daily_series_scan(target, *window)  # noqa: SLF001
+        lambda: daily_series_scan(db, target, *window)
     )
     speedup = scan_time / indexed_time
     print()
@@ -217,12 +220,12 @@ def test_aggregate_rebuild_timing():
     assert rebuilt == first
 
 
-# -- ingest fast lane --------------------------------------------------------
+# -- columnar ingest ---------------------------------------------------------
 
 PIPE_ROWS = 30_000
 
 
-def test_fast_lane_beats_record_path():
+def test_columnar_beats_reference_model():
     t0 = date_to_epoch(STUDY_START)
     observations = [
         DnsObservation(
@@ -234,27 +237,28 @@ def test_fast_lane_beats_record_path():
         for i in range(PIPE_ROWS)
     ]
 
-    def run(fast_lane):
-        pipeline = ResilientIngestPipeline(fast_lane=fast_lane)
+    def run(cls):
+        pipeline = cls()
         pipeline.ingest_many(observations)
         pipeline.finish()
         return pipeline
 
-    fast_time, fast = _timed(lambda: run(True))
-    record_time, record = _timed(lambda: run(False))
-    speedup = record_time / fast_time
+    columnar_time, columnar = _timed(lambda: run(ResilientIngestPipeline))
+    reference_time, reference = _timed(lambda: run(ReferencePipeline))
+    speedup = reference_time / columnar_time
     print()
     print(
-        f"record path: {record_time * 1e3:8.1f} ms "
-        f"({PIPE_ROWS / record_time:,.0f} rows/s)   "
-        f"fast lane: {fast_time * 1e3:8.1f} ms "
-        f"({PIPE_ROWS / fast_time:,.0f} rows/s)   ({speedup:.2f}x)"
+        f"reference model: {reference_time * 1e3:8.1f} ms "
+        f"({PIPE_ROWS / reference_time:,.0f} rows/s)   "
+        f"columnar: {columnar_time * 1e3:8.1f} ms "
+        f"({PIPE_ROWS / columnar_time:,.0f} rows/s)   ({speedup:.2f}x)"
     )
-    # Hard gate: the lane is a pure optimization — same store.
-    assert fast.database.fingerprint() == record.database.fingerprint()
-    assert fast.stats == record.stats
+    # Hard gate: the columnar path is a pure optimization — same store.
+    assert columnar.database.fingerprint() == reference.database.fingerprint()
+    assert columnar.database.all_domains() == reference.database.all_domains()
+    assert columnar.stats == reference.stats
     if not IN_CI:
-        assert speedup > FAST_LANE_MIN_SPEEDUP, (
-            f"fast lane speedup {speedup:.2f}x; "
-            f"contract is > {FAST_LANE_MIN_SPEEDUP}x"
+        assert speedup > COLUMNAR_MIN_SPEEDUP, (
+            f"columnar speedup {speedup:.2f}x; "
+            f"contract is > {COLUMNAR_MIN_SPEEDUP}x"
         )

@@ -5,10 +5,12 @@ canonical seeded workload and writes a machine-readable summary:
 
 - a ``contracts`` section that is **deterministic** (store
   fingerprints of the canonical workloads, batch-vs-scalar equality,
-  indexed-vs-scanned series equality, fast-lane-vs-record-path
-  identity on clean and degraded streams) — diffs here mean ingest,
-  generation, or aggregation *semantics* changed, and the committed
-  copy at the repo root is the regression anchor;
+  indexed-vs-scanned series equality, and identity of the columnar
+  ingest pipeline with the record-at-a-time reference model in
+  ``tests/passivedns/reference.py`` on clean and degraded streams) —
+  diffs here mean ingest, generation, or aggregation *semantics*
+  changed, and the committed copy at the repo root is the regression
+  anchor;
 - a ``timings`` section that is informational (speedup ratios measured
   on whatever host ran the script) — CI uploads it as an artifact so
   trends are visible, but it is not diffed or gated.
@@ -29,6 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+# The reference models live with the tests, importable from the root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
 from repro.clock import STUDY_START, date_to_epoch
 from repro.dns.message import RCode
 from repro.dns.name import DomainName
@@ -39,13 +44,14 @@ from repro.passivedns.record import DnsObservation
 from repro.passivedns.spill import atomic_write_bytes
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
+from tests.passivedns.reference import ReferencePipeline, daily_series_scan
 
-VERSION = 4
+VERSION = 5
 N_ROWS = 60_000
 N_DOMAINS = 600
 TRACE_CONFIG = TraceConfig(total_domains=1_500, squat_count=60)
 PIPE_ROWS = 30_000
-#: The degraded fast-lane contract replays this plan at seed 7.
+#: The degraded columnar contract replays this plan at seed 7.
 DEGRADED_PLAN = FaultPlan(
     drop_rate=0.05,
     duplicate_rate=0.1,
@@ -132,32 +138,40 @@ def _pipeline_observations():
     ]
 
 
-def _run_pipeline(observations, fast_lane, plan=None):
-    pipeline = ResilientIngestPipeline(
-        schedule=plan.schedule(7) if plan is not None else None,
-        fast_lane=fast_lane,
-    )
+def _run_pipeline(cls, observations, plan=None):
+    pipeline = cls(schedule=plan.schedule(7) if plan is not None else None)
     pipeline.ingest_many(observations)
     pipeline.finish()
     return pipeline
 
 
-def _fast_lane(observations):
-    """Fast-lane identity (clean + degraded) and clean-path timings."""
-    fast_time, fast = _timed(lambda: _run_pipeline(observations, True))
-    record_time, record = _timed(lambda: _run_pipeline(observations, False))
-    clean_match = (
-        fast.database.fingerprint() == record.database.fingerprint()
-        and fast.stats == record.stats
+def _observables(pipeline):
+    """What the columnar pipeline must share with the reference model."""
+    schedule = pipeline.schedule
+    return (
+        pipeline.database.fingerprint(),
+        pipeline.database.all_domains(),
+        pipeline.stats,
+        schedule.fingerprint() if schedule is not None else None,
+        schedule.counters() if schedule is not None else None,
     )
-    degraded_fast = _run_pipeline(observations, True, plan=DEGRADED_PLAN)
-    degraded_record = _run_pipeline(observations, False, plan=DEGRADED_PLAN)
-    degraded_match = (
-        degraded_fast.database.fingerprint()
-        == degraded_record.database.fingerprint()
-        and degraded_fast.stats == degraded_record.stats
+
+
+def _columnar(observations):
+    """Columnar ≡ reference (clean + degraded) and clean-path timings."""
+    columnar_time, columnar = _timed(
+        lambda: _run_pipeline(ResilientIngestPipeline, observations)
     )
-    return clean_match, degraded_match, fast_time, record_time, fast
+    reference_time, reference = _timed(
+        lambda: _run_pipeline(ReferencePipeline, observations)
+    )
+    clean_match = _observables(columnar) == _observables(reference)
+    degraded_match = _observables(
+        _run_pipeline(ResilientIngestPipeline, observations, DEGRADED_PLAN)
+    ) == _observables(
+        _run_pipeline(ReferencePipeline, observations, DEGRADED_PLAN)
+    )
+    return clean_match, degraded_match, columnar_time, reference_time, columnar
 
 
 def build_snapshot():
@@ -167,8 +181,8 @@ def build_snapshot():
     batch_time, batch_db = _timed(lambda: _batch_ingest(workload))
     aggregate_time = _aggregate_rebuild_time(_batch_ingest(workload))
     observations = _pipeline_observations()
-    clean_match, degraded_match, fast_time, record_time, fast = _fast_lane(
-        observations
+    clean_match, degraded_match, columnar_time, reference_time, columnar = (
+        _columnar(observations)
     )
 
     target = workload[0][11]
@@ -178,7 +192,7 @@ def build_snapshot():
         lambda: batch_db.daily_series_for(target, *window)
     )
     scan_time, scanned = _timed(
-        lambda: batch_db._daily_series_scan(target, *window)  # noqa: SLF001
+        lambda: daily_series_scan(batch_db, target, *window)
     )
 
     generate_time, trace = _timed(
@@ -205,9 +219,9 @@ def build_snapshot():
             "trace_pre_expiry_fingerprint": (
                 trace.pre_expiry_db.fingerprint()
             ),
-            "fast_lane_fingerprint": fast.database.fingerprint(),
-            "fast_lane_matches_record_path": clean_match,
-            "fast_lane_matches_record_path_degraded": degraded_match,
+            "pipeline_fingerprint": columnar.database.fingerprint(),
+            "columnar_matches_reference": clean_match,
+            "columnar_matches_reference_degraded": degraded_match,
         },
         "timings": {
             "scalar_ingest_ms": round(scalar_time * 1e3, 2),
@@ -218,10 +232,10 @@ def build_snapshot():
             "index_speedup": round(scan_time / indexed_time, 1),
             "serial_generate_ms": round(generate_time * 1e3, 1),
             "aggregate_serial_ms": round(aggregate_time * 1e3, 1),
-            "record_path_ms": round(record_time * 1e3, 1),
-            "fast_lane_ms": round(fast_time * 1e3, 1),
-            "fast_lane_speedup": round(record_time / fast_time, 2),
-            "fast_lane_rows_per_sec": round(PIPE_ROWS / fast_time),
+            "reference_model_ms": round(reference_time * 1e3, 1),
+            "columnar_ms": round(columnar_time * 1e3, 1),
+            "columnar_speedup": round(reference_time / columnar_time, 2),
+            "columnar_rows_per_sec": round(PIPE_ROWS / columnar_time),
         },
     }
 

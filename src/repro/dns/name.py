@@ -51,10 +51,21 @@ class DomainName:
 
     @classmethod
     def from_labels(cls, labels: Tuple[str, ...]) -> "DomainName":
-        """Build a name from already-validated labels (internal fast path)."""
+        """Build a name from a label tuple, lowercasing and validating it."""
         name = cls.__new__(cls)
         name._labels = tuple(label.lower() for label in labels)
         _validate(name._labels)
+        return name
+
+    @classmethod
+    def _from_valid(cls, labels: Tuple[str, ...]) -> "DomainName":
+        """Wrap labels sliced from a name that already passed validation.
+
+        A suffix of valid lowercase labels is itself valid and
+        lowercase, so this skips :meth:`from_labels`' checks.
+        """
+        name = cls.__new__(cls)
+        name._labels = labels
         return name
 
     @classmethod
@@ -94,13 +105,13 @@ class DomainName:
         """
         if len(self._labels) < 2:
             return self
-        return DomainName.from_labels(self._labels[-2:])
+        return DomainName._from_valid(self._labels[-2:])
 
     def parent(self) -> "DomainName":
         """The name with its leftmost label removed (root's parent is root)."""
         if not self._labels:
             return self
-        return DomainName.from_labels(self._labels[1:])
+        return DomainName._from_valid(self._labels[1:])
 
     def child(self, label: str) -> "DomainName":
         """Prepend ``label``, producing a subdomain of this name."""

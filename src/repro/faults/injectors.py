@@ -11,13 +11,30 @@ whose fingerprint is the bit-reproducibility contract: the same
 Every injector counts the uniform draws it consumes (``draws``) so a
 resumed pipeline can fast-forward a fresh schedule to the exact RNG
 state of an interrupted run (see ``FaultSchedule.fast_forward``).
+
+The ingest-side injectors also decide whole batches at once
+(``drop_mask``, ``copies_mask``, ``push_many``, ``attempt_many``, ...).
+A batch draws its uniforms as one vector, which reproduces the scalar
+draws bit for bit, and returns its events instead of logging them, so
+the caller can merge the events of several injectors into the order
+the scalar calls would have logged them in (see
+``InjectionLog.extend``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -31,9 +48,8 @@ from repro.errors import (
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class InjectionEvent:
-    """One fault the harness injected."""
+class InjectionEvent(NamedTuple):
+    """One fault the harness injected (immutable)."""
 
     injector: str
     index: int
@@ -54,6 +70,10 @@ class InjectionLog:
     def append(self, event: InjectionEvent) -> None:
         """Record one injected fault."""
         self._events.append(event)
+
+    def extend(self, events: Iterable[InjectionEvent]) -> None:
+        """Record a batch of injected faults, already in injection order."""
+        self._events.extend(events)
 
     def events(self) -> List[InjectionEvent]:
         """A copy of the recorded events, in injection order."""
@@ -90,6 +110,9 @@ class Injector:
         #: Faults actually injected.
         self.injected = 0
 
+    #: Largest vector :meth:`fast_forward` draws at once.
+    _SKIP_CHUNK = 1 << 16
+
     def _uniform(self) -> float:
         self.draws += 1
         return float(self._rng.random())
@@ -100,12 +123,69 @@ class Injector:
             InjectionEvent(self.name, self.decisions, action, detail)
         )
 
+    def _decide(self, count: int, draw: bool = True) -> Tuple[int, np.ndarray]:
+        """Take ``count`` decisions at once, one uniform each if ``draw``.
+
+        Returns the decision count before the batch (event indices of
+        the batch start right after it) and the uniforms, which equal
+        ``count`` successive :meth:`_uniform` draws.
+        """
+        first = self.decisions
+        self.decisions += count
+        if not draw:
+            return first, np.empty(0)
+        self.draws += count
+        return first, self._rng.random(count)
+
+    def _events(
+        self,
+        first: int,
+        positions: np.ndarray,
+        action: str,
+        details: Iterable[str],
+    ) -> List[InjectionEvent]:
+        """Events for the batch decisions at ``positions`` (not logged)."""
+        self.injected += len(positions)
+        return [
+            InjectionEvent(self.name, first + position + 1, action, detail)
+            for position, detail in zip(positions.tolist(), details)
+        ]
+
     def fast_forward(self, draws: int) -> None:
         """Discard ``draws`` uniforms to re-align with a prior run."""
         if draws < 0:
             raise ConfigError("cannot fast-forward a negative draw count")
-        for _ in range(draws):
-            self._uniform()
+        self.draws += draws
+        while draws > 0:
+            step = min(draws, self._SKIP_CHUNK)
+            self._rng.random(step)
+            draws -= step
+
+
+def _in_windows(
+    windows: Sequence[Tuple[int, int]], timestamps: np.ndarray
+) -> np.ndarray:
+    """Mask of ``timestamps`` inside any ``[start, end)`` window.
+
+    Overlapping windows are merged first, so one ``searchsorted``
+    over the merged starts finds the only window that can hold each
+    timestamp.
+    """
+    inside = np.zeros(len(timestamps), dtype=bool)
+    if not windows:
+        return inside
+    merged: List[List[int]] = []
+    for start, end in sorted(windows):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    starts = np.array([start for start, _ in merged], dtype=np.int64)
+    ends = np.array([end for _, end in merged], dtype=np.int64)
+    slot = np.searchsorted(starts, timestamps, side="right") - 1
+    hit = slot >= 0
+    inside[hit] = timestamps[hit] < ends[slot[hit]]
+    return inside
 
 
 class DropInjector(Injector):
@@ -140,6 +220,36 @@ class DropInjector(Injector):
             self._record("drop", f"t={timestamp}")
             return True
         return False
+
+    def drop_mask(
+        self, timestamps: np.ndarray
+    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+        """Vector form of :meth:`should_drop` over a batch.
+
+        Returns the drop mask and one event per drop, in decision order.
+        """
+        first, draws = self._decide(len(timestamps))
+        windowed = _in_windows(self.windows, timestamps)
+        dropped = windowed | (draws < self.rate)
+        positions = np.flatnonzero(dropped)
+        self.window_drops += int(windowed.sum())
+        self.random_drops += len(positions) - int(windowed.sum())
+        events = []
+        for position, in_window, timestamp in zip(
+            positions.tolist(),
+            windowed[positions].tolist(),
+            timestamps[positions].tolist(),
+        ):
+            events.append(
+                InjectionEvent(
+                    self.name,
+                    first + position + 1,
+                    "window-drop" if in_window else "drop",
+                    f"t={timestamp}",
+                )
+            )
+        self.injected += len(events)
+        return dropped, events
 
 
 class CorruptionInjector(Injector):
@@ -182,6 +292,16 @@ class DuplicateInjector(Injector):
             return 2
         return 1
 
+    def copies_mask(
+        self, timestamps: np.ndarray
+    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+        """Vector form of :meth:`copies`: the mask of doubled items."""
+        first, draws = self._decide(len(timestamps))
+        doubled = draws < self.rate
+        positions = np.flatnonzero(doubled)
+        details = (f"t={t}" for t in timestamps[positions].tolist())
+        return doubled, self._events(first, positions, "duplicate", details)
+
 
 class ReorderInjector(Injector):
     """Out-of-order delivery via a bounded hold-back buffer."""
@@ -216,6 +336,59 @@ class ReorderInjector(Injector):
             return released
         return [item]
 
+    def push_many(
+        self, items: Sequence[T]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[InjectionEvent]]:
+        """Vector form of :meth:`push` over ``items`` in push order.
+
+        Works on integer positions over the items already held (oldest
+        first, positions ``0..h-1``) followed by ``items`` (position
+        ``h + k`` is ``items[k]``).  Returns ``(order, at, holds,
+        events)``: ``order`` holds the positions released, in release
+        order, ``at[j]`` is the index into ``items`` of the push that
+        released ``order[j]``, and ``holds`` are the pushes that held
+        their item (one event each).  Items still held at the end stay
+        held for the next batch or :meth:`flush`.
+
+        A push holds while the buffer has room and its draw says hold,
+        so within a run of hold draws that starts with ``h0`` items
+        held, the buffer before the ``j``-th push holds
+        ``(h0 + j) mod (depth + 1)`` items and the push releases
+        exactly when that reaches ``depth``.
+        """
+        count = len(items)
+        held = len(self._held)
+        first, draws = self._decide(count)
+        wants = draws < self.rate
+        index = np.arange(count)
+        # Index of the last non-hold draw before each push (-1: none);
+        # every non-hold draw releases, which empties the buffer.
+        last_release = np.maximum.accumulate(np.where(~wants, index, -1))
+        previous = np.concatenate(([-1], last_release[:-1]))
+        run_start = np.where(previous < 0, held, 0)
+        before = (run_start + index - previous - 1) % (self.depth + 1)
+        holds = wants & (before < self.depth)
+        releases = np.flatnonzero(~holds)
+        # Group g collects the items the g-th release lets go: the
+        # releasing item first, then the items held since the previous
+        # release in hold order (the carried-in ones lead group 0).
+        group = np.concatenate(
+            (np.zeros(held, dtype=np.int64), np.cumsum(~holds) - ~holds)
+        )
+        is_held = np.concatenate((np.ones(held, dtype=bool), holds))
+        released = group < len(releases)
+        order = np.flatnonzero(released)
+        order = order[np.argsort(2 * group[order] + is_held[order], kind="stable")]
+        at = releases[group[order]]
+        kept = np.flatnonzero(~released)
+        self._held = [
+            self._held[p] if p < held else items[p - held] for p in kept.tolist()
+        ]
+        hold_positions = np.flatnonzero(holds)
+        details = (f"depth={d + 1}" for d in before[hold_positions].tolist())
+        events = self._events(first, hold_positions, "hold", details)
+        return order, at, hold_positions, events
+
     def flush(self) -> List[T]:
         """Release everything still held (end of stream / checkpoint)."""
         released, self._held = self._held, []
@@ -240,9 +413,26 @@ class CrashInjector(Injector):
         self.decisions += 1
         if self._uniform() < self.rate:
             self._record("crash", context)
-            raise InjectedFaultError(
-                f"injected subscriber crash ({context or self.name})"
-            )
+            raise self.failure(context)
+
+    def failure(self, context: str = "") -> InjectedFaultError:
+        """The error an injected crash at ``context`` raises."""
+        return InjectedFaultError(
+            f"injected subscriber crash ({context or self.name})"
+        )
+
+    def crash_mask(
+        self, count: int, context: str = ""
+    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+        """Vector form of :meth:`maybe_crash` for ``count`` deliveries.
+
+        Returns the mask of deliveries that crash instead of raising.
+        """
+        first, draws = self._decide(count)
+        crashed = draws < self.rate
+        positions = np.flatnonzero(crashed)
+        details = [context] * len(positions)
+        return crashed, self._events(first, positions, "crash", details)
 
     def wrap(self, handler: Callable[[T], None], context: str = "") -> Callable[[T], None]:
         """A handler that crashes per schedule before delegating."""
@@ -268,9 +458,65 @@ class StoreFaultInjector(Injector):
         self.decisions += 1
         if self._uniform() < self.rate:
             self._record("store-failure", context)
-            raise TransientStoreError(
-                f"injected transient store failure ({context or self.name})"
+            raise self.failure(context)
+
+    def failure(self, context: str = "") -> TransientStoreError:
+        """The error an injected store failure at ``context`` raises."""
+        return TransientStoreError(
+            f"injected transient store failure ({context or self.name})"
+        )
+
+    def attempt_many(
+        self, contexts: Sequence[str], max_attempts: int
+    ) -> Tuple[np.ndarray, np.ndarray, List[InjectionEvent]]:
+        """Vector form of up to ``max_attempts`` :meth:`check` calls per item.
+
+        Item ``j`` is checked until one check passes or
+        ``max_attempts`` have failed, then item ``j + 1`` is checked.
+        Returns ``(failed, failure_items, events)``: ``failed[j]`` says
+        whether all of item ``j``'s attempts failed, and one event per
+        failed check gives its item in ``failure_items``.
+
+        The draws are taken in refills of one per item still open:
+        each open item needs at least one more draw, so a refill never
+        draws past the last item's final check.
+        """
+        count = len(contexts)
+        failed = np.zeros(count, dtype=bool)
+        first = self.decisions
+        fail_draws = [np.empty(0, dtype=np.int64)]
+        fail_items = [np.empty(0, dtype=np.int64)]
+        done = 0
+        streak = 0  # failed checks of the open item so far
+        offset = 0  # draws taken before this refill
+        while done < count:
+            _, draws = self._decide(count - done)
+            fails = draws < self.rate
+            index = np.arange(len(draws))
+            passes = np.where(~fails, index, -1)
+            previous = np.concatenate(
+                ([-1], np.maximum.accumulate(passes)[:-1])
             )
+            # Attempt number of each draw within its item: fails since
+            # the last pass (plus the open item's carried streak),
+            # wrapping when an item exhausts its attempts.
+            attempt = (
+                np.where(previous < 0, streak, 0) + index - previous - 1
+            ) % max_attempts
+            ends = ~fails | (attempt == max_attempts - 1)
+            item = done + np.cumsum(ends) - ends
+            failed[item[fails & ends]] = True
+            fail_draws.append(offset + np.flatnonzero(fails))
+            fail_items.append(item[fails])
+            done += int(ends.sum())
+            streak = 0 if ends[-1] else int(attempt[-1]) + 1
+            offset += len(draws)
+        items = np.concatenate(fail_items)
+        details = (contexts[j] for j in items.tolist())
+        events = self._events(
+            first, np.concatenate(fail_draws), "store-failure", details
+        )
+        return failed, items, events
 
 
 class BurstInjector(Injector):
@@ -303,6 +549,18 @@ class BurstInjector(Injector):
                 self._record("burst", f"t={timestamp} x{self.multiplier}")
                 return self.multiplier
         return 1
+
+    def burst_mask(
+        self, timestamps: np.ndarray
+    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+        """Vector form of :meth:`factor`: the mask of amplified items."""
+        first, _ = self._decide(len(timestamps), draw=False)
+        amplified = _in_windows(self.windows, timestamps)
+        positions = np.flatnonzero(amplified)
+        details = (
+            f"t={t} x{self.multiplier}" for t in timestamps[positions].tolist()
+        )
+        return amplified, self._events(first, positions, "burst", details)
 
 
 # ---------------------------------------------------------------------------

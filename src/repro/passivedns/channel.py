@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from repro.errors import ConfigError, ReproError, UnknownKeyError
 from repro.passivedns.record import DnsObservation
 from repro.resilience.dlq import DeadLetterQueue
@@ -112,6 +114,27 @@ class SieChannel:
         if first_error is not None:
             raise first_error
         return True
+
+    def accept_many(
+        self, nxdomain: np.ndarray, reverse_lookup: np.ndarray
+    ) -> np.ndarray:
+        """Vector form of :meth:`publish`'s filter for a batch.
+
+        Counts the batch into ``published``/``dropped`` exactly as one
+        :meth:`publish` per item would, and returns the mask of items
+        that pass.  Subscribers are not called: a batch publisher
+        delivers the passing items itself (and counts its delivery
+        errors into ``subscriber_errors``).
+        """
+        accepted = np.ones(len(nxdomain), dtype=bool)
+        if self.nxdomain_only:
+            accepted &= nxdomain
+        if self.drop_reverse_lookups:
+            accepted &= ~reverse_lookup
+        passed = int(accepted.sum())
+        self.published += passed
+        self.dropped += len(accepted) - passed
+        return accepted
 
     @property
     def subscriber_count(self) -> int:

@@ -39,6 +39,7 @@ the in-memory path.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import io as _stdio
 import threading
@@ -86,6 +87,32 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x *= _MIX_B
     x ^= x >> np.uint64(31)
     return x
+
+
+def _previous_occurrence(matrix: np.ndarray) -> np.ndarray:
+    """Index of the previous row equal to each row of ``matrix`` (-1: none).
+
+    Rows are grouped by a 64-bit mix of their columns with one stable
+    argsort, and neighbours in that order are compared in full, so the
+    answer is exact; should two distinct rows ever share a mix, the
+    rows are lexsorted column by column instead.
+    """
+    mixed = np.zeros(len(matrix), dtype=np.uint64)
+    for column in matrix.T:
+        mixed ^= column.astype(np.uint64)
+        _mix64(mixed)
+    order = np.argsort(mixed, kind="stable")
+    later, earlier = order[1:], order[:-1]
+    same_mix = mixed[later] == mixed[earlier]
+    pairs = np.flatnonzero(same_mix)
+    equal = (matrix[later[pairs]] == matrix[earlier[pairs]]).all(axis=1)
+    if not equal.all():
+        order = np.lexsort(matrix.T[::-1])
+        later, earlier = order[1:], order[:-1]
+        pairs = np.flatnonzero((matrix[later] == matrix[earlier]).all(axis=1))
+    previous = np.full(len(matrix), -1, dtype=np.int64)
+    previous[later[pairs]] = earlier[pairs]
+    return previous
 
 
 def _hash_name(text: str) -> int:
@@ -307,11 +334,7 @@ class PassiveDnsDatabase:
 
         Applies the NXDomain filter and, when ``deduplicate`` is on,
         advances the sliding dedup window exactly as :meth:`ingest`
-        would — returning whether the observation should land.  Split
-        out so a batch-buffering caller (the pipeline's fast lane) can
-        run admission at arrival order while deferring the appends:
-        the window state and ``duplicates_suppressed`` evolve
-        identically either way.
+        would — returning whether the observation should land.
         """
         if not observation.is_nxdomain:
             return False
@@ -326,6 +349,97 @@ class PassiveDnsDatabase:
             while len(self._recent_keys) > self.DEDUP_WINDOW:
                 self._recent_keys.popitem(last=False)
         return True
+
+    def admit_many(
+        self,
+        sensor_ids: Sequence[str],
+        qnames: Sequence[str],
+        rcodes: np.ndarray,
+        rtypes: np.ndarray,
+        timestamps: np.ndarray,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Batch :meth:`admit` for NXDomains given as observation-key columns.
+
+        Row ``i`` stands for the key ``(sensor_ids[i], qnames[i],
+        rcodes[i], rtypes[i], timestamps[i], counts[i])``, in arrival
+        order.  Returns the mask of rows that land; the window and
+        ``duplicates_suppressed`` end up exactly as after one
+        :meth:`admit` per row.
+
+        The window always holds the keys of the last ``DEDUP_WINDOW``
+        admissions, so a row is suppressed iff its key's latest
+        admission is among them.  Only rows whose key was seen before
+        (in the window or earlier in the batch) can be suppressed, so
+        only those are walked in order; every other row is admitted.
+        """
+        count = len(timestamps)
+        admitted = np.ones(count, dtype=bool)
+        if not self.deduplicate or count == 0:
+            return admitted
+        window = list(self._recent_keys)
+        held = len(window)
+        columns = [list(sensor_ids), list(qnames)] + [
+            np.asarray(column).tolist()
+            for column in (rcodes, rtypes, timestamps, counts)
+        ]
+        matrix = np.empty((held + count, len(columns)), dtype=np.int64)
+        for position, (past, batch) in enumerate(
+            zip(zip(*window) if window else [()] * len(columns), columns)
+        ):
+            values = list(past) + batch
+            if position < 2:
+                # Strings become dense codes (equal text, equal code).
+                codes = dict.fromkeys(values)
+                for code, text in enumerate(codes):
+                    codes[text] = code
+                values = list(map(codes.__getitem__, values))
+            matrix[:, position] = values
+        previous = _previous_occurrence(matrix)
+        fresh = previous[held:] < 0
+        candidates = np.flatnonzero(~fresh) + held
+        if len(candidates):
+            # Rank of an admission = admissions before it: window keys
+            # are admissions 0..held-1, and a batch row is preceded by
+            # the fresh rows before it plus the candidates admitted so
+            # far.
+            fresh_before = (np.cumsum(fresh) - fresh).tolist()
+            latest: Dict[int, int] = {}  # suppressed row -> latest admission
+            passed: List[int] = []  # admitted candidates, in order
+            suppressed: List[int] = []
+
+            def rank(position: int) -> int:
+                if position < held:
+                    return position
+                return (
+                    held
+                    + fresh_before[position - held]
+                    + bisect.bisect_left(passed, position)
+                )
+
+            for position, prior in zip(
+                candidates.tolist(), previous[candidates].tolist()
+            ):
+                source = latest.get(prior, prior)
+                if rank(source) >= rank(position) - self.DEDUP_WINDOW:
+                    suppressed.append(position - held)
+                    latest[position] = source
+                else:
+                    passed.append(position)
+            admitted[suppressed] = False
+            # Suppression state, not a row column: no generation-keyed
+            # cache reads the window or the counter.
+            self.duplicates_suppressed += len(suppressed)  # repro: noqa[REP204]
+        tail = np.flatnonzero(admitted)[-self.DEDUP_WINDOW :].tolist()
+        keep = self.DEDUP_WINDOW - len(tail)
+        recent: "OrderedDict[tuple, None]" = OrderedDict.fromkeys(
+            window[max(held - keep, 0) :]
+        )
+        recent.update(
+            dict.fromkeys(zip(*([column[i] for i in tail] for column in columns)))
+        )
+        self._recent_keys = recent  # repro: noqa[REP204]
+        return admitted
 
     def add(self, domain: DomainName, timestamp: int, count: int = 1) -> None:
         """Record ``count`` NXDomain responses for ``domain`` at ``timestamp``."""
@@ -1163,25 +1277,6 @@ class PassiveDnsDatabase:
         mask = (row_times >= start) & (row_times < end)
         offsets = (row_times[mask] - start) // SECONDS_PER_DAY
         np.add.at(series, offsets, row_counts[mask])
-        return series
-
-    def _daily_series_scan(
-        self, domain: DomainName, start: int, end: int
-    ) -> np.ndarray:
-        """Reference full-column masked scan of :meth:`daily_series_for`.
-
-        Kept as the correctness/benchmark baseline for the CSR index:
-        identical output, O(total rows) instead of O(domain rows).
-        """
-        domain_id = self._id_of.get(domain.registered_domain())
-        n_days = max((end - start) // SECONDS_PER_DAY, 0)
-        series = np.zeros(n_days, dtype=np.int64)
-        if domain_id is None or n_days == 0:
-            return series
-        ids, times, counts = self._columns()
-        mask = (ids == domain_id) & (times >= start) & (times < end)
-        offsets = (times[mask] - start) // SECONDS_PER_DAY
-        np.add.at(series, offsets, counts[mask])
         return series
 
     def high_traffic_domains(

@@ -10,8 +10,31 @@ dead-letter queue, and — optionally — a
 burst floods, duplicate and out-of-order delivery, subscriber crashes,
 and transient store failures along the way.
 
+Ingest is columnar.  :meth:`ResilientIngestPipeline.ingest_many` cuts
+its input into chunks (at most :data:`CHUNK_ROWS` observations, cut
+again at every ``checkpoint_every`` boundary) and runs each chunk as
+columns of names, times, counts, rcodes and sensors:
+
+1. bursts, drops and duplicates are masks over the chunk, each
+   injector drawing its uniforms as one vector;
+2. reorder is a depth-bounded release permutation over the pushes,
+   with the items still held carried into the next chunk;
+3. the channel filter (NXDomain only, no reverse lookups) is a mask;
+4. store failures and retries are one scan over the store injector's
+   draws, and the crash tap takes one draw per published row; rows
+   that exhaust their retries, and rows the tap crashes on, go to the
+   dead-letter queue;
+5. the dedup window admits the stored rows once, in arrival order,
+   and the admitted rows land through interned ids and ``add_batch``.
+
 Guarantees:
 
+- the result is identical to offering the observations one at a time
+  to a record-at-a-time pipeline (``tests/passivedns/reference.py``):
+  the store's fingerprint and domain intern order, the stats, the
+  channel counters, the injection log, the schedule's draw counters,
+  the dead letters and every checkpoint payload — whatever the chunk
+  cuts;
 - with no schedule (or a null plan) the output store is byte-identical
   to feeding the observations straight into a plain database;
 - every fault decision comes from the schedule's seeded streams, so a
@@ -33,29 +56,40 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from itertools import islice
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clock import SimClock
+from repro.dns.message import RCode
 from repro.dns.name import DomainName
-from repro.errors import ConfigError, TransientStoreError
+from repro.errors import ConfigError
+from repro.faults.injectors import InjectionEvent
 from repro.faults.plan import FaultSchedule
-from repro.passivedns.channel import DeliveryErrorPolicy, SieChannel
+from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import PathLike, load_checkpoint, save_checkpoint
 from repro.passivedns.record import DnsObservation
-from repro.rand import derive_seed, make_rng
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
 from repro.resilience.retry import RetryPolicy
 
 #: Store-write retry posture: four attempts absorb transient failure
 #: rates well past the sweep's 10% point (residual miss rate r**4),
 #: and whatever still slips through is recovered by dead-letter replay.
-DEFAULT_RETRY_POLICY = RetryPolicy(
-    max_attempts=4, base_delay=1.0, multiplier=2.0, max_delay=30.0, jitter=0.1
-)
+#: The pipeline reads only ``max_attempts``: it simulates no backoff.
+DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=4)
+
+#: Most observations one columnar chunk holds.
+CHUNK_ROWS = 1 << 15
+
+#: Context the crash injector reports for the analysis tap.
+_TAP = "analysis-tap"
+
+_NXDOMAIN = int(RCode.NXDOMAIN)
+
+#: One batch of events with their merge keys: (tick, sub, events).
+_EventBatch = Tuple[np.ndarray, np.ndarray, List[InjectionEvent]]
 
 
 @dataclass
@@ -83,28 +117,101 @@ class PipelineStats:
         return cls(**{k: int(v) for k, v in payload.items() if k in names})
 
 
+class _Names:
+    """Per-distinct-qname facts, computed once per pipeline.
+
+    Each distinct query name gets a dense id; its text, whether it is
+    a reverse lookup and its registered domain (itself deduplicated
+    into dense ids) are looked up by id instead of being recomputed
+    per row.  The table lives as long as the pipeline, so it grows
+    with the distinct names offered (rows held by the reorder buffer
+    refer to it across chunks).
+    """
+
+    def __init__(self) -> None:
+        self._id_of: Dict[DomainName, int] = {}
+        self.text: List[str] = []
+        self.reverse: List[bool] = []
+        self.registered_id: List[int] = []
+        self._registered_of: Dict[DomainName, int] = {}
+        self.registered: List[DomainName] = []
+
+    def ids(self, qnames: Sequence[DomainName]) -> np.ndarray:
+        lookup = self._id_of.get
+        ids = [lookup(qname) for qname in qnames]
+        if None in ids:
+            new = (qname for qname, qid in zip(qnames, ids) if qid is None)
+            for qname in dict.fromkeys(new):
+                self._add(qname)
+            ids = [lookup(qname) for qname in qnames]
+        return np.array(ids, dtype=np.int64)
+
+    def _add(self, qname: DomainName) -> None:
+        self._id_of[qname] = len(self.text)
+        self.text.append(str(qname))
+        self.reverse.append(qname.is_reverse_lookup())
+        registered = qname.registered_domain()
+        rid = self._registered_of.setdefault(registered, len(self.registered))
+        if rid == len(self.registered):
+            self.registered.append(registered)
+        self.registered_id.append(rid)
+
+
+@dataclass
+class _Rows:
+    """Observations as columns, one row per observation or delivery.
+
+    ``obs`` keeps each row's observation (burst-amplified where the
+    burst injector scaled its count) for the dead-letter queue.
+    """
+
+    obs: np.ndarray
+    qid: np.ndarray
+    time: np.ndarray
+    count: np.ndarray
+    rcode: np.ndarray
+    rtype: np.ndarray
+    sensor: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.qid)
+
+    def columns(self) -> List[np.ndarray]:
+        return list(vars(self).values())
+
+    def take(self, index: np.ndarray) -> "_Rows":
+        return _Rows(*(column[index] for column in self.columns()))
+
+    @classmethod
+    def concat(cls, first: "_Rows", second: "_Rows") -> "_Rows":
+        return cls(
+            *(
+                np.concatenate((a, b))
+                for a, b in zip(first.columns(), second.columns())
+            )
+        )
+
+
 class ResilientIngestPipeline:
     """A fault-absorbing channel-to-store pipeline.
 
-    Feed observations through :meth:`ingest` (or :meth:`ingest_many`),
-    then call :meth:`finish` to flush the reorder buffer and replay the
-    dead-letter queue.  The resulting store is ``pipeline.database``.
+    Feed observations through :meth:`ingest_many` (or :meth:`ingest`
+    for one), then call :meth:`finish` to flush the reorder buffer and
+    replay the dead-letter queue.  The resulting store is
+    ``pipeline.database``.
     """
 
     def __init__(
         self,
         schedule: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         dead_letter_capacity: int = 8192,
         deduplicate: bool = True,
-        clock: Optional[SimClock] = None,
         checkpoint_dir: Optional[PathLike] = None,
         checkpoint_every: int = 0,
         spill_dir: Optional[PathLike] = None,
         spill_faults: Optional[object] = None,
         spill_compact_threshold: int = 16,
-        fast_lane: bool = True,
     ) -> None:
         if checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative")
@@ -125,8 +232,6 @@ class ResilientIngestPipeline:
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        self.breaker = breaker
-        self.clock = clock
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.stats = PipelineStats()
@@ -138,169 +243,245 @@ class ResilientIngestPipeline:
             spill_faults=spill_faults,
             spill_compact_threshold=spill_compact_threshold,
         )
-        #: Batch fast lane: clean stretches between fault points run
-        #: admission control at arrival order but defer the row
-        #: appends into a pending batch that lands via ``add_batch``
-        #: at the next flush/checkpoint — vectorizing the per-row
-        #: store work without moving any fault, dedup, or checkpoint
-        #: boundary (see ``_flush_pending`` for the identity argument).
-        self.fast_lane = fast_lane
-        self._pending_domains: List[DomainName] = []
-        self._pending_times: List[int] = []
-        self._pending_counts: List[int] = []
-        self.channel = SieChannel(
-            error_policy=DeliveryErrorPolicy.DEAD_LETTER,
-            dead_letters=self.dead_letters,
-        )
-        self.channel.subscribe(self._store)
-        # Jitter for store-write backoff comes from its own derived
-        # stream so retry timing never perturbs injector decisions.
-        self._retry_rng = (
-            make_rng(derive_seed(schedule.seed, "retry-jitter"))
-            if schedule is not None
-            else None
-        )
-        if schedule is not None and schedule.plan.subscriber_crash_rate > 0:
-            # A crashing analysis tap exercises fan-out isolation and
-            # the dead-letter path without touching the store.
-            self.channel.subscribe(
-                schedule.crash.wrap(self._tap, context="analysis-tap")
-            )
+        #: The channel's filter and counters; the pipeline delivers the
+        #: rows that pass and dead-letters the failed deliveries itself.
+        self.channel = SieChannel()
+        self._names = _Names()
+        #: Rows of the items the reorder injector holds, in its order.
+        self._held = self._rows([])
 
     # -- ingest path -------------------------------------------------------
 
     def ingest(self, observation: DnsObservation) -> int:
         """Offer one observation; returns deliveries into the channel."""
-        self.stats.offered += 1
-        delivered = self._apply_faults(observation)
-        if (
-            self.checkpoint_every > 0
-            and self.stats.offered % self.checkpoint_every == 0
-        ):
-            self.checkpoint()
-        return delivered
+        return self.ingest_many([observation])
 
     def ingest_many(self, observations: Iterable[DnsObservation]) -> int:
         """Offer a whole stream; returns total channel deliveries."""
-        return sum(self.ingest(observation) for observation in observations)
-
-    def _apply_faults(self, observation: DnsObservation) -> int:
-        if self.schedule is None:
-            self.channel.publish(observation)
-            self.stats.delivered += 1
-            return 1
-        factor = self.schedule.burst.factor(observation.timestamp)
-        if factor > 1:
-            observation = dataclasses.replace(
-                observation, count=observation.count * factor
-            )
-            self.stats.burst_amplified += 1
-        if self.schedule.drop.should_drop(observation.timestamp):
-            self.stats.dropped += 1
-            return 0
-        copies = self.schedule.duplicate.copies(observation.timestamp)
-        if copies > 1:
-            self.stats.duplicates_delivered += copies - 1
+        source = iter(observations)
         delivered = 0
-        for _ in range(copies):
-            for released in self.schedule.reorder.push(observation):
-                self.channel.publish(released)
-                delivered += 1
-        self.stats.delivered += delivered
-        return delivered
+        while True:
+            size = CHUNK_ROWS
+            if self.checkpoint_every > 0:
+                size = min(
+                    size,
+                    self.checkpoint_every
+                    - self.stats.offered % self.checkpoint_every,
+                )
+            chunk = list(islice(source, size))
+            if not chunk:
+                return delivered
+            delivered += self._ingest_chunk(chunk)
+            if (
+                self.checkpoint_every > 0
+                and self.stats.offered % self.checkpoint_every == 0
+            ):
+                self.checkpoint()
 
-    # -- channel subscribers -----------------------------------------------
+    def _rows(self, observations: Sequence[DnsObservation]) -> _Rows:
+        count = len(observations)
 
-    def _store(self, observation: DnsObservation) -> None:
-        def attempt() -> None:
-            if self.schedule is not None:
-                self.schedule.store.check(str(observation.qname))
-            if self.fast_lane:
-                # The store-fault check above already ran for this
-                # attempt, so a buffered append can no longer fail —
-                # admission (NXDomain filter + dedup window) happens
-                # now, at arrival order, exactly as ingest() would.
-                if self.database.admit(observation):
-                    self._pending_domains.append(
-                        observation.registered_domain
-                    )
-                    self._pending_times.append(observation.timestamp)
-                    self._pending_counts.append(observation.count)
-            else:
-                self.database.ingest(observation)
+        def column(field: str, dtype: type = np.int64) -> np.ndarray:
+            values = map(attrgetter(field), observations)
+            return np.fromiter(values, dtype=dtype, count=count)
 
-        def count_retry(attempt_index: int, error: BaseException) -> None:
-            self.stats.store_retries += 1
+        return _Rows(
+            obs=np.fromiter(observations, dtype=object, count=count),
+            qid=self._names.ids(list(map(attrgetter("qname"), observations))),
+            time=column("timestamp"),
+            count=column("count"),
+            rcode=column("rcode"),
+            rtype=column("rtype"),
+            sensor=column("sensor_id", object),
+        )
 
-        def run() -> None:
-            self.retry_policy.run(
-                attempt,
-                clock=self.clock,
-                rng=self._retry_rng,
-                on_retry=count_retry,
+    def _ingest_chunk(self, observations: List[DnsObservation]) -> int:
+        """Run one chunk of offered observations through the faults.
+
+        Event merge keys: record ``i`` owns the ticks from ``base[i]``
+        (burst, drop, duplicate at ``+0``, ``+1``, ``+2``) through its
+        pushes (copy ``c`` at ``+3+c``), which is the order the
+        record-at-a-time path logs them in.
+        """
+        rows = self._rows(observations)
+        count = len(rows)
+        self.stats.offered += count
+        schedule = self.schedule
+        if schedule is None:
+            self.stats.delivered += count
+            self._log(self._publish(rows, np.zeros(count, dtype=np.int64)))
+            return count
+        batches: List[_EventBatch] = []
+        amplified, burst_events = schedule.burst.burst_mask(rows.time)
+        if burst_events:
+            rows.count[amplified] *= schedule.burst.multiplier
+            rows.obs[amplified] = [
+                dataclasses.replace(observation, count=scaled)
+                for observation, scaled in zip(
+                    rows.obs[amplified], rows.count[amplified].tolist()
+                )
+            ]
+            self.stats.burst_amplified += len(burst_events)
+        dropped, drop_events = schedule.drop.drop_mask(rows.time)
+        self.stats.dropped += len(drop_events)
+        kept = np.flatnonzero(~dropped)
+        doubled, duplicate_events = schedule.duplicate.copies_mask(rows.time[kept])
+        self.stats.duplicates_delivered += len(duplicate_events)
+        copies = np.zeros(count, dtype=np.int64)
+        copies[kept] = 1 + doubled
+        base = np.cumsum(3 + copies) - (3 + copies)
+        batches.append(self._keyed(base[amplified], burst_events))
+        batches.append(self._keyed(base[dropped] + 1, drop_events))
+        batches.append(self._keyed(base[kept[doubled]] + 2, duplicate_events))
+
+        pushed = np.repeat(np.arange(count), copies)
+        first_copy = np.repeat(np.cumsum(copies) - copies, copies)
+        push_tick = base[pushed] + 3 + np.arange(len(pushed)) - first_copy
+        held = len(self._held)
+        candidates = _Rows.concat(self._held, rows.take(pushed))
+        order, at, holds, hold_events = schedule.reorder.push_many(
+            candidates.obs[held:]
+        )
+        batches.append(self._keyed(push_tick[holds], hold_events))
+        still_held = np.ones(len(candidates), dtype=bool)
+        still_held[order] = False
+        self._held = candidates.take(np.flatnonzero(still_held))
+        self.stats.delivered += len(order)
+        batches.append(self._publish(candidates.take(order), push_tick[at]))
+        self._log(*batches)
+        return len(order)
+
+    @staticmethod
+    def _keyed(ticks: np.ndarray, events: List[InjectionEvent]) -> _EventBatch:
+        return ticks, np.zeros(len(events), dtype=np.int64), events
+
+    def _log(self, *batches: _EventBatch) -> None:
+        """Append event batches to the schedule's log in merge-key order."""
+        events = [event for _, _, batch in batches for event in batch]
+        if not events:
+            return
+        ticks = np.concatenate([batch[0] for batch in batches])
+        subs = np.concatenate([batch[1] for batch in batches])
+        order = np.lexsort((subs, ticks))
+        assert self.schedule is not None
+        self.schedule.log.extend(events[i] for i in order.tolist())
+
+    def _publish(self, rows: _Rows, ticks: np.ndarray) -> _EventBatch:
+        """Publish ``rows`` in order: filter, store, tap, land.
+
+        ``ticks`` are the rows' event merge keys; within a tick, events
+        order by publish position, then by attempt, with the tap's
+        crash after the store attempts.
+        """
+        names = self._names
+        reverse = np.array([names.reverse[q] for q in rows.qid.tolist()], dtype=bool)
+        published = np.flatnonzero(
+            self.channel.accept_many(rows.rcode == _NXDOMAIN, reverse)
+        )
+        stored = published
+        event_ticks = [np.empty(0, dtype=np.int64)]
+        event_subs = [np.empty(0, dtype=np.int64)]
+        events: List[InjectionEvent] = []
+        schedule = self.schedule
+        if schedule is not None and len(published):
+            attempts = self.retry_policy.max_attempts
+            contexts = [names.text[q] for q in rows.qid[published].tolist()]
+            failed, items, store_events = schedule.store.attempt_many(
+                contexts, attempts
             )
+            self.stats.store_retries += len(items) - int(failed.sum())
+            self.stats.store_failures += int(failed.sum())
+            attempt = np.arange(len(items)) - np.searchsorted(items, items)
+            event_ticks.append(ticks[published[items]])
+            event_subs.append(published[items] * (attempts + 1) + attempt)
+            events += store_events
+            crashed = np.zeros(len(published), dtype=bool)
+            if schedule.plan.subscriber_crash_rate > 0:
+                crashed, crash_events = schedule.crash.crash_mask(
+                    len(published), _TAP
+                )
+                hit = published[crashed]
+                event_ticks.append(ticks[hit])
+                event_subs.append(hit * (attempts + 1) + attempts)
+                events += crash_events
+            self._dead_letter(rows, published, failed, crashed, contexts)
+            stored = published[~failed]
+        self._land(rows.take(stored))
+        return np.concatenate(event_ticks), np.concatenate(event_subs), events
 
-        try:
-            if self.breaker is not None:
-                self.breaker.call(run, now=observation.timestamp)
-            else:
-                run()
-        except TransientStoreError:
-            self.stats.store_failures += 1
-            raise
+    def _dead_letter(
+        self,
+        rows: _Rows,
+        published: np.ndarray,
+        failed: np.ndarray,
+        crashed: np.ndarray,
+        contexts: List[str],
+    ) -> None:
+        """Quarantine failed deliveries, store failure before tap crash."""
+        assert self.schedule is not None
+        for item in np.flatnonzero(failed | crashed).tolist():
+            observation = rows.obs[published[item]]
+            errors = []
+            if failed[item]:
+                errors.append(self.schedule.store.failure(contexts[item]))
+            if crashed[item]:
+                errors.append(self.schedule.crash.failure(_TAP))
+            for error in errors:
+                self.channel.subscriber_errors += 1
+                self.dead_letters.push(
+                    observation,
+                    reason=f"subscriber failed: {error}",
+                    timestamp=observation.timestamp,
+                )
 
-    def _tap(self, observation: DnsObservation) -> None:
-        """The no-op analysis tap the crash injector wraps."""
+    def _land(self, rows: _Rows) -> None:
+        """Admit stored rows through the dedup window and append them."""
+        if not len(rows):
+            return
+        names = self._names
+        admitted = np.flatnonzero(
+            self.database.admit_many(
+                rows.sensor.tolist(),
+                [names.text[q] for q in rows.qid.tolist()],
+                rows.rcode,
+                rows.rtype,
+                rows.time,
+                rows.count,
+            )
+        )
+        if not len(admitted):
+            return
+        registered = np.array(
+            [names.registered_id[q] for q in rows.qid[admitted].tolist()],
+            dtype=np.int64,
+        )
+        # Intern in first-appearance order, as row-by-row adds would.
+        distinct, first, inverse = np.unique(
+            registered, return_index=True, return_inverse=True
+        )
+        appearance = np.argsort(first)
+        ids = np.empty(len(distinct), dtype=np.int64)
+        ids[appearance] = self.database.intern_many(
+            [names.registered[r] for r in distinct[appearance].tolist()]
+        )
+        self.database.add_batch(
+            ids[inverse.ravel()], rows.time[admitted], rows.count[admitted]
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
     def flush(self) -> int:
         """Release and deliver whatever the reorder buffer still holds."""
-        released = 0
-        if self.schedule is not None:
-            for observation in self.schedule.reorder.flush():
-                self.channel.publish(observation)
-                released += 1
-            self.stats.delivered += released
-        # Reorder releases above feed _store and may extend the
-        # pending batch; landing it last keeps insertion order equal
-        # to the record-at-a-time path.
-        self._flush_pending()
-        return released
-
-    def _flush_pending(self) -> int:
-        """Land the fast lane's pending batch via ``add_batch``.
-
-        Identity with the record-at-a-time path: admission (NXDomain
-        filter, dedup window, ``duplicates_suppressed``) already ran
-        per observation at arrival order inside ``_store``; the rows
-        buffered here are exactly the ones ``ingest`` would have
-        appended, in the same order.  ``intern_many`` assigns new ids
-        in first-appearance order and ``add_batch``'s scatter min/max/
-        sum reductions equal the sequential per-row updates, so the
-        resulting store — fingerprint, profiles, intern order —
-        is identical; only chunk-seal timing moves, which no content
-        hash observes.
-        """
-        if not self._pending_domains:
+        if self.schedule is None or not len(self._held):
             return 0
-        landed = len(self._pending_domains)
-        ids = self.database.intern_many(self._pending_domains)
-        self.database.add_batch(
-            ids,
-            np.asarray(self._pending_times, dtype=np.int64),
-            np.asarray(self._pending_counts, dtype=np.int64),
-        )
-        self._pending_domains = []
-        self._pending_times = []
-        self._pending_counts = []
-        return landed
+        self.schedule.reorder.flush()
+        released, self._held = self._held, self._rows([])
+        self.stats.delivered += len(released)
+        self._log(self._publish(released, np.zeros(len(released), dtype=np.int64)))
+        return len(released)
 
     def replay_dead_letters(self) -> ReplayStats:
         """Re-ingest quarantined observations (idempotent via dedup)."""
-        # Land the pending batch first so replayed rows append after
-        # the arrival-ordered ones, as they do on the record path.
-        self._flush_pending()
         replay = self.dead_letters.replay(self.database.ingest)
         self.stats.replay_recovered += replay.succeeded
         return replay
@@ -349,7 +530,7 @@ class ResilientIngestPipeline:
         """Reload the latest checkpoint, if any; returns the cursor.
 
         The caller should skip that many leading source events before
-        feeding the rest through :meth:`ingest`.
+        feeding the rest through :meth:`ingest_many`.
         """
         if self.checkpoint_dir is None:
             raise ConfigError("pipeline was built without a checkpoint_dir")
@@ -363,12 +544,6 @@ class ResilientIngestPipeline:
         )
         if state is None:
             return 0
-        # Pending fast-lane rows belong to the abandoned trajectory
-        # (every checkpoint flushes before snapshotting, so a loaded
-        # cursor never covers them).
-        self._pending_domains = []
-        self._pending_times = []
-        self._pending_counts = []
         self.database = state.database
         if self.schedule is not None:
             self.schedule.fast_forward(state.injector_counters)

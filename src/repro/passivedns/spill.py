@@ -484,12 +484,7 @@ class _VerifiedCache:
                 for key, value in sorted(self.entries.items())
             },
         }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return json.dumps(
-            {"payload": payload, "checksum": _crc32(encoded)},
-            sort_keys=True,
-            indent=1,
-        ).encode("utf-8")
+        return _envelope(payload)
 
 
 class _QuarantineSink:
@@ -1021,14 +1016,8 @@ class SpillStore:
             ],
             "meta": dict(meta),
         }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        document = json.dumps(
-            {"payload": payload, "checksum": _crc32(encoded)},
-            sort_keys=True,
-            indent=1,
-        ).encode("utf-8")
         name = f"manifest-{generation:07d}.json"
-        self._io.write_atomic(self.directory / name, document)
+        self._io.write_atomic(self.directory / name, _envelope(payload))
         return name
 
     def commit(self, meta: Optional[Dict[str, Any]] = None) -> int:
@@ -1304,14 +1293,9 @@ class SpillStore:
             "format": 1,
             "entries": {key: entries[key] for key in sorted(entries)},
         }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-        document = json.dumps(
-            {"payload": payload, "checksum": _crc32(encoded)},
-            sort_keys=True,
-            indent=1,
-        ).encode("utf-8")
         self._io.write_atomic(
-            self.directory / "quarantine" / QUARANTINE_INDEX_NAME, document
+            self.directory / "quarantine" / QUARANTINE_INDEX_NAME,
+            _envelope(payload),
         )
 
     def _update_quarantine_index(
@@ -1425,6 +1409,21 @@ def _quarantine(path: Path, quarantine_dir: Path) -> Path:
         target = quarantine_dir / f"{path.name}.{suffix}"
     os.replace(path, target)
     return target
+
+
+def _envelope(payload: Dict[str, Any]) -> bytes:
+    """A self-checksummed JSON document around ``payload``.
+
+    The checksum covers the canonical encoding (sorted keys, default
+    separators), which readers recompute from the parsed payload, so
+    a document verifies whatever its layout.  Documents are written
+    compact: indentation forces the pure-Python encoder, which costs
+    several times the C one on a manifest carrying a dedup window.
+    """
+    encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return json.dumps(
+        {"payload": payload, "checksum": _crc32(encoded)}, sort_keys=True
+    ).encode("utf-8")
 
 
 def _parse_manifest(data: bytes) -> _Manifest:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -126,14 +127,14 @@ def replay_with_checkpoints(
         spill_compact_threshold=spill_compact_threshold,
     )
     cursor = pipeline.resume()
-    for index, observation in enumerate(trace.nx_db.iter_observations()):
-        if index < cursor:
-            continue
-        pipeline.ingest(observation)
-        if (
-            stop_after is not None
-            and pipeline.stats.offered - cursor >= stop_after
-        ):
+    remaining = islice(trace.nx_db.iter_observations(), cursor, None)
+    if stop_after is None:
+        pipeline.ingest_many(remaining)
+    else:
+        # At least one observation goes in before an interruption.
+        limit = max(stop_after, 1)
+        pipeline.ingest_many(islice(remaining, limit))
+        if pipeline.stats.offered - cursor >= limit:
             pipeline.checkpoint()
             return None, pipeline.stats
     stats = pipeline.finish()

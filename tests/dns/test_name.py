@@ -162,3 +162,40 @@ class TestProperties:
     @given(names)
     def test_depth_matches_labels(self, name):
         assert name.depth == len(name.labels)
+
+
+class TestDerivedNames:
+    """``registered_domain``/``parent`` skip re-validation of label
+    suffixes; the public constructors still validate."""
+
+    @given(st.lists(labels, min_size=1, max_size=6))
+    def test_registered_domain_matches_parsing_the_suffix(self, parts):
+        name = DomainName(".".join(parts))
+        expected = DomainName(".".join(parts[-2:]))
+        assert name.registered_domain() == expected
+        assert name.registered_domain().labels == expected.labels
+        assert hash(name.registered_domain()) == hash(expected)
+
+    @given(st.lists(labels, min_size=1, max_size=6))
+    def test_parent_matches_parsing_the_suffix(self, parts):
+        name = DomainName(".".join(parts))
+        parent = name.parent()
+        if len(parts) == 1:
+            assert parent.is_root
+        else:
+            assert parent == DomainName(".".join(parts[1:]))
+
+    @pytest.mark.parametrize(
+        "bad", [("",), ("bad label", "com"), ("-x", "com"), ("a" * 64, "com")]
+    )
+    def test_from_labels_still_rejects_bad_labels(self, bad):
+        with pytest.raises(DomainNameError):
+            DomainName.from_labels(bad)
+
+    def test_from_labels_and_child_still_lowercase(self):
+        assert DomainName.from_labels(("WWW", "Example", "COM")) == DomainName(
+            "www.example.com"
+        )
+        assert DomainName("example.com").child("WWW").labels[0] == "www"
+        with pytest.raises(DomainNameError):
+            DomainName("example.com").child("bad label")

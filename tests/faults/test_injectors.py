@@ -1,5 +1,6 @@
 """Unit tests for the individual fault injectors."""
 
+import numpy as np
 import pytest
 
 from repro.clock import SECONDS_PER_DAY, STUDY_START, date_to_epoch
@@ -335,3 +336,131 @@ def test_overload_plan_schedules_serving_injectors():
     second = [replay.slow_worker.delay(f"q{i}") for i in range(64)]
     assert first == second
     assert schedule.query_burst_windows == replay.query_burst_windows
+
+
+# -- vector draws and batch decisions ------------------------------------------
+
+
+def test_vector_draws_equal_scalar_draws():
+    """``rng.random(n)`` reproduces n scalar ``rng.random()`` draws, the
+    property every batch decision and ``fast_forward`` rely on."""
+    scalar = make_rng(21)
+    vector = make_rng(21)
+    expected = [scalar.random() for _ in range(1_000)]
+    got = list(vector.random(3)) + list(vector.random(997))
+    assert got == expected
+
+
+@pytest.mark.parametrize("skip", [0, 1, 5, 70_000])
+def test_fast_forward_then_draw_matches_uninterrupted(skip):
+    """Skipping in bounded vector chunks lands on the same stream state."""
+    plan = FaultPlan(drop_rate=0.5)
+    straight = plan.schedule(8)
+    for _ in range(skip):
+        straight.drop.should_drop(T0)
+    resumed = plan.schedule(8)
+    resumed.fast_forward({"drop": skip})
+    assert resumed.counters() == straight.counters()
+    tail = [resumed.drop.should_drop(T0) for _ in range(50)]
+    assert tail == [straight.drop.should_drop(T0) for _ in range(50)]
+
+
+def _twin_schedules(plan, seed):
+    return plan.schedule(seed), plan.schedule(seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_decisions_match_scalar(seed):
+    rng = make_rng(100 + seed)
+    plan = FaultPlan(
+        drop_rate=0.3,
+        dropout_windows=3,
+        dropout_window_days=1.0,
+        duplicate_rate=0.4,
+        burst_episodes=3,
+        burst_days=1.5,
+        subscriber_crash_rate=0.3,
+        horizon_start=T0,
+        horizon_end=T0 + 6 * SECONDS_PER_DAY,
+    )
+    scalar, batch = _twin_schedules(plan, seed)
+    for _ in range(3):
+        times = T0 + rng.integers(0, 6 * SECONDS_PER_DAY, size=int(rng.integers(0, 40)))
+        expected = [scalar.burst.factor(t) > 1 for t in times.tolist()]
+        amplified, events = batch.burst.burst_mask(times)
+        batch.log.extend(events)
+        assert amplified.tolist() == expected
+        expected = [scalar.drop.should_drop(t) for t in times.tolist()]
+        dropped, events = batch.drop.drop_mask(times)
+        batch.log.extend(events)
+        assert dropped.tolist() == expected
+        expected = [scalar.duplicate.copies(t) == 2 for t in times.tolist()]
+        doubled, events = batch.duplicate.copies_mask(times)
+        batch.log.extend(events)
+        assert doubled.tolist() == expected
+        expected = []
+        for _ in times:
+            try:
+                scalar.crash.maybe_crash("tap")
+                expected.append(False)
+            except InjectedFaultError:
+                expected.append(True)
+        crashed, events = batch.crash.crash_mask(len(times), "tap")
+        batch.log.extend(events)
+        assert crashed.tolist() == expected
+    assert batch.log.lines() == scalar.log.lines()
+    assert batch.summary() == scalar.summary()
+    assert batch.counters() == scalar.counters()
+    assert batch.drop.window_drops == scalar.drop.window_drops
+    assert batch.drop.random_drops == scalar.drop.random_drops
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_push_many_matches_push(seed):
+    rng = make_rng(seed)
+    plan = FaultPlan(
+        reorder_rate=float(rng.choice([0.0, 0.3, 0.8, 1.0])),
+        reorder_depth=int(rng.integers(1, 6)),
+    )
+    scalar, batch = _twin_schedules(plan, seed)
+    released, batched = [], []
+    serial = 0
+    for size in rng.integers(0, 30, size=4).tolist():
+        items = list(range(serial, serial + size))
+        serial += size
+        for push, item in enumerate(items):
+            released += [(out, push) for out in scalar.reorder.push(item)]
+        candidates = list(batch.reorder._held) + items
+        order, at, holds, events = batch.reorder.push_many(items)
+        batch.log.extend(events)
+        batched += [(candidates[p], k) for p, k in zip(order.tolist(), at.tolist())]
+        assert batch.reorder.held == scalar.reorder.held
+    assert batched == released
+    assert batch.reorder.flush() == scalar.reorder.flush()
+    assert batch.log.lines() == scalar.log.lines()
+    assert batch.counters() == scalar.counters()
+
+
+@pytest.mark.parametrize("attempts", [1, 2, 4])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.7, 1.0])
+def test_attempt_many_matches_retried_check(attempts, rate):
+    plan = FaultPlan(store_failure_rate=rate)
+    scalar, batch = _twin_schedules(plan, 13)
+    for size in (0, 1, 37, 5):
+        contexts = [f"name{i}" for i in range(size)]
+        expected = []
+        for context in contexts:
+            failures = 0
+            while failures < attempts:
+                try:
+                    scalar.store.check(context)
+                    break
+                except TransientStoreError:
+                    failures += 1
+            expected.append((failures, failures == attempts))
+        failed, items, events = batch.store.attempt_many(contexts, attempts)
+        batch.log.extend(events)
+        failures = np.bincount(items, minlength=size)
+        assert list(zip(failures.tolist(), failed.tolist())) == expected
+    assert batch.log.lines() == scalar.log.lines()
+    assert batch.counters() == scalar.counters()

@@ -12,6 +12,7 @@ from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.sampling import sample_domains, scale_up
 from repro.rand import make_rng
+from tests.passivedns.reference import daily_series_scan
 
 DAY = SECONDS_PER_DAY
 D1 = DomainName("alpha.com")
@@ -315,8 +316,68 @@ class TestIndexedSeries:
             domain = DomainName(f"d{domain_index}.com")
             np.testing.assert_array_equal(
                 db.daily_series_for(domain, start, end),
-                db._daily_series_scan(domain, start, end),
+                daily_series_scan(db, domain, start, end),
             )
+
+
+_KEY_ROWS = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 3)),
+    max_size=60,
+)
+
+
+def _key_observation(sensor, name, time):
+    return DnsObservation(
+        qname=DomainName(f"d{name}.com"),
+        rcode=RCode.NXDOMAIN,
+        timestamp=time,
+        sensor_id=f"s{sensor}",
+        count=1 + time % 2,
+    )
+
+
+class TestBatchAdmit:
+    """``admit_many`` over batches ≡ one ``admit`` per observation."""
+
+    def _check(self, rows, window, cuts):
+        observations = [_key_observation(*row) for row in rows]
+        scalar = PassiveDnsDatabase(deduplicate=True)
+        batched = PassiveDnsDatabase(deduplicate=True)
+        for db in (scalar, batched):
+            db.DEDUP_WINDOW = window
+        expected = [scalar.admit(o) for o in observations]
+        got = []
+        bounds = sorted({0, len(observations), *cuts})
+        for lo, hi in zip(bounds, bounds[1:]):
+            batch = observations[lo:hi]
+            got += batched.admit_many(
+                [o.sensor_id for o in batch],
+                [str(o.qname) for o in batch],
+                np.array([int(o.rcode) for o in batch], dtype=np.int64),
+                np.array([int(o.rtype) for o in batch], dtype=np.int64),
+                np.array([o.timestamp for o in batch], dtype=np.int64),
+                np.array([o.count for o in batch], dtype=np.int64),
+            ).tolist()
+        assert got == expected
+        assert batched.recent_keys() == scalar.recent_keys()
+        assert batched.duplicates_suppressed == scalar.duplicates_suppressed
+
+    @given(
+        _KEY_ROWS,
+        st.integers(1, 6),
+        st.lists(st.integers(0, 60), max_size=4),
+    )
+    def test_matches_scalar_admit(self, rows, window, cuts):
+        self._check(rows, window, cuts)
+
+    def test_mix_collisions_fall_back_to_exact_grouping(self, monkeypatch):
+        """Every row sharing one mix must still group exactly."""
+        from repro.passivedns import database as database_mod
+
+        monkeypatch.setattr(database_mod, "_mix64", lambda x: x.fill(0))
+        rng = make_rng(4)
+        rows = [tuple(int(v) for v in row) for row in rng.integers(0, 4, (80, 3))]
+        self._check(rows, window=5, cuts=[17, 40])
 
 
 class TestDedupWindow:

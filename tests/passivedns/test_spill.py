@@ -134,6 +134,31 @@ class TestSpillStoreBasics:
         assert np.array_equal(got_times, ids * 7)
         assert np.array_equal(got_counts, ids + 1)
 
+    def test_indented_documents_still_open_and_verify(self, tmp_path):
+        """Self-checksummed JSON is written compact, but the checksum
+        covers the canonical payload encoding, so documents in the
+        older indented layout still open, warm and paranoid."""
+        root = tmp_path / "s"
+        db = PassiveDnsDatabase(spill_dir=root)
+        _fill(db, rounds=1)
+        expected = db.fingerprint()
+        PassiveDnsDatabase(spill_dir=root)  # leaves a verified-at cache
+        documents = sorted(root.glob("manifest-*.json")) + [root / "verified.json"]
+        for path in documents:
+            assert b"\n" not in path.read_bytes()
+            document = json.loads(path.read_bytes())
+            path.write_bytes(
+                json.dumps(document, sort_keys=True, indent=1).encode("utf-8")
+            )
+        warm = PassiveDnsDatabase(spill_dir=root)
+        assert warm.spill.last_recovery.clean()
+        assert warm.spill.last_recovery.verified_cache == "loaded"
+        assert warm.fingerprint() == expected
+        paranoid = PassiveDnsDatabase(spill_dir=root, spill_paranoid=True)
+        assert paranoid.spill.last_recovery.clean()
+        assert paranoid.spill.last_recovery.segments_crc_streamed > 0
+        assert paranoid.fingerprint() == expected
+
     def test_uncommitted_segment_is_quarantined_on_reopen(self, tmp_path):
         store = SpillStore.open(tmp_path / "s")
         ids = np.arange(5, dtype=np.int64)
