@@ -15,7 +15,7 @@ import numpy as np
 from repro.blocklist.categories import PAPER_CATEGORY_SHARES, ThreatCategory
 from repro.blocklist.store import BlocklistEntry, BlocklistStore
 from repro.dns.name import DomainName
-from repro.rand import weighted_choice
+from repro.rand import WeightedTable
 from repro.errors import ConfigError
 
 
@@ -38,12 +38,13 @@ class FeedGenerator:
         if total <= 0:
             raise ConfigError("category shares must sum to a positive value")
         self._rng = rng
-        self._categories = [category for category, _ in shares]
-        self._weights = [weight for _, weight in shares]
+        self._table = WeightedTable.from_weights(
+            [category for category, _ in shares], [weight for _, weight in shares]
+        )
 
     def assign_category(self, domain: DomainName) -> ThreatCategory:
         """Draw a category from the configured priors."""
-        return weighted_choice(self._rng, self._categories, self._weights)
+        return self._table.draw(self._rng)
 
     def entries_for(
         self, domains: Iterable[DomainName], listed_at: int = 0

@@ -268,13 +268,10 @@ def cmd_security(args: argparse.Namespace) -> int:
     inapp = security_mod.inapp_browser_distribution(result)
     print(reports.render_figure13(inapp, security_mod.inapp_shape_checks(inapp)))
     print()
-    print(
-        reports.render_figure14(security_mod.botnet_country_distribution(result))
-    )
+    botnet = security_mod.botnet_victim_analysis(result)
+    print(reports.render_figure14(botnet.country_histogram))
     print()
-    print(
-        reports.render_figure15(security_mod.botnet_hostname_distribution(result))
-    )
+    print(reports.render_figure15(botnet.hostname_histogram))
     return 0
 
 

@@ -289,6 +289,19 @@ def email_crawler_breakdown(
     )
 
 
+def _search_engine_histograms(
+    result: SecurityRunResult,
+) -> Dict[str, Dict[str, int]]:
+    """Crawler-service counts of search-engine traffic, per lowercased host."""
+    by_host: Dict[str, Dict[str, int]] = {}
+    for item in result.categorized:
+        if item.subcategory == Subcategory.SEARCH_ENGINE:
+            histogram = by_host.setdefault(item.request.host.lower(), {})
+            name = item.agent_name or "unknown"
+            histogram[name] = histogram.get(name, 0) + 1
+    return by_host
+
+
 def search_engine_breakdown(
     result: SecurityRunResult, domain: str
 ) -> Dict[str, int]:
@@ -298,15 +311,7 @@ def search_engine_breakdown(
     crawled predominantly by mail.ru/Yandex, US-hosted ones by
     Google/Bing.
     """
-    lowered = domain.lower()
-    histogram: Dict[str, int] = {}
-    for item in result.categorized:
-        if (
-            item.request.host.lower() == lowered
-            and item.subcategory == Subcategory.SEARCH_ENGINE
-        ):
-            name = item.agent_name or "unknown"
-            histogram[name] = histogram.get(name, 0) + 1
+    histogram = _search_engine_histograms(result).get(domain.lower(), {})
     return dict(sorted(histogram.items(), key=lambda kv: kv[1], reverse=True))
 
 
@@ -315,13 +320,15 @@ def regional_correlation_checks(result: SecurityRunResult) -> Dict[str, bool]:
 
     Aggregated over all domains of each region — most individual
     non-Russian domains receive only a handful of search-engine visits
-    at laptop scales.
+    at laptop scales.  One pass groups the search-engine traffic by
+    host; each region then sums its domains' histograms.
     """
     regions = {p.domain: p.region for p in registered_domain_profiles()}
+    by_host = _search_engine_histograms(result)
     ru_histogram: Dict[str, int] = {}
     us_histogram: Dict[str, int] = {}
     for domain, region in regions.items():
-        histogram = search_engine_breakdown(result, domain)
+        histogram = by_host.get(domain.lower(), {})
         target = ru_histogram if region == "ru" else us_histogram
         for name, count in histogram.items():
             target[name] = target.get(name, 0) + count

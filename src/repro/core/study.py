@@ -229,6 +229,9 @@ class NxdomainStudy:
         security = self.run_security_analysis()
         ports = security_mod.port_distribution(security)
         inapp = security_mod.inapp_browser_distribution(security)
+        # Figures 14 and 15 read one parse of the botnet stream; each
+        # render re-parses it (nothing is cached across renders).
+        botnet = security_mod.botnet_victim_analysis(security)
         sections = [
             f"NXDomain study (seed={self.seed}) — "
             f"{scale.total_responses:,} responses over "
@@ -248,11 +251,7 @@ class NxdomainStudy:
             reports.render_figure13(
                 inapp, security_mod.inapp_shape_checks(inapp)
             ),
-            reports.render_figure14(
-                security_mod.botnet_country_distribution(security)
-            ),
-            reports.render_figure15(
-                security_mod.botnet_hostname_distribution(security)
-            ),
+            reports.render_figure14(botnet.country_histogram),
+            reports.render_figure15(botnet.hostname_histogram),
         ]
         return "\n\n".join(sections)

@@ -15,10 +15,11 @@ import numpy as np
 
 from repro.dns.name import DomainName
 from repro.dga.wordlists import ADJECTIVES, BRAND_SUFFIXES, NOUNS, VERBS
-from repro.rand import weighted_choice
+from repro.rand import WeightedTable
 
 _TLD_POOL = ("com", "net", "org", "info", "io", "co")
 _TLD_WEIGHTS = (50, 14, 10, 4, 3, 3)
+_TLD_TABLE = WeightedTable.from_weights(_TLD_POOL, _TLD_WEIGHTS)
 
 _FIRST_NAMES = (
     "alex", "maria", "john", "wei", "olga", "ivan", "sara", "juan", "li",
@@ -48,7 +49,7 @@ def benign_label(rng: np.random.Generator) -> str:
 
 def benign_domain(rng: np.random.Generator) -> DomainName:
     """One benign registrable domain under a realistic TLD mix."""
-    tld = weighted_choice(rng, _TLD_POOL, _TLD_WEIGHTS)
+    tld = _TLD_TABLE.draw(rng)
     return DomainName(f"{benign_label(rng)}.{tld}")
 
 

@@ -11,6 +11,13 @@ Referral            Search Engine / Embedded URL / Malicious Link
 User Visit          PC & Mobile / In-App Browser
 Others              (everything unattributable)
 ==================  ======================================
+
+A run sees a few dozen distinct User-Agents and a few thousand
+distinct URIs spread over tens of thousands of requests, so each
+:class:`TrafficCategorizer` parses a User-Agent string once and its
+:class:`~repro.honeypot.nvd.VulnerabilityDatabase` judges a
+(path, query) once.  Both memos belong to their instance and die with
+it; nothing is shared across categorizers.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.honeypot.http import PAGE_EXTENSIONS, HttpRequest
 from repro.honeypot.nvd import VulnerabilityDatabase
 from repro.honeypot.reverse_ip import ReverseIpTable
-from repro.honeypot.useragent import AgentKind, parse_user_agent
+from repro.honeypot.useragent import AgentKind, UserAgentInfo, parse_user_agent
 from repro.honeypot.webfilter import ReferralKind, WebFilter
 
 
@@ -94,6 +101,14 @@ class TrafficCategorizer:
         self.nvd = nvd if nvd is not None else VulnerabilityDatabase()
         self.reverse_ip = reverse_ip if reverse_ip is not None else ReverseIpTable()
         self.web_filter = web_filter if web_filter is not None else WebFilter()
+        self._agents: Dict[str, UserAgentInfo] = {}
+
+    def _agent(self, user_agent: str) -> UserAgentInfo:
+        """``parse_user_agent``, once per distinct string."""
+        agent = self._agents.get(user_agent)
+        if agent is None:
+            agent = self._agents[user_agent] = parse_user_agent(user_agent)
+        return agent
 
     def categorize(self, request: HttpRequest) -> CategorizedRequest:
         """Classify one request."""
@@ -108,7 +123,7 @@ class TrafficCategorizer:
             return CategorizedRequest(request, Category.REFERRAL, subcategory)
 
         # ② User-Agent.
-        agent = parse_user_agent(request.user_agent)
+        agent = self._agent(request.user_agent)
         if agent.kind in (AgentKind.CRAWLER, AgentKind.EMAIL_CRAWLER):
             return CategorizedRequest(
                 request, Category.WEB_CRAWLER, self._crawler_subtype(request),
@@ -142,9 +157,7 @@ class TrafficCategorizer:
             )
 
         # ③ Requested URL: no usable UA — decide on the URI alone.
-        if self.nvd.is_sensitive(request.path) or self.nvd.has_suspicious_query(
-            request.query_parameters()
-        ):
+        if self.nvd.is_malicious_uri(request.path, request.query):
             return CategorizedRequest(
                 request, Category.AUTOMATED, Subcategory.MALICIOUS_REQUEST
             )
@@ -174,13 +187,12 @@ class TrafficCategorizer:
         categorized = [self.categorize(request) for request in requests]
         if stream_threshold is None:
             return categorized
+        keys = [(item.request.src_ip, item.request.uri) for item in categorized]
         pair_counts: Dict[tuple, int] = {}
-        for item in categorized:
-            key = (item.request.src_ip, item.request.uri)
+        for key in keys:
             pair_counts[key] = pair_counts.get(key, 0) + 1
         reclassified = []
-        for item in categorized:
-            key = (item.request.src_ip, item.request.uri)
+        for item, key in zip(categorized, keys):
             if (
                 item.category == Category.USER_VISIT
                 and pair_counts[key] >= stream_threshold
@@ -204,9 +216,7 @@ class TrafficCategorizer:
         return Subcategory.FILE_GRABBER
 
     def _automated_subtype(self, request: HttpRequest) -> Subcategory:
-        if self.nvd.is_sensitive(request.path) or self.nvd.has_suspicious_query(
-            request.query_parameters()
-        ):
+        if self.nvd.is_malicious_uri(request.path, request.query):
             return Subcategory.MALICIOUS_REQUEST
         return Subcategory.SCRIPT_SOFTWARE
 

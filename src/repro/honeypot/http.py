@@ -96,15 +96,7 @@ class HttpRequest:
 
     def query_parameters(self) -> Dict[str, str]:
         """Parsed query-string parameters (last occurrence wins)."""
-        params: Dict[str, str] = {}
-        if not self.query:
-            return params
-        for pair in self.query.split("&"):
-            if not pair:
-                continue
-            key, _, value = pair.partition("=")
-            params[key] = value
-        return params
+        return parse_query(self.query)
 
     def to_packet(self) -> PacketRecord:
         """The transport-level shadow of this request."""
@@ -115,6 +107,19 @@ class HttpRequest:
             transport=Transport.TCP,
             payload_size=len(self.uri) + len(self.user_agent) + 64,
         )
+
+
+def parse_query(query: str) -> Dict[str, str]:
+    """Parameters of a raw query string (last occurrence wins)."""
+    params: Dict[str, str] = {}
+    if not query:
+        return params
+    for pair in query.split("&"):
+        if not pair:
+            continue
+        key, _, value = pair.partition("=")
+        params[key] = value
+    return params
 
 
 #: Extensions the categorizer treats as HTML page requests (search

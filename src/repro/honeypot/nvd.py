@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Tuple
 
+from repro.honeypot.http import parse_query
+
 
 class Severity(enum.IntEnum):
     """CVSS v3 qualitative bands (ordered)."""
@@ -76,7 +78,12 @@ SUSPICIOUS_PARAMETERS: Tuple[str, ...] = (
 
 
 class VulnerabilityDatabase:
-    """Severity lookups over requested URIs."""
+    """Severity lookups over requested URIs.
+
+    :meth:`is_malicious_uri` remembers its verdict per distinct
+    (path, query) for the life of this instance; :meth:`add` forgets
+    them all, since a new entry can flip any of them.
+    """
 
     def __init__(
         self,
@@ -85,6 +92,7 @@ class VulnerabilityDatabase:
     ) -> None:
         self._files = dict(files) if files is not None else dict(SENSITIVE_FILES)
         self._segments = segments if segments is not None else SENSITIVE_SEGMENTS
+        self._verdicts: Dict[Tuple[str, str], bool] = {}
 
     def severity_of(self, path: str) -> Severity:
         """Worst severity associated with a URI path."""
@@ -108,9 +116,24 @@ class VulnerabilityDatabase:
             name.lower() in SUSPICIOUS_PARAMETERS for name in query_parameters
         )
 
+    def is_malicious_uri(self, path: str, query: str) -> bool:
+        """§6.2 step ③: a sensitive path or a suspicious query parameter.
+
+        ``query`` is the raw query string without the leading ``?``.
+        """
+        key = (path, query)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self.is_sensitive(path) or self.has_suspicious_query(
+                parse_query(query)
+            )
+            self._verdicts[key] = verdict
+        return verdict
+
     def add(self, filename: str, severity: Severity) -> None:
         """Extend the database (feeds in real deployments update it)."""
         self._files[filename] = severity
+        self._verdicts.clear()
 
     def __len__(self) -> int:
         return len(self._files)

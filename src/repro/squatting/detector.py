@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dns.name import DomainName
 from repro.squatting.bit import is_bitsquat
@@ -22,7 +22,7 @@ from repro.squatting.combo import is_combosquat
 from repro.squatting.dot import is_dotsquat
 from repro.squatting.homo import is_homosquat
 from repro.squatting.targets import PopularDomains
-from repro.squatting.typo import is_typosquat
+from repro.squatting.typo import _variant_labels
 
 
 class SquattingType(enum.Enum):
@@ -54,14 +54,14 @@ class SquattingDetector:
 
     def __init__(self, targets: Optional[PopularDomains] = None) -> None:
         self.targets = targets if targets is not None else PopularDomains.default()
-        # Prefilter index: brand labels by first character and length
-        # band keep the per-candidate work proportional to plausible
-        # targets, not the whole list.
+        #: Typo variant labels per target label, built on first use and
+        #: kept for this detector's lifetime only.
+        self._typo_labels: Dict[str, Set[str]] = {}
         self._checks = (
             (SquattingType.HOMO, is_homosquat),
             (SquattingType.DOT, is_dotsquat),
             (SquattingType.COMBO, is_combosquat),
-            (SquattingType.TYPO, is_typosquat),
+            (SquattingType.TYPO, self._is_typosquat),
             (SquattingType.BIT, is_bitsquat),
         )
 
@@ -74,6 +74,18 @@ class SquattingDetector:
                 if predicate(candidate, target):
                     return SquattingMatch(candidate, squat_type, target)
         return None
+
+    def _is_typosquat(self, candidate: DomainName, target: DomainName) -> bool:
+        """:func:`~repro.squatting.typo.is_typosquat`, with each
+        target's variant set generated once per detector."""
+        candidate = candidate.registered_domain()
+        target = target.registered_domain()
+        if candidate.tld != target.tld or candidate == target:
+            return False
+        labels = self._typo_labels.get(target.sld)
+        if labels is None:
+            labels = self._typo_labels[target.sld] = _variant_labels(target.sld)
+        return candidate.sld in labels
 
     def classify_many(
         self, candidates: Iterable[DomainName]

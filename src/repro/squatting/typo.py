@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.dns.name import DomainName
+from repro.dns.name import _LABEL_RE, MAX_LABEL_LENGTH, DomainName
 from repro.errors import DomainNameError
 
 #: QWERTY adjacency, lowercase letters and digits.
@@ -61,15 +61,22 @@ def _variant_labels(label: str) -> Set[str]:
 
 
 def typosquat_variants(target: DomainName) -> List[DomainName]:
-    """All single-keystroke typo domains for ``target`` (same TLD)."""
+    """All single-keystroke typo domains for ``target`` (same TLD).
+
+    Variant labels are built from the target's own characters and
+    QWERTY neighbours, so they are lowercase and dot-free; a label is
+    a valid name under the target's (valid) TLD exactly when it fits
+    the label length and pattern.  Labels that fail — a hyphen moved
+    to an edge, an underscore moved inside, a 64th character — are
+    skipped, as parsing them would reject them.
+    """
     target = target.registered_domain()
-    results = []
-    for label in sorted(_variant_labels(target.sld)):
-        try:
-            results.append(DomainName(f"{label}.{target.tld}"))
-        except DomainNameError:
-            continue  # e.g. hyphen moved to an edge
-    return results
+    tld = target.tld
+    return [
+        DomainName._from_valid((label, tld))
+        for label in sorted(_variant_labels(target.sld))
+        if len(label) <= MAX_LABEL_LENGTH and _LABEL_RE.match(label)
+    ]
 
 
 #: TLD typo targets: (intended TLD, mistyped TLDs actually registered

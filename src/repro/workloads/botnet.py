@@ -21,6 +21,7 @@ from repro.honeypot.http import HttpRequest
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.workloads.ipspace import make_pool
 from repro.errors import ConfigError
+from repro.rand import WeightedTable
 
 BOTNET_USER_AGENT = "Apache-HttpClient/UNAVAILABLE (java 1.4)"
 TASK_PATH = "/getTask.php"
@@ -72,6 +73,24 @@ PROXY_POOLS: Tuple[Tuple[str, float], ...] = (
     ("ovh-cloud", 5.9),
 )
 
+#: Samplers over the three pools.  Each keeps the normalization its
+#: original ``rng.choice(p=...)`` call used (the countries by Python
+#: ``sum``, the others by ``ndarray.sum``), so the CDFs — and therefore
+#: every seeded draw — are bit-identical to it.
+_COUNTRY_TABLE = WeightedTable(
+    COUNTRY_CODES,
+    np.asarray([w for *_, w in COUNTRY_CODES])
+    / sum(w for *_, w in COUNTRY_CODES),
+)
+_MODEL_WEIGHTS = np.asarray([w for _, w in PHONE_MODELS])
+_MODEL_TABLE = WeightedTable(
+    [m for m, _ in PHONE_MODELS], _MODEL_WEIGHTS / _MODEL_WEIGHTS.sum()
+)
+_PROXY_WEIGHTS = np.asarray([w for _, w in PROXY_POOLS])
+_PROXY_TABLE = WeightedTable(
+    [n for n, _ in PROXY_POOLS], _PROXY_WEIGHTS / _PROXY_WEIGHTS.sum()
+)
+
 
 class GpclickBotnet:
     """Generates the getTask.php polling traffic of gpclick.com."""
@@ -99,26 +118,14 @@ class GpclickBotnet:
 
     def _victim(self) -> Tuple[str, str, str, str]:
         """(country, phone, model, continent) for one infected handset."""
-        countries = list(COUNTRY_CODES)
-        weights = [w for *_, w in countries]
-        index = int(
-            self.rng.choice(len(countries), p=np.asarray(weights) / sum(weights))
-        )
-        country, calling_code, continent, _ = countries[index]
+        country, calling_code, continent, _ = _COUNTRY_TABLE.draw(self.rng)
         subscriber = int(self.rng.integers(1_000_000_000, 9_999_999_999))
         phone = f"{calling_code}{subscriber}"
-        model_names = [m for m, _ in PHONE_MODELS]
-        model_weights = np.asarray([w for _, w in PHONE_MODELS])
-        model = model_names[
-            int(self.rng.choice(len(model_names), p=model_weights / model_weights.sum()))
-        ]
+        model = _MODEL_TABLE.draw(self.rng)
         return country, phone, model, continent
 
     def _source_ip(self) -> str:
-        names = [n for n, _ in PROXY_POOLS]
-        weights = np.asarray([w for _, w in PROXY_POOLS])
-        pool = names[int(self.rng.choice(len(names), p=weights / weights.sum()))]
-        return self._pools[pool].address()
+        return self._pools[_PROXY_TABLE.draw(self.rng)].address()
 
     # -- request generation ----------------------------------------------------
 

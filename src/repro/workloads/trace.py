@@ -46,7 +46,7 @@ from repro.errors import WorkloadError
 from repro.faults.plan import FaultPlan
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.pipeline import PipelineStats, ResilientIngestPipeline
-from repro.rand import SeedSequenceFactory, weighted_choice
+from repro.rand import SeedSequenceFactory, WeightedTable
 from repro.squatting.bit import bitsquat_variants
 from repro.squatting.combo import combosquat_variants
 from repro.squatting.detector import SquattingType
@@ -101,6 +101,9 @@ TLD_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("nl", 0.02), ("br", 0.02), ("biz", 0.02), ("cc", 0.02), ("tk", 0.02),
     ("fr", 0.015), ("eu", 0.015), ("in", 0.015), ("pl", 0.012), ("site", 0.012),
     ("online", 0.01), ("club", 0.01), ("tv", 0.01), ("me", 0.01),
+)
+_TLD_TABLE = WeightedTable.from_weights(
+    [t for t, _ in TLD_WEIGHTS], [w for _, w in TLD_WEIGHTS]
 )
 
 #: Figure 7's squatting-type proportions (typo : combo : dot : bit : homo).
@@ -419,9 +422,7 @@ class NxdomainTraceGenerator:
                     added += 1
 
     def _draw_tld(self, rng) -> str:
-        return weighted_choice(
-            rng, [t for t, _ in TLD_WEIGHTS], [w for _, w in TLD_WEIGHTS]
-        )
+        return _TLD_TABLE.draw(rng)
 
     # -- timelines -----------------------------------------------------------
 

@@ -8,11 +8,11 @@ dialect, exactly as real crawlers and browsers publish theirs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.rand import weighted_choice
+from repro.rand import WeightedTable
 
 SEARCH_CRAWLERS_GLOBAL: Tuple[Tuple[str, float], ...] = (
     ("Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)", 45),
@@ -98,6 +98,30 @@ LETSENCRYPT_UA = (
 )
 
 
+def _table(pool: Tuple[Tuple[str, float], ...]) -> WeightedTable[str]:
+    return WeightedTable.from_weights([ua for ua, _ in pool], [w for _, w in pool])
+
+
+#: One precomputed sampler per constant pool above.
+_TABLES: Dict[Tuple[Tuple[str, float], ...], WeightedTable[str]] = {
+    pool: _table(pool)
+    for pool in (
+        SEARCH_CRAWLERS_GLOBAL,
+        SEARCH_CRAWLERS_RU,
+        FILE_GRABBERS,
+        EMAIL_CRAWLERS,
+        SCRIPT_TOOLS,
+        PC_MOBILE_BROWSERS,
+        INAPP_BROWSERS,
+    )
+}
+
+
 def pick(rng: np.random.Generator, pool: Tuple[Tuple[str, float], ...]) -> str:
-    """Draw one UA string from a weighted pool."""
-    return weighted_choice(rng, [ua for ua, _ in pool], [w for _, w in pool])
+    """Draw one UA string from a weighted pool.
+
+    The draw equals ``weighted_choice`` over the pool's strings and
+    weights; the module's own pools use their prebuilt tables.
+    """
+    table = _TABLES.get(pool)
+    return (table if table is not None else _table(pool)).draw(rng)
