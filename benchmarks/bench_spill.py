@@ -14,7 +14,7 @@ Contracts of ``spill_dir=`` mode (see ``docs/RESILIENCE.md``):
 - **recovery cost** — a clean reopen of a committed store must report
   ``RecoveryReport.clean()`` (hard gate: silent quarantine-on-reopen
   is a regression, not noise), a *warm* reopen must perform **zero**
-  segment CRC streams (the verified-at cache structural gate), and a
+  segment CRC streams (the manifest stat-facts structural gate), and a
   ``paranoid=True`` reopen must stream every segment; warm and
   paranoid times are printed so ``docs/PERFORMANCE.md`` can record the
   before/after, but only the structural counters are asserted — wall
@@ -105,8 +105,9 @@ def test_spill_store_is_byte_identical_and_fast_enough(tmp_path):
     warm_report = reopened.spill.last_recovery
     assert warm_report.clean(), warm_report.summary()
     # Structural reopen-cost gate: a warm (unchanged) reopen performs
-    # ZERO segment CRC streams — every verification is a stat+CRC
-    # cache hit — while a paranoid reopen streams every segment.
+    # ZERO segment CRC streams — every verification is a hit on the
+    # stat facts its manifest recorded — while a paranoid reopen
+    # streams every segment.
     assert warm_report.segments_crc_streamed == 0
     assert warm_report.cache_hits >= len(reopened.spill.segments())
 

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     spill_info.add_argument(
         "--paranoid",
         action="store_true",
-        help="ignore the verified-at cache and CRC-stream every segment",
+        help="ignore the stat facts recorded in the manifest and "
+        "CRC-stream every segment and sidecar",
     )
     spill_compact = spill_sub.add_parser(
         "compact",
@@ -602,9 +603,9 @@ def cmd_spill(args: argparse.Namespace) -> int:
             f"rows: {db.row_count():,}  domains: {db.unique_domains():,}"
         )
         print(
-            f"verified-at cache: {report.verified_cache}  "
-            f"(hits {report.cache_hits}, "
-            f"streamed {report.segments_crc_streamed})"
+            f"verified by manifest stat facts: {report.cache_hits}  "
+            f"segments CRC-streamed: {report.segments_crc_streamed}"
+            + ("  (paranoid)" if args.paranoid else "")
         )
         print(f"store digest: {db.fingerprint()}")
         for entry in report.quarantined:

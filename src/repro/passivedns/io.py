@@ -234,7 +234,7 @@ def load_checkpoint(
     on a version we do not speak.
     """
     root = Path(directory)
-    if (root / "CURRENT").exists() or (root / "journal.log").exists():
+    if (root / "journal.log").exists() or any(root.glob("manifest-*.json")):
         return _spill_checkpoint_state(
             root, spill_compact_threshold=spill_compact_threshold
         )

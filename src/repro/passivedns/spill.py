@@ -8,44 +8,57 @@ monotonically versioned JSON manifest:
 
 ```
 <dir>/
-  CURRENT                  name of the committed manifest (atomic swap)
   manifest-0000003.json    one per committed generation (self-checksummed)
   journal.log              append-only intent records (JSONL, fsync'd)
-  verified.json            verified-at cache (stat+CRC, self-checksummed)
   segments/seg-0000001.npy immutable (3, n) int64 row triples
+  domains-0000002.bin      sidecar blobs (e.g. the interned domain table)
   quarantine/              damaged/orphaned files moved aside on open
   quarantine/index.json    typed retention index for quarantined files
 ```
 
+Every manifest entry for a segment or sidecar carries the file's
+CRC32 *and* its verified-at facts — ``size`` and ``mtime_ns``, taken
+by a stat right after the file's durable write — all under the
+manifest's self-checksum.  The newest valid manifest is the committed
+generation; there is no pointer file and no separate cache.
+
 Commit protocol (every arrow is a separate durability boundary):
 
 1. append a ``segment-intent`` journal line → write the segment to a
-   same-directory temp file → fsync → ``os.replace`` → fsync dir;
+   same-directory temp file → fsync → ``os.replace`` onto its fresh
+   name → fsync dir → CRC read-back → stat;
 2. append a ``commit-intent`` line → write ``manifest-<gen>.json``
-   (tmp+fsync+rename) → swap ``CURRENT`` (tmp+fsync+rename) → append a
-   ``commit`` line.
+   (tmp+fsync+rename onto a fresh name) → append a ``commit`` line.
+
+Every name a commit writes is new, so a non-compacting commit frees
+no file: no rename lands on an existing path and nothing is unlinked.
+On filesystems that discard freed blocks synchronously, freeing a
+file that was fsynced is the most expensive thing a commit could do.
 
 :meth:`SpillStore.compact` is the log-structured half: it merges every
 committed segment into one, commits the merged manifest through the
 same journaled discipline, read-back-verifies it, and only *then*
 retires the superseded files (``unlink`` boundaries, manifests first).
-The supersession invariant: a crash at any boundary recovers either
-the old generation or the new one, never a hybrid.
+Compaction is the only operation that frees files, and it frees
+exactly the retired ones.  The supersession invariant: a crash at any
+boundary recovers either the old generation or the new one, never a
+hybrid.
 
 :meth:`SpillStore.open` is the recovery scan: it verifies every
-manifest's self-checksum and every referenced segment's CRC32/size,
+manifest's self-checksum and every referenced segment and sidecar,
 quarantines torn manifests, damaged segments, orphaned temp files and
 uncommitted segments into ``quarantine/`` with a typed
 :class:`RecoveryReport`, and resumes from the newest fully consistent
 generation.  It never returns silently wrong data: what it serves
 passed every checksum, and everything else is named in the report.
-Reopens are incremental: segments whose ``verified.json`` record still
-matches on stat (mtime+size) and manifest CRC skip the byte stream;
-``paranoid=True`` ignores the cache and streams everything, and a
-missing/damaged cache degrades to exactly that full scan.
-``read_only=True`` opens a store for serving: nothing is created,
-moved, or written — would-be quarantine actions are only *reported* —
-so a reader can safely open a directory another process is writing.
+Reopens are incremental: a file whose stat still matches the facts
+recorded in the manifest under verification skips the byte stream;
+anything else is CRC-streamed, and ``paranoid=True`` streams
+everything.  A clean writable open writes nothing; files it had to
+stream are re-recorded by the next commit.  ``read_only=True`` opens
+a store for serving: nothing is created, moved, or written — would-be
+quarantine actions are only *reported* — so a reader can safely open
+a directory another process is writing.
 
 All durable IO flows through :class:`_DurableIo`, whose boundaries an
 optional storage fault injector (``repro.faults.injectors``:
@@ -62,7 +75,7 @@ import os
 import re
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -70,9 +83,7 @@ import numpy as np
 
 from repro.errors import ConfigError, CorruptArchiveError
 
-SPILL_FORMAT_VERSION = 2
-VERIFIED_CACHE_VERSION = 1
-VERIFIED_CACHE_NAME = "verified.json"
+SPILL_FORMAT_VERSION = 3
 QUARANTINE_INDEX_NAME = "index.json"
 
 #: Modulus of the mergeable per-segment row digest (see
@@ -281,16 +292,34 @@ class SegmentInfo:
     #: mod 2**128).  Merged segments inherit the sum of their inputs'
     #: digests, which the database checks against the merged rows.
     digest: int
+    #: Verified-at facts: the file's byte size and mtime as stat'd
+    #: right after its durable write (or its last full CRC stream).
+    size: int
+    mtime_ns: int
 
     def to_json(self) -> List[Any]:
         """Compact manifest form (digest as hex)."""
-        return [self.name, self.rows, self.crc32, f"{self.digest:032x}"]
+        return [
+            self.name,
+            self.rows,
+            self.crc32,
+            f"{self.digest:032x}",
+            self.size,
+            self.mtime_ns,
+        ]
 
     @classmethod
     def from_json(cls, payload: List[Any]) -> "SegmentInfo":
         """Inverse of :meth:`to_json`."""
-        name, rows, crc32, digest = payload
-        return cls(str(name), int(rows), int(crc32), int(str(digest), 16))
+        name, rows, crc32, digest, size, mtime_ns = payload
+        return cls(
+            str(name),
+            int(rows),
+            int(crc32),
+            int(str(digest), 16),
+            int(size),
+            int(mtime_ns),
+        )
 
 
 @dataclass(frozen=True)
@@ -298,21 +327,25 @@ class SidecarInfo:
     """A named auxiliary blob committed alongside the segments.
 
     The database layer stores its interned domain table here; the
-    spill store only knows the blob's name and checksum.
+    spill store only knows the blob's name, checksum and stat facts.
     """
 
     name: str
     size: int
     crc32: int
+    #: Verified-at fact next to ``size``: the file's mtime (see
+    #: :attr:`SegmentInfo.mtime_ns`).
+    mtime_ns: int
 
     def to_json(self) -> List[Any]:
         """Compact manifest form."""
-        return [self.name, self.size, self.crc32]
+        return [self.name, self.size, self.crc32, self.mtime_ns]
 
     @classmethod
     def from_json(cls, payload: List[Any]) -> "SidecarInfo":
         """Inverse of :meth:`to_json`."""
-        return cls(str(payload[0]), int(payload[1]), int(payload[2]))
+        name, size, crc32, mtime_ns = payload
+        return cls(str(name), int(size), int(crc32), int(mtime_ns))
 
 
 @dataclass(frozen=True)
@@ -329,7 +362,7 @@ class QuarantineEntry:
     path: str
     #: ``torn-manifest`` | ``damaged-segment`` | ``damaged-sidecar`` |
     #: ``orphan-segment`` | ``orphan-sidecar`` | ``orphan-temp`` |
-    #: ``damaged-cache`` | ``unknown`` (predates the index)
+    #: ``unknown`` (predates the index)
     kind: str
     detail: str = ""
     #: Store generation live when the file was quarantined (0 when
@@ -351,15 +384,11 @@ class RecoveryReport:
     #: Journal intents with no committed outcome (labels the orphans).
     unfinished_intents: List[str] = field(default_factory=list)
     #: Segment files whose bytes were CRC-streamed during this open
-    #: (the full-scan cost the verified-at cache exists to avoid).
+    #: (the full-scan cost the manifest's stat facts exist to avoid).
     segments_crc_streamed: int = 0
-    #: Segment/sidecar verifications satisfied by the verified-at
-    #: cache (stat match + manifest CRC equality, no byte stream).
+    #: Segment/sidecar verifications satisfied by the stat facts of
+    #: the manifest under verification (no byte stream).
     cache_hits: int = 0
-    #: Fate of the verified-at cache for this open: ``"loaded"`` |
-    #: ``"missing"`` | ``"damaged"`` | ``"paranoid"`` (deliberately
-    #: bypassed).
-    verified_cache: str = "missing"
 
     def clean(self) -> bool:
         """True when recovery found nothing to repair or quarantine."""
@@ -392,6 +421,22 @@ def _crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+def _stat_facts(path: Path) -> Optional[Tuple[int, int]]:
+    """A file's verified-at facts, (size, mtime_ns); None when absent."""
+    try:
+        stat = path.stat()
+    except OSError:
+        return None
+    return stat.st_size, stat.st_mtime_ns
+
+
+def _with_facts(info: Any, facts: Optional[Tuple[int, int]]) -> Any:
+    """``info`` (segment or sidecar) re-recorded with a fresh stat."""
+    if facts is None:
+        return info
+    return replace(info, size=facts[0], mtime_ns=facts[1])
+
+
 def _stream_crc32(path: Path) -> int:
     """CRC32 of a file's bytes, streamed (segments can be large)."""
     crc = 0
@@ -404,87 +449,8 @@ def _stream_crc32(path: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verified-at cache + quarantine plumbing
+# quarantine plumbing
 # ---------------------------------------------------------------------------
-
-
-class _VerifiedCache:
-    """The verified-at cache: per-file stat+CRC facts from a past scan.
-
-    Trust model: an entry is honoured only when the file's current
-    mtime_ns+size match the recorded ones *and* the recorded CRC
-    equals the CRC the manifest under verification expects.  The cache
-    can therefore only ever skip work that a full scan would have
-    confirmed — a tampered file changes stat or fails the manifest-CRC
-    equality, and a stale cache (e.g. rolled back by a lost fsync)
-    causes misses, never false hits, because segment/sidecar names are
-    monotonic and never reused.  In-place tampering that forges
-    mtime+size is outside the model; ``paranoid=True`` exists for it.
-    """
-
-    def __init__(
-        self, entries: Optional[Dict[str, List[int]]] = None
-    ) -> None:
-        #: relpath → [mtime_ns, size, crc32]
-        self.entries: Dict[str, List[int]] = dict(entries or {})
-
-    @classmethod
-    def load(cls, root: Path) -> Tuple[str, "_VerifiedCache"]:
-        """(state, cache) where state ∈ loaded|missing|damaged."""
-        path = root / VERIFIED_CACHE_NAME
-        if not path.exists():
-            return "missing", cls()
-        try:
-            document = json.loads(path.read_bytes().decode("utf-8"))
-            payload = document["payload"]
-            encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
-            if _crc32(encoded) != document.get("checksum"):
-                return "damaged", cls()
-            if payload.get("format") != VERIFIED_CACHE_VERSION:
-                return "damaged", cls()
-            entries = {
-                str(rel): [int(v) for v in value]
-                for rel, value in payload.get("entries", {}).items()
-            }
-            for value in entries.values():
-                if len(value) != 3:
-                    return "damaged", cls()
-        except (
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            KeyError,
-            TypeError,
-            ValueError,
-            OSError,
-        ):
-            return "damaged", cls()
-        return "loaded", cls(entries)
-
-    def fresh(self, path: Path, relative: str, crc32: int) -> bool:
-        """True when ``path`` still matches its record *and* ``crc32``."""
-        value = self.entries.get(relative)
-        if value is None:
-            return False
-        try:
-            stat = path.stat()
-        except OSError:
-            return False
-        return (
-            value[0] == stat.st_mtime_ns
-            and value[1] == stat.st_size
-            and value[2] == crc32
-        )
-
-    def encode(self) -> bytes:
-        """Self-checksummed document bytes (same envelope as manifests)."""
-        payload = {
-            "format": VERIFIED_CACHE_VERSION,
-            "entries": {
-                key: list(value)
-                for key, value in sorted(self.entries.items())
-            },
-        }
-        return _envelope(payload)
 
 
 class _QuarantineSink:
@@ -578,11 +544,12 @@ class SpillStore:
     ) -> "SpillStore":
         """Open (or initialize) a spill directory, recovering if needed.
 
-        ``paranoid=True`` ignores the verified-at cache and streams
-        every referenced byte (the full PR-5 scan).  ``read_only=True``
-        opens for serving: nothing is created or moved — damage is
-        reported, not quarantined — and every write method raises
-        :class:`ConfigError`; the directory must already exist.
+        ``paranoid=True`` ignores the manifests' stat facts and streams
+        every referenced byte.  A clean writable open writes nothing.
+        ``read_only=True`` opens for serving: nothing is created or
+        moved — damage is reported, not quarantined — and every write
+        method raises :class:`ConfigError`; the directory must already
+        exist.
 
         Raises :class:`CorruptArchiveError` when ``directory`` exists
         but is not a spill store (e.g. it is a file, or holds foreign
@@ -613,23 +580,10 @@ class SpillStore:
         # First, so a store of another format is refused before
         # anything is moved.
         manifests = cls._scan_manifests(root, sink)
-        if paranoid:
-            cache: Optional[_VerifiedCache] = None
-            report.verified_cache = "paranoid"
-        else:
-            state, cache = _VerifiedCache.load(root)
-            report.verified_cache = state
-            if state == "damaged":
-                cache = None
-                sink.take(
-                    root / VERIFIED_CACHE_NAME,
-                    VERIFIED_CACHE_NAME,
-                    "damaged-cache",
-                    "verified-at cache failed its self-checksum; "
-                    "fell back to the full scan",
-                )
         journal_intents = cls._scan_journal(root, report)
-        chosen = cls._choose_generation(root, manifests, sink, report, cache)
+        chosen = cls._choose_generation(
+            root, manifests, sink, report, paranoid
+        )
         cls._quarantine_strays(
             root,
             segments_dir,
@@ -650,12 +604,6 @@ class SpillStore:
         )
         if not read_only:
             store._update_quarantine_index(sink.moved)
-            if chosen is not None:
-                # Persist what this scan just proved so the next open
-                # is O(changed segments).  Skipped on an empty store:
-                # there is nothing to record and a fresh directory
-                # should stay byte-empty until data arrives.
-                store._refresh_verified_cache()
         return store
 
     @staticmethod
@@ -727,37 +675,47 @@ class SpillStore:
         manifests: List[Tuple[Path, _Manifest]],
         sink: _QuarantineSink,
         report: RecoveryReport,
-        cache: Optional[_VerifiedCache],
+        paranoid: bool,
     ) -> Optional[_Manifest]:
         """Newest generation whose segments and sidecars all verify.
 
         A generation that references a damaged file is rejected (the
         damaged file quarantined) and the scan falls back to the next
         older one; segments shared with the survivor are of course
-        kept.  ``CURRENT`` is advisory — a lost swap must not hide a
-        fully committed newer manifest, and a torn ``CURRENT`` must
-        not take the store down.
+        kept.  The newest checksum-valid manifest is authoritative: a
+        crash after its rename but before the journal's ``commit`` line
+        still recovers it.
 
-        With a verified-at ``cache``, a file whose stat record matches
-        and whose cached CRC equals *this manifest's* expected CRC
-        skips the byte stream (a cache hit); everything else pays the
-        full :func:`_verify_segment` / :func:`_verify_sidecar` scan.
+        Trust model: a file whose current stat (size, mtime_ns) equals
+        the facts recorded in *the manifest under verification* skips
+        the byte stream (a cache hit).  Those facts sit next to the
+        file's CRC under the manifest's self-checksum, so they can
+        only vouch for the CRC they were recorded with; a tampered or
+        rewritten file changes its stat and is streamed.  In-place
+        tampering that forges size+mtime is outside the model, and
+        ``paranoid=True`` (stream everything) exists for it.  A file
+        that is streamed and verifies gets its current stat recorded
+        in the returned manifest, so the next commit re-records it.
         """
         damaged: set = set()
         for path, manifest in reversed(manifests):
             bad: List[Tuple[Path, QuarantineEntry]] = []
+            segments: List[SegmentInfo] = []
+            sidecars: List[SidecarInfo] = []
             for segment in manifest.segments:
                 target = root / "segments" / segment.name
                 relative = f"segments/{segment.name}"
-                if cache is not None and cache.fresh(
-                    target, relative, segment.crc32
-                ):
+                seen = _stat_facts(target)
+                if not paranoid and seen == (segment.size, segment.mtime_ns):
                     report.cache_hits += 1
+                    segments.append(segment)
                     continue
-                if target.exists():
+                if seen is not None:
                     report.segments_crc_streamed += 1
                 problem = _verify_segment(target, segment)
-                if problem is not None:
+                if problem is None:
+                    segments.append(_with_facts(segment, seen))
+                else:
                     bad.append(
                         (
                             target,
@@ -768,13 +726,15 @@ class SpillStore:
                     )
             for sidecar in manifest.sidecars:
                 target = root / sidecar.name
-                if cache is not None and cache.fresh(
-                    target, sidecar.name, sidecar.crc32
-                ):
+                seen = _stat_facts(target)
+                if not paranoid and seen == (sidecar.size, sidecar.mtime_ns):
                     report.cache_hits += 1
+                    sidecars.append(sidecar)
                     continue
                 problem = _verify_sidecar(target, sidecar)
-                if problem is not None:
+                if problem is None:
+                    sidecars.append(_with_facts(sidecar, seen))
+                else:
                     bad.append(
                         (
                             target,
@@ -784,7 +744,11 @@ class SpillStore:
                         )
                     )
             if not bad:
-                return manifest
+                return replace(
+                    manifest,
+                    segments=tuple(segments),
+                    sidecars=tuple(sidecars),
+                )
             report.rejected_generations.append(manifest.generation)
             for target, entry in bad:
                 if entry.path in damaged:
@@ -938,37 +902,15 @@ class SpillStore:
             raise ConfigError("segment columns must have equal length")
         if len(ids) == 0:
             raise ConfigError("cannot spill an empty segment")
-        stacked = np.vstack(
-            [
-                np.ascontiguousarray(ids, dtype=np.int64),
-                np.ascontiguousarray(times, dtype=np.int64),
-                np.ascontiguousarray(counts, dtype=np.int64),
-            ]
-        )
-        buffer = io.BytesIO()
-        np.save(buffer, stacked)
-        data = buffer.getvalue()
+        data = _segment_bytes([(ids, times, counts)])
         name = f"seg-{self._next_segment:07d}.npy"
         self._next_segment += 1
-        info = SegmentInfo(
-            name=name, rows=len(ids), crc32=_crc32(data), digest=digest
+        crc = _crc32(data)
+        self._journal({"op": "segment-intent", "name": name, "rows": len(ids)})
+        size, mtime_ns = self._write_verified(
+            self.directory / "segments" / name, data, crc
         )
-        self._journal(
-            {"op": "segment-intent", "name": name, "rows": info.rows}
-        )
-        path = self.directory / "segments" / name
-        self._io.write_atomic(path, data)
-        # Read-back verification: the segment is memory-mapped into
-        # service immediately, so a write corrupted in flight (a
-        # flipped bit, a short write) must be caught *here*, not at
-        # the next open.  At-rest rot is still the recovery scan's job.
-        written = _stream_crc32(path)
-        if written != info.crc32:
-            raise CorruptArchiveError(
-                path,
-                "post-write verification failed "
-                f"(expected {info.crc32:#010x}, file {written:#010x})",
-            )
+        info = SegmentInfo(name, len(ids), crc, digest, size, mtime_ns)
         with self._lock:
             self._pending.append(info)
         return info
@@ -980,24 +922,36 @@ class SpillStore:
             raise ConfigError("sidecar kind must be a lowercase word")
         name = f"{kind}-{self._next_sidecar:07d}.bin"
         self._next_sidecar += 1
-        info = SidecarInfo(name=name, size=len(data), crc32=_crc32(data))
+        crc = _crc32(data)
         self._journal({"op": "sidecar-intent", "name": name})
-        path = self.directory / name
-        self._io.write_atomic(path, data)
-        # Read-back verification, same contract as append_segment: the
-        # verified-at cache will record this CRC as *proven*, so a
-        # write corrupted in flight must be caught here — before any
-        # manifest references it — not trusted until the next full scan.
-        written = _crc32(path.read_bytes())
-        if written != info.crc32:
-            raise CorruptArchiveError(
-                path,
-                "post-write verification failed "
-                f"(expected {info.crc32:#010x}, file {written:#010x})",
-            )
+        size, mtime_ns = self._write_verified(self.directory / name, data, crc)
+        info = SidecarInfo(name, size, crc, mtime_ns)
         with self._lock:
             self._sidecars[kind] = info
         return info
+
+    def _write_verified(
+        self, path: Path, data: bytes, crc: int
+    ) -> Tuple[int, int]:
+        """Write ``data`` durably to a fresh ``path``; its stat facts.
+
+        Read-back verification: segments are memory-mapped into service
+        immediately and the manifest will vouch for the stat facts
+        returned here, so a write corrupted in flight (a flipped bit, a
+        short write) must be caught *here*, before any manifest
+        references the file, not at the next open.  At-rest rot is
+        still the recovery scan's job.
+        """
+        self._io.write_atomic(path, data)
+        written = _stream_crc32(path)
+        if written != crc:
+            raise CorruptArchiveError(
+                path,
+                "post-write verification failed "
+                f"(expected {crc:#010x}, file {written:#010x})",
+            )
+        stat = path.stat()
+        return stat.st_size, stat.st_mtime_ns
 
     def _write_manifest(
         self,
@@ -1024,9 +978,11 @@ class SpillStore:
         """Make everything staged durable as a new generation.
 
         Returns the committed generation number.  The manifest lands
-        via tmp+fsync+rename, then ``CURRENT`` swings to it — a crash
-        between the two leaves a fully valid manifest that recovery
-        still prefers (``CURRENT`` is advisory).
+        via tmp+fsync+rename onto its fresh name, then the journal's
+        ``commit`` line follows — a crash between the two leaves a
+        fully valid manifest that recovery still prefers.  Nothing is
+        replaced or unlinked: older manifests stay as the fallback
+        chain until the next :meth:`compact`.
         """
         self._assert_writable("commit()")
         generation = self.generation + 1
@@ -1038,17 +994,13 @@ class SpillStore:
                 "segments": [s.name for s in self._pending],
             }
         )
-        name = self._write_manifest(generation, segments, dict(meta or {}))
-        self._io.write_atomic(
-            self.directory / "CURRENT", (name + "\n").encode()
-        )
+        self._write_manifest(generation, segments, dict(meta or {}))
         self._journal({"op": "commit", "generation": generation})
         with self._lock:
             self.generation = generation
             self._segments = segments
             self._pending = []
             self.meta = dict(meta or {})
-        self._refresh_verified_cache()
         return generation
 
     def compact(self, min_segments: int = 2) -> Optional[int]:
@@ -1068,7 +1020,7 @@ class SpillStore:
            verify on disk (a bit-flipped manifest write survives the
            writer; deleting the old generation under it would be
            silent data loss);
-        4. swap ``CURRENT``, journal ``commit``;
+        4. journal ``commit``;
         5. retire superseded files — old manifests first, then
            unreferenced segments, then unreferenced sidecars, each
            batch followed by a dirsync.
@@ -1093,25 +1045,10 @@ class SpillStore:
         if len(self._segments) < min_segments:
             return None
         inputs = list(self._segments)
-        columns = [self.mmap_segment(info) for info in inputs]
-        stacked = np.vstack(
-            [
-                np.concatenate([c[0] for c in columns]),
-                np.concatenate([c[1] for c in columns]),
-                np.concatenate([c[2] for c in columns]),
-            ]
-        )
-        buffer = io.BytesIO()
-        np.save(buffer, stacked)
-        data = buffer.getvalue()
+        data = _segment_bytes([self.mmap_segment(info) for info in inputs])
         name = f"seg-{self._next_segment:07d}.npy"
         self._next_segment += 1
-        merged = SegmentInfo(
-            name=name,
-            rows=int(stacked.shape[1]),
-            crc32=_crc32(data),
-            digest=sum(info.digest for info in inputs) & DIGEST_MASK,
-        )
+        crc = _crc32(data)
         generation = self.generation + 1
         self._journal(
             {
@@ -1121,15 +1058,17 @@ class SpillStore:
                 "inputs": [info.name for info in inputs],
             }
         )
-        path = self.directory / "segments" / name
-        self._io.write_atomic(path, data)
-        written = _stream_crc32(path)
-        if written != merged.crc32:
-            raise CorruptArchiveError(
-                path,
-                "post-write verification of merged segment failed "
-                f"(expected {merged.crc32:#010x}, file {written:#010x})",
-            )
+        size, mtime_ns = self._write_verified(
+            self.directory / "segments" / name, data, crc
+        )
+        merged = SegmentInfo(
+            name,
+            sum(info.rows for info in inputs),
+            crc,
+            sum(info.digest for info in inputs) & DIGEST_MASK,
+            size,
+            mtime_ns,
+        )
         meta = dict(self.meta)
         meta["compacted"] = {
             "inputs": [info.name for info in inputs],
@@ -1155,9 +1094,6 @@ class SpillStore:
                 "superseding manifest does not verify on read-back; "
                 "aborting compaction with the old generation intact",
             )
-        self._io.write_atomic(
-            self.directory / "CURRENT", (manifest_name + "\n").encode()
-        )
         self._journal({"op": "commit", "generation": generation})
         with self._lock:
             self.generation = generation
@@ -1167,7 +1103,6 @@ class SpillStore:
         self._journal(
             {"op": "retired", "generation": generation, "files": retired}
         )
-        self._refresh_verified_cache()
         return generation
 
     def _retire_superseded(self) -> List[str]:
@@ -1216,41 +1151,6 @@ class SpillStore:
         if sidecars:
             self._io.sync_directory(self.directory)
         return removed
-
-    def _refresh_verified_cache(self) -> None:
-        """Record stat+CRC facts for every live file (atomic write).
-
-        Advisory by design: any failure to record (a racing stat, an
-        injected crash) only costs the next open a full scan, so a
-        missing file here is simply skipped — the recovery scan is
-        the authority on whether it matters.
-        """
-        cache = _VerifiedCache()
-        for info in self._segments:
-            path = self.directory / "segments" / info.name
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            cache.entries[f"segments/{info.name}"] = [
-                stat.st_mtime_ns,
-                stat.st_size,
-                info.crc32,
-            ]
-        for sidecar in self._sidecars.values():
-            path = self.directory / sidecar.name
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            cache.entries[sidecar.name] = [
-                stat.st_mtime_ns,
-                stat.st_size,
-                sidecar.crc32,
-            ]
-        self._io.write_atomic(
-            self.directory / VERIFIED_CACHE_NAME, cache.encode()
-        )
 
     def _journal(self, record: Dict[str, Any]) -> None:
         self._io.append_line(
@@ -1455,6 +1355,39 @@ def _parse_manifest(data: bytes) -> _Manifest:
         ),
         meta=dict(payload.get("meta", {})),
     )
+
+
+def _segment_bytes(
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> bytearray:
+    """The ``.npy`` bytes of the (3, n) int64 rows of ``parts``, in order.
+
+    Byte-identical to ``np.save`` of the stacked, concatenated parts,
+    but each column is copied once, straight into the output buffer: a
+    compaction's transient memory is one copy of the merged rows, not
+    the three that concatenate, stack and serialize would take.
+    """
+    rows = sum(len(ids) for ids, _, _ in parts)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
+            "fortran_order": False,
+            "shape": (3, rows),
+        },
+    )
+    offset = len(header.getvalue())
+    data = bytearray(offset + 3 * 8 * rows)
+    data[:offset] = header.getvalue()
+    out = np.frombuffer(data, dtype=np.int64, offset=offset).reshape(3, rows)
+    at = 0
+    for part in parts:
+        n = len(part[0])
+        for column, values in enumerate(part):
+            out[column, at : at + n] = values
+        at += n
+    return data
 
 
 def _stored_shape(path: Path) -> Tuple[int, ...]:

@@ -15,8 +15,9 @@ The request path, in order:
    immediately with ``QUEUE_FULL`` / ``RATE_LIMITED`` / ``SHED``.
 2. **Dequeue**: a ticket whose deadline already passed is never
    started (``EXPIRED``); it consumed queue space, not a worker.
-3. **Cache**: results are keyed on ``(cache_key, store generation)``;
-   a fresh hit answers in zero service time (``CACHED``).
+3. **Cache**: results of the live store generation are kept per
+   ``cache_key`` (a newer generation drops them all); a fresh hit
+   answers in zero service time (``CACHED``).
 4. **Degradation**: for degradable (whole-store aggregate) queries the
    breaker is consulted; when open, the last known-good generation's
    cached value is served marked ``degraded`` (``DEGRADED``), or the
@@ -205,17 +206,22 @@ class QueryServer:
             reset_timeout=self.serving.breaker_reset,
         )
         self.stats = ServerStats()
-        #: Generation-tagged result caches.  ``_fresh`` answers only at
-        #: the tagged generation; ``_stale`` keeps the last known-good
-        #: value of any generation for degraded reads.
-        self._fresh: Dict[Tuple[Any, ...], Tuple[int, Any]] = {}
+        #: Result caches, bounded by design.  ``_fresh`` holds only the
+        #: live generation ``_fresh_generation`` (a newer fill drops
+        #: it whole); ``_stale`` keeps the last known-good value of
+        #: each *degradable* query — the only ones a degraded read
+        #: answers — at whatever generation it was computed.
+        self._fresh: Dict[Tuple[Any, ...], Any] = {}
+        self._fresh_generation = -1
         self._stale: Dict[Tuple[Any, ...], Tuple[int, Any]] = {}
-        #: Guards the caches, stats, and results list — the state the
-        #: threaded mode shares across workers.  The simulation state
-        #: below (_running, _waiting, counters) is touched only by the
-        #: single-threaded event loop and stays unguarded.
+        #: Guards the caches and stats — the state the threaded mode
+        #: shares across workers.  The simulation state below
+        #: (_running, _waiting, counters, the current batch's records)
+        #: is touched only by the single-threaded event loop and stays
+        #: unguarded.
         self._lock = threading.Lock()
-        self._results: List[ServedQuery] = []
+        #: Outcome records of the :meth:`serve` call in progress.
+        self._batch: List[ServedQuery] = []
         self._seq = 0
         self._free_workers = self.serving.workers
         #: In-flight work: a heap of (finish, seq, record, breaker signal).
@@ -234,7 +240,7 @@ class QueryServer:
         timestamp order.  The clock ends at the last completion.
         """
         base = self.clock.now
-        first = len(self._results)
+        self._batch = []
         arrivals = sorted(
             (max(req.at if req.at is not None else base, base), idx, req)
             for idx, req in enumerate(requests)
@@ -250,7 +256,8 @@ class QueryServer:
                 self._submit(request, self.clock.now)
             self._dispatch()
         self._drain_until(None)
-        return sorted(self._results[first:], key=lambda r: r.seq)
+        batch, self._batch = self._batch, []
+        return sorted(batch, key=lambda r: r.seq)
 
     def _submit(self, request: QueryRequest, now: int) -> None:
         record = ServedQuery(request=request, seq=self._seq, submitted_at=now)
@@ -386,7 +393,7 @@ class QueryServer:
             record.value = value
             record.generation = generation
             record.disposition = Disposition.SERVED
-            self._cache_fill(key, generation, value)
+            self._cache_fill(key, generation, value, degradable)
             return max(meter.seconds(), 1), signal_ok
 
     def _finalize(
@@ -400,29 +407,38 @@ class QueryServer:
         record.finished_at = now
         if detail:
             record.detail = detail
+        self._batch.append(record)
         with self._lock:
-            self._results.append(record)
             self.stats.record(record)
 
     # -- result caches -------------------------------------------------------
 
     def _cache_get(self, key: Tuple[Any, ...], generation: int) -> Any:
         with self._lock:
-            entry = self._fresh.get(key)
-        if entry is not None and entry[0] == generation:
-            return entry[1]
-        return None
+            if generation != self._fresh_generation:
+                return None
+            return self._fresh.get(key)
 
     def _stale_get(self, key: Tuple[Any, ...]) -> Optional[Tuple[int, Any]]:
         with self._lock:
             return self._stale.get(key)
 
     def _cache_fill(
-        self, key: Tuple[Any, ...], generation: int, value: Any
+        self,
+        key: Tuple[Any, ...],
+        generation: int,
+        value: Any,
+        degradable: bool,
     ) -> None:
         with self._lock:
-            self._fresh[key] = (generation, value)
-            self._stale[key] = (generation, value)
+            if generation < self._fresh_generation:
+                return  # computed at a generation already superseded
+            if generation > self._fresh_generation:
+                self._fresh = {}
+                self._fresh_generation = generation
+            self._fresh[key] = value
+            if degradable:
+                self._stale[key] = (generation, value)
 
     # -- threaded mode -------------------------------------------------------
 
@@ -465,7 +481,12 @@ class QueryServer:
                         else:
                             record.value = request.query.execute(self.db)
                             record.disposition = Disposition.SERVED
-                            self._cache_fill(key, generation, record.value)
+                            self._cache_fill(
+                                key,
+                                generation,
+                                record.value,
+                                request.query.degradable,
+                            )
                         record.generation = generation
                 except Exception as exc:  # repro: noqa[REP004] leaks must not kill the pool
                     record.disposition = Disposition.FAILED
@@ -484,6 +505,5 @@ class QueryServer:
         done = [record for record in results if record is not None]
         with self._lock:
             for record in done:
-                self._results.append(record)
                 self.stats.record(record)
         return done

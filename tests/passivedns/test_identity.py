@@ -182,9 +182,10 @@ def _forge_segment(root):
     """Change one row of the newest segment and re-sign it.
 
     The segment's bytes and every manifest's CRC for it agree again
-    afterwards (manifest checksums recomputed, verified-at cache
-    dropped), so only the row digest recorded in the manifest can
-    tell the rows are not the ones committed.
+    afterwards (manifest checksums recomputed; the rewrite changes the
+    file's stat, so a plain open streams it and the CRC passes), so
+    only the row digest recorded in the manifest can tell the rows
+    are not the ones committed.
     """
     victim = sorted((root / "segments").glob("seg-*.npy"))[-1]
     stacked = np.load(victim)
@@ -200,7 +201,6 @@ def _forge_segment(root):
         encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
         document["checksum"] = zlib.crc32(encoded) & 0xFFFFFFFF
         manifest.write_text(json.dumps(document, sort_keys=True, indent=1))
-    (root / "verified.json").unlink()
 
 
 def test_forged_segment_is_caught_by_paranoid_open_and_compaction(tmp_path):

@@ -9,15 +9,16 @@ Three layers:
 - the deterministic **crash-at-every-write-boundary matrix**: a probe
   run enumerates every durability boundary of a workload that commits
   two generations *and compacts them* (so every ``compact()`` boundary
-  — merged-segment write, superseding manifest, CURRENT swap,
+  — merged-segment write, superseding manifest, commit journal line,
   retirement unlinks and dirsyncs — is in the enumeration), then the
   workload is re-run once per (boundary, injector) pair — torn write,
   bit flip, lost fsync — and reopening the store must either recover a
   digest-consistent prior generation or quarantine the damage with a
   precise report, never serve silently wrong data or a hybrid of two
   generations;
-- compaction, incremental-recovery (verified-at cache), read-only
-  open, quarantine-reclamation, and concurrent-reader suites;
+- compaction, incremental-recovery (the manifest's stat facts),
+  commits-free-nothing, read-only open, quarantine-reclamation, and
+  concurrent-reader suites;
 - hypothesis properties drawing random boundaries/injectors/seeds and
   random interleavings of ingest/commit/compact over the same
   invariant, and pipeline checkpoint/resume surviving an injected
@@ -25,6 +26,7 @@ Three layers:
 """
 
 import json
+import os
 import zlib
 
 import numpy as np
@@ -142,9 +144,7 @@ class TestSpillStoreBasics:
         db = PassiveDnsDatabase(spill_dir=root)
         _fill(db, rounds=1)
         expected = db.fingerprint()
-        PassiveDnsDatabase(spill_dir=root)  # leaves a verified-at cache
-        documents = sorted(root.glob("manifest-*.json")) + [root / "verified.json"]
-        for path in documents:
+        for path in sorted(root.glob("manifest-*.json")):
             assert b"\n" not in path.read_bytes()
             document = json.loads(path.read_bytes())
             path.write_bytes(
@@ -152,7 +152,7 @@ class TestSpillStoreBasics:
             )
         warm = PassiveDnsDatabase(spill_dir=root)
         assert warm.spill.last_recovery.clean()
-        assert warm.spill.last_recovery.verified_cache == "loaded"
+        assert warm.spill.last_recovery.segments_crc_streamed == 0
         assert warm.fingerprint() == expected
         paranoid = PassiveDnsDatabase(spill_dir=root, spill_paranoid=True)
         assert paranoid.spill.last_recovery.clean()
@@ -298,15 +298,23 @@ class TestSpillBackedDatabase:
         assert final.fingerprint() == reopened.fingerprint()
 
 
-class _OpCountingProbe(StorageFaultInjector):
-    """A never-firing probe that also records each boundary's op."""
+class _RecordingProbe(StorageFaultInjector):
+    """A never-firing probe that records each boundary's op.
+
+    It also records every boundary that frees a file: an ``unlink``,
+    or a ``replace`` whose target already exists (the rename frees
+    the old file's blocks just as an unlink would).
+    """
 
     def __init__(self):
         super().__init__(make_rng(0), InjectionLog(), at=None)
         self.ops = []
+        self.freed = []
 
     def decide(self, op, path, size=0):
         self.ops.append(op)
+        if op == "unlink" or (op == "replace" and os.path.exists(path)):
+            self.freed.append((op, path))
         return super().decide(op, path, size)
 
 
@@ -315,8 +323,9 @@ def _count_boundaries(tmp_path):
 
     With ``spill_compact_threshold=2`` the second commit triggers a
     compaction, so the enumeration covers every ``compact()`` boundary
-    — merged-segment write, superseding manifest, CURRENT swap,
-    retirement ``unlink``/``dirsync`` — on top of the commit protocol.
+    — merged-segment write, superseding manifest, ``commit`` journal
+    line, retirement ``unlink``/``dirsync`` — on top of the commit
+    protocol.
     """
     probe = StorageFaultInjector(make_rng(0), InjectionLog(), at=None)
     recorded = _fill(
@@ -369,7 +378,7 @@ class TestCrashAtEveryBoundary:
                 root = tmp_path / f"{cls.name}-{at}"
                 _, report = _run_matrix_point(root, cls, at)
                 quarantines += len(report.quarantined)
-        probe = _OpCountingProbe()
+        probe = _RecordingProbe()
         _fill(
             PassiveDnsDatabase(
                 spill_dir=tmp_path / "unlink-probe",
@@ -397,6 +406,63 @@ def _three_generation_store(root):
         store.append_segment(ids, ids * 3, ids % 5 + 1, digest=0)
         store.commit({"round": round_index})
     return store
+
+
+class TestCommitsFreeNothing:
+    """Structural gate: only compaction frees files.
+
+    Freeing an fsynced file is the expensive step on a filesystem that
+    discards blocks synchronously, so a non-compacting commit and a
+    clean reopen must free none, and a compaction must free exactly
+    the files it retires.
+    """
+
+    @staticmethod
+    def _files(root):
+        return {
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*")
+            if path.is_file()
+        }
+
+    def test_commit_and_clean_reopen_free_no_file(self, tmp_path):
+        root = tmp_path / "s"
+        probe = _RecordingProbe()
+        _fill(PassiveDnsDatabase(spill_dir=root, spill_faults=probe), rounds=3)
+        assert probe.ops.count("replace") >= 3  # the gate is not vacuous
+        assert probe.freed == []
+        reopen = _RecordingProbe()
+        reopened = PassiveDnsDatabase(spill_dir=root, spill_faults=reopen)
+        assert reopened.spill.last_recovery.clean()
+        assert reopen.ops == []  # a clean writable open writes nothing
+        _fill(reopened, data_seed=9, rounds=1)
+        assert "replace" in reopen.ops
+        assert reopen.freed == []
+
+    def test_compaction_unlinks_exactly_the_retired_files(self, tmp_path):
+        root = tmp_path / "s"
+        probe = _RecordingProbe()
+        db = PassiveDnsDatabase(spill_dir=root, spill_faults=probe)
+        _fill(db, rounds=3)
+        before = self._files(root)
+        assert db.spill_compact() is not None
+        after = self._files(root)
+        assert len([n for n in after if n.startswith("manifest-")]) == 1
+        assert len([n for n in after if n.startswith("segments/")]) == 1
+        assert len([n for n in after if n.endswith(".bin")]) == 1
+        retired = {
+            name
+            for name in before
+            if name.startswith(("manifest-", "segments/"))
+            or (name.endswith(".bin") and name not in after)
+        }
+        assert retired == before - after
+        assert all(op == "unlink" for op, _ in probe.freed)
+        freed = [
+            os.path.relpath(path, root).replace(os.sep, "/")
+            for _, path in probe.freed
+        ]
+        assert sorted(freed) == sorted(retired)
 
 
 class TestCompaction:
@@ -526,10 +592,9 @@ class TestIncrementalRecovery:
         reopened = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         report = reopened.spill.last_recovery
         assert report.clean()
-        assert report.verified_cache == "loaded"
         # The acceptance gate: an unchanged committed store reopens
-        # with ZERO segment CRC streams — every verification is a
-        # stat+CRC cache hit.
+        # with ZERO segment CRC streams — every verification is a hit
+        # on the stat facts its manifest recorded.
         assert report.segments_crc_streamed == 0
         assert report.cache_hits >= len(reopened.spill.segments())
         assert reopened.fingerprint() == db.fingerprint()
@@ -542,37 +607,66 @@ class TestIncrementalRecovery:
         )
         report = reopened.spill.last_recovery
         assert report.clean()
-        assert report.verified_cache == "paranoid"
         assert report.cache_hits == 0
         assert report.segments_crc_streamed == len(reopened.spill.segments())
         assert reopened.fingerprint() == db.fingerprint()
 
-    def test_missing_cache_falls_back_to_full_scan(self, tmp_path):
-        db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
+    def test_touched_file_is_streamed_then_rerecorded(self, tmp_path):
+        import os as _os
+
+        root = tmp_path / "s"
+        db = PassiveDnsDatabase(spill_dir=root)
         _fill(db, rounds=2)
-        (tmp_path / "s" / "verified.json").unlink()
-        reopened = PassiveDnsDatabase(spill_dir=tmp_path / "s")
+        victim = sorted((root / "segments").glob("seg-*.npy"))[0]
+        stat = victim.stat()
+        _os.utime(victim, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        reopened = PassiveDnsDatabase(spill_dir=root)
         report = reopened.spill.last_recovery
         assert report.clean()
-        assert report.verified_cache == "missing"
-        assert report.segments_crc_streamed == len(reopened.spill.segments())
-        # The full scan re-records what it proved: the next open is
-        # warm again.
-        warm = PassiveDnsDatabase(spill_dir=tmp_path / "s")
-        assert warm.spill.last_recovery.segments_crc_streamed == 0
-
-    def test_damaged_cache_is_quarantined_and_scan_is_full(self, tmp_path):
-        db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
-        _fill(db, rounds=2)
-        cache_path = tmp_path / "s" / "verified.json"
-        cache_path.write_bytes(cache_path.read_bytes()[:-30] + b"garbage")
-        reopened = PassiveDnsDatabase(spill_dir=tmp_path / "s")
-        report = reopened.spill.last_recovery
-        assert report.verified_cache == "damaged"
-        assert report.segments_crc_streamed == len(reopened.spill.segments())
-        kinds = {entry.kind for entry in report.quarantined}
-        assert kinds == {"damaged-cache"}
+        # Only the touched file pays the byte stream; the open records
+        # nothing on disk, so a second open streams it again...
+        assert report.segments_crc_streamed == 1
         assert reopened.fingerprint() == db.fingerprint()
+        again = PassiveDnsDatabase(spill_dir=root)
+        assert again.spill.last_recovery.segments_crc_streamed == 1
+        # ...until the next commit records its current stat.
+        again.add(DomainName("late.example.com"), timestamp=1_500_000_000)
+        again.spill_commit()
+        warm = PassiveDnsDatabase(spill_dir=root)
+        assert warm.spill.last_recovery.clean()
+        assert warm.spill.last_recovery.segments_crc_streamed == 0
+        assert warm.fingerprint() == again.fingerprint()
+
+    def test_forged_facts_are_caught_by_the_manifest(self, tmp_path):
+        """Facts edited without re-signing fail the self-checksum.
+
+        The stat facts are only ever trusted under the manifest's own
+        checksum: forging them to cover a tampered segment tears the
+        manifest, and recovery falls back a generation instead of
+        serving the tampered bytes.
+        """
+        import os as _os
+
+        root = tmp_path / "s"
+        recorded = _fill(PassiveDnsDatabase(spill_dir=root), rounds=2)
+        victim = sorted((root / "segments").glob("seg-*.npy"))[-1]
+        raw = bytearray(victim.read_bytes())
+        raw[-9] ^= 0x40  # same size, different bytes
+        victim.write_bytes(bytes(raw))
+        manifest = sorted(root.glob("manifest-*.json"))[-1]
+        document = json.loads(manifest.read_bytes())
+        for segment in document["payload"]["segments"]:
+            if segment[0] == victim.name:
+                segment[5] += 1  # [name, rows, crc, digest, size, mtime_ns]
+                forged = segment[5]
+        manifest.write_text(json.dumps(document, sort_keys=True))
+        _os.utime(victim, ns=(forged, forged))
+        reopened = PassiveDnsDatabase(spill_dir=root)
+        report = reopened.spill.last_recovery
+        kinds = {entry.kind for entry in report.quarantined}
+        assert "torn-manifest" in kinds and "orphan-segment" in kinds
+        assert reopened.spill.generation == min(recorded)
+        assert reopened.fingerprint() == recorded[min(recorded)]
 
     def test_tampered_segment_is_caught(self, tmp_path):
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
@@ -591,8 +685,9 @@ class TestIncrementalRecovery:
         assert reopened.fingerprint() == recorded[min(recorded)]
 
     def test_paranoid_catches_stat_forging_tamper(self, tmp_path):
-        """In-place tampering that forges mtime+size beats the cache's
-        trust model by construction — paranoid mode exists for it."""
+        """In-place tampering that forges mtime+size beats the stat
+        facts' trust model by construction — paranoid mode exists for
+        it."""
         import os as _os
 
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
@@ -604,8 +699,8 @@ class TestIncrementalRecovery:
         victim.write_bytes(bytes(raw))
         _os.utime(victim, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         cached = PassiveDnsDatabase(spill_dir=tmp_path / "s")
-        # The stat-based cache cannot see this (documented limitation)...
-        assert cached.spill.last_recovery.verified_cache == "loaded"
+        # The stat facts cannot see this (documented limitation)...
+        assert cached.spill.last_recovery.segments_crc_streamed == 0
         # ...but the full scan still does.
         paranoid = PassiveDnsDatabase(
             spill_dir=tmp_path / "s", spill_paranoid=True
@@ -629,7 +724,6 @@ class TestReadOnlyOpen:
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         _fill(db, rounds=2)
         # Strip everything optional so creation would be observable.
-        (tmp_path / "s" / "verified.json").unlink()
         (tmp_path / "s" / "quarantine").rmdir()
         before = self._listing(tmp_path / "s")
         reader = PassiveDnsDatabase(
@@ -637,7 +731,6 @@ class TestReadOnlyOpen:
         )
         assert reader.fingerprint() == db.fingerprint()
         assert not (tmp_path / "s" / "quarantine").exists()
-        assert not (tmp_path / "s" / "verified.json").exists()
         assert self._listing(tmp_path / "s") == before
 
     def test_read_only_reports_damage_without_moving_it(self, tmp_path):
@@ -798,7 +891,8 @@ class TestQuarantineReclamation:
 class TestConcurrentReaders:
     """A read-only open mid-commit / mid-compact of another handle.
 
-    ``CURRENT`` is advisory and read-only opens move nothing, so a
+    The newest valid manifest is authoritative and read-only opens
+    move nothing, so a
     reader racing a writer — modelled deterministically by killing the
     writer at every boundary of the operation and opening the
     directory it left behind — must always observe a complete,
@@ -980,6 +1074,28 @@ class TestPipelineCrashResume:
         assert state is not None
         assert state.cursor == 123
         assert state.database.fingerprint() == db.fingerprint()
+
+    def test_resume_from_spill_layout_without_current(self, tmp_path):
+        """The spill layout is keyed on its journal or its manifests.
+
+        No pointer file exists any more; with the journal gone too,
+        the manifests alone still route the resume through the spill
+        store rather than the ``.npz`` layout.
+        """
+        observations = self._observations()
+        expected = self._clean_fingerprint(observations)
+        root = tmp_path / "s"
+        pipeline = ResilientIngestPipeline(spill_dir=root, checkpoint_every=40)
+        pipeline.ingest_many(observations[:100])
+        pipeline.checkpoint()
+        assert not (root / "CURRENT").exists()
+        (root / "journal.log").unlink()
+        resumed = ResilientIngestPipeline(spill_dir=root, checkpoint_every=40)
+        cursor = resumed.resume()
+        assert cursor == 100
+        resumed.ingest_many(observations[cursor:])
+        resumed.finish()
+        assert resumed.database.fingerprint() == expected
 
     def test_spill_checkpoint_rejects_other_directory(self, tmp_path):
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")

@@ -61,6 +61,39 @@ def test_cache_serves_generation_then_invalidates_on_write():
     assert third.generation > first.generation
 
 
+def test_server_state_stays_bounded_across_writer_waves():
+    """Server memory is bounded by keys, not by requests served.
+
+    After several writer waves the caches hold at most one value per
+    distinct degradable key (for degraded reads) plus the keys served
+    at the live generation, and no outcome record outlives its call.
+    """
+    db = synthetic_store(9, domains=120)
+    server = _server(db)
+    degradable = set()
+    for wave in range(4):
+        requests = scripted_workload(
+            db, 100 + wave, queries=40, start=server.clock.now
+        )
+        records = server.serve(requests)
+        assert len(records) == 40
+        degradable |= {
+            r.query.cache_key() for r in requests if r.query.degradable
+        }
+        live = {
+            r.request.query.cache_key()
+            for r in records
+            if r.answered and r.generation == db.generation
+        }
+        assert set(server._fresh) <= live
+        assert set(server._stale) <= degradable
+        assert server._batch == []
+        db.add(db.all_domains()[wave], T0 + SECONDS_PER_DAY, 3)
+    assert server._fresh_generation < db.generation
+    assert len(server._stale) <= len(degradable)
+    assert server.stats.total() == 160
+
+
 def test_deadline_cancels_inside_long_scans():
     db = synthetic_store(6, domains=400)
     # cost_rate=1: one simulated second per cost unit, so a whole-store

@@ -166,3 +166,23 @@ class TestServe:
         out = capsys.readouterr().out
         assert "clean" in out and "storm" in out
         assert "overload sweep passed" in out
+
+
+class TestSpillCommand:
+    def test_info_reports_fact_hits_and_paranoid_streams(self, tmp_path, capsys):
+        from repro.dns.name import DomainName
+        from repro.passivedns.database import PassiveDnsDatabase
+
+        root = tmp_path / "s"
+        db = PassiveDnsDatabase(spill_dir=root)
+        db.add(DomainName("a.example.com"), timestamp=1_500_000_000)
+        db.spill_commit()
+        before = sorted(p.name for p in root.rglob("*"))
+        assert main(["spill", "info", "--dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "verified by manifest stat facts: 2" in out  # segment + sidecar
+        assert "segments CRC-streamed: 0" in out
+        assert main(["spill", "info", "--dir", str(root), "--paranoid"]) == 0
+        out = capsys.readouterr().out
+        assert "segments CRC-streamed: 1  (paranoid)" in out
+        assert sorted(p.name for p in root.rglob("*")) == before
