@@ -8,7 +8,7 @@ Defaults live here; projects override them in ``pyproject.toml``::
     disable = []
     baseline = "analysis-baseline.json"
     report-paths = ["src/repro/core/reports.py"]
-    atomic-io-modules = ["repro.passivedns.spill", "repro.passivedns.io"]
+    atomic-io-modules = ["repro.passivedns.spill"]
     resilient-roots = ["repro.resilience", "repro.passivedns.pipeline"]
     lock-attributes = ["_lock"]
     concurrency-roots = ["repro.passivedns.database"]
@@ -44,7 +44,7 @@ DEFAULT_REFERENCE_PATHS = ("tests", "benchmarks", "examples")
 DEFAULT_CACHE = ".repro-analysis-cache.json"
 #: Modules whose raw filesystem writes are sanctioned: they implement
 #: the atomic tmp+fsync+replace discipline everything else must call.
-DEFAULT_ATOMIC_IO_MODULES = ("repro.passivedns.spill", "repro.passivedns.io")
+DEFAULT_ATOMIC_IO_MODULES = ("repro.passivedns.spill",)
 #: Module prefixes whose functions are retry/pipeline entry points:
 #: REP202 audits except-clauses reachable from them for swallowed
 #: crash-signal exceptions.

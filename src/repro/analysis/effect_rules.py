@@ -86,7 +86,7 @@ class AtomicWriteDiscipline(ProjectRule):
 
     Invariant:
         Outside the configured ``atomic-io-modules`` (by default
-        ``repro.passivedns.spill`` and ``repro.passivedns.io``), no
+        ``repro.passivedns.spill``), no
         function may write a file with a raw ``open(..., "w")``,
         ``Path.write_text``/``write_bytes``, or an ``np.save``-style
         serializer — unless the function itself performs the full

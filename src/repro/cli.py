@@ -638,6 +638,7 @@ def cmd_spill(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.scale import monthly_response_series, tld_distribution
+    from repro.errors import CorruptArchiveError, WorkloadError
     from repro.workloads.persistence import load_trace, save_trace
     from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
@@ -646,13 +647,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
             total_domains=args.domains, squat_count=max(args.domains // 25, 50)
         )
         trace = NxdomainTraceGenerator(seed=args.seed, config=config).generate()
-        root = save_trace(trace, args.out)
+        try:
+            root = save_trace(trace, args.out)
+        except WorkloadError as error:
+            print(f"trace generate: {error}", file=sys.stderr)
+            return 1
         print(
             f"saved trace: {trace.nx_db.unique_domains():,} domains, "
             f"{trace.nx_db.total_responses():,} responses -> {root}"
         )
         return 0
-    trace = load_trace(args.path)
+    try:
+        trace = load_trace(args.path)
+    except CorruptArchiveError as error:
+        print(f"trace analyze: {error}", file=sys.stderr)
+        return 1
     print(
         f"loaded trace: {trace.nx_db.unique_domains():,} domains, "
         f"{trace.nx_db.total_responses():,} responses"

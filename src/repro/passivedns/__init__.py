@@ -13,7 +13,6 @@ crash-safe on-disk segment store behind ``spill_dir=`` mode (see
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import DomainProfile, PassiveDnsDatabase
 from repro.passivedns.record import DnsObservation
-from repro.passivedns.io import load_database, save_database
 from repro.passivedns.sampling import sample_domains
 from repro.passivedns.sensor import Sensor, SensorTappedResolver
 from repro.passivedns.spill import (
@@ -38,8 +37,6 @@ __all__ = [  # repro: noqa[REP104] aggregation result type; exported for annotat
     "SidecarInfo",
     "SieChannel",
     "SpillStore",
-    "load_database",
     "replay_clients",
     "sample_domains",
-    "save_database",
 ]

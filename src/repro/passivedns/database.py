@@ -709,8 +709,8 @@ class PassiveDnsDatabase:
             return self._columns_cache[1]
         if self._spill is not None:
             # Spill mode: a transient, *uncached* concatenation.  Only
-            # the reference scan and archive saving still need it;
-            # everything else streams `_parts()`.
+            # the reference scan still needs it; everything else
+            # streams `_parts()`.
             # Caching or consolidating here would pin the full store in
             # RAM and defeat the mmap'd layout.
             parts = self._parts()
@@ -852,32 +852,6 @@ class PassiveDnsDatabase:
         """
         first_seen, last_seen, totals = self._aggregate_columns()
         return list(self._domains), first_seen, last_seen, totals
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        domains: List[DomainName],
-        first_seen: np.ndarray,
-        last_seen: np.ndarray,
-        totals: np.ndarray,
-        row_domain: np.ndarray,
-        row_time: np.ndarray,
-        row_count: np.ndarray,
-    ) -> "PassiveDnsDatabase":
-        """Rebuild a store from its column snapshot (archive loading)."""
-        db = cls()
-        db._adopt_domains(domains, first_seen, last_seen, totals)
-        db._chunks = [
-            (
-                np.ascontiguousarray(row_domain, dtype=np.int64),
-                np.ascontiguousarray(row_time, dtype=np.int64),
-                np.ascontiguousarray(row_count, dtype=np.int64),
-            )
-        ]
-        db._chunk_spill_names = [None]
-        db._n_rows = len(row_domain)
-        db._generation = 1
-        return db
 
     # -- durable spill ------------------------------------------------------
 

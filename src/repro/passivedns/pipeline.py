@@ -41,10 +41,10 @@ Guarantees:
   (plan, seed, stream) triple reproduces bit-identically;
 - transient store failures never lose data: retries, then dead-letter
   replay, recover every observation the drop injector did not claim;
-- long ingests can checkpoint to disk and resume, fast-forwarding the
-  schedule's RNG streams to continue the interrupted trajectory;
 - with ``spill_dir=`` the store is backed by the crash-safe
-  :class:`~repro.passivedns.spill.SpillStore` and each checkpoint is a
+  :class:`~repro.passivedns.spill.SpillStore`, and long ingests can
+  checkpoint and resume, fast-forwarding the schedule's RNG streams to
+  continue the interrupted trajectory.  Each checkpoint is a
   manifest-generation commit — an injected crash at any write boundary
   rolls back to the last committed generation on resume, never to a
   torn archive; once a checkpoint leaves ``spill_compact_threshold``
@@ -69,8 +69,9 @@ from repro.faults.injectors import InjectionEvent
 from repro.faults.plan import FaultSchedule
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase
-from repro.passivedns.io import PathLike, load_checkpoint, save_checkpoint
+from repro.passivedns.io import load_checkpoint, save_checkpoint
 from repro.passivedns.record import DnsObservation
+from repro.passivedns.spill import PathLike
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
 from repro.resilience.retry import RetryPolicy
 
@@ -207,7 +208,6 @@ class ResilientIngestPipeline:
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter_capacity: int = 8192,
         deduplicate: bool = True,
-        checkpoint_dir: Optional[PathLike] = None,
         checkpoint_every: int = 0,
         spill_dir: Optional[PathLike] = None,
         spill_faults: Optional[object] = None,
@@ -215,28 +215,17 @@ class ResilientIngestPipeline:
     ) -> None:
         if checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative")
-        if checkpoint_every > 0 and checkpoint_dir is None and spill_dir is None:
-            raise ConfigError("checkpoint_every requires a checkpoint_dir")
-        if spill_dir is not None:
-            # A spill-backed store checkpoints into its own directory:
-            # a manifest-generation commit *is* the checkpoint, so a
-            # second target would split the durability state in two.
-            if checkpoint_dir is not None and str(checkpoint_dir) != str(
-                spill_dir
-            ):
-                raise ConfigError(
-                    "spill_dir and checkpoint_dir must agree when both set"
-                )
-            checkpoint_dir = spill_dir
+        if checkpoint_every > 0 and spill_dir is None:
+            # A checkpoint is a manifest-generation commit of the
+            # spill-backed store; there is no other durable format.
+            raise ConfigError("checkpoint_every requires a spill_dir")
         self.schedule = schedule
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.stats = PipelineStats()
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
-        self.spill_compact_threshold = spill_compact_threshold
         self.database = PassiveDnsDatabase(
             deduplicate=deduplicate,
             spill_dir=spill_dir,
@@ -495,9 +484,7 @@ class ResilientIngestPipeline:
         """
         self.flush()
         self.replay_dead_letters()
-        if self.checkpoint_dir is not None and (
-            self.checkpoint_every > 0 or self.database.spill is not None
-        ):
+        if self.database.spill is not None:
             self.checkpoint()
         return self.stats
 
@@ -509,15 +496,14 @@ class ResilientIngestPipeline:
         The reorder buffer is flushed and the dead-letter queue
         replayed first, so the snapshot is self-contained: every
         observation offered before the cursor is either stored or
-        deliberately dropped.
+        deliberately dropped.  The snapshot is a spill commit.
         """
-        if self.checkpoint_dir is None:
-            raise ConfigError("pipeline was built without a checkpoint_dir")
+        if self.database.spill is None:
+            raise ConfigError("pipeline was built without a spill_dir")
         self.flush()
         self.replay_dead_letters()
         save_checkpoint(
             self.database,
-            self.checkpoint_dir,
             cursor=self.stats.offered,
             injector_counters=(
                 self.schedule.counters() if self.schedule is not None else {}
@@ -527,24 +513,19 @@ class ResilientIngestPipeline:
         self.stats.checkpoints += 1
 
     def resume(self) -> int:
-        """Reload the latest checkpoint, if any; returns the cursor.
+        """Continue from the checkpoint the spill store recovered.
 
-        The caller should skip that many leading source events before
-        feeding the rest through :meth:`ingest_many`.
+        Returns the cursor: the caller should skip that many leading
+        source events before feeding the rest through
+        :meth:`ingest_many`.  A fresh directory resumes at 0; one that
+        holds a committed store without a checkpoint is refused with
+        :class:`~repro.errors.WorkloadError` (see :func:`load_checkpoint`).
         """
-        if self.checkpoint_dir is None:
-            raise ConfigError("pipeline was built without a checkpoint_dir")
-        state = load_checkpoint(
-            self.checkpoint_dir,
-            spill_compact_threshold=(
-                self.spill_compact_threshold
-                if self.database.spill is not None
-                else 0
-            ),
-        )
+        if self.stats.offered:
+            raise ConfigError("resume() must precede any ingest")
+        state = load_checkpoint(self.database)
         if state is None:
             return 0
-        self.database = state.database
         if self.schedule is not None:
             self.schedule.fast_forward(state.injector_counters)
         self.stats = PipelineStats.from_dict(state.extra)

@@ -99,7 +99,7 @@ _SIDECAR_RE = re.compile(r"^(?:[a-z]+)-(\d{7})\.bin$")
 
 
 # ---------------------------------------------------------------------------
-# atomic file primitives (shared with repro.passivedns.io)
+# atomic file primitives (shared with the JSON/JSONL persistence writers)
 # ---------------------------------------------------------------------------
 
 

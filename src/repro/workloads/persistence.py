@@ -9,11 +9,20 @@ Layout::
 
     <dir>/
       manifest.json        config, counts, format version
-      nx.npz               the NXDomain columnar store
-      pre_expiry.npz       the pre-expiry (NOERROR) store
+      nx/                  the NXDomain store, a spill directory
+      pre_expiry/          the pre-expiry (NOERROR) store, a spill directory
       whois.jsonl          WHOIS history snapshots
       blocklist.jsonl      blocklist entries
       population.jsonl     per-domain ground truth
+
+Both stores use the one durable format of
+:class:`~repro.passivedns.database.PassiveDnsDatabase`: the crash-safe
+spill directory (checksummed segments, a self-checksummed manifest;
+see ``docs/RESILIENCE.md``).  It is uncompressed, so a saved trace
+takes several times the disk of the generated rows' compressed size;
+in exchange, a loaded trace maps its rows instead of decoding them and
+gets the spill store's integrity checks.  :func:`load_trace` opens
+both stores read-only and refuses any damage the recovery scan finds.
 """
 
 from __future__ import annotations
@@ -29,12 +38,12 @@ from repro.blocklist.categories import ThreatCategory
 from repro.blocklist.store import BlocklistEntry, BlocklistStore, RateLimit
 from repro.dns.name import DomainName
 from repro.faults.plan import FaultPlan
-from repro.passivedns.io import load_database, save_database
+from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.spill import atomic_write_bytes
 from repro.passivedns.pipeline import PipelineStats, ResilientIngestPipeline
 from repro.squatting.detector import SquattingType
 from repro.whois.io import load_history, save_history
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptArchiveError, WorkloadError
 from repro.workloads.trace import (
     DomainKind,
     TraceConfig,
@@ -42,17 +51,34 @@ from repro.workloads.trace import (
     TraceResult,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: The two spill directories a trace archive holds, by trace field.
+_STORES = (("nx_db", "nx"), ("pre_expiry_db", "pre_expiry"))
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 
 def save_trace(trace: TraceResult, directory: PathLike) -> Path:
-    """Write the full trace result under ``directory`` (created)."""
+    """Write the full trace result under ``directory`` (created).
+
+    A directory that already holds a trace archive, or either store,
+    is refused with :class:`WorkloadError` before anything is written:
+    a spill directory takes new generations, so saving into an old
+    archive would append to its stores rather than replace them.
+    """
     root = Path(directory)
+    for name in ("manifest.json",) + tuple(name for _, name in _STORES):
+        if (root / name).exists():
+            raise WorkloadError(
+                f"{root} already holds a trace archive ({name}); "
+                "save into a fresh directory"
+            )
     root.mkdir(parents=True, exist_ok=True)
-    save_database(trace.nx_db, root / "nx.npz")
-    save_database(trace.pre_expiry_db, root / "pre_expiry.npz")
+    for field, name in _STORES:
+        store = PassiveDnsDatabase(spill_dir=root / name)
+        getattr(trace, field).copy_rows_into(store)
+        store.spill_commit({"source": "trace-archive"})
     save_history(trace.whois, root / "whois.jsonl")
     _save_blocklist(trace.blocklist, root / "blocklist.jsonl")
     _save_population(trace, root / "population.jsonl")
@@ -71,8 +97,27 @@ def save_trace(trace: TraceResult, directory: PathLike) -> Path:
     return root
 
 
+def _open_store(directory: Path) -> PassiveDnsDatabase:
+    """Open one saved store read-only; any recovery finding is fatal."""
+    db = PassiveDnsDatabase(spill_dir=directory, spill_read_only=True)
+    assert db.spill is not None
+    report = db.spill.last_recovery
+    if not report.clean():
+        damaged = ", ".join(
+            f"{entry.path} ({entry.kind})" for entry in report.quarantined
+        )
+        raise CorruptArchiveError(
+            directory, f"{report.summary()}: {damaged or 'torn journal'}"
+        )
+    return db
+
+
 def load_trace(directory: PathLike) -> TraceResult:
-    """Read a trace saved by :func:`save_trace`."""
+    """Read a trace saved by :func:`save_trace`.
+
+    The stores are opened read-only: the loaded trace is a view of the
+    archive, and nothing under ``directory`` is created or changed.
+    """
     root = Path(directory)
     manifest = json.loads((root / "manifest.json").read_text())
     if manifest.get("version") != FORMAT_VERSION:
@@ -80,13 +125,13 @@ def load_trace(directory: PathLike) -> TraceResult:
             f"unsupported trace archive version {manifest.get('version')}"
         )
     config = TraceConfig(**manifest["config"])
+    stores = {field: _open_store(root / name) for field, name in _STORES}
     trace = TraceResult(
         config=config,
-        nx_db=load_database(root / "nx.npz"),
-        pre_expiry_db=load_database(root / "pre_expiry.npz"),
         population=_load_population(root / "population.jsonl"),
         whois=load_history(root / "whois.jsonl"),
         blocklist=_load_blocklist(root / "blocklist.jsonl"),
+        **stores,
     )
     if len(trace.population) != manifest["domains"]:
         raise ConfigError("corrupt trace archive: population count mismatch")
@@ -100,30 +145,30 @@ def replay_with_checkpoints(
     directory: PathLike,
     every: int = 5_000,
     stop_after: Optional[int] = None,
-    spill: bool = False,
     spill_compact_threshold: int = 16,
 ) -> Tuple[Optional[TraceResult], PipelineStats]:
     """Faulted replay of ``trace.nx_db`` with durable progress.
 
-    The pipeline checkpoints to ``directory`` every ``every`` offered
-    observations, and — crucially — *resumes* from whatever checkpoint
-    is already there, fast-forwarding the fault schedule's RNG streams
-    so the continued run makes exactly the decisions the interrupted
-    one would have.  ``stop_after`` aborts after that many additional
-    observations (checkpointing first) to simulate an interruption;
-    the return is then ``(None, stats)``.  A completed replay returns
-    the degraded :class:`TraceResult` and final pipeline stats.
-
-    With ``spill=True`` the store is spill-backed in ``directory``
-    itself: each checkpoint is a crash-safe manifest-generation commit,
-    and once ``spill_compact_threshold`` segments accumulate the
-    commit compacts them into one superseding generation.
+    The replayed store is spill-backed in ``directory`` and the
+    pipeline checkpoints every ``every`` offered observations; each
+    checkpoint is a crash-safe manifest-generation commit, and once
+    ``spill_compact_threshold`` segments accumulate the commit
+    compacts them into one superseding generation.  Crucially, the
+    replay *resumes* from whatever checkpoint ``directory`` already
+    holds, fast-forwarding the fault schedule's RNG streams so the
+    continued run makes exactly the decisions the interrupted one
+    would have; a directory holding a store without a checkpoint
+    (such as a saved trace's ``nx/``) is refused with
+    :class:`WorkloadError`.  ``stop_after`` aborts after that many
+    additional observations (checkpointing first) to simulate an
+    interruption; the return is then ``(None, stats)``.  A completed
+    replay returns the degraded :class:`TraceResult` and final
+    pipeline stats.
     """
     pipeline = ResilientIngestPipeline(
         schedule=plan.schedule(seed),
-        checkpoint_dir=None if spill else directory,
         checkpoint_every=every,
-        spill_dir=directory if spill else None,
+        spill_dir=directory,
         spill_compact_threshold=spill_compact_threshold,
     )
     cursor = pipeline.resume()

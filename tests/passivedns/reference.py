@@ -42,23 +42,18 @@ class ReferencePipeline:
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter_capacity: int = 8192,
         deduplicate: bool = True,
-        checkpoint_dir=None,
         checkpoint_every: int = 0,
         spill_dir=None,
         spill_faults=None,
         spill_compact_threshold: int = 16,
     ) -> None:
-        if spill_dir is not None:
-            checkpoint_dir = spill_dir
         self.schedule = schedule
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.stats = PipelineStats()
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
-        self.spill_compact_threshold = spill_compact_threshold
         self.database = PassiveDnsDatabase(
             deduplicate=deduplicate,
             spill_dir=spill_dir,
@@ -157,20 +152,17 @@ class ReferencePipeline:
     def finish(self) -> PipelineStats:
         self.flush()
         self.replay_dead_letters()
-        if self.checkpoint_dir is not None and (
-            self.checkpoint_every > 0 or self.database.spill is not None
-        ):
+        if self.database.spill is not None:
             self.checkpoint()
         return self.stats
 
     def checkpoint(self) -> None:
-        if self.checkpoint_dir is None:
-            raise ConfigError("pipeline was built without a checkpoint_dir")
+        if self.database.spill is None:
+            raise ConfigError("pipeline was built without a spill_dir")
         self.flush()
         self.replay_dead_letters()
         save_checkpoint(
             self.database,
-            self.checkpoint_dir,
             cursor=self.stats.offered,
             injector_counters=(
                 self.schedule.counters() if self.schedule is not None else {}
@@ -180,17 +172,9 @@ class ReferencePipeline:
         self.stats.checkpoints += 1
 
     def resume(self) -> int:
-        state = load_checkpoint(
-            self.checkpoint_dir,
-            spill_compact_threshold=(
-                self.spill_compact_threshold
-                if self.database.spill is not None
-                else 0
-            ),
-        )
+        state = load_checkpoint(self.database)
         if state is None:
             return 0
-        self.database = state.database
         if self.schedule is not None:
             self.schedule.fast_forward(state.injector_counters)
         self.stats = PipelineStats.from_dict(state.extra)

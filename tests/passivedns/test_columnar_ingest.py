@@ -254,13 +254,11 @@ def payloads(monkeypatch):
     written = {ResilientIngestPipeline: [], ReferencePipeline: []}
 
     def recorder(cls):
-        def save(db, directory, cursor, injector_counters=None, extra=None):
+        def save(db, cursor, injector_counters=None, extra=None):
             written[cls].append(
                 io_mod._checkpoint_payload(db, cursor, injector_counters, extra)
             )
-            return io_mod.save_checkpoint(
-                db, directory, cursor, injector_counters, extra
-            )
+            return io_mod.save_checkpoint(db, cursor, injector_counters, extra)
 
         return save
 
@@ -269,22 +267,24 @@ def payloads(monkeypatch):
     return written
 
 
-@pytest.mark.parametrize("spill", [False, True], ids=["npz", "spill"])
+@pytest.mark.parametrize("layout", ["spill"])
 @pytest.mark.parametrize("every, batch", [(64, 100), (100, 7), (37, None)])
 def test_checkpoints_inside_batches_crash_and_resume(
-    tmp_path, payloads, spill, every, batch
+    tmp_path, payloads, layout, every, batch
 ):
     observations = _observations(500)
     plan = EVERYTHING
     outcomes = []
     for cls in (ResilientIngestPipeline, ReferencePipeline):
-        root = tmp_path / cls.__name__
-        target = {"spill_dir": root} if spill else {"checkpoint_dir": root}
-        options = dict(checkpoint_every=every, retry_policy=RetryPolicy(max_attempts=2))
-        first = _build(cls, plan, 9, **target, **options)
+        options = dict(
+            spill_dir=tmp_path / cls.__name__,
+            checkpoint_every=every,
+            retry_policy=RetryPolicy(max_attempts=2),
+        )
+        first = _build(cls, plan, 9, **options)
         # "Crash" part-way through a caller's batch: stop feeding.
         _feed(first, observations[:301], batch)
-        second = _build(cls, plan, 9, **target, **options)
+        second = _build(cls, plan, 9, **options)
         cursor = second.resume()
         assert cursor == 301 - 301 % every
         _feed(second, observations[cursor:], batch)
@@ -323,7 +323,7 @@ def test_checkpoint_mid_stretch_resume_matches_uninterrupted(tmp_path):
     uninterrupted.ingest_many(observations)
     uninterrupted.finish()
 
-    options = dict(checkpoint_dir=tmp_path, checkpoint_every=100)
+    options = dict(spill_dir=tmp_path, checkpoint_every=100)
     first = _build(ResilientIngestPipeline, plan, 7, **options)
     first.ingest_many(observations[:250])
     first.checkpoint()

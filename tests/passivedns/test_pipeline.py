@@ -163,7 +163,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     # Interrupted run: ingest 250, checkpoint, "crash", resume fresh.
     first = ResilientIngestPipeline(
         schedule=plan.schedule(7),
-        checkpoint_dir=tmp_path,
+        spill_dir=tmp_path,
         checkpoint_every=100,
     )
     for observation in observations[:250]:
@@ -172,7 +172,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
 
     second = ResilientIngestPipeline(
         schedule=plan.schedule(7),
-        checkpoint_dir=tmp_path,
+        spill_dir=tmp_path,
         checkpoint_every=100,
     )
     cursor = second.resume()
@@ -189,8 +189,19 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
 
 
 def test_resume_without_checkpoint_returns_zero(tmp_path):
-    pipeline = ResilientIngestPipeline(checkpoint_dir=tmp_path)
+    pipeline = ResilientIngestPipeline(spill_dir=tmp_path)
     assert pipeline.resume() == 0
+
+
+def test_resume_after_ingest_is_refused(tmp_path):
+    """Resume continues the store the pipeline opened; rows offered
+    before it would be counted again on top of the checkpoint."""
+    first = ResilientIngestPipeline(spill_dir=tmp_path, checkpoint_every=100)
+    first.ingest_many(_observations(100))
+    second = ResilientIngestPipeline(spill_dir=tmp_path, checkpoint_every=100)
+    second.ingest(_observations(1)[0])
+    with pytest.raises(ConfigError, match="precede"):
+        second.resume()
 
 
 def test_checkpoint_config_validation(tmp_path):

@@ -102,6 +102,17 @@ class TestTraceAndValidate:
             + "\n"
         )
 
+    def test_trace_archive_refusals_exit_nonzero(self, capsys, tmp_path):
+        out_dir = tmp_path / "trace"
+        assert main(["trace", "generate", str(out_dir), "--domains", "300"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "generate", str(out_dir), "--domains", "300"]) == 1
+        assert "already holds a trace archive" in capsys.readouterr().err
+        (sidecar,) = (out_dir / "nx").glob("domains-*.bin")
+        sidecar.write_bytes(sidecar.read_bytes()[:-1])
+        assert main(["trace", "analyze", str(out_dir)]) == 1
+        assert "corrupt archive" in capsys.readouterr().err
+
     def test_validate_scale_only(self, capsys):
         code = main(
             ["validate", "--seeds", "1", "--domains", "900", "--skip-origin"]

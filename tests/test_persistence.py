@@ -1,13 +1,18 @@
-"""Tests for database / WHOIS / trace persistence."""
+"""Tests for checkpoint / WHOIS / trace persistence."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.dns.name import DomainName
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptArchiveError, WorkloadError
 from repro.passivedns.database import PassiveDnsDatabase
-from repro.passivedns.io import load_database, save_database
+from repro.passivedns.io import (
+    CHECKPOINT_VERSION,
+    _checkpoint_payload,
+    load_checkpoint,
+)
 from repro.whois.history import WhoisHistoryDatabase
 from repro.whois.io import load_history, save_history
 from repro.whois.record import WhoisRecord
@@ -18,158 +23,61 @@ D1 = DomainName("alpha.com")
 D2 = DomainName("beta.net")
 
 
-class TestDatabaseIo:
-    def test_roundtrip(self, tmp_path):
-        db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=10)
-        db.add(D2, timestamp=86_400, count=3)
-        path = tmp_path / "store.npz"
-        save_database(db, path)
-        loaded = load_database(path)
-        assert loaded.total_responses() == 13
-        assert loaded.unique_domains() == 2
-        assert loaded.profile(D1).total_queries == 10
-        assert loaded.monthly_response_series() == db.monthly_response_series()
 
-    def test_roundtrip_empty(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        save_database(PassiveDnsDatabase(), path)
-        assert load_database(path).total_responses() == 0
 
-    def test_loaded_database_accepts_new_rows(self, tmp_path):
-        db = PassiveDnsDatabase()
-        db.add(D1, 0, 1)
-        path = tmp_path / "s.npz"
-        save_database(db, path)
-        loaded = load_database(path)
-        loaded.add(D1, 86_400, 2)
-        loaded.add(D2, 0, 5)
-        assert loaded.total_responses() == 8
-        assert loaded.unique_domains() == 2
+@pytest.fixture(scope="module")
+def trace():
+    config = TraceConfig(total_domains=600, squat_count=25)
+    return NxdomainTraceGenerator(seed=8, config=config).generate()
 
-    def test_version_check(self, tmp_path):
-        import numpy as np
 
-        path = tmp_path / "bad.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(99),
-            domains=np.asarray([], dtype=object),
-            first_seen=np.asarray([], dtype=np.int64),
-            last_seen=np.asarray([], dtype=np.int64),
-            totals=np.asarray([], dtype=np.int64),
-            row_domain=np.asarray([], dtype=np.int64),
-            row_time=np.asarray([], dtype=np.int64),
-            row_count=np.asarray([], dtype=np.int64),
-        )
-        with pytest.raises(ValueError, match="version"):
-            load_database(path)
+def _listing(root):
+    """Every file under ``root`` with its size and mtime."""
+    return {
+        path: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in sorted(root.rglob("*"))
+    }
+
+
+def _commit_checkpoint(root, **overrides):
+    """A spill store whose committed checkpoint payload is overridden."""
+    db = PassiveDnsDatabase(spill_dir=root)
+    db.add(D1, timestamp=0, count=1)
+    payload = _checkpoint_payload(db, 1, None, None)
+    payload.update(overrides)
+    db.spill_commit({"checkpoint": payload})
 
 
 class TestCorruptArchives:
-    """Torn/damaged persistence artifacts surface as typed errors."""
+    """Damaged persistence artifacts surface as typed errors."""
 
-    def test_truncated_npz_raises_typed_error(self, tmp_path):
-        from repro.errors import CorruptArchiveError
-
-        db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=2)
-        path = tmp_path / "store.npz"
-        save_database(db, path)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    def test_garbage_file_raises_typed_error(self, tmp_path, trace):
+        root = save_trace(trace, tmp_path / "trace")
+        shutil.rmtree(root / "pre_expiry")
+        (root / "pre_expiry").write_bytes(b"this is not a spill directory")
         with pytest.raises(CorruptArchiveError) as excinfo:
-            load_database(path)
-        assert str(path) in excinfo.value.path
-
-    def test_garbage_file_raises_typed_error(self, tmp_path):
-        from repro.errors import CorruptArchiveError
-
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"this is not a zip archive at all")
-        with pytest.raises(CorruptArchiveError):
-            load_database(path)
+            load_trace(root)
+        assert excinfo.value.path == str(root / "pre_expiry")
 
     def test_missing_file_still_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_database(tmp_path / "absent.npz")
-
-    def test_save_database_is_atomic(self, tmp_path):
-        db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=1)
-        path = tmp_path / "store.npz"
-        save_database(db, path)
-        save_database(db, path)  # overwrite goes through the temp file
-        assert list(tmp_path.glob("*.tmp")) == []
-        assert load_database(path).total_responses() == 1
-
-    def test_corrupt_checkpoint_manifest_raises_typed_error(self, tmp_path):
-        from repro.errors import CorruptArchiveError
-        from repro.passivedns.io import load_checkpoint, save_checkpoint
-
-        db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=1)
-        save_checkpoint(db, tmp_path, cursor=1)
-        (tmp_path / "checkpoint.json").write_text("{ torn json")
-        with pytest.raises(CorruptArchiveError):
-            load_checkpoint(tmp_path)
+            load_trace(tmp_path / "absent")
 
     def test_checkpoint_fingerprint_mismatch_raises_typed_error(
         self, tmp_path
     ):
-        from repro.errors import CorruptArchiveError
-        from repro.passivedns.io import load_checkpoint, save_checkpoint
-
-        db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=1)
-        save_checkpoint(db, tmp_path, cursor=1)
-        other = PassiveDnsDatabase()
-        other.add(D2, timestamp=0, count=5)
-        save_database(other, tmp_path / "checkpoint.npz")
-        with pytest.raises(CorruptArchiveError):
-            load_checkpoint(tmp_path)
-
+        _commit_checkpoint(tmp_path, fingerprint="0" * 32)
+        with pytest.raises(CorruptArchiveError, match="fingerprint"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
 
     def test_old_checkpoint_version_is_refused_not_corrupt(self, tmp_path):
-        from repro.passivedns.io import (
-            CHECKPOINT_VERSION,
-            load_checkpoint,
-            save_checkpoint,
-        )
-
-        db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=1)
-        save_checkpoint(db, tmp_path, cursor=1)
-        manifest_path = tmp_path / "checkpoint.json"
-        manifest = json.loads(manifest_path.read_text())
-        # An older build's manifest: its version and its (SHA-256)
+        # An older build's payload: its version and its (SHA-256)
         # fingerprint both predate this build.
-        manifest["version"] = CHECKPOINT_VERSION - 1
-        manifest["fingerprint"] = "0" * 64
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError, match="checkpoint version"):
-            load_checkpoint(tmp_path)
-
-    def test_pickled_domain_table_is_refused_unloaded(self, tmp_path):
-        import numpy as np
-
-        from repro.errors import CorruptArchiveError
-        from repro.passivedns.io import FORMAT_VERSION
-
-        path = tmp_path / "pickled.npz"
-        empty = np.asarray([], dtype=np.int64)
-        np.savez_compressed(
-            path,
-            version=np.int64(FORMAT_VERSION),
-            domains=np.asarray(["alpha.com"], dtype=object),
-            first_seen=empty,
-            last_seen=empty,
-            totals=empty,
-            row_domain=empty,
-            row_time=empty,
-            row_count=empty,
+        _commit_checkpoint(
+            tmp_path, version=CHECKPOINT_VERSION - 1, fingerprint="0" * 64
         )
-        with pytest.raises(CorruptArchiveError, match="pickle"):
-            load_database(path)
+        with pytest.raises(ConfigError, match="checkpoint version"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
 
 
 class TestWhoisIo:
@@ -208,11 +116,6 @@ class TestWhoisIo:
 
 
 class TestTraceIo:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        config = TraceConfig(total_domains=600, squat_count=25)
-        return NxdomainTraceGenerator(seed=8, config=config).generate()
-
     def test_roundtrip(self, tmp_path, trace):
         root = save_trace(trace, tmp_path / "trace")
         loaded = load_trace(root)
@@ -255,4 +158,66 @@ class TestTraceIo:
         manifest["version"] = 42
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="version"):
+            load_trace(root)
+
+    def test_roundtrip_keeps_store_identity(self, tmp_path, trace):
+        loaded = load_trace(save_trace(trace, tmp_path / "trace6"))
+        for field in ("nx_db", "pre_expiry_db"):
+            original, reloaded = getattr(trace, field), getattr(loaded, field)
+            assert reloaded.fingerprint() == original.fingerprint()
+            assert reloaded.all_domains() == original.all_domains()
+
+    def test_stores_are_spill_directories_opened_read_only(
+        self, tmp_path, trace
+    ):
+        root = save_trace(trace, tmp_path / "trace7")
+        assert not list(root.glob("*.npz"))
+        before = _listing(root)
+        loaded = load_trace(root)
+        assert loaded.nx_db.spill.read_only
+        with pytest.raises(ConfigError):
+            loaded.nx_db.spill_commit()
+        assert _listing(root) == before
+
+    def test_truncated_segment_fails_load_naming_the_path(
+        self, tmp_path, trace
+    ):
+        root = save_trace(trace, tmp_path / "trace8")
+        victim = sorted((root / "nx" / "segments").glob("seg-*.npy"))[0]
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        with pytest.raises(CorruptArchiveError) as excinfo:
+            load_trace(root)
+        assert excinfo.value.path == str(root / "nx")
+        assert f"segments/{victim.name}" in excinfo.value.detail
+
+    def test_flipped_sidecar_byte_fails_load(self, tmp_path, trace):
+        root = save_trace(trace, tmp_path / "trace9")
+        (victim,) = (root / "pre_expiry").glob("domains-*.bin")
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        with pytest.raises(CorruptArchiveError) as excinfo:
+            load_trace(root)
+        assert excinfo.value.path == str(root / "pre_expiry")
+        assert victim.name in excinfo.value.detail
+
+    def test_save_into_existing_archive_writes_nothing(self, tmp_path, trace):
+        root = save_trace(trace, tmp_path / "trace10")
+        before = _listing(root)
+        with pytest.raises(WorkloadError, match="already holds"):
+            save_trace(trace, root)
+        assert _listing(root) == before
+        # A store left behind without its manifest is refused too.
+        partial = tmp_path / "partial"
+        PassiveDnsDatabase(spill_dir=partial / "nx").spill_commit()
+        with pytest.raises(WorkloadError, match="already holds"):
+            save_trace(trace, partial)
+        assert not (partial / "pre_expiry").exists()
+
+    def test_version_one_manifest_is_refused(self, tmp_path, trace):
+        root = save_trace(trace, tmp_path / "trace11")
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["version"] = 1
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="version 1"):
             load_trace(root)

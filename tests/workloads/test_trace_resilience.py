@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.faults import FaultPlan
+from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.pipeline import ResilientIngestPipeline
 from repro.workloads.persistence import replay_with_checkpoints
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
@@ -48,3 +51,18 @@ def test_interrupted_replay_resumes_to_the_same_result(trace, tmp_path):
     assert resumed is not None
     assert resumed.nx_db.fingerprint() == direct.nx_db.fingerprint()
     assert final.offered == trace.nx_db.row_count()
+
+
+def test_resume_refuses_a_committed_store_without_checkpoint(trace, tmp_path):
+    """Resuming on top of a store that carries no checkpoint would
+    re-ingest every row it holds and double-count it."""
+    root = tmp_path / "nx"
+    trace.spilled(root)
+    pipeline = ResilientIngestPipeline(spill_dir=root, checkpoint_every=100)
+    with pytest.raises(WorkloadError, match="without a checkpoint"):
+        pipeline.resume()
+    with pytest.raises(WorkloadError, match="without a checkpoint"):
+        replay_with_checkpoints(trace, PLAN, seed=5, directory=root, every=500)
+    reopened = PassiveDnsDatabase(spill_dir=root, spill_read_only=True)
+    assert reopened.row_count() == trace.nx_db.row_count()
+    assert reopened.fingerprint() == trace.nx_db.fingerprint()
