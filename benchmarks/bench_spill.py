@@ -87,10 +87,10 @@ def test_spill_store_is_byte_identical_and_fast_enough(tmp_path):
     )
 
     def fingerprint_uncached(db):
-        # Drop the generation cache and the per-segment digests, so
+        # Drop the generation cache and the per-part digests, so
         # the public fingerprint() rehashes every row (mmap'd or not).
         db._agg_cache = {}  # noqa: SLF001 - bench measures the rebuild
-        db._segment_digest_cache = {}  # noqa: SLF001
+        db._part_digest_cache = {}  # noqa: SLF001
         return db.fingerprint()
 
     memory_fpr_time, _ = _timed(lambda: fingerprint_uncached(memory))

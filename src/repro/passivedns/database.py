@@ -22,9 +22,13 @@ Performance layout (see ``docs/PERFORMANCE.md``):
 - **identity**: :meth:`fingerprint` sums per-row 128-bit splitmix64
   mixes in ``uint64`` numpy — no sort, no per-row Python — so it
   ignores row order and each segment's digest is computed once;
-- **per-domain queries** go through a CSR-style domain→rows index, so
-  :meth:`daily_series_for` touches one domain's rows instead of
-  scanning the full columns.
+- **per-domain queries** go through one CSR-style domain→rows index
+  per immutable row part (a spill segment or a sealed in-memory
+  chunk), built lazily on first use and kept until compaction retires
+  the part; the live tail's index is cached against the generation.
+  :meth:`daily_series_for` gathers one domain's rows from each part,
+  so a writer wave costs an index of its own rows, not a rebuild
+  over the whole store.
 
 Durability layout (see ``docs/RESILIENCE.md``): constructing the store
 with ``spill_dir=`` opens a :class:`repro.passivedns.spill.SpillStore`
@@ -32,9 +36,9 @@ under that directory.  Sealed chunks are spilled to checksummed,
 memory-mapped ``.npy`` segments instead of staying resident, the
 aggregate builders stream over the part list instead of forcing one
 in-memory concatenation, and :meth:`spill_commit` makes the current
-contents a durable manifest generation.  Every query — the CSR index,
-the aggregates, the :meth:`fingerprint` — answers byte-identically to
-the in-memory path.
+contents a durable manifest generation.  Every query — the per-part
+indexes, the aggregates, the :meth:`fingerprint` — answers
+byte-identically to the in-memory path.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ import bisect
 import hashlib
 import io as _stdio
 import threading
+import zipfile
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -77,6 +83,21 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 #: Seeds of the two row-digest lanes (high and low 64 bits).
 _LANE_SEEDS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD1B54A32D192ED03))
+
+
+#: What ``np.load`` raises on bytes that are not a loadable ``.npz``
+#: (an ``.npy`` payload fails the ``with`` as a TypeError, or an
+#: AttributeError on older Pythons).
+_UNLOADABLE_NPZ = (
+    ValueError,
+    KeyError,
+    EOFError,
+    OSError,
+    TypeError,
+    AttributeError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -131,6 +152,20 @@ def unpack_names(buffer: np.ndarray) -> List[DomainName]:
     """Inverse of :func:`pack_names`."""
     text = np.asarray(buffer, dtype=np.uint8).tobytes().decode("utf-8")
     return [DomainName(name) for name in text.split("\x00")] if text else []
+
+
+def _domain_index(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR-style domain→rows index of one row part: (order, starts).
+
+    ``order[starts[d]:starts[d + 1]]`` are the positions of domain
+    ``d``'s rows in ``ids``, in insertion order (the argsort is
+    stable).  ``starts`` covers ids up to the part's largest, so a
+    domain interned after the part was built has no slice in it.
+    """
+    order = np.argsort(ids, kind="stable")
+    starts = np.zeros(int(ids.max()) + 2 if len(ids) else 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids), out=starts[1:])
+    return order, starts
 
 
 class _IntColumn:
@@ -261,9 +296,10 @@ class PassiveDnsDatabase:
         # Row storage: immutable consolidated chunks plus a numpy tail
         # buffer sealed at ``_CHUNK`` rows (no whole-store refreezes).
         self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        #: Spill segment name per chunk (None = in-memory chunk), kept
-        #: parallel to ``_chunks`` so digests can be cached per segment.
-        self._chunk_spill_names: List[Optional[str]] = []
+        #: Cache key per chunk, parallel to ``_chunks``: the spill
+        #: segment name, or ``mem-<position>`` for an in-memory chunk
+        #: (those are only ever appended).  Keys the per-part caches.
+        self._chunk_keys: List[str] = []
         #: Guards every generation-keyed derived cache below.  Mutation
         #: (ingest, seal, commit, compact) is single-writer by contract,
         #: but the caches are populated lazily on *read* paths, which
@@ -282,19 +318,30 @@ class PassiveDnsDatabase:
         #: Ordering: ``_rows_lock`` before ``_cache_lock``, never the
         #: reverse (REP302).
         self._rows_lock = threading.RLock()
-        #: Per-segment mergeable row digests (recomputable from rows).
-        self._segment_digest_cache: Dict[str, int] = {}
+        #: Per-part mergeable row digests (recomputable from rows).
+        self._part_digest_cache: Dict[str, int] = {}
+        #: Per-part :func:`_domain_index`, built on a part's first
+        #: per-domain query and dropped when compaction retires it.
+        self._part_csr_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._tail_domain = _IntColumn(self._CHUNK)
         self._tail_time = _IntColumn(self._CHUNK)
         self._tail_count = _IntColumn(self._CHUNK)
         self._n_rows = 0
         #: Bumped on every mutation; keys every derived cache below.
         self._generation = 0
-        self._columns_cache: Optional[
-            Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]
+        #: (generation, tail snapshot, its index): the live tail's part
+        #: for per-domain queries, rebuilt once per generation.
+        self._tail_csr_cache: Optional[
+            Tuple[
+                int,
+                Tuple[np.ndarray, np.ndarray, np.ndarray],
+                Tuple[np.ndarray, np.ndarray],
+            ]
         ] = None
-        self._index_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         self._agg_cache: Dict[Any, Tuple[int, Any]] = {}
+        #: (domains packed, their :func:`pack_names` bytes): the domain
+        #: table only grows, so each commit packs only the new names.
+        self._packed_names_cache: Tuple[int, bytes] = (0, b"")
         self.deduplicate = deduplicate
         self._recent_keys: "OrderedDict[tuple, None]" = OrderedDict()
         self.duplicates_suppressed = 0
@@ -659,16 +706,17 @@ class PassiveDnsDatabase:
                 # Sealing rewrites tail rows as an immutable chunk — the
                 # row *content* is unchanged, so caches stay valid.
                 self._chunks.append(part)  # repro: noqa[REP204]
-                self._chunk_spill_names.append(info.name)
+                self._chunk_keys.append(info.name)
                 self._tail_domain.clear()
                 self._tail_time.clear()
                 self._tail_count.clear()
             with self._cache_lock:
-                self._segment_digest_cache[info.name] = digest
+                self._part_digest_cache[info.name] = digest
         else:
             with self._rows_lock:
                 if len(self._tail_domain) == 0:
                     return
+                self._chunk_keys.append(f"mem-{len(self._chunks)}")
                 self._chunks.append(  # repro: noqa[REP204]
                     (
                         self._tail_domain.view().copy(),
@@ -676,82 +724,49 @@ class PassiveDnsDatabase:
                         self._tail_count.view().copy(),
                     )
                 )
-                self._chunk_spill_names.append(None)
                 self._tail_domain.clear()
                 self._tail_time.clear()
                 self._tail_count.clear()
 
+    def _tail_snapshot(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A copy of the live tail's rows (callers check it is non-empty).
+
+        Copied (it is small — at most ``_CHUNK`` rows) so no snapshot
+        aliases a buffer later appends overwrite.
+        """
+        return (
+            self._tail_domain.view().copy(),
+            self._tail_time.view().copy(),
+            self._tail_count.view().copy(),
+        )
+
     def _parts(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Immutable row parts in insertion order, tail snapshot last.
 
-        The streaming counterpart of :meth:`_columns`: aggregate
-        builders iterate these instead of forcing one concatenation,
-        so a spill-backed store touches one mmap'd segment at a time.
-        The live tail is *copied* (it is small — at most ``_CHUNK``
-        rows) so no part aliases a buffer later appends overwrite.
+        Aggregate builders iterate these instead of forcing one
+        concatenation, so a spill-backed store touches one mmap'd
+        segment at a time.
         """
         parts = list(self._chunks)
         if len(self._tail_domain):
-            parts.append(
-                (
-                    self._tail_domain.view().copy(),
-                    self._tail_time.view().copy(),
-                    self._tail_count.view().copy(),
-                )
-            )
+            parts.append(self._tail_snapshot())
         return parts
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if (
-            self._columns_cache is not None
-            and self._columns_cache[0] == self._generation
-        ):
-            return self._columns_cache[1]
-        if self._spill is not None:
-            # Spill mode: a transient, *uncached* concatenation.  Only
-            # the reference scan still needs it; everything else
-            # streams `_parts()`.
-            # Caching or consolidating here would pin the full store in
-            # RAM and defeat the mmap'd layout.
-            parts = self._parts()
-            if not parts:
-                empty = np.empty(0, dtype=np.int64)
-                return (empty, empty.copy(), empty.copy())
-            if len(parts) == 1:
-                return parts[0]
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]),
-            )
-        # Seal the mutable tail first so every part is an immutable
-        # chunk — snapshots handed out here must never alias a buffer
-        # later appends could overwrite.  The non-spill seal is pure
-        # memory movement, so holding the rows lock across seal +
-        # consolidate is IO-free and keeps the re-chunk atomic against
-        # a concurrent sealer.
-        self._seal_tail()
+        """Every row as one transient, uncached concatenation.
+
+        Only the reference scans need it; the store's own reads stream
+        :meth:`_parts` or go through the per-part indexes.
+        """
         with self._rows_lock:
-            parts = self._chunks
-            if not parts:
-                empty = np.empty(0, dtype=np.int64)
-                columns = (empty, empty.copy(), empty.copy())
-            elif len(parts) == 1:
-                columns = parts[0]
-            else:
-                columns = (
-                    np.concatenate([p[0] for p in parts]),
-                    np.concatenate([p[1] for p in parts]),
-                    np.concatenate([p[2] for p in parts]),
-                )
-                # Consolidate: future reads only pay for newer chunks.
-                # Content-preserving re-chunking of the same rows — a bump
-                # here would wrongly invalidate every aggregate cache.
-                self._chunks = [columns]  # repro: noqa[REP204]
-                self._chunk_spill_names = [None]
-        with self._cache_lock:
-            self._columns_cache = (self._generation, columns)
-        return columns
+            parts = self._parts()
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return (empty, empty.copy(), empty.copy())
+        if len(parts) == 1:
+            return parts[0]
+        ids, times, counts = (np.concatenate(column) for column in zip(*parts))
+        return ids, times, counts
 
     def _cached(self, key: Any, build: Callable[[], Any]) -> Any:
         """Generation-keyed aggregate cache (stale entries rebuilt)."""
@@ -763,72 +778,66 @@ class PassiveDnsDatabase:
             self._agg_cache[key] = (self._generation, value)
         return value
 
-    def _row_index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR-style domain→rows index: (row order, per-domain starts).
+    def _indexed_parts(
+        self,
+    ) -> List[
+        Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    ]:
+        """Every row part with its :func:`_domain_index`, tail last.
 
-        ``order[starts[d]:starts[d + 1]]`` are the row positions of
-        domain ``d`` in insertion order — what lets per-domain queries
-        skip the other 99.99% of the store.
+        A sealed part is indexed once, on its first per-domain query,
+        and the index is cached under the part's key until compaction
+        retires it; the tail's index is cached against the generation.
+        Indexes are built outside the locks and only published under
+        ``_cache_lock``, and never for a part retired meanwhile.
         """
-        if (
-            self._index_cache is not None
-            and self._index_cache[0] == self._generation
-        ):
-            return self._index_cache[1], self._index_cache[2]
-        if self._spill is not None:
-            # Concatenate only the id column (transient); times/counts
-            # stay mmap'd and are gathered per-part on query.
-            parts = self._parts()
-            ids = (
-                np.concatenate([p[0] for p in parts])
-                if parts
-                else np.empty(0, dtype=np.int64)
-            )
-        else:
-            ids, _, _ = self._columns()
-        order = np.argsort(ids, kind="stable")
-        row_counts = np.bincount(ids, minlength=len(self._domains))
-        starts = np.zeros(len(self._domains) + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=starts[1:])
-        with self._cache_lock:
-            self._index_cache = (self._generation, order, starts)
-        return order, starts
+        with self._rows_lock:
+            generation = self._generation
+            parts = list(zip(self._chunk_keys, self._chunks))
+            # An empty tail has no part, whatever is cached: sealing
+            # empties it without a bump.
+            tail = None
+            if len(self._tail_domain):
+                tail = self._tail_csr_cache
+                if tail is None or tail[0] != generation:
+                    tail = (generation, self._tail_snapshot(), None)
+        indexed = []
+        for key, part in parts:
+            index = self._part_csr_cache.get(key)
+            if index is None:
+                index = _domain_index(part[0])
+                with self._cache_lock:
+                    if key in self._chunk_keys:
+                        self._part_csr_cache[key] = index
+            indexed.append((part, index))
+        if tail is not None:
+            if tail[2] is None:
+                tail = (generation, tail[1], _domain_index(tail[1][0]))
+                with self._cache_lock:
+                    self._tail_csr_cache = tail
+            indexed.append((tail[1], tail[2]))
+        return indexed
 
-    def _rows_for(self, domain_id: int) -> np.ndarray:
-        order, starts = self._row_index()
-        return order[starts[domain_id] : starts[domain_id + 1]]
+    def _domain_rows(self, domain_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(times, counts) of one domain's rows, in insertion order.
 
-    def _gather_rows(
-        self, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, counts) at the given global row positions.
-
-        ``rows`` must be ascending (CSR slices are: the stable argsort
-        keeps a domain's rows in insertion order).  In spill mode the
-        positions are split across the part boundaries with one
-        ``searchsorted`` and gathered per mmap'd part, so a per-domain
-        query never materializes the full columns.
+        Each part contributes the rows its own index lists for the
+        domain, gathered from that part directly, so a spill-backed
+        store reads only those rows of each memory map.
         """
-        if self._spill is None:
-            _, times, counts = self._columns()
-            return times[rows], counts[rows]
-        parts = self._parts()
-        if len(parts) == 1:
-            return parts[0][1][rows], parts[0][2][rows]
-        lengths = np.asarray([len(p[0]) for p in parts], dtype=np.int64)
-        starts = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=starts[1:])
-        cuts = np.searchsorted(rows, starts)
-        times_out = np.empty(len(rows), dtype=np.int64)
-        counts_out = np.empty(len(rows), dtype=np.int64)
-        for part_index, part in enumerate(parts):
-            lo, hi = cuts[part_index], cuts[part_index + 1]
-            if lo == hi:
+        times: List[np.ndarray] = []
+        counts: List[np.ndarray] = []
+        for (_, part_times, part_counts), (order, starts) in self._indexed_parts():
+            if domain_id + 1 >= len(starts):
                 continue
-            local = rows[lo:hi] - starts[part_index]
-            times_out[lo:hi] = part[1][local]
-            counts_out[lo:hi] = part[2][local]
-        return times_out, counts_out
+            rows = order[starts[domain_id] : starts[domain_id + 1]]
+            if len(rows):
+                times.append(part_times[rows])
+                counts.append(part_counts[rows])
+        if not times:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        return np.concatenate(times), np.concatenate(counts)
 
     def _aggregate_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of the per-domain (first, last, totals) columns."""
@@ -888,26 +897,26 @@ class PassiveDnsDatabase:
 
     def _build_digest(self) -> str:
         # Snapshot under the lock, hash outside it (REP30x): parts,
-        # the segment-name list, and the per-segment cache are read in
-        # one atomic step; parts without a cached value (in-memory
-        # chunks, the tail) are hashed lock-free, one at a time.
+        # their keys, and the per-part cache are read in one atomic
+        # step; parts without a cached value (new chunks, the tail)
+        # are hashed lock-free, one at a time.
         with self._cache_lock:
             parts = self._parts()
-            names = list(self._chunk_spill_names)
-            cached = dict(self._segment_digest_cache)
+            keys = list(self._chunk_keys)
+            cached = dict(self._part_digest_cache)
         total = 0
         computed: Dict[str, int] = {}
         for index, part in enumerate(parts):
-            name = names[index] if index < len(names) else None
-            value = cached.get(name) if name is not None else None
+            key = keys[index] if index < len(keys) else None
+            value = cached.get(key) if key is not None else None
             if value is None:
                 value = self._rows_digest(*part)
-                if name is not None:
-                    computed[name] = value
+                if key is not None:
+                    computed[key] = value
             total += value
         if computed:
             with self._cache_lock:
-                self._segment_digest_cache.update(computed)
+                self._part_digest_cache.update(computed)
         return f"{total & DIGEST_MASK:032x}"
 
     def _restore_from_spill(self, paranoid: bool = False) -> None:
@@ -926,11 +935,19 @@ class PassiveDnsDatabase:
         assert store is not None
         blob = store.read_sidecar("domains")
         if blob is not None:
-            with np.load(_stdio.BytesIO(blob), allow_pickle=False) as payload:
-                domains = unpack_names(payload["domains"])
-                first_seen = np.asarray(payload["first_seen"], dtype=np.int64)
-                last_seen = np.asarray(payload["last_seen"], dtype=np.int64)
-                totals = np.asarray(payload["totals"], dtype=np.int64)
+            try:
+                with np.load(_stdio.BytesIO(blob), allow_pickle=False) as payload:
+                    domains = unpack_names(payload["domains"])
+                    first_seen = np.asarray(payload["first_seen"], dtype=np.int64)
+                    last_seen = np.asarray(payload["last_seen"], dtype=np.int64)
+                    totals = np.asarray(payload["totals"], dtype=np.int64)
+            except _UNLOADABLE_NPZ as error:
+                # Its CRC verified, so only a foreign writer can have
+                # produced bytes numpy cannot read as the table's .npz.
+                raise CorruptArchiveError(
+                    store.sidecar_path("domains"),
+                    f"unreadable domain sidecar: {error}",
+                ) from error
             if not (len(first_seen) == len(last_seen) == len(totals) == len(domains)):
                 raise CorruptArchiveError(
                     store.directory, "domain sidecar column lengths differ"
@@ -945,7 +962,7 @@ class PassiveDnsDatabase:
                 )
             with self._rows_lock:
                 self._chunks.append((ids, times, counts))
-                self._chunk_spill_names.append(info.name)
+                self._chunk_keys.append(info.name)
                 self._n_rows += len(ids)
             if paranoid and self._rows_digest(ids, times, counts) != info.digest:
                 raise CorruptArchiveError(
@@ -953,7 +970,7 @@ class PassiveDnsDatabase:
                     "segment row digest does not match manifest",
                 )
             with self._cache_lock:
-                self._segment_digest_cache[info.name] = info.digest
+                self._part_digest_cache[info.name] = info.digest
         if self._n_rows:
             self._generation = 1
         expected = store.meta.get("store_digest")
@@ -964,12 +981,23 @@ class PassiveDnsDatabase:
             )
 
     def _domains_sidecar_bytes(self) -> bytes:
-        """Serialize the domain table + aggregates for the sidecar."""
+        """Serialize the domain table + aggregates for the sidecar.
+
+        An uncompressed ``.npz``: every commit rewrites the whole table,
+        and deflating it cost most of a small commit, as did packing
+        every name again.  ``np.load`` reads compressed sidecars too,
+        so older stores open unchanged.
+        """
         first_seen, last_seen, totals = self._aggregate_columns()
+        packed_count, packed = self._packed_names_cache
+        if packed_count < len(self._domains):
+            fresh = pack_names(self._domains[packed_count:]).tobytes()
+            packed = packed + b"\x00" + fresh if packed_count else fresh
+            self._packed_names_cache = (len(self._domains), packed)
         buffer = _stdio.BytesIO()
-        np.savez_compressed(
+        np.savez(
             buffer,
-            domains=pack_names(self._domains),
+            domains=np.frombuffer(packed, dtype=np.uint8),
             first_seen=first_seen,
             last_seen=last_seen,
             totals=totals,
@@ -1026,10 +1054,10 @@ class PassiveDnsDatabase:
         if generation is None:
             return None
         chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        names: List[Optional[str]] = []
+        names: List[str] = []
         for info in self._spill.segments():
             part = self._spill.mmap_segment(info)
-            if info.name not in self._segment_digest_cache:
+            if info.name not in self._part_digest_cache:
                 value = self._rows_digest(*part)
                 if value != info.digest:
                     raise CorruptArchiveError(
@@ -1038,22 +1066,28 @@ class PassiveDnsDatabase:
                         "combined digest of its inputs",
                     )
                 with self._cache_lock:
-                    self._segment_digest_cache[info.name] = value
+                    self._part_digest_cache[info.name] = value
             chunks.append(part)
             names.append(info.name)
         # Content-preserving re-chunking of the same rows in the same
         # order — a bump here would wrongly invalidate every cache.
         # Published in one rows-lock critical section (the mmaps were
         # built above, outside the lock) so readers never see the
-        # chunk list and the name list disagree.
+        # chunk list and the key list disagree.  The retired
+        # segments' digests and indexes go with them.
         with self._rows_lock:
             self._chunks = chunks  # repro: noqa[REP204]
-            self._chunk_spill_names = names
-        live = {name for name in names if name is not None}
+            self._chunk_keys = names
+        live = set(names)
         with self._cache_lock:
-            self._segment_digest_cache = {
+            self._part_digest_cache = {
                 key: value
-                for key, value in self._segment_digest_cache.items()
+                for key, value in self._part_digest_cache.items()
+                if key in live
+            }
+            self._part_csr_cache = {
+                key: value
+                for key, value in self._part_csr_cache.items()
                 if key in live
             }
         return generation
@@ -1238,17 +1272,19 @@ class PassiveDnsDatabase:
     ) -> np.ndarray:
         """Query counts per day for one domain over [start, end).
 
-        Served from the CSR domain→rows index: only the target
-        domain's rows are touched, not the full row columns.
+        Served from the per-part domain→rows indexes: each immutable
+        part (spill segment or sealed chunk) is indexed once and the
+        live tail once per generation, and only the target domain's
+        rows are gathered from each part, never the full columns.
         """
         domain_id = self._id_of.get(domain.registered_domain())
         n_days = max((end - start) // SECONDS_PER_DAY, 0)
         series = np.zeros(n_days, dtype=np.int64)
         if domain_id is None or n_days == 0:
             return series
-        rows = self._rows_for(domain_id)
-        row_times, row_counts = self._gather_rows(rows)
-        mask = (row_times >= start) & (row_times < end)
+        row_times, row_counts = self._domain_rows(domain_id)
+        # Whole days only: a trailing partial day has no bin.
+        mask = (row_times >= start) & (row_times < start + n_days * SECONDS_PER_DAY)
         offsets = (row_times[mask] - start) // SECONDS_PER_DAY
         np.add.at(series, offsets, row_counts[mask])
         return series

@@ -77,7 +77,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -126,14 +126,28 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     directory fsync — a crash at any point leaves either the old
     content or the new content, never a prefix.
     """
-    target = Path(path)
+    _write_buffers_atomic(Path(path), [data])
+
+
+def _write_buffers_atomic(target: Path, buffers: Sequence[Any]) -> int:
+    """:func:`atomic_write_bytes` of ``buffers`` written back to back.
+
+    Each buffer (bytes, or a contiguous array such as a memory-mapped
+    column) goes straight to the file, so the payload is never joined
+    in memory.  Returns the CRC32 of the bytes written, accumulated
+    buffer by buffer.
+    """
     tmp = target.parent / (target.name + ".tmp")
+    crc = 0
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        for buffer in buffers:
+            crc = zlib.crc32(buffer, crc)
+            handle.write(buffer)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
     fsync_directory(target.parent)
+    return crc & 0xFFFFFFFF
 
 
 class _DurableIo:
@@ -214,11 +228,17 @@ class _DurableIo:
 
     # -- public operations --------------------------------------------------
 
-    def write_atomic(self, path: Path, data: bytes) -> None:
-        """Injected counterpart of :func:`atomic_write_bytes`."""
+    def write_atomic(self, path: Path, buffers: Sequence[Any]) -> int:
+        """Injected counterpart of :func:`atomic_write_bytes`.
+
+        Writes ``buffers`` back to back and returns the CRC32 of the
+        intended bytes.  Only under an injector are they joined, so
+        the write boundary sees the whole payload exactly as a single
+        buffer would present it.
+        """
         if self.injector is None:
-            atomic_write_bytes(path, data)
-            return
+            return _write_buffers_atomic(path, buffers)
+        data = b"".join(buffers)
         tmp = path.parent / (path.name + ".tmp")
         self._boundary("write", tmp, data)
         self._boundary("fsync", tmp, None)
@@ -230,6 +250,7 @@ class _DurableIo:
         if action.crash_after:
             self.injector.crash(f"after replace {path.name}")
         self._boundary("dirsync", path.parent, None)
+        return _crc32(data)
 
     def append_line(self, path: Path, line: str) -> None:
         """Append one journal line durably (append + fsync boundaries)."""
@@ -861,7 +882,15 @@ class SpillStore:
             raise CorruptArchiveError(
                 path, f"segment has shape {stacked.shape}, expected (3, n)"
             )
-        return stacked[0], stacked[1], stacked[2]
+        # Plain ndarray views (their base keeps the map open): gathers
+        # from a memmap pay for its Python-level __getitem__.
+        rows = stacked.view(np.ndarray)
+        return rows[0], rows[1], rows[2]
+
+    def sidecar_path(self, kind: str) -> Optional[Path]:
+        """Where the committed sidecar of ``kind`` lives (None when absent)."""
+        info = self._sidecars.get(kind)
+        return None if info is None else self.directory / info.name
 
     def read_sidecar(self, kind: str) -> Optional[bytes]:
         """The named sidecar's verified bytes (None when absent)."""
@@ -902,13 +931,12 @@ class SpillStore:
             raise ConfigError("segment columns must have equal length")
         if len(ids) == 0:
             raise ConfigError("cannot spill an empty segment")
-        data = _segment_bytes([(ids, times, counts)])
         name = f"seg-{self._next_segment:07d}.npy"
         self._next_segment += 1
-        crc = _crc32(data)
         self._journal({"op": "segment-intent", "name": name, "rows": len(ids)})
-        size, mtime_ns = self._write_verified(
-            self.directory / "segments" / name, data, crc
+        crc, size, mtime_ns = self._write_verified(
+            self.directory / "segments" / name,
+            _segment_buffers([(ids, times, counts)]),
         )
         info = SegmentInfo(name, len(ids), crc, digest, size, mtime_ns)
         with self._lock:
@@ -922,18 +950,17 @@ class SpillStore:
             raise ConfigError("sidecar kind must be a lowercase word")
         name = f"{kind}-{self._next_sidecar:07d}.bin"
         self._next_sidecar += 1
-        crc = _crc32(data)
         self._journal({"op": "sidecar-intent", "name": name})
-        size, mtime_ns = self._write_verified(self.directory / name, data, crc)
+        crc, size, mtime_ns = self._write_verified(self.directory / name, [data])
         info = SidecarInfo(name, size, crc, mtime_ns)
         with self._lock:
             self._sidecars[kind] = info
         return info
 
     def _write_verified(
-        self, path: Path, data: bytes, crc: int
-    ) -> Tuple[int, int]:
-        """Write ``data`` durably to a fresh ``path``; its stat facts.
+        self, path: Path, buffers: Sequence[Any]
+    ) -> Tuple[int, int, int]:
+        """Write ``buffers`` durably to a fresh ``path``: (crc, size, mtime_ns).
 
         Read-back verification: segments are memory-mapped into service
         immediately and the manifest will vouch for the stat facts
@@ -942,7 +969,7 @@ class SpillStore:
         references the file, not at the next open.  At-rest rot is
         still the recovery scan's job.
         """
-        self._io.write_atomic(path, data)
+        crc = self._io.write_atomic(path, buffers)
         written = _stream_crc32(path)
         if written != crc:
             raise CorruptArchiveError(
@@ -951,7 +978,7 @@ class SpillStore:
                 f"(expected {crc:#010x}, file {written:#010x})",
             )
         stat = path.stat()
-        return stat.st_size, stat.st_mtime_ns
+        return crc, stat.st_size, stat.st_mtime_ns
 
     def _write_manifest(
         self,
@@ -971,7 +998,7 @@ class SpillStore:
             "meta": dict(meta),
         }
         name = f"manifest-{generation:07d}.json"
-        self._io.write_atomic(self.directory / name, _envelope(payload))
+        self._io.write_atomic(self.directory / name, [_envelope(payload)])
         return name
 
     def commit(self, meta: Optional[Dict[str, Any]] = None) -> int:
@@ -1045,10 +1072,8 @@ class SpillStore:
         if len(self._segments) < min_segments:
             return None
         inputs = list(self._segments)
-        data = _segment_bytes([self.mmap_segment(info) for info in inputs])
         name = f"seg-{self._next_segment:07d}.npy"
         self._next_segment += 1
-        crc = _crc32(data)
         generation = self.generation + 1
         self._journal(
             {
@@ -1058,8 +1083,9 @@ class SpillStore:
                 "inputs": [info.name for info in inputs],
             }
         )
-        size, mtime_ns = self._write_verified(
-            self.directory / "segments" / name, data, crc
+        crc, size, mtime_ns = self._write_verified(
+            self.directory / "segments" / name,
+            _segment_buffers([self.mmap_segment(info) for info in inputs]),
         )
         merged = SegmentInfo(
             name,
@@ -1195,7 +1221,7 @@ class SpillStore:
         }
         self._io.write_atomic(
             self.directory / "quarantine" / QUARANTINE_INDEX_NAME,
-            _envelope(payload),
+            [_envelope(payload)],
         )
 
     def _update_quarantine_index(
@@ -1357,15 +1383,16 @@ def _parse_manifest(data: bytes) -> _Manifest:
     )
 
 
-def _segment_bytes(
+def _segment_buffers(
     parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> bytearray:
-    """The ``.npy`` bytes of the (3, n) int64 rows of ``parts``, in order.
+) -> List[Any]:
+    """The ``.npy`` of the (3, n) int64 rows of ``parts``, as buffers.
 
-    Byte-identical to ``np.save`` of the stacked, concatenated parts,
-    but each column is copied once, straight into the output buffer: a
-    compaction's transient memory is one copy of the merged rows, not
-    the three that concatenate, stack and serialize would take.
+    The header, then every part's ids, every part's times, every
+    part's counts: written back to back these are byte-identical to
+    ``np.save`` of the stacked, concatenated parts, yet no copy of the
+    rows is made — a compaction streams its input memory maps straight
+    into the merged file.
     """
     rows = sum(len(ids) for ids, _, _ in parts)
     header = io.BytesIO()
@@ -1377,17 +1404,11 @@ def _segment_bytes(
             "shape": (3, rows),
         },
     )
-    offset = len(header.getvalue())
-    data = bytearray(offset + 3 * 8 * rows)
-    data[:offset] = header.getvalue()
-    out = np.frombuffer(data, dtype=np.int64, offset=offset).reshape(3, rows)
-    at = 0
-    for part in parts:
-        n = len(part[0])
-        for column, values in enumerate(part):
-            out[column, at : at + n] = values
-        at += n
-    return data
+    return [header.getvalue()] + [
+        np.ascontiguousarray(part[column], dtype=np.int64)
+        for column in range(3)
+        for part in parts
+    ]
 
 
 def _stored_shape(path: Path) -> Tuple[int, ...]:

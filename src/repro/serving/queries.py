@@ -145,6 +145,8 @@ class TopDomainsQuery(Query):
 
     Deterministic under ties: ranked by ``(-total, name)``, so equal
     totals break lexicographically regardless of intern order.
+    ``np.partition`` finds the ``n``-th largest total, and only the
+    domains at or above it are sorted.
     """
 
     n: int = 10
@@ -166,14 +168,21 @@ class TopDomainsQuery(Query):
         self, db: PassiveDnsDatabase, meter: Optional[CostMeter] = None
     ) -> List[Tuple[str, int]]:
         domains, _first, _last, totals = db.aggregate_snapshot()
-        best: List[Tuple[int, str]] = []
-        for lo in range(0, len(domains), CHECKPOINT_STRIDE):
-            hi = min(lo + CHECKPOINT_STRIDE, len(domains))
-            if meter is not None:
-                meter.tick(hi - lo)
-            stride = [(-int(totals[i]), str(domains[i])) for i in range(lo, hi)]
-            best = sorted(best + stride)[: self.n]
-        return [(name, -neg_total) for neg_total, name in best]
+        count = len(domains)
+        if meter is not None:
+            # The same checkpoints, with the same units, as a scan in
+            # CHECKPOINT_STRIDE-domain strides.
+            for lo in range(0, count, CHECKPOINT_STRIDE):
+                meter.tick(min(lo + CHECKPOINT_STRIDE, count) - lo)
+        if self.n < count:
+            # Every domain at or above the n-th largest total, so all
+            # ties at the cutoff compete on name below.
+            floor = np.partition(totals, count - self.n)[count - self.n]
+            candidates = np.flatnonzero(totals >= floor).tolist()
+        else:
+            candidates = range(count)
+        best = sorted((-int(totals[i]), str(domains[i])) for i in candidates)
+        return [(name, -neg_total) for neg_total, name in best[: self.n]]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,10 @@ Three layers:
   mid-ingest crash.
 """
 
+import io
 import json
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -287,6 +289,45 @@ class TestSpillBackedDatabase:
         assert clone.fingerprint() == trace.nx_db.fingerprint()
         assert clone.tld_histogram() == trace.nx_db.tld_histogram()
 
+    @pytest.mark.parametrize("kind", ["garbage", "npy", "no-table", "torn-zip"])
+    def test_unloadable_domain_sidecar_is_a_typed_error(self, kind, tmp_path):
+        """A sidecar whose CRC verifies but numpy cannot read as the table."""
+        npy, npz = io.BytesIO(), io.BytesIO()
+        np.save(npy, np.arange(4))
+        np.savez(npz, other=np.arange(4))
+        blob = {
+            "garbage": b"not a domain table",
+            "npy": npy.getvalue(),
+            "no-table": npz.getvalue(),
+            "torn-zip": npz.getvalue()[:-12],
+        }[kind]
+        store = SpillStore.open(tmp_path / "s")
+        sidecar = store.write_sidecar("domains", blob)
+        store.commit({})
+        with pytest.raises(CorruptArchiveError) as caught:
+            PassiveDnsDatabase(spill_dir=tmp_path / "s")
+        assert caught.value.path.endswith(sidecar.name)
+        assert "domain sidecar" in caught.value.detail
+
+    def test_compressed_domain_sidecar_still_opens(self, tmp_path):
+        """Stores written with a deflated sidecar open unchanged."""
+        db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
+        _fill(db, rounds=1)
+        store = SpillStore.open(tmp_path / "s")
+        with np.load(io.BytesIO(store.read_sidecar("domains"))) as payload:
+            table = {key: payload[key] for key in payload.files}
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **table)
+        assert len(buffer.getvalue()) < store.sidecar_path("domains").stat().st_size
+        store.write_sidecar("domains", buffer.getvalue())
+        store.commit(dict(store.meta))
+        reopened = PassiveDnsDatabase(spill_dir=tmp_path / "s")
+        assert reopened.fingerprint() == db.fingerprint()
+        assert reopened.all_domains() == db.all_domains()
+        assert reopened.aggregate_snapshot()[3].tolist() == (
+            db.aggregate_snapshot()[3].tolist()
+        )
+
     def test_appends_after_reopen_extend_the_store(self, tmp_path):
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         _fill(db, rounds=1)
@@ -310,12 +351,48 @@ class _RecordingProbe(StorageFaultInjector):
         super().__init__(make_rng(0), InjectionLog(), at=None)
         self.ops = []
         self.freed = []
+        self.sized = []
 
     def decide(self, op, path, size=0):
         self.ops.append(op)
+        self.sized.append((op, path, size))
         if op == "unlink" or (op == "replace" and os.path.exists(path)):
             self.freed.append((op, path))
         return super().decide(op, path, size)
+
+
+#: Every durability boundary of the matrix workload (two commits, the
+#: second compacting), as "op file" in order.
+_PINNED_BOUNDARIES = [
+    line.strip()
+    for line in """
+    append journal.log; fsync journal.log; write seg-0000001.npy.tmp;
+    fsync seg-0000001.npy.tmp; replace seg-0000001.npy; dirsync segments;
+    append journal.log; fsync journal.log; write domains-0000001.bin.tmp;
+    fsync domains-0000001.bin.tmp; replace domains-0000001.bin;
+    dirsync probe; append journal.log; fsync journal.log;
+    write manifest-0000001.json.tmp; fsync manifest-0000001.json.tmp;
+    replace manifest-0000001.json; dirsync probe; append journal.log;
+    fsync journal.log; append journal.log; fsync journal.log;
+    write seg-0000002.npy.tmp; fsync seg-0000002.npy.tmp;
+    replace seg-0000002.npy; dirsync segments; append journal.log;
+    fsync journal.log; write domains-0000002.bin.tmp;
+    fsync domains-0000002.bin.tmp; replace domains-0000002.bin;
+    dirsync probe; append journal.log; fsync journal.log;
+    write manifest-0000002.json.tmp; fsync manifest-0000002.json.tmp;
+    replace manifest-0000002.json; dirsync probe; append journal.log;
+    fsync journal.log; append journal.log; fsync journal.log;
+    write seg-0000003.npy.tmp; fsync seg-0000003.npy.tmp;
+    replace seg-0000003.npy; dirsync segments; append journal.log;
+    fsync journal.log; write manifest-0000003.json.tmp;
+    fsync manifest-0000003.json.tmp; replace manifest-0000003.json;
+    dirsync probe; append journal.log; fsync journal.log;
+    unlink manifest-0000001.json; unlink manifest-0000002.json;
+    dirsync probe; unlink seg-0000001.npy; unlink seg-0000002.npy;
+    dirsync segments; unlink domains-0000001.bin; dirsync probe;
+    append journal.log; fsync journal.log
+    """.split(";")
+]
 
 
 def _count_boundaries(tmp_path):
@@ -396,6 +473,35 @@ class TestCrashAtEveryBoundary:
         first, _ = _count_boundaries(tmp_path / "a")
         second, _ = _count_boundaries(tmp_path / "b")
         assert first == second
+
+    def test_boundary_sequence_is_pinned(self, tmp_path):
+        """Streamed segment writes keep every boundary where it was.
+
+        Segments are written from a list of buffers; under an injector
+        they are joined first, so each write boundary still sees the
+        whole payload.  The matrix workload's (op, file) sequence and
+        its segment payload sizes are pinned.
+        """
+        probe = _RecordingProbe()
+        _fill(
+            PassiveDnsDatabase(
+                spill_dir=tmp_path / "probe",
+                spill_faults=probe,
+                spill_compact_threshold=2,
+            )
+        )
+        assert [
+            f"{op} {os.path.basename(path)}" for op, path, _ in probe.sized
+        ] == _PINNED_BOUNDARIES
+        assert {
+            os.path.basename(path): size
+            for op, path, size in probe.sized
+            if op == "write" and "seg-" in path
+        } == {
+            "seg-0000001.npy.tmp": 9728,
+            "seg-0000002.npy.tmp": 9728,
+            "seg-0000003.npy.tmp": 19328,
+        }
 
 
 def _three_generation_store(root):
@@ -583,6 +689,51 @@ class TestCompaction:
             PassiveDnsDatabase(
                 spill_dir=tmp_path / "s2", spill_compact_threshold=-3
             )
+
+
+class TestStreamedCompaction:
+    """Compaction streams its inputs into the merged segment file."""
+
+    @staticmethod
+    def _store(root, segments, rows):
+        store = SpillStore.open(root)
+        rng = make_rng(derive_seed(5, "streamed-compaction"))
+        for _ in range(segments):
+            ids = rng.integers(0, 5000, rows)
+            times = rng.integers(1_400_000_000, 1_600_000_000, rows)
+            store.append_segment(ids, times, rng.integers(1, 9, rows), digest=0)
+            store.commit()
+        return store
+
+    def test_merged_segment_is_byte_identical_to_np_save(self, tmp_path):
+        store = self._store(tmp_path / "s", segments=3, rows=1000)
+        stacked = np.stack(
+            [
+                np.concatenate(column)
+                for column in zip(
+                    *(store.mmap_segment(info) for info in store.segments())
+                )
+            ]
+        )
+        expected = io.BytesIO()
+        np.save(expected, stacked)
+        store.compact()
+        merged = tmp_path / "s" / "segments" / store.segments()[0].name
+        assert merged.read_bytes() == expected.getvalue()
+        assert store.segments()[0].crc32 == zlib.crc32(expected.getvalue())
+
+    def test_compaction_holds_less_than_one_copy_of_the_rows(self, tmp_path):
+        rows = 4 * 60_000
+        store = self._store(tmp_path / "s", segments=4, rows=rows // 4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert store.compact() is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.row_count() == rows
+        assert peak < rows * 24, f"compaction peaked at {peak} bytes"
 
 
 class TestIncrementalRecovery:

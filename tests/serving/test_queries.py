@@ -1,11 +1,18 @@
 """Typed queries, deadlines, and the cooperative cost meter."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import SECONDS_PER_DAY, STUDY_START, date_to_epoch
 from repro.dns.name import DomainName
 from repro.errors import ConfigError, DeadlineExceededError
+from repro.passivedns.database import PassiveDnsDatabase
+from repro.serving import queries
 from repro.serving import (
     ActivityWindowQuery,
     CostMeter,
@@ -128,3 +135,86 @@ def test_only_whole_store_aggregates_degrade():
     assert not DailySeriesQuery.degradable
     assert not TimelineQuery.degradable
     assert not ActivityWindowQuery.degradable
+
+
+# -- top-domains ≡ the stride-sort scan ---------------------------------------
+
+
+def _stride_sort_top(db, n, meter=None, stride=None):
+    """The former ``TopDomainsQuery.execute``: a stride-by-stride sort.
+
+    Kept as the reference: per ``stride`` domains it ticks the meter,
+    then merges the stride's ``(-total, name)`` tuples into the best
+    ``n`` so far.
+    """
+    stride = queries.CHECKPOINT_STRIDE if stride is None else stride
+    domains, _first, _last, totals = db.aggregate_snapshot()
+    best = []
+    for lo in range(0, len(domains), stride):
+        hi = min(lo + stride, len(domains))
+        if meter is not None:
+            meter.tick(hi - lo)
+        chunk = [(-int(totals[i]), str(domains[i])) for i in range(lo, hi)]
+        best = sorted(best + chunk)[:n]
+    return [(name, -neg_total) for neg_total, name in best]
+
+
+def _tied_store(seed, domains, levels):
+    """A store whose totals take only ``levels`` values: heavy ties."""
+    rng = np.random.default_rng(seed)
+    db = PassiveDnsDatabase()
+    # Shuffled names, so intern order and name order disagree.
+    names = [DomainName(f"t{i:05d}.com") for i in rng.permutation(domains)]
+    ids = db.intern_many(names)
+    totals = rng.integers(1, levels + 1, domains)
+    db.add_batch(ids, np.full(domains, T0, dtype=np.int64), totals)
+    return db
+
+
+def _outcome(run):
+    try:
+        return ("ok", run())
+    except DeadlineExceededError as error:
+        return ("cancelled", str(error))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    domains=st.integers(min_value=0, max_value=120),
+    levels=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=130),
+    stride=st.integers(min_value=1, max_value=40),
+    budget=st.integers(min_value=1, max_value=12),
+)
+def test_top_domains_equals_stride_sort(seed, domains, levels, n, stride, budget):
+    """Same ranking, same checkpoints, same cancellation point.
+
+    Small strides stand in for CHECKPOINT_STRIDE so a small store
+    spans many checkpoints; ``n`` runs past the domain count and the
+    store may be empty.
+    """
+    db = _tied_store(seed, domains, levels)
+    with mock.patch.object(queries, "CHECKPOINT_STRIDE", stride):
+        assert TopDomainsQuery(n=n).execute(db) == _stride_sort_top(db, n)
+        meters = [
+            CostMeter(started_at=0, deadline=Deadline(budget), cost_rate=7)
+            for _ in range(2)
+        ]
+        fast = _outcome(lambda: TopDomainsQuery(n=n).execute(db, meters[0]))
+        slow = _outcome(lambda: _stride_sort_top(db, n, meters[1]))
+    assert fast == slow
+    assert meters[0].checkpoints == meters[1].checkpoints
+    assert meters[0].seconds() == meters[1].seconds()
+
+
+def test_top_domains_equals_stride_sort_at_full_stride():
+    """More domains than one CHECKPOINT_STRIDE, ties at every cutoff."""
+    db = _tied_store(4, 2 * queries.CHECKPOINT_STRIDE + 300, levels=3)
+    for n in (1, 5, 50, 3000, 10_000):
+        meters = [CostMeter(started_at=0, deadline=None, cost_rate=1) for _ in "ab"]
+        assert TopDomainsQuery(n=n).execute(db, meters[0]) == _stride_sort_top(
+            db, n, meters[1]
+        )
+        assert meters[0].checkpoints == meters[1].checkpoints == 3
+    assert TopDomainsQuery(n=3).execute(PassiveDnsDatabase()) == []
