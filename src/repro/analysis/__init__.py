@@ -9,10 +9,10 @@ those invariants statically, with zero third-party dependencies, using
 only :mod:`ast` and :mod:`tokenize`.
 
 The engine runs four passes.  The per-file pass walks each module's
-AST once, dispatching nodes to the REP001–REP008 rules.  The
+AST once, dispatching nodes to the REP001–REP009 rules.  The
 whole-program pass assembles every module's extracted facts into a
-:class:`~repro.analysis.project.ProjectModel` — resolved names, call
-graph, import graph — and hands it to the flow-sensitive REP101–REP104
+:class:`~repro.analysis.project.ProjectModel` — resolved names and
+the call graph — and hands it to the flow-sensitive REP101–REP104
 rules, which catch wall-clock reads and unseeded RNGs laundered
 through helpers, dynamic-import layering evasions, and dead exports.
 The effect pass runs the REP201–REP204 rules over per-function effect
@@ -27,17 +27,18 @@ lock discipline on spawn-reachable shared state, lock-ordering cycles,
 leaked resource handles, blocking calls made under a lock, and
 unsynchronized lazy init.  Per-file results (including effect and
 concurrency facts) are cached by content hash (warm runs re-analyze
-only changed files plus their dependency cone) and the per-file pass
+only changed files; the whole-program findings replay when nothing
+changed and are recomputed whole otherwise) and the per-file pass
 can fan out over worker processes.
 
 Pieces:
 
 - :mod:`repro.analysis.rules` — the :class:`~repro.analysis.rules.Rule`
   plugin API, registry, and ``--explain`` rendering;
-- :mod:`repro.analysis.builtin` — the eight per-file REP001–REP008
+- :mod:`repro.analysis.builtin` — the nine per-file REP001–REP009
   rules;
 - :mod:`repro.analysis.project` — module summaries, name resolution,
-  the call/import graphs, and taint propagation;
+  the call graph, and taint propagation;
 - :mod:`repro.analysis.program_rules` — the whole-program
   REP101–REP104 rules;
 - :mod:`repro.analysis.effect_rules` — the effect-flow REP201–REP204

@@ -12,6 +12,7 @@ REP005    import layering (substrates never import core; nobody imports cli)
 REP006    no mutable default arguments
 REP007    no unordered set/dict iteration feeding report output
 REP008    public functions carry a docstring or a return annotation
+REP009    no builtin ``hash()`` outside ``__hash__`` (salted per process)
 ========  ==============================================================
 """
 
@@ -670,3 +671,51 @@ class PublicApiDocumented(Rule):
                 f"public function {node.name}() has neither a docstring "
                 "nor a return annotation",
             )
+
+
+@register
+class NoBuiltinHash(Rule):
+    """REP009 — builtin ``hash()`` never feeds a result.
+
+    Invariant:
+        The builtin ``hash()`` is called only inside a ``__hash__``
+        method, where it combines field hashes for in-process dict and
+        set lookups.
+
+    Why:
+        Python salts ``hash()`` of ``str`` and ``bytes`` per process
+        (``PYTHONHASHSEED``), so a value derived from it differs
+        between two runs of the same seed.  Stable identifiers come
+        from a digest such as ``repro.rand.derive_seed``.
+
+    Good::
+
+        handle = f"h-{derive_seed(0, name) % 10_000_000}"
+
+    Bad::
+
+        handle = f"h-{abs(hash(name)) % 10_000_000}"
+    """
+
+    rule_id = "REP009"
+    severity = Severity.ERROR
+    description = (
+        "builtin hash() is salted per process; outside __hash__ use a "
+        "stable digest (repro.rand.derive_seed)"
+    )
+    node_types = (ast.Call,)
+
+    def visit(self, node: ast.AST, ctx) -> Iterable[Finding]:
+        if _dotted(node.func) not in (("hash",), ("builtins", "hash")):
+            return
+        for ancestor in ctx.ancestors(node):
+            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ancestor.name == "__hash__":
+                    return
+                break
+        yield self.finding(
+            ctx,
+            node,
+            "builtin hash() is salted per process; derive stable values "
+            "from a digest (repro.rand.derive_seed)",
+        )

@@ -7,9 +7,10 @@ the baseline:
 - per file: the source content hash, the per-file findings, and the
   :class:`~repro.analysis.project.ModuleSummary` (the whole-program
   facts), so a warm run re-parses only files whose bytes changed;
-- per run: the whole-program findings grouped by module, so an
-  unchanged tree skips the project pass entirely and a dirty tree
-  recomputes only the dirty modules' dependency cone.
+- per run: the findings of the last completed whole-program pass that
+  read every file, so a tree where every file hit and none vanished
+  replays them without building a model; any other tree recomputes the
+  pass whole.
 
 The whole cache is keyed by a signature over the analyzer version,
 the resolved rule set, and the behavior-relevant configuration; any
@@ -32,8 +33,10 @@ from repro.analysis.findings import ANALYZER_VERSION, Finding
 #: Bumped to 2 when module summaries grew per-function effect facts,
 #: to 3 when they grew the concurrency facts (with-held locks, lock
 #: definitions, resources, lazy inits); older caches carry summaries
-#: without them and must never be replayed.
-CACHE_FORMAT_VERSION = 3
+#: without them and must never be replayed.  Bumped to 4 when the
+#: program findings became one flat list and summaries dropped their
+#: import edges.
+CACHE_FORMAT_VERSION = 4
 
 
 def content_hash(source: str) -> str:
@@ -90,10 +93,9 @@ class AnalysisCache:
 
     signature: str
     files: Dict[str, FileEntry] = field(default_factory=dict)
-    program_findings: Dict[str, List[Finding]] = field(default_factory=dict)
-    #: Whether ``program_findings`` reflects a completed project pass
-    #: (an empty dict is a legitimate "zero findings" result).
-    program_valid: bool = False
+    #: Findings of the last completed whole-program pass; ``None`` when
+    #: no pass completed (an empty list is a legitimate result).
+    program_findings: Optional[List[Finding]] = None
     #: Statistics for benchmarks and cache-behavior tests.
     hits: int = 0
     misses: int = 0
@@ -160,11 +162,9 @@ def load_cache(path: Path, signature: str) -> AnalysisCache:
                 summary=entry.get("summary"),
                 lint=bool(entry.get("lint", True)),
             )
-        for module, findings in data.get("program", {}).items():
-            cache.program_findings[str(module)] = [
-                Finding.from_json(f) for f in findings
-            ]
-        cache.program_valid = bool(data.get("program_valid", False))
+        program = data.get("program")
+        if program is not None:
+            cache.program_findings = [Finding.from_json(f) for f in program]
     except (KeyError, TypeError, ValueError, AttributeError):
         # A damaged cache degrades to a cold run, never to a crash.
         return AnalysisCache(signature=signature)
@@ -195,11 +195,11 @@ def save_cache(path: Path, cache: AnalysisCache) -> None:
             }
             for relpath, entry in sorted(cache.files.items())
         },
-        "program": {
-            module: [f.to_json() for f in findings]
-            for module, findings in sorted(cache.program_findings.items())
-        },
-        "program_valid": cache.program_valid,
+        "program": (
+            None
+            if cache.program_findings is None
+            else [f.to_json() for f in cache.program_findings]
+        ),
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:

@@ -13,12 +13,11 @@ REP304    no blocking IO (fsync/replace/open) while a lock is held
 REP305    lazy-init fills of shared attributes happen under a lock
 ========  ==============================================================
 
-REP303 and REP304 are cone-scoped: a module's findings depend only on
-its own facts plus the effect summaries of its transitive imports.
-REP301, REP302, and REP305 are global-scope: spawn sites and lock
-acquisitions anywhere in the project (including reference trees) feed
-the reachability and ordering analyses, so cone invalidation cannot
-bound them.
+REP303 and REP304 read a module's own facts plus the effect summaries
+of its transitive imports.  For REP301, REP302 and REP305, spawn sites
+and lock acquisitions anywhere in the project (reference trees
+included) feed the reachability and ordering analyses.  Every rule
+runs over the whole model on each recompute.
 
 "Spawn-reachable" throughout means reachable through the call graph
 from a ``Thread``/pool dispatch target or from any function of a
@@ -33,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.effect_rules import _graph_node, _iter_effects
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.program_rules import _scoped_modules
 from repro.analysis.project import (
     MODULE_SCOPE,
     CallSite,
@@ -212,20 +210,16 @@ class SharedStateLockDiscipline(ProjectRule):
         "fields written under a lock somewhere must be written under "
         "a lock everywhere spawn-reachable (inconsistent lockset)"
     )
-    #: Spawn sites and guarded writes anywhere in the project define
-    #: the audited set, so the dirty cone cannot bound this.
-    global_scope = True
 
     def check(
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag unguarded writes to otherwise lock-guarded state."""
         locks = _LockIndex(project, config)
         chains = _spawn_reachable(project, config)
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             guarded_fields = self._guarded_fields(module, summary, locks)
             guarded_globals = self._guarded_globals(module, summary, locks)
@@ -346,20 +340,15 @@ class LockOrderingCycles(ProjectRule):
         "the project-wide lock-acquisition graph (nested with "
         "statements + calls made while holding a lock) must be acyclic"
     )
-    #: The acquisition graph spans every module, so any change can
-    #: create or break a cycle anywhere.
-    global_scope = True
 
     def check(
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag cycles in the lock-acquisition graph with witnesses."""
         locks = _LockIndex(project, config)
         edges = self._acquisition_edges(project, locks)
-        scope = set(_scoped_modules(project, config, modules))
         for cycle in self._cycles(edges):
             witness_edges = [
                 (a, b)
@@ -368,7 +357,7 @@ class LockOrderingCycles(ProjectRule):
             ]
             anchor = min(edges[e] for e in witness_edges)
             relpath, lineno, col, module = anchor
-            if module not in scope:
+            if module not in project.lint_modules:
                 continue
             steps = "; ".join(
                 f"{b.rsplit('.', 1)[-1]} taken while holding "
@@ -610,10 +599,9 @@ class ResourceLifecycle(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag resource acquisitions without guaranteed release."""
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for qualname, fx in _iter_effects(summary):
                 where = (
@@ -701,12 +689,11 @@ class BlockingCallUnderLock(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag lock-guarded calls whose closure blocks on IO."""
         locks = _LockIndex(project, config)
         blocking_cache: Dict[str, Optional[str]] = {}
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for call in summary.calls:
                 guard = next(
@@ -839,20 +826,16 @@ class LazyInitRace(ProjectRule):
         "check-then-fill lazy initialization of instance attributes "
         "in spawn-reachable methods must hold a lock"
     )
-    #: Spawn sites anywhere make a method reachable, so the dirty cone
-    #: cannot bound this.
-    global_scope = True
 
     def check(
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag unguarded lazy-init fills on spawn-reachable paths."""
         locks = _LockIndex(project, config)
         chains = _spawn_reachable(project, config)
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for qualname, fx in _iter_effects(summary):
                 if qualname == MODULE_SCOPE:

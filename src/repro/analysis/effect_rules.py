@@ -11,11 +11,11 @@ REP203    pool/thread workers never mutate shared module-level state
 REP204    cache-backing fields are only mutated under a generation bump
 ========  ==============================================================
 
-REP201 and REP204 are cone-scoped: a module's findings depend only on
-its own effect facts (plus, for REP204, same-class callees in the same
-module).  REP202 and REP203 are global-scope: the roots and spawn
-sites that make a function reachable may live in *other* modules —
-including reference trees — so cone invalidation cannot bound them.
+REP201 and REP204 read a module's own effect facts (plus, for REP204,
+same-class callees in the same module).  REP202 and REP203 follow
+reachability, so the roots and spawn sites that make a function
+reachable may live in *other* modules, reference trees included.
+Every rule runs over the whole model on each recompute.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.program_rules import _scoped_modules
 from repro.analysis.project import (
     MODULE_SCOPE,
     CallSite,
@@ -127,11 +126,10 @@ class AtomicWriteDiscipline(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag raw write sites outside the atomic-IO sanction."""
         sanctioned = tuple(config.atomic_io_modules)
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             if module in sanctioned or any(
                 module.startswith(prefix + ".") for prefix in sanctioned
             ):
@@ -219,15 +217,11 @@ class CrashSignalSwallow(ProjectRule):
         "except clauses reachable from retry/pipeline roots must not "
         "swallow crash-signal exceptions (InjectedCrashError et al.)"
     )
-    #: Roots live anywhere in the project (including other modules),
-    #: so reachability cannot be bounded by the dirty cone.
-    global_scope = True
 
     def check(
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag swallowing handlers on resilient-reachable paths."""
         chains = project.reachable_from(self._roots(project, config))
@@ -235,7 +229,7 @@ class CrashSignalSwallow(ProjectRule):
             signal: self._ancestors(project, signal)
             for signal in CRASH_SIGNALS
         }
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for qualname, fx in _iter_effects(summary):
                 chain = chains.get(_graph_node(summary, qualname))
@@ -340,19 +334,15 @@ class WorkerSharedStateMutation(ProjectRule):
         "functions reachable from pool/thread entry points must not "
         "mutate module-level or captured mutable state"
     )
-    #: Spawn sites anywhere in the project (including reference trees)
-    #: make a function a worker, so the dirty cone cannot bound this.
-    global_scope = True
 
     def check(
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag shared-state mutations inside reachable workers."""
         chains = project.reachable_from(self._entry_points(project))
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             shared = set(summary.mutable_globals) | {
                 assign.caller for assign in summary.module_assigns
@@ -451,10 +441,9 @@ class CacheGenerationBump(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag generation-less mutations in generation-tracked classes."""
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for class_qualname in sorted(summary.classes):
                 methods = self._methods(summary, class_qualname)

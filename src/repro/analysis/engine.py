@@ -11,8 +11,9 @@ flow-sensitive REP10x rules.
 
 The per-file pass is embarrassingly parallel (``jobs > 1`` fans it out
 over a process pool) and cacheable (an :class:`AnalysisCache` keyed by
-content hash skips unchanged files; the whole-program pass is then
-recomputed only for the dirty modules' dependency cone).
+content hash skips unchanged files).  The whole-program pass either
+replays the cached findings, when no file was re-analyzed, unreadable
+or vanished, or runs every project rule over the whole model.
 
 Suppressions are ordinary comments::
 
@@ -306,8 +307,8 @@ class Analyzer:
         ``lint examples`` into a no-op.  ``jobs > 1`` fans the
         per-file pass out over a process pool; ``cache`` (an
         :class:`~repro.analysis.cache.AnalysisCache`) skips files
-        whose content hash is unchanged and limits the whole-program
-        recomputation to the dirty modules' dependency cone.
+        whose content hash is unchanged and, when every file hit and
+        none vanished, replays the cached whole-program findings.
         """
         self.last_stats = stats = RunStats()
         per_file_started = time.perf_counter()
@@ -316,8 +317,8 @@ class Analyzer:
         want_summary = bool(self.project_rules)
 
         results: Dict[str, _FileResult] = {}
-        dirty_modules: Set[str] = set()
         pending: List[Tuple[str, str, bool, str]] = []
+        unreadable = False
         for path, lint in [(p, True) for p in lint_files] + [
             (p, False) for p in reference_files
         ]:
@@ -325,6 +326,7 @@ class Analyzer:
             try:
                 source = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
+                unreadable = True
                 if lint:
                     results[relpath] = _FileResult(
                         [self._meta(relpath, 1, f"unreadable file: {exc}")]
@@ -347,26 +349,18 @@ class Analyzer:
             )
             if cache is not None:
                 cache.store(relpath, digest, findings, summary, lint=lint)
-            if summary is not None:
-                dirty_modules.add(str(summary["module"]))
-            else:
-                # Unparseable files poison incremental reuse safely:
-                # treat them as dirtying everything they might define.
-                dirty_modules.add(module_name_for(Path(relpath)))
 
-        if cache is not None:
-            # A cached file absent from this scan was deleted or
-            # renamed.  Its module must be marked dirty even though no
-            # file was (re)analyzed, or the program pass replays stale
-            # findings for its unchanged importers and skips global
-            # rules (e.g. REP104 after deleting the only referencer).
-            for relpath in set(cache.files) - set(results):
-                entry = cache.files[relpath]
-                module = (entry.summary or {}).get("module")
-                dirty_modules.add(
-                    str(module) if module else module_name_for(Path(relpath))
-                )
-
+        # The model is a function of the scanned summaries alone, so the
+        # cached program findings still hold when every file hit and no
+        # cached file vanished (a deletion or rename changes the model
+        # even though nothing was re-analyzed).
+        replay = (
+            cache is not None
+            and cache.program_findings is not None
+            and not pending
+            and not unreadable
+            and set(cache.files) <= set(results)
+        )
         stats.pass_seconds["per-file"] = (
             time.perf_counter() - per_file_started
         )
@@ -375,9 +369,16 @@ class Analyzer:
             findings.extend(result.findings)
         if self.project_rules:
             program_started = time.perf_counter()
-            findings.extend(
-                self._program_pass(results, dirty_modules, cache)
-            )
+            if replay:
+                program = cache.program_findings
+            else:
+                program = self._program_pass(results)
+                if cache is not None:
+                    # a pass that saw an unreadable file lacks its facts;
+                    # once the bytes come back every file hits, so such
+                    # a pass must never be replayed
+                    cache.program_findings = None if unreadable else program
+            findings.extend(program)
             stats.pass_seconds["whole-program"] = (
                 time.perf_counter() - program_started
             )
@@ -444,19 +445,8 @@ class Analyzer:
                 findings = [Finding.from_json(f) for f in raw_findings]
                 yield relpath, findings, summary, digest, lint
 
-    def _program_pass(
-        self,
-        results: Dict[str, _FileResult],
-        dirty_modules: Set[str],
-        cache: Optional[cache_mod.AnalysisCache],
-    ) -> List[Finding]:
-        """Run the whole-program rules over the assembled model.
-
-        When a cache with a valid prior project pass is present, only
-        the dirty modules' dependency cone is recomputed for
-        cone-scoped rules; global-scope rules (reference scans) are
-        recomputed whenever anything changed at all.
-        """
+    def _program_pass(self, results: Dict[str, _FileResult]) -> List[Finding]:
+        """Run every whole-program rule over the assembled model."""
         summaries: List[ModuleSummary] = []
         lint_modules: Set[str] = set()
         for result in results.values():
@@ -468,54 +458,19 @@ class Analyzer:
                 lint_modules.add(summary.module)
         model = ProjectModel(summaries)
         model.lint_modules = lint_modules
-        cached_valid = cache is not None and cache.program_valid
-        if not dirty_modules and cached_valid:
-            by_module = {
-                module: list(findings)
-                for module, findings in cache.program_findings.items()
-                if module in model.modules
-            }
-        else:
-            by_module = {}
-            affected = model.dependency_cone(dirty_modules)
-            if cached_valid:
-                global_ids = {
-                    rule.rule_id
-                    for rule in self.project_rules
-                    if rule.global_scope
-                }
-                for module, findings in cache.program_findings.items():
-                    if module in model.modules and module not in affected:
-                        kept = [
-                            f for f in findings if f.rule_id not in global_ids
-                        ]
-                        if kept:
-                            by_module[module] = kept
-            else:
-                affected = set(model.modules)
-            path_to_module = {
-                summary.relpath: summary.module for summary in summaries
-            }
-            for rule in self.project_rules:
-                scope = None if rule.global_scope else sorted(affected)
-                rule_started = time.perf_counter()
-                for finding in rule.check(model, self.config, modules=scope):
-                    module = path_to_module.get(finding.path, finding.path)
-                    if model.is_suppressed(module, finding.line, rule.rule_id):
-                        continue
-                    by_module.setdefault(module, []).append(finding)
-                self.last_stats.rule_seconds[rule.rule_id] = (
-                    time.perf_counter() - rule_started
-                )
-        if cache is not None:
-            cache.program_findings = {
-                module: list(findings)
-                for module, findings in by_module.items()
-            }
-            cache.program_valid = True
+        path_to_module = {
+            summary.relpath: summary.module for summary in summaries
+        }
         out: List[Finding] = []
-        for module in sorted(by_module):
-            out.extend(by_module[module])
+        for rule in self.project_rules:
+            rule_started = time.perf_counter()
+            for finding in rule.check(model, self.config):
+                module = path_to_module.get(finding.path, finding.path)
+                if not model.is_suppressed(module, finding.line, rule.rule_id):
+                    out.append(finding)
+            self.last_stats.rule_seconds[rule.rule_id] = (
+                time.perf_counter() - rule_started
+            )
         return out
 
     def check_file(self, root: Path, path: Path) -> List[Finding]:
@@ -627,9 +582,7 @@ class Analyzer:
             results[relpath] = _FileResult(findings, summary, lint)
         findings = [f for r in results.values() for f in r.findings]
         if self.project_rules:
-            findings.extend(
-                self._program_pass(results, set(), cache=None)
-            )
+            findings.extend(self._program_pass(results))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return findings
 

@@ -2,7 +2,7 @@
 
 These rules run on the resolved :class:`~repro.analysis.project.ProjectModel`
 rather than on single files, so they can see flows the per-file
-REP001-REP008 pass structurally cannot:
+REP001-REP009 pass structurally cannot:
 
 ========  ==============================================================
 REP101    clock purity propagates through the call graph
@@ -35,39 +35,6 @@ RNG_FACTORIES = frozenset({
 RNG_FACTORY_METHODS = frozenset({"rng", "subfactory"})
 #: Qualified names that perform a dynamic import.
 DYNAMIC_IMPORTERS = frozenset({"importlib.import_module", "__import__"})
-
-
-def _scoped_modules(
-    project: ProjectModel,
-    config: AnalysisConfig,
-    modules: Optional[Iterable[str]],
-) -> List[str]:
-    """Lint-scope modules to analyze, sorted for determinism.
-
-    ``modules=None`` means the whole project; otherwise only the given
-    dirty dependency cone is re-analyzed.  Reference-only modules
-    (tests, benchmarks, examples) never receive findings.  The engine
-    records which modules were linted on ``project.lint_modules``;
-    when that is absent (models built outside the engine), the
-    ``repro``-rooted heuristic applies, so explicitly linting an
-    excluded tree (``lint benchmarks``) still scopes project rules to
-    the named files.
-    """
-    chosen = set(project.modules) if modules is None else set(modules)
-    lint_scope = project.lint_modules
-    if lint_scope is not None:
-        return sorted(
-            module
-            for module in chosen
-            if module in project.modules and module in lint_scope
-        )
-    return sorted(
-        module
-        for module in chosen
-        if module in project.modules
-        and module.startswith("repro")
-        and not config.is_excluded(project.modules[module].relpath)
-    )
 
 
 @register
@@ -115,11 +82,10 @@ class ClockPurityPropagation(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag public functions whose call chains reach a clock read."""
         chains = self._taint_chains(project)
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             if module.startswith(self._BARRIER_PREFIX):
                 continue
             summary = project.modules[module]
@@ -205,10 +171,9 @@ class SeedProvenance(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Flag module-global RNG stashes and constant-derived seeds."""
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             if module.startswith(self._EXEMPT_PREFIX):
                 continue
             summary = project.modules[module]
@@ -305,11 +270,10 @@ class DynamicImportLayering(ProjectRule):
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Resolve dynamic-import targets and enforce the layer DAG."""
         forwarders = self._forwarders(project, config)
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for call in summary.calls:
                 resolved = self._dynamic_importer(project, summary, call)
@@ -438,19 +402,15 @@ class DeadPublicApi(ProjectRule):
         "names exported via __all__ must be referenced somewhere in "
         "src, tests, benchmarks, or examples (dead public API)"
     )
-    #: Reference scans read the entire project, so any dirty file
-    #: invalidates every module's findings for this rule.
-    global_scope = True
 
     def check(
         self,
         project: ProjectModel,
         config: AnalysisConfig,
-        modules: Optional[Iterable[str]] = None,
     ) -> Iterable[Finding]:
         """Cross-reference every ``__all__`` entry against the index."""
         index = project.reference_index()
-        for module in _scoped_modules(project, config, modules):
+        for module in sorted(project.lint_modules):
             summary = project.modules[module]
             for name in summary.exports:
                 if name.startswith("__"):

@@ -13,11 +13,10 @@ facts that make such flows visible:
   by **one** AST walk and cheap enough to serialize into the results
   cache;
 - a :class:`ProjectModel` over all summaries — resolved qualified
-  names, the intra-project call graph, the module import graph, taint
-  propagation (which functions transitively reach a given sink),
-  forward reachability (which functions a set of entry points can
-  reach), exception-class ancestry, and the dependency cone used for
-  incremental re-analysis.
+  names, the intra-project call graph, taint propagation (which
+  functions transitively reach a given sink), forward reachability
+  (which functions a set of entry points can reach) and
+  exception-class ancestry.
 
 Summaries are pure data (JSON round-trippable), so a warm run rebuilds
 the whole model without re-parsing a single unchanged file.
@@ -103,32 +102,6 @@ class CallSite:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "CallSite":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(**data)  # type: ignore[arg-type]
-
-
-@dataclass
-class ImportEdge:
-    """One import statement (static or ``TYPE_CHECKING``-guarded)."""
-
-    target: str
-    lineno: int
-    col: int
-    type_checking: bool = False
-    function_scope: bool = False
-
-    def to_json(self) -> Dict[str, object]:
-        """Serializable form for the results cache."""
-        return {
-            "target": self.target,
-            "lineno": self.lineno,
-            "col": self.col,
-            "type_checking": self.type_checking,
-            "function_scope": self.function_scope,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "ImportEdge":
         """Rebuild from :meth:`to_json` output."""
         return cls(**data)  # type: ignore[arg-type]
 
@@ -476,7 +449,6 @@ class ModuleSummary:
     relpath: str
     bindings: Dict[str, str] = field(default_factory=dict)
     star_imports: List[str] = field(default_factory=list)
-    imports: List[ImportEdge] = field(default_factory=list)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     calls: List[CallSite] = field(default_factory=list)
     module_assigns: List[CallSite] = field(default_factory=list)
@@ -503,7 +475,6 @@ class ModuleSummary:
             "relpath": self.relpath,
             "bindings": dict(self.bindings),
             "star_imports": list(self.star_imports),
-            "imports": [edge.to_json() for edge in self.imports],
             "functions": {
                 name: info.to_json() for name, info in self.functions.items()
             },
@@ -531,9 +502,6 @@ class ModuleSummary:
             relpath=str(data["relpath"]),
             bindings=dict(data.get("bindings", {})),  # type: ignore[arg-type]
             star_imports=list(data.get("star_imports", [])),  # type: ignore[arg-type]
-            imports=[
-                ImportEdge.from_json(e) for e in data.get("imports", [])  # type: ignore[union-attr]
-            ],
             functions={
                 name: FunctionInfo.from_json(info)
                 for name, info in data.get("functions", {}).items()  # type: ignore[union-attr]
@@ -624,7 +592,6 @@ class _Summarizer(ast.NodeVisitor):
         self._class_depth = 0
         self._func_depth = 0
         self._params: List[Set[str]] = []
-        self._type_checking_depth = 0
         # Per-function-scope stacks (index 0 is module scope): names of
         # in-memory buffer locals, `global` declarations, and
         # `nonlocal` declarations.
@@ -744,15 +711,6 @@ class _Summarizer(ast.NodeVisitor):
                 # `import a.b` binds `a`; attribute walks resolve the rest.
                 head = target.split(".")[0]
                 self.summary.bindings.setdefault(head, head)
-            self.summary.imports.append(
-                ImportEdge(
-                    target=target,
-                    lineno=node.lineno,
-                    col=node.col_offset + 1,
-                    type_checking=self._type_checking_depth > 0,
-                    function_scope=self._func_depth > 0,
-                )
-            )
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -764,15 +722,6 @@ class _Summarizer(ast.NodeVisitor):
             self.summary.refs.append(alias.name)
             local = alias.asname or alias.name
             self.summary.bindings[local] = f"{base}.{alias.name}" if base else alias.name
-        self.summary.imports.append(
-            ImportEdge(
-                target=base,
-                lineno=node.lineno,
-                col=node.col_offset + 1,
-                type_checking=self._type_checking_depth > 0,
-                function_scope=self._func_depth > 0,
-            )
-        )
         self.generic_visit(node)
 
     def _resolve_relative(self, node: ast.ImportFrom) -> str:
@@ -785,10 +734,8 @@ class _Summarizer(ast.NodeVisitor):
 
     def visit_If(self, node: ast.If) -> None:
         if _is_type_checking_test(node.test):
-            self._type_checking_depth += 1
             for stmt in node.body:
                 self.visit(stmt)
-            self._type_checking_depth -= 1
             for stmt in node.orelse:
                 self.visit(stmt)
             if isinstance(node.test, (ast.Name, ast.Attribute)):
@@ -1384,11 +1331,9 @@ class ProjectModel:
         self._resolution_cache: Dict[Tuple[str, str], Optional[str]] = {}
         self._call_graph: Optional[Dict[str, Set[str]]] = None
         self._reverse_calls: Optional[Dict[str, Set[str]]] = None
-        self._import_graph: Optional[Dict[str, Set[str]]] = None
         #: Modules analyzed with per-file rules enabled (set by the
-        #: engine).  ``None`` means unknown — project rules then fall
-        #: back to the ``repro``-rooted heuristic scope.
-        self.lint_modules: Optional[Set[str]] = None
+        #: engine); project rules report findings in these alone.
+        self.lint_modules: Set[str] = set()
 
     # -- name resolution ---------------------------------------------------
 
@@ -1617,88 +1562,6 @@ class ProjectModel:
                 resolved = self.resolve(owner, base) or base
                 stack.append(resolved)
         return out
-
-    # -- import graph and incremental cone ---------------------------------
-
-    def import_graph(self) -> Dict[str, Set[str]]:
-        """Module-level edges: importer -> imported project modules.
-
-        ``TYPE_CHECKING``-guarded imports are included (a type-only
-        edge still propagates dirtiness safely; over-invalidation is
-        harmless, under-invalidation is not).
-        """
-        if self._import_graph is not None:
-            return self._import_graph
-        graph: Dict[str, Set[str]] = {}
-        for module in sorted(self.modules):
-            targets: Set[str] = set()
-            summary = self.modules[module]
-            for edge in summary.imports:
-                owner = self.module_of(edge.target) if edge.target else None
-                if owner is not None and owner != module:
-                    targets.add(owner)
-            for star_target in summary.star_imports:
-                if star_target in self.modules:
-                    targets.add(star_target)
-            graph[module] = targets
-        self._import_graph = graph
-        return graph
-
-    def dependency_cone(self, dirty: Iterable[str]) -> Set[str]:
-        """Modules whose whole-program findings may change when ``dirty``
-        modules changed: the dirty set plus every transitive importer.
-
-        A module's flow-sensitive findings depend on its own summary
-        and on the summaries of everything it (transitively) imports,
-        so editing D invalidates exactly D and the modules that can
-        reach D through imports.
-
-        A dirty name absent from the model is a deleted (or renamed)
-        module.  The import graph no longer carries edges to it — its
-        importers' edges now resolve elsewhere or nowhere — so the
-        cone is seeded from the raw import statements and bindings
-        that still mention the vanished name.
-        """
-        graph = self.import_graph()
-        reverse: Dict[str, Set[str]] = {}
-        for importer, targets in graph.items():
-            for target in targets:
-                reverse.setdefault(target, set()).add(importer)
-        dirty = set(dirty)
-        cone: Set[str] = set()
-        frontier = [m for m in dirty if m in self.modules]
-        for missing in sorted(dirty - set(self.modules)):
-            frontier.extend(sorted(self._importers_of_missing(missing)))
-        while frontier:
-            node = frontier.pop()
-            if node in cone:
-                continue
-            cone.add(node)
-            frontier.extend(sorted(reverse.get(node, ())))
-        return cone
-
-    def _importers_of_missing(self, missing: str) -> Set[str]:
-        """Modules whose raw imports still reference a vanished module.
-
-        Matches import targets, star imports, and import-binding
-        values against ``missing`` and ``missing.*`` — ``from pkg
-        import mod`` records target ``pkg`` but binds ``mod`` to
-        ``pkg.mod``, so bindings must be checked too.
-        """
-        prefix = missing + "."
-
-        def _hits(name: str) -> bool:
-            return name == missing or name.startswith(prefix)
-
-        importers: Set[str] = set()
-        for module, summary in self.modules.items():
-            if (
-                any(_hits(edge.target) for edge in summary.imports)
-                or any(_hits(t) for t in summary.star_imports)
-                or any(_hits(v) for v in summary.bindings.values())
-            ):
-                importers.add(module)
-        return importers
 
     # -- reference index ---------------------------------------------------
 

@@ -69,23 +69,17 @@ class ProjectRule(Rule):
 
     A project rule never sees individual AST nodes; instead the engine
     hands it the resolved :class:`~repro.analysis.project.ProjectModel`
-    once per run and the rule reports findings anywhere in the project.
-    ``modules`` restricts the pass to the dirty dependency cone during
-    incremental runs; ``None`` means the whole project.
+    once per run and the rule reports findings in the linted modules
+    (``project.lint_modules``).
     """
 
     is_project_rule = True
-    #: Rules whose findings in module M depend only on M and M's
-    #: transitive imports can be recomputed for the dirty cone alone.
-    #: Rules that read the entire project (e.g. reference scans) set
-    #: this True and are recomputed globally whenever anything changed.
-    global_scope: bool = False
 
     def visit(self, node: ast.AST, ctx) -> Iterable[Finding]:
         """Project rules take no per-node dispatch."""
         return ()
 
-    def check(self, project, config, modules=None) -> Iterable[Finding]:
+    def check(self, project, config) -> Iterable[Finding]:
         """Yield findings over the project model."""
         raise NotImplementedError
 

@@ -46,7 +46,7 @@ from repro.errors import WorkloadError
 from repro.faults.plan import FaultPlan
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.pipeline import PipelineStats, ResilientIngestPipeline
-from repro.rand import SeedSequenceFactory, WeightedTable
+from repro.rand import SeedSequenceFactory, WeightedTable, derive_seed
 from repro.squatting.bit import bitsquat_variants
 from repro.squatting.combo import combosquat_variants
 from repro.squatting.detector import SquattingType
@@ -480,7 +480,9 @@ class NxdomainTraceGenerator:
                 WhoisRecord(
                     domain=record.domain,
                     registrar="generic",
-                    registrant_handle=f"h-{abs(hash(record.domain)) % 10_000_000}",
+                    registrant_handle=(
+                        f"h-{derive_seed(0, str(record.domain)) % 10_000_000}"
+                    ),
                     status="registered",
                     created_at=record.registered_at,
                     expires_at=record.expired_at,

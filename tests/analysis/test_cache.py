@@ -5,9 +5,12 @@ byte-identical findings to a cold serial run, for any edit sequence.
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import cache as cache_mod
 from repro.analysis import AnalysisConfig, Analyzer, default_rules
@@ -74,6 +77,20 @@ def test_warm_run_hits_cache_and_matches_cold(project):
     assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
 
 
+def test_unchanged_tree_replays_without_building_a_model(
+    project, monkeypatch
+):
+    cache = cache_mod.AnalysisCache(signature=_signature())
+    cold = _run(project, cache=cache)
+
+    def _no_model(*args, **kwargs):
+        raise AssertionError("a warm run over an unchanged tree built a model")
+
+    monkeypatch.setattr("repro.analysis.engine.ProjectModel", _no_model)
+    warm = _run(project, cache=cache)
+    assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
+
+
 def test_content_change_invalidates_only_that_file(project):
     cache = cache_mod.AnalysisCache(signature=_signature())
     _run(project, cache=cache)
@@ -93,13 +110,13 @@ def test_content_change_invalidates_only_that_file(project):
     assert any(f.rule_id == "REP101" for f in findings)
 
 
-def test_edit_propagates_through_dependency_cone(project):
+def test_edit_in_imported_module_clears_importer_finding_warm(project):
     cache = cache_mod.AnalysisCache(signature=_signature())
     before = _run(project, cache=cache)
     assert any(f.rule_id == "REP101" for f in before)
 
     # remove the sink: the flagged caller lives in a *different* file,
-    # which stays byte-identical — only cone invalidation can clear it
+    # which stays byte-identical — the recomputed program pass clears it
     _write(
         project,
         "src/repro/util.py",
@@ -137,7 +154,7 @@ def test_cache_round_trips_through_disk(project, tmp_path):
     cache_mod.save_cache(cache_file, cache)
 
     reloaded = cache_mod.load_cache(cache_file, _signature())
-    assert reloaded.program_valid
+    assert reloaded.program_findings is not None
     warm = _run(project, cache=reloaded)
     assert reloaded.misses == 0
     assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
@@ -150,7 +167,7 @@ def test_signature_mismatch_discards_cache(project, tmp_path):
     cache_mod.save_cache(cache_file, cache)
 
     other = cache_mod.load_cache(cache_file, "different-signature")
-    assert other.files == {} and not other.program_valid
+    assert other.files == {} and other.program_findings is None
 
 
 def test_corrupt_cache_degrades_to_cold_run(project, tmp_path):
@@ -180,7 +197,7 @@ def test_analyzer_version_bump_invalidates_cache(project, tmp_path, monkeypatch)
     old_signature = _signature()
     assert old_signature != cache.signature
     stale = cache_mod.load_cache(cache_file, old_signature)
-    assert stale.files == {} and not stale.program_valid
+    assert stale.files == {} and stale.program_findings is None
 
 
 def test_ruleset_signature_covers_concurrency_config():
@@ -226,7 +243,7 @@ def test_deleting_sink_module_clears_importer_findings_warm(project):
 
     # delete the module *defining* the clock sink: every surviving
     # file is byte-identical, so nothing is (re)analyzed and only
-    # deletion-dirtying can stop the cached REP101 from replaying
+    # the vanished-file check can stop the cached REP101 from replaying
     (project / "src/repro/util.py").unlink()
     warm = _run(project, cache=cache)
     cold = _run(project)
@@ -267,13 +284,37 @@ def test_deleting_only_referencer_surfaces_dead_export_warm(tmp_path):
     assert any(f.rule_id == "REP104" for f in warm)
 
 
+def test_undecodable_sink_module_clears_importer_findings_warm(project):
+    cache = cache_mod.AnalysisCache(signature=_signature())
+    before = _run(project, cache=cache)
+    assert any(f.rule_id == "REP101" for f in before)
+    sink = (project / "src/repro/util.py").read_bytes()
+
+    # the sink module stops decoding: it is still scanned (and reported
+    # as REP000) but contributes no facts, so the importer's REP101
+    # must clear although no file was re-analyzed
+    (project / "src/repro/util.py").write_bytes(b"\xff\xfe not utf-8\n")
+    warm = _run(project, cache=cache)
+    cold = _run(project)
+    assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
+    assert not any(f.rule_id == "REP101" for f in warm)
+
+    # restoring the original bytes makes every file hit again; the pass
+    # that saw the unreadable file must not be replayed
+    (project / "src/repro/util.py").write_bytes(sink)
+    warm = _run(project, cache=cache)
+    cold = _run(project)
+    assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
+    assert any(f.rule_id == "REP101" for f in warm)
+
+
 def test_rename_moves_findings_warm(project):
     cache = cache_mod.AnalysisCache(signature=_signature())
     before = _run(project, cache=cache)
     assert any(f.rule_id == "REP101" for f in before)
 
-    # rename = delete + add under a new module name; the stale cone
-    # (old name) and the fresh cone (new name) must both invalidate
+    # rename = delete + add under a new module name: findings move
+    # from the old path to the new one
     flow = project / "src/repro/core/flow.py"
     moved = project / "src/repro/core/pipeline.py"
     moved.write_text(flow.read_text(encoding="utf-8"), encoding="utf-8")
@@ -365,7 +406,7 @@ def test_concurrent_lint_runs_never_tear_the_cache(project):
     for proc in runs:
         assert proc.returncode == 1, proc.stderr.read().decode()
     final = cache_mod.load_cache(cache_file, _signature())
-    assert final.files and final.program_valid
+    assert final.files and final.program_findings is not None
     # a warm in-process run over the survivor matches a cold one
     warm = _run(project, cache=final)
     cold = _run(project)
@@ -374,7 +415,8 @@ def test_concurrent_lint_runs_never_tear_the_cache(project):
 
 
 def test_program_valid_distinguishes_empty_from_unran(tmp_path):
-    # a clean project caches "zero program findings" as a valid result
+    # a clean project caches "zero program findings" as a completed
+    # pass (an empty list), distinct from "no pass yet" (None)
     _write(
         tmp_path,
         "src/repro/clean.py",
@@ -384,7 +426,114 @@ def test_program_valid_distinguishes_empty_from_unran(tmp_path):
         "    return a + b\n",
     )
     cache = cache_mod.AnalysisCache(signature=_signature())
-    assert not cache.program_valid
+    assert cache.program_findings is None
     _run(tmp_path, cache=cache)
-    assert cache.program_valid
-    assert cache.program_findings == {}
+    assert cache.program_findings == []
+    cache_file = tmp_path / "cache.json"
+    cache_mod.save_cache(cache_file, cache)
+    assert cache_mod.load_cache(cache_file, _signature()).program_findings == []
+
+
+_SINK = (
+    "import time\n\n\n"
+    "def _stamp():\n"
+    '    """Doc."""\n'
+    "    return time.time()  # repro: noqa[REP001] fixture\n"
+)
+_NO_SINK = (
+    '"""Doc."""\n\n\n'
+    "def _stamp():\n"
+    '    """Doc."""\n'
+    "    return 0\n"
+)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "sink",
+                "unsink",
+                "mutable",
+                "delete",
+                "rename",
+                "garble",
+                "restore",
+            ]
+        ),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(edits=_EDITS)
+def test_warm_findings_equal_cold_after_every_edit(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write(root, "src/repro/util.py", _SINK)
+        _write(
+            root,
+            "src/repro/core/flow.py",
+            '"""Doc."""\n'
+            "from repro.util import _stamp\n\n\n"
+            "def run(records):\n"
+            '    """Doc."""\n'
+            "    return _stamp(), records\n",
+        )
+        _write(
+            root,
+            "src/repro/clean.py",
+            '"""Doc."""\n\n\n'
+            "def add(a, b):\n"
+            '    """Doc."""\n'
+            "    return a + b\n",
+        )
+        cache_file = root / "cache.json"
+        cache = cache_mod.AnalysisCache(signature=_signature())
+        _run(root, cache=cache)
+        # path -> bytes it held before it was garbled
+        garbled = {}
+        # the last step puts every garbled file back: all files hit the
+        # cache again, and a pass that saw them garbled must not replay
+        for step, (kind, pick) in enumerate(edits + [("restore-all", 0)]):
+            modules = sorted((root / "src/repro").rglob("*.py"))
+            target = modules[pick % len(modules)] if modules else None
+            if kind in ("sink", "unsink"):
+                # the module flow.py imports: its REP101 follows the sink
+                _write(
+                    root,
+                    "src/repro/util.py",
+                    _SINK if kind == "sink" else _NO_SINK,
+                )
+            elif kind == "restore":
+                # put a garbled file's original bytes back, so every
+                # file can hit the cache again
+                if not garbled:
+                    continue
+                path = sorted(garbled)[pick % len(garbled)]
+                path.write_bytes(garbled.pop(path))
+            elif kind == "restore-all":
+                for path, original in garbled.items():
+                    path.write_bytes(original)
+            elif target is None:
+                continue
+            elif kind == "garble":
+                garbled.setdefault(target, target.read_bytes())
+                target.write_bytes(b"\xff\xfe not utf-8\n")
+            elif kind == "mutable":
+                target.write_bytes(
+                    target.read_bytes()
+                    + f"\n\ndef grow{step}(items=[]):\n".encode()
+                    + b'    """Doc."""\n'
+                    + b"    return items\n"
+                )
+            elif kind == "delete":
+                target.unlink()
+            else:
+                target.rename(target.with_name(f"moved{step}.py"))
+            cache_mod.save_cache(cache_file, cache)
+            cache = cache_mod.load_cache(cache_file, _signature())
+            warm = _run(root, cache=cache)
+            cold = _run(root)
+            assert [f.to_json() for f in warm] == [f.to_json() for f in cold]

@@ -152,7 +152,7 @@ def test_stale_analyzer_version_cache_is_discarded(project, monkeypatch):
 
     # A current-version load rejects it wholesale: every file misses.
     reloaded = cache_mod.load_cache(cache_file, new_signature)
-    assert reloaded.files == {} and not reloaded.program_valid
+    assert reloaded.files == {} and reloaded.program_findings is None
     warm = _run(project, reloaded)
     assert reloaded.misses == 1 and reloaded.hits == 0
     assert [f.to_json() for f in warm] == [f.to_json() for f in findings]

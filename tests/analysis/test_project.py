@@ -1,5 +1,5 @@
-"""The whole-program project model: name resolution, call graph,
-taint propagation, import graph, and the incremental dependency cone.
+"""The whole-program project model: name resolution, call graph and
+taint propagation.
 
 The edge cases here (cyclic imports, ``from x import *``, re-exports
 through ``__init__``, decorated and nested functions) are exactly the
@@ -187,37 +187,6 @@ def test_taint_chain_is_deterministic_witness():
         "repro.sinkmod.read",
         "time.time",
     ]
-
-
-def test_import_graph_and_dependency_cone():
-    model = _model({
-        "src/repro/base.py": "def g():\n    pass\n",
-        "src/repro/mid.py": "from repro.base import g\n",
-        "src/repro/top.py": "from repro.mid import g\n",
-        "src/repro/other.py": "def h():\n    pass\n",
-    })
-    graph = model.import_graph()
-    assert graph["repro.mid"] == {"repro.base"}
-    assert graph["repro.top"] == {"repro.mid"}
-    # editing base invalidates base + mid + top, never other
-    cone = model.dependency_cone({"repro.base"})
-    assert cone == {"repro.base", "repro.mid", "repro.top"}
-    assert model.dependency_cone({"repro.other"}) == {"repro.other"}
-
-
-def test_type_checking_imports_still_propagate_dirtiness():
-    # type-only edges are exempt from REP005 but must still appear in
-    # the import graph: over-invalidation is safe, under is not.
-    model = _model({
-        "src/repro/a.py": (
-            "from typing import TYPE_CHECKING\n\n"
-            "if TYPE_CHECKING:\n"
-            "    from repro.b import Thing\n"
-        ),
-        "src/repro/b.py": "class Thing:\n    pass\n",
-    })
-    assert "repro.b" in model.import_graph()["repro.a"]
-    assert "repro.a" in model.dependency_cone({"repro.b"})
 
 
 def test_reference_index_spans_modules():

@@ -545,3 +545,71 @@ class TestRep008PublicApiDocumented:
         )
         rep008 = [f for f in findings if f.rule_id == "REP008"]
         assert rep008 and all(f.severity.value == "warning" for f in rep008)
+
+
+class TestRep009BuiltinHash:
+    def test_hash_feeding_a_value_flagged(self, run_source):
+        findings = run_source(
+            """
+            def handle(name) -> str:
+                return f"h-{abs(hash(name)) % 10_000_000}"
+            """
+        )
+        assert "REP009" in rule_ids(findings)
+
+    def test_builtins_hash_flagged_at_module_level(self, run_source):
+        findings = run_source(
+            """
+            import builtins
+
+            SALT = builtins.hash("repro")
+            """
+        )
+        assert "REP009" in rule_ids(findings)
+
+    def test_stable_digest_clean(self, run_source):
+        findings = run_source(
+            """
+            from repro.rand import derive_seed
+
+            def handle(name) -> str:
+                return f"h-{derive_seed(0, name) % 10_000_000}"
+            """
+        )
+        assert "REP009" not in rule_ids(findings)
+
+    def test_dunder_hash_clean(self, run_source):
+        findings = run_source(
+            """
+            class Name:
+                '''doc'''
+
+                def __hash__(self) -> int:
+                    return hash(self._labels)
+            """
+        )
+        assert "REP009" not in rule_ids(findings)
+
+    def test_helper_nested_in_dunder_hash_flagged(self, run_source):
+        # only the __hash__ body itself is exempt
+        findings = run_source(
+            """
+            class Name:
+                '''doc'''
+
+                def __hash__(self) -> int:
+                    def mix(part) -> int:
+                        return hash(part)
+                    return mix(self._labels)
+            """
+        )
+        assert "REP009" in rule_ids(findings)
+
+    def test_method_call_named_hash_clean(self, run_source):
+        findings = run_source(
+            """
+            def digest(hasher, data) -> int:
+                return hasher.hash(data)
+            """
+        )
+        assert "REP009" not in rule_ids(findings)

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -112,6 +117,40 @@ class TestTraceAndValidate:
         sidecar.write_bytes(sidecar.read_bytes()[:-1])
         assert main(["trace", "analyze", str(out_dir)]) == 1
         assert "corrupt archive" in capsys.readouterr().err
+
+    def test_trace_is_identical_across_hash_seeds(self, tmp_path):
+        # Builtin hash() of a str is salted per process, so any output
+        # derived from it differs between two interpreters.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def cli(hash_seed, *args):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *args],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout
+
+        analyzed = []
+        for hash_seed in (1, 2):
+            out_dir = str(tmp_path / f"seed{hash_seed}")
+            cli(hash_seed, "trace", "generate", out_dir, "--domains", "300")
+            analyzed.append(cli(hash_seed, "trace", "analyze", out_dir))
+        assert analyzed[0] == analyzed[1]
+        for name in (
+            "whois.jsonl",
+            "population.jsonl",
+            "blocklist.jsonl",
+            "manifest.json",
+        ):
+            assert (tmp_path / "seed1" / name).read_bytes() == (
+                tmp_path / "seed2" / name
+            ).read_bytes(), name
 
     def test_validate_scale_only(self, capsys):
         code = main(
