@@ -3,8 +3,8 @@
 Not paper figures — these track the performance of the building blocks
 the study leans on, so substrate regressions show up next to the
 experiment benches: wire codec throughput, full iterative resolution,
-cached resolution, passive-DNS ingest (scalar and batch), indexed
-per-domain series queries, and classifier throughput.
+cached resolution, passive-DNS batch ingest, indexed per-domain series
+queries, and classifier throughput.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.dns.wire import decode_message, encode_message
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.rand import make_rng
 from repro.squatting.detector import SquattingDetector
-from tests.passivedns.reference import daily_series_scan
+from tests.passivedns.reference import ScalarDatabase, daily_series_scan
 
 
 @pytest.fixture(scope="module")
@@ -69,21 +69,8 @@ def test_perf_cached_resolution(benchmark, hierarchy):
     assert result.from_cache
 
 
-def test_perf_database_ingest(benchmark):
-    domains = [DomainName(f"bulk-{i % 500}.com") for i in range(2_000)]
-
-    def ingest():
-        db = PassiveDnsDatabase()
-        for i, domain in enumerate(domains):
-            db.add(domain, timestamp=i * 60, count=1)
-        return db
-
-    db = benchmark(ingest)
-    assert db.total_responses() == 2_000
-
-
 def test_perf_database_ingest_batch(benchmark):
-    """Columnar batch ingest of the same workload as the scalar bench."""
+    """Columnar batch ingest, checked against the row-by-row oracle."""
     domains = [DomainName(f"bulk-{i % 500}.com") for i in range(2_000)]
     times = np.arange(2_000, dtype=np.int64) * 60
     counts = np.ones(2_000, dtype=np.int64)
@@ -96,7 +83,7 @@ def test_perf_database_ingest_batch(benchmark):
 
     db = benchmark(ingest)
     assert db.total_responses() == 2_000
-    reference = PassiveDnsDatabase()
+    reference = ScalarDatabase()
     for i, domain in enumerate(domains):
         reference.add(domain, timestamp=i * 60, count=1)
     assert db.fingerprint() == reference.fingerprint()

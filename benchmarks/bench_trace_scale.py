@@ -4,9 +4,10 @@ Checks the performance contracts of this repo's ingest→aggregate
 vectorization:
 
 - **batch vs scalar ingest** — :meth:`PassiveDnsDatabase.add_batch`
-  must land the same store as row-by-row :meth:`add` (fingerprint
-  equality, the hard gate everywhere) and be >= 5x faster (asserted
-  only off-CI, where wall time is meaningful);
+  must land the same store as the row-by-row oracle
+  ``ScalarDatabase.add`` in ``tests/passivedns/reference.py``
+  (fingerprint equality, the hard gate everywhere) and be >= 5x faster
+  (asserted only off-CI, where wall time is meaningful);
 - **indexed vs scanned per-domain series** — the CSR-indexed
   :meth:`daily_series_for` must match the reference masked scan
   exactly and be >= 10x faster on a store where the target domain
@@ -41,7 +42,11 @@ from repro.passivedns.pipeline import ResilientIngestPipeline
 from repro.passivedns.record import DnsObservation
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
-from tests.passivedns.reference import ReferencePipeline, daily_series_scan
+from tests.passivedns.reference import (
+    ReferencePipeline,
+    ScalarDatabase,
+    daily_series_scan,
+)
 
 #: Batch ingest must beat scalar ingest by this factor (off-CI only).
 BATCH_MIN_SPEEDUP = 5.0
@@ -99,7 +104,7 @@ def test_batch_ingest_beats_scalar(workload):
     domains, picks, times, counts = workload
 
     def scalar():
-        db = PassiveDnsDatabase()
+        db = ScalarDatabase()
         for pick, timestamp, count in zip(
             picks.tolist(), times.tolist(), counts.tolist()
         ):

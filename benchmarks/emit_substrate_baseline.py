@@ -4,10 +4,11 @@ Runs the columnar-store contracts from ``bench_trace_scale.py`` on a
 canonical seeded workload and writes a machine-readable summary:
 
 - a ``contracts`` section that is **deterministic** (store
-  fingerprints of the canonical workloads, batch-vs-scalar equality,
-  indexed-vs-scanned series equality, and identity of the columnar
-  ingest pipeline with the record-at-a-time reference model in
-  ``tests/passivedns/reference.py`` on clean and degraded streams) —
+  fingerprints of the canonical workloads, equality of batch ingest
+  with the row-by-row ``ScalarDatabase`` oracle, indexed-vs-scanned
+  series equality, and identity of the columnar ingest pipeline with
+  the record-at-a-time reference model, both oracles in
+  ``tests/passivedns/reference.py``, on clean and degraded streams) —
   diffs here mean ingest, generation, or aggregation *semantics*
   changed, and the committed copy at the repo root is the regression
   anchor;
@@ -44,7 +45,11 @@ from repro.passivedns.record import DnsObservation
 from repro.passivedns.spill import atomic_write_bytes
 from repro.rand import make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
-from tests.passivedns.reference import ReferencePipeline, daily_series_scan
+from tests.passivedns.reference import (
+    ReferencePipeline,
+    ScalarDatabase,
+    daily_series_scan,
+)
 
 VERSION = 5
 N_ROWS = 60_000
@@ -84,7 +89,7 @@ def _workload():
 
 def _scalar_ingest(workload):
     domains, picks, times, counts = workload
-    db = PassiveDnsDatabase()
+    db = ScalarDatabase()
     for pick, timestamp, count in zip(
         picks.tolist(), times.tolist(), counts.tolist()
     ):

@@ -45,7 +45,9 @@ def main() -> int:
 
     channel = SieChannel()
     db = PassiveDnsDatabase()
-    channel.subscribe(db.ingest)
+    channel.subscribe(
+        lambda o: db.add_rows(o.registered_domain, [o.timestamp], [o.count])
+    )
     resolver = SensorTappedResolver(
         hierarchy.make_recursive_resolver(), Sensor("example-tap", channel)
     )

@@ -89,13 +89,18 @@ class FileEntry:
 
 @dataclass
 class AnalysisCache:
-    """In-memory view of the on-disk cache, saved back after a run."""
+    """In-memory view of the on-disk cache, saved back after a run that
+    changed it."""
 
     signature: str
     files: Dict[str, FileEntry] = field(default_factory=dict)
     #: Findings of the last completed whole-program pass; ``None`` when
     #: no pass completed (an empty list is a legitimate result).
     program_findings: Optional[List[Finding]] = None
+    #: Whether this run changed anything :func:`save_cache` writes; a
+    #: replay over an unchanged tree leaves it unset, and the caller
+    #: skips rewriting the file.
+    dirty: bool = False
     #: Statistics for benchmarks and cache-behavior tests.
     hits: int = 0
     misses: int = 0
@@ -124,6 +129,7 @@ class AnalysisCache:
         lint: bool = True,
     ) -> None:
         """Record fresh results for a file."""
+        self.dirty = True
         self.files[relpath] = FileEntry(
             hash=source_hash,
             findings=list(findings),
@@ -137,6 +143,7 @@ class AnalysisCache:
         for relpath in list(self.files):
             if relpath not in live:
                 del self.files[relpath]
+                self.dirty = True
 
 
 def load_cache(path: Path, signature: str) -> AnalysisCache:

@@ -378,6 +378,7 @@ class Analyzer:
                     # once the bytes come back every file hits, so such
                     # a pass must never be replayed
                     cache.program_findings = None if unreadable else program
+                    cache.dirty = True
             findings.extend(program)
             stats.pass_seconds["whole-program"] = (
                 time.perf_counter() - program_started

@@ -168,7 +168,8 @@ def _run_lint(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
     )
-    if cache is not None:
+    if cache is not None and cache.dirty:
+        # A replay over an unchanged tree has nothing new to write.
         cache_mod.save_cache(cache_file, cache)
 
     baseline_file = root / config.baseline_path

@@ -7,36 +7,23 @@ only NXDOMAIN responses and drops reverse-lookup names, so that filter
 is the default here.
 
 Fan-out is *isolated*: one crashing subscriber can no longer starve
-the subscribers after it of an observation.  What happens to the error
-afterwards is the channel's :class:`DeliveryErrorPolicy` — re-raised
-(the default, preserving fail-fast behaviour), counted, or counted
-*and* pushed to a dead-letter queue for replay.
+the subscribers after it of an observation.  The channel counts the
+error and, once every subscriber has been tried, re-raises the first
+one (fail-fast).  A subscriber that should quarantine its failures
+instead catches them itself; the columnar ingest pipeline delivers
+and dead-letters its rows without subscribers at all.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError, ReproError, UnknownKeyError
+from repro.errors import ReproError, UnknownKeyError
 from repro.passivedns.record import DnsObservation
-from repro.resilience.dlq import DeadLetterQueue
 
 Subscriber = Callable[[DnsObservation], None]
-
-
-class DeliveryErrorPolicy(enum.Enum):
-    """What the channel does with a subscriber's ``ReproError``."""
-
-    #: Deliver to every remaining subscriber, then re-raise the first
-    #: error (the pre-resilience surface, minus the lost fanout).
-    RAISE = "raise"
-    #: Count the error and keep going.
-    COUNT = "count"
-    #: Count and quarantine the observation for replay.
-    DEAD_LETTER = "dead-letter"
 
 
 class SieChannel:
@@ -49,20 +36,9 @@ class SieChannel:
         self,
         nxdomain_only: bool = True,
         drop_reverse_lookups: bool = True,
-        error_policy: DeliveryErrorPolicy = DeliveryErrorPolicy.RAISE,
-        dead_letters: Optional[DeadLetterQueue] = None,
     ) -> None:
-        if (
-            error_policy is DeliveryErrorPolicy.DEAD_LETTER
-            and dead_letters is None
-        ):
-            raise ConfigError(
-                "DEAD_LETTER policy requires a DeadLetterQueue"
-            )
         self.nxdomain_only = nxdomain_only
         self.drop_reverse_lookups = drop_reverse_lookups
-        self.error_policy = error_policy
-        self.dead_letters = dead_letters
         self._subscribers: List[Subscriber] = []
         self.published = 0
         self.dropped = 0
@@ -85,7 +61,8 @@ class SieChannel:
         """Offer an observation; returns True when it passed the filter.
 
         Every subscriber is attempted even when an earlier one raises a
-        :class:`ReproError`; programming errors outside the library's
+        :class:`ReproError`; the first such error is re-raised after
+        the last subscriber.  Programming errors outside the library's
         hierarchy still propagate immediately.
         """
         if self.nxdomain_only and not observation.is_nxdomain:
@@ -101,16 +78,8 @@ class SieChannel:
                 subscriber(observation)
             except ReproError as exc:
                 self.subscriber_errors += 1
-                if self.error_policy is DeliveryErrorPolicy.RAISE:
-                    if first_error is None:
-                        first_error = exc
-                elif self.error_policy is DeliveryErrorPolicy.DEAD_LETTER:
-                    assert self.dead_letters is not None
-                    self.dead_letters.push(
-                        observation,
-                        reason=f"subscriber failed: {exc}",
-                        timestamp=observation.timestamp,
-                    )
+                if first_error is None:
+                    first_error = exc
         if first_error is not None:
             raise first_error
         return True

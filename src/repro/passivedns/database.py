@@ -12,9 +12,9 @@ columns.
 Performance layout (see ``docs/PERFORMANCE.md``):
 
 - **ingest** appends into a numpy tail buffer that is sealed into an
-  immutable chunk at ``_CHUNK`` rows, so single-row adds stay O(1)
-  amortized and :meth:`add_batch` lands whole arrays without a
-  per-row Python loop;
+  immutable chunk at ``_CHUNK`` rows, so appends stay O(1) amortized
+  per row and :meth:`add_batch` / :meth:`add_rows` land whole arrays
+  without a per-row Python loop;
 - **aggregates** (monthly series, TLD histogram, lifespan decay, the
   fingerprint) are cached against a generation counter that every
   mutation bumps, so repeated analysis passes over a quiescent store
@@ -361,42 +361,6 @@ class PassiveDnsDatabase:
 
     # -- ingestion --------------------------------------------------------
 
-    def ingest(self, observation: DnsObservation) -> None:
-        """Channel-subscriber entry point (NXDomains only).
-
-        With ``deduplicate`` enabled, a redelivery of an observation
-        whose key is still inside the sliding window is suppressed and
-        counted — the idempotence that makes at-least-once channel
-        delivery and dead-letter replay safe.
-        """
-        if self.admit(observation):
-            self.add(
-                observation.registered_domain,
-                observation.timestamp,
-                observation.count,
-            )
-
-    def admit(self, observation: DnsObservation) -> bool:
-        """Admission control without the row append.
-
-        Applies the NXDomain filter and, when ``deduplicate`` is on,
-        advances the sliding dedup window exactly as :meth:`ingest`
-        would — returning whether the observation should land.
-        """
-        if not observation.is_nxdomain:
-            return False
-        if self.deduplicate:
-            key = observation.observation_key
-            if key in self._recent_keys:
-                # Suppression state, not a row column: no generation-
-                # keyed cache reads the window or the counter.
-                self.duplicates_suppressed += 1  # repro: noqa[REP204]
-                return False
-            self._recent_keys[key] = None  # repro: noqa[REP204]
-            while len(self._recent_keys) > self.DEDUP_WINDOW:
-                self._recent_keys.popitem(last=False)
-        return True
-
     def admit_many(
         self,
         sensor_ids: Sequence[str],
@@ -406,13 +370,18 @@ class PassiveDnsDatabase:
         timestamps: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        """Batch :meth:`admit` for NXDomains given as observation-key columns.
+        """Admission control for NXDomains given as observation-key columns.
 
         Row ``i`` stands for the key ``(sensor_ids[i], qnames[i],
-        rcodes[i], rtypes[i], timestamps[i], counts[i])``, in arrival
-        order.  Returns the mask of rows that land; the window and
-        ``duplicates_suppressed`` end up exactly as after one
-        :meth:`admit` per row.
+        rcodes[i], rtypes[i], timestamps[i], counts[i])`` (a
+        :attr:`DnsObservation.observation_key`), in arrival order.
+        Returns the mask of rows that land.  With ``deduplicate`` on, a
+        redelivery whose key is still inside the sliding window is
+        suppressed and counted in ``duplicates_suppressed`` — the
+        idempotence that makes at-least-once channel delivery and
+        dead-letter replay safe.  The window and the counter end up
+        exactly as after admitting the rows one at a time, whatever
+        the batch cuts.
 
         The window always holds the keys of the last ``DEDUP_WINDOW``
         admissions, so a row is suppressed iff its key's latest
@@ -488,24 +457,6 @@ class PassiveDnsDatabase:
         self._recent_keys = recent  # repro: noqa[REP204]
         return admitted
 
-    def add(self, domain: DomainName, timestamp: int, count: int = 1) -> None:
-        """Record ``count`` NXDomain responses for ``domain`` at ``timestamp``."""
-        if count < 1:
-            raise ConfigError("count must be at least 1")
-        with self._rows_lock:
-            domain_id = self._intern(domain)
-            if timestamp < self._first_seen[domain_id]:
-                self._first_seen[domain_id] = timestamp
-            if timestamp > self._last_seen[domain_id]:
-                self._last_seen[domain_id] = timestamp
-            self._totals[domain_id] += count
-            self._tail_domain.append(domain_id)
-            self._tail_time.append(timestamp)
-            self._tail_count.append(count)
-            self._n_rows += 1
-            self._touch()
-        self._maybe_seal()
-
     def add_rows(
         self,
         domain: DomainName,
@@ -514,16 +465,13 @@ class PassiveDnsDatabase:
     ) -> None:
         """Record a whole per-domain array of rows in one call.
 
-        Equivalent to ``add(domain, t, c)`` for each pair, but interns
-        the domain once and lands the rows and aggregate updates as
-        numpy operations (the trace generator's emission path).
+        Interns ``domain`` once and lands the rows and aggregate
+        updates as numpy operations: the trace generator's emission
+        path, and a channel subscriber's one-row write
+        (``add_rows(o.registered_domain, [o.timestamp], [o.count])``).
+        A call that fails validation interns nothing.
         """
-        times = np.ascontiguousarray(timestamps, dtype=np.int64)
-        if len(times) == 0:
-            return
-        domain_id = self._intern(domain)
-        ids = np.full(len(times), domain_id, dtype=np.int64)
-        self._append_batch(ids, times, counts, interned=True)
+        self._append_batch(None, timestamps, counts, domain=domain)
 
     def intern_many(self, domains: Iterable[DomainName]) -> np.ndarray:
         """Bulk-intern domains, returning their ids as an int64 array.
@@ -545,39 +493,50 @@ class PassiveDnsDatabase:
     ) -> None:
         """Record many rows at once from pre-interned domain ids.
 
-        The batch counterpart of :meth:`add`: per-domain aggregates
-        are updated with vectorized scatter reductions and the rows
-        land in the chunked store without a per-row Python loop.  Ids
-        must come from :meth:`intern_many` (or earlier adds); counts
-        must all be ≥ 1.
+        Per-domain aggregates are updated with vectorized scatter
+        reductions and the rows land in the chunked store without a
+        per-row Python loop.  Ids must come from :meth:`intern_many`;
+        counts must all be ≥ 1.
         """
-        self._append_batch(domain_ids, timestamps, counts, interned=False)
+        self._append_batch(domain_ids, timestamps, counts)
 
     def _append_batch(
         self,
-        domain_ids: np.ndarray,
-        timestamps: np.ndarray,
-        counts: np.ndarray,
-        interned: bool,
+        domain_ids: Optional[np.ndarray],
+        timestamps: Sequence[int],
+        counts: Sequence[int],
+        domain: Optional[DomainName] = None,
     ) -> None:
-        ids = np.ascontiguousarray(domain_ids, dtype=np.int64)
+        """Land rows and maintain the per-domain aggregates.
+
+        Every row reaches the store through here.  With ``domain``
+        set, ``domain_ids`` is ``None`` and every row belongs to
+        ``domain``.
+        """
         times = np.ascontiguousarray(timestamps, dtype=np.int64)
         cnts = np.ascontiguousarray(counts, dtype=np.int64)
+        if domain_ids is None:
+            ids = np.empty(len(times), dtype=np.int64)
+        else:
+            ids = np.ascontiguousarray(domain_ids, dtype=np.int64)
         if not (len(ids) == len(times) == len(cnts)):
             raise ConfigError("batch columns must have equal length")
         if len(ids) == 0:
             return
         if cnts.min() < 1:
             raise ConfigError("count must be at least 1")
-        if not interned:
+        if domain_ids is not None:
             if ids.min() < 0 or ids.max() >= len(self._domains):
                 raise ConfigError("batch references an unknown domain id")
         # Vectorized aggregate maintenance: scatter-min/max/sum into
         # the per-domain columns.  The whole in-memory landing is one
         # rows-lock critical section so a concurrent
         # :meth:`read_transaction` never sees the aggregates updated
-        # but the rows missing (or vice versa).
+        # but the rows missing (or vice versa), nor a domain interned
+        # by ``add_rows`` with its sentinel aggregates.
         with self._rows_lock:
+            if domain is not None:
+                ids.fill(self._intern(domain))
             first = self._first_seen.view()
             last = self._last_seen.view()
             totals = self._totals.view()
@@ -855,9 +814,11 @@ class PassiveDnsDatabase:
         The columnar counterpart of looping :meth:`profile` over every
         domain: one copy of the aggregate columns instead of a Python
         object per domain.  Domains that were interned but never
-        received a row carry their sentinels; interning always happens
-        on the append path, so stores built through :meth:`ingest` /
-        :meth:`add` / :meth:`add_rows` never contain such entries.
+        received a row carry their sentinels.  The store's writers
+        intern only the domains whose rows they land —
+        :meth:`add_rows`, and :meth:`intern_many` + :meth:`add_batch`
+        in the ingest pipeline and :meth:`copy_rows_into` — so stores
+        they build never contain such entries.
         """
         first_seen, last_seen, totals = self._aggregate_columns()
         return list(self._domains), first_seen, last_seen, totals
@@ -1095,8 +1056,8 @@ class PassiveDnsDatabase:
     def copy_rows_into(self, target: "PassiveDnsDatabase") -> None:
         """Replay every stored row into ``target``, part by part.
 
-        The batched counterpart of feeding :meth:`iter_observations`
-        through ``target.ingest``: domains are bulk-interned once and
+        The batched counterpart of ingesting :meth:`iter_observations`
+        into ``target``: domains are bulk-interned once and
         each immutable part lands via :meth:`add_batch`, so migrating
         a store into (or out of) a spill-backed one never loops rows
         in Python.  Insertion order is preserved, so the target's

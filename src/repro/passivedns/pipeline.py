@@ -12,20 +12,26 @@ and transient store failures along the way.
 
 Ingest is columnar.  :meth:`ResilientIngestPipeline.ingest_many` cuts
 its input into chunks (at most :data:`CHUNK_ROWS` observations, cut
-again at every ``checkpoint_every`` boundary) and runs each chunk as
-columns of names, times, counts, rcodes and sensors:
+again at every ``checkpoint_every`` boundary) and reads each chunk
+once into integer columns: interned qname and sensor ids, times,
+counts, rcodes and rtypes.  No observation object travels further:
 
 1. bursts, drops and duplicates are masks over the chunk, each
-   injector drawing its uniforms as one vector;
-2. reorder is a depth-bounded release permutation over the pushes,
-   with the items still held carried into the next chunk;
+   injector drawing its uniforms as one vector; a burst scales the
+   count column;
+2. reorder is a depth-bounded release permutation over the pushed row
+   positions, with the rows still held carried into the next chunk;
 3. the channel filter (NXDomain only, no reverse lookups) is a mask;
 4. store failures and retries are one scan over the store injector's
    draws, and the crash tap takes one draw per published row; rows
-   that exhaust their retries, and rows the tap crashes on, go to the
-   dead-letter queue;
-5. the dedup window admits the stored rows once, in arrival order,
-   and the admitted rows land through interned ids and ``add_batch``.
+   that exhaust their retries, and rows the tap crashes on, are
+   rebuilt as :class:`DnsObservation` objects (the only rows that
+   are) and go to the dead-letter queue;
+5. the dedup window (:meth:`PassiveDnsDatabase.admit_many`) admits the
+   stored rows once, in arrival order, and the admitted rows land
+   through ``intern_many`` + ``add_batch``, the store's only
+   multi-domain write path.  Dead-letter replay lands every queued
+   letter the same way, in one call.
 
 Guarantees:
 
@@ -36,7 +42,7 @@ Guarantees:
   the dead letters and every checkpoint payload — whatever the chunk
   cuts;
 - with no schedule (or a null plan) the output store is byte-identical
-  to feeding the observations straight into a plain database;
+  to adding the NXDomain rows one at a time to a plain database;
 - every fault decision comes from the schedule's seeded streams, so a
   (plan, seed, stream) triple reproduces bit-identically;
 - transient store failures never lose data: retries, then dead-letter
@@ -62,7 +68,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dns.message import RCode
+from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
 from repro.errors import ConfigError
 from repro.faults.injectors import InjectionEvent
@@ -121,21 +127,25 @@ class PipelineStats:
 class _Names:
     """Per-distinct-qname facts, computed once per pipeline.
 
-    Each distinct query name gets a dense id; its text, whether it is
-    a reverse lookup and its registered domain (itself deduplicated
-    into dense ids) are looked up by id instead of being recomputed
-    per row.  The table lives as long as the pipeline, so it grows
-    with the distinct names offered (rows held by the reorder buffer
-    refer to it across chunks).
+    Each distinct query name gets a dense id; the name itself, its
+    text, whether it is a reverse lookup and its registered domain
+    (itself deduplicated into dense ids) are looked up by id instead
+    of being recomputed per row.  Sensor ids are interned the same
+    way.  The tables live as long as the pipeline, so they grow with
+    the distinct names offered (rows held by the reorder buffer refer
+    to them across chunks).
     """
 
     def __init__(self) -> None:
         self._id_of: Dict[DomainName, int] = {}
+        self.qname: List[DomainName] = []
         self.text: List[str] = []
         self.reverse: List[bool] = []
         self.registered_id: List[int] = []
         self._registered_of: Dict[DomainName, int] = {}
         self.registered: List[DomainName] = []
+        self._sensor_of: Dict[str, int] = {}
+        self.sensors: List[str] = []
 
     def ids(self, qnames: Sequence[DomainName]) -> np.ndarray:
         lookup = self._id_of.get
@@ -147,8 +157,18 @@ class _Names:
             ids = [lookup(qname) for qname in qnames]
         return np.array(ids, dtype=np.int64)
 
+    def sensor_ids(self, sensors: Sequence[str]) -> np.ndarray:
+        codes = self._sensor_of
+        for sensor in dict.fromkeys(sensors):
+            if sensor not in codes:
+                codes[sensor] = len(self.sensors)
+                self.sensors.append(sensor)
+        ids = map(codes.__getitem__, sensors)
+        return np.fromiter(ids, dtype=np.int64, count=len(sensors))
+
     def _add(self, qname: DomainName) -> None:
         self._id_of[qname] = len(self.text)
+        self.qname.append(qname)
         self.text.append(str(qname))
         self.reverse.append(qname.is_reverse_lookup())
         registered = qname.registered_domain()
@@ -162,11 +182,10 @@ class _Names:
 class _Rows:
     """Observations as columns, one row per observation or delivery.
 
-    ``obs`` keeps each row's observation (burst-amplified where the
-    burst injector scaled its count) for the dead-letter queue.
+    ``qid`` and ``sensor`` index the pipeline's :class:`_Names`;
+    ``count`` is burst-amplified where the burst injector scaled it.
     """
 
-    obs: np.ndarray
     qid: np.ndarray
     time: np.ndarray
     count: np.ndarray
@@ -207,7 +226,6 @@ class ResilientIngestPipeline:
         schedule: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter_capacity: int = 8192,
-        deduplicate: bool = True,
         checkpoint_every: int = 0,
         spill_dir: Optional[PathLike] = None,
         spill_faults: Optional[object] = None,
@@ -227,7 +245,7 @@ class ResilientIngestPipeline:
         self.stats = PipelineStats()
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
         self.database = PassiveDnsDatabase(
-            deduplicate=deduplicate,
+            deduplicate=True,
             spill_dir=spill_dir,
             spill_faults=spill_faults,
             spill_compact_threshold=spill_compact_threshold,
@@ -268,20 +286,31 @@ class ResilientIngestPipeline:
                 self.checkpoint()
 
     def _rows(self, observations: Sequence[DnsObservation]) -> _Rows:
-        count = len(observations)
-
-        def column(field: str, dtype: type = np.int64) -> np.ndarray:
+        def column(field: str) -> np.ndarray:
             values = map(attrgetter(field), observations)
-            return np.fromiter(values, dtype=dtype, count=count)
+            return np.fromiter(values, dtype=np.int64, count=len(observations))
 
+        names = self._names
+        sensors = list(map(attrgetter("sensor_id"), observations))
         return _Rows(
-            obs=np.fromiter(observations, dtype=object, count=count),
-            qid=self._names.ids(list(map(attrgetter("qname"), observations))),
+            qid=names.ids(list(map(attrgetter("qname"), observations))),
             time=column("timestamp"),
             count=column("count"),
             rcode=column("rcode"),
             rtype=column("rtype"),
-            sensor=column("sensor_id", object),
+            sensor=names.sensor_ids(sensors),
+        )
+
+    def _observation(self, rows: _Rows, row: int) -> DnsObservation:
+        """Row ``row`` as the observation it stands for (burst count kept)."""
+        names = self._names
+        return DnsObservation(
+            qname=names.qname[int(rows.qid[row])],
+            rcode=RCode(int(rows.rcode[row])),
+            timestamp=int(rows.time[row]),
+            sensor_id=names.sensors[int(rows.sensor[row])],
+            rtype=RRType(int(rows.rtype[row])),
+            count=int(rows.count[row]),
         )
 
     def _ingest_chunk(self, observations: List[DnsObservation]) -> int:
@@ -304,12 +333,6 @@ class ResilientIngestPipeline:
         amplified, burst_events = schedule.burst.burst_mask(rows.time)
         if burst_events:
             rows.count[amplified] *= schedule.burst.multiplier
-            rows.obs[amplified] = [
-                dataclasses.replace(observation, count=scaled)
-                for observation, scaled in zip(
-                    rows.obs[amplified], rows.count[amplified].tolist()
-                )
-            ]
             self.stats.burst_amplified += len(burst_events)
         dropped, drop_events = schedule.drop.drop_mask(rows.time)
         self.stats.dropped += len(drop_events)
@@ -328,8 +351,9 @@ class ResilientIngestPipeline:
         push_tick = base[pushed] + 3 + np.arange(len(pushed)) - first_copy
         held = len(self._held)
         candidates = _Rows.concat(self._held, rows.take(pushed))
+        # The injector holds row positions; only their number is read.
         order, at, holds, hold_events = schedule.reorder.push_many(
-            candidates.obs[held:]
+            np.arange(held, len(candidates))
         )
         batches.append(self._keyed(push_tick[holds], hold_events))
         still_held = np.ones(len(candidates), dtype=bool)
@@ -409,7 +433,7 @@ class ResilientIngestPipeline:
         """Quarantine failed deliveries, store failure before tap crash."""
         assert self.schedule is not None
         for item in np.flatnonzero(failed | crashed).tolist():
-            observation = rows.obs[published[item]]
+            observation = self._observation(rows, published[item])
             errors = []
             if failed[item]:
                 errors.append(self.schedule.store.failure(contexts[item]))
@@ -430,7 +454,7 @@ class ResilientIngestPipeline:
         names = self._names
         admitted = np.flatnonzero(
             self.database.admit_many(
-                rows.sensor.tolist(),
+                list(map(names.sensors.__getitem__, rows.sensor.tolist())),
                 [names.text[q] for q in rows.qid.tolist()],
                 rows.rcode,
                 rows.rtype,
@@ -444,7 +468,7 @@ class ResilientIngestPipeline:
             [names.registered_id[q] for q in rows.qid[admitted].tolist()],
             dtype=np.int64,
         )
-        # Intern in first-appearance order, as row-by-row adds would.
+        # Intern in first-appearance order, as one-row writes would.
         distinct, first, inverse = np.unique(
             registered, return_index=True, return_inverse=True
         )
@@ -470,10 +494,17 @@ class ResilientIngestPipeline:
         return len(released)
 
     def replay_dead_letters(self) -> ReplayStats:
-        """Re-ingest quarantined observations (idempotent via dedup)."""
-        replay = self.dead_letters.replay(self.database.ingest)
-        self.stats.replay_recovered += replay.succeeded
-        return replay
+        """Land every quarantined observation (idempotent via dedup).
+
+        The letters land in queue order through one :meth:`_land`
+        call, and leave the queue only once they have landed.
+        """
+        observations = [letter.item for letter in self.dead_letters.letters()]
+        self._land(self._rows(observations))
+        self.dead_letters.clear()
+        replayed = len(observations)
+        self.stats.replay_recovered += replayed
+        return ReplayStats(replayed=replayed, succeeded=replayed)
 
     def finish(self) -> PipelineStats:
         """Flush, replay dead letters, take a final checkpoint.

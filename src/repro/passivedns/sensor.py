@@ -63,16 +63,6 @@ class Sensor:
         self.faults = faults
         self.stats = SensorStats()
 
-    # Back-compatible counter views -----------------------------------------
-
-    @property
-    def observed(self) -> int:
-        return self.stats.observed
-
-    @property
-    def decode_errors(self) -> int:
-        return self.stats.decode_errors
-
     # -- capture -------------------------------------------------------------
 
     def observe_wire(self, response_bytes: bytes, now: int) -> Optional[DnsObservation]:

@@ -27,6 +27,7 @@ from repro.dns.resolver import ResolutionResult
 from repro.dns.tld import TldRegistry
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.record import DnsObservation
 from repro.passivedns.sensor import Sensor, SensorTappedResolver
 from repro.errors import ConfigError
 
@@ -71,7 +72,7 @@ class MultiVantageCollector:
         )
         self.channel = SieChannel()
         self.database = PassiveDnsDatabase()
-        self.channel.subscribe(self.database.ingest)
+        self.channel.subscribe(self._store)
         self._resolvers: List[SensorTappedResolver] = [
             SensorTappedResolver(
                 self.hierarchy.make_recursive_resolver(
@@ -82,6 +83,14 @@ class MultiVantageCollector:
             for index in range(vantage_points)
         ]
         self.client_queries = 0
+
+    def _store(self, observation: DnsObservation) -> None:
+        """The channel subscriber: land one (filtered) observation."""
+        self.database.add_rows(
+            observation.registered_domain,
+            [observation.timestamp],
+            [observation.count],
+        )
 
     @property
     def vantage_points(self) -> int:

@@ -406,16 +406,18 @@ def overload_sweep(
             submitted += len(records)
             mismatches += verify_identity(db, records, limit=identity_checks)
             for _commit in range(3):
-                db.add(
+                db.add_rows(
                     store_names[int(writer.integers(0, len(store_names)))],
-                    int(
-                        writer.integers(
-                            date_to_epoch(STUDY_START),
-                            date_to_epoch(STUDY_START)
-                            + _STORE_DAYS * SECONDS_PER_DAY,
+                    [
+                        int(
+                            writer.integers(
+                                date_to_epoch(STUDY_START),
+                                date_to_epoch(STUDY_START)
+                                + _STORE_DAYS * SECONDS_PER_DAY,
+                            )
                         )
-                    ),
-                    int(writer.integers(1, 4)),
+                    ],
+                    [int(writer.integers(1, 4))],
                 )
         results.append(
             OverloadPoint(

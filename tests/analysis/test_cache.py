@@ -414,6 +414,25 @@ def test_concurrent_lint_runs_never_tear_the_cache(project):
     assert final.misses == 0
 
 
+def test_warm_run_on_unchanged_tree_leaves_cache_file_untouched(project, capsys):
+    from repro.analysis.main import main
+
+    argv = ["--root", str(project), "--no-baseline"]
+    cache_file = project / ".repro-analysis-cache.json"
+    assert main(argv) == 1  # the fixture's deliberate REP101
+    cold = cache_file.read_bytes()
+    before = cache_file.stat()
+    assert main(argv) == 1
+    after = cache_file.stat()
+    assert cache_file.read_bytes() == cold
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    # an edit still writes the cache back
+    _write(project, "src/repro/clean.py", '"""Doc."""\n')
+    assert main(argv) == 1
+    assert cache_file.read_bytes() != cold
+    capsys.readouterr()
+
+
 def test_program_valid_distinguishes_empty_from_unran(tmp_path):
     # a clean project caches "zero program findings" as a completed
     # pass (an empty list), distinct from "no pass yet" (None)

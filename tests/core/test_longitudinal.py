@@ -22,11 +22,11 @@ class TestLongLivedCohort:
         db = PassiveDnsDatabase()
         # Long-lived: active span of 3 years.
         long_lived = DomainName("old-timer.com")
-        db.add(long_lived, 0, count=10)
-        db.add(long_lived, 3 * 365 * DAY, count=7)
+        db.add_rows(long_lived, [0], [10])
+        db.add_rows(long_lived, [3 * 365 * DAY], [7])
         # Short-lived: three days.
-        db.add(DomainName("flash.net"), 0, count=100)
-        db.add(DomainName("flash.net"), 3 * DAY, count=1)
+        db.add_rows(DomainName("flash.net"), [0], [100])
+        db.add_rows(DomainName("flash.net"), [3 * DAY], [1])
         cohort = long_lived_cohort(db, min_years=2.0)
         assert cohort.domain_count == 1
         assert cohort.total_queries == 17

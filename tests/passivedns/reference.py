@@ -1,32 +1,93 @@
 """Reference models the production ingest and query paths are checked against.
 
+- :class:`ScalarDatabase` is the store with record-at-a-time writers:
+  ``add`` interns one row's domain and updates its min/max/sum
+  aggregates in Python, and ``admit`` walks an ``OrderedDict`` dedup
+  window one observation at a time.  ``admit_many``, ``add_batch`` and
+  ``add_rows`` must land the same store.
 - :class:`ReferencePipeline` is the record-at-a-time ingest pipeline:
   one :class:`DnsObservation` at a time through the scalar fault
   injectors, a subscribed :class:`SieChannel`, a retry-wrapped store
-  subscriber and per-row :meth:`PassiveDnsDatabase.ingest`.  The
+  subscriber and per-row :meth:`ScalarDatabase.ingest`.  The
   columnar :class:`ResilientIngestPipeline` must be observably
   identical to it.
 - :func:`daily_series_scan` is the full-column masked scan the CSR
   index behind :meth:`PassiveDnsDatabase.daily_series_for` must match.
 
-Both are deliberately the slow, obvious form of the computation.
+All three are deliberately the slow, obvious form of the computation.
 """
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.clock import SECONDS_PER_DAY
 from repro.dns.name import DomainName
-from repro.errors import ConfigError, TransientStoreError
+from repro.errors import ConfigError, ReproError, TransientStoreError
 from repro.faults.plan import FaultSchedule
-from repro.passivedns.channel import DeliveryErrorPolicy, SieChannel
+from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import load_checkpoint, save_checkpoint
 from repro.passivedns.pipeline import DEFAULT_RETRY_POLICY, PipelineStats
 from repro.passivedns.record import DnsObservation
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
 from repro.resilience.retry import RetryPolicy
+
+
+class ScalarDatabase(PassiveDnsDatabase):
+    """:class:`PassiveDnsDatabase` with the record-at-a-time writers."""
+
+    def ingest(self, observation: DnsObservation) -> None:
+        """Channel-subscriber entry point (NXDomains only).
+
+        With ``deduplicate`` enabled, a redelivery of an observation
+        whose key is still inside the sliding window is suppressed and
+        counted — the idempotence that makes at-least-once channel
+        delivery and dead-letter replay safe.
+        """
+        if self.admit(observation):
+            self.add(
+                observation.registered_domain,
+                observation.timestamp,
+                observation.count,
+            )
+
+    def admit(self, observation: DnsObservation) -> bool:
+        """Admission control without the row append.
+
+        Applies the NXDomain filter and, when ``deduplicate`` is on,
+        advances the sliding dedup window exactly as :meth:`ingest`
+        would — returning whether the observation should land.
+        """
+        if not observation.is_nxdomain:
+            return False
+        if self.deduplicate:
+            key = observation.observation_key
+            if key in self._recent_keys:
+                self.duplicates_suppressed += 1
+                return False
+            self._recent_keys[key] = None
+            while len(self._recent_keys) > self.DEDUP_WINDOW:
+                self._recent_keys.popitem(last=False)
+        return True
+
+    def add(self, domain: DomainName, timestamp: int, count: int = 1) -> None:
+        """Record ``count`` NXDomain responses for ``domain`` at ``timestamp``."""
+        if count < 1:
+            raise ConfigError("count must be at least 1")
+        with self._rows_lock:
+            domain_id = self._intern(domain)
+            if timestamp < self._first_seen[domain_id]:
+                self._first_seen[domain_id] = timestamp
+            if timestamp > self._last_seen[domain_id]:
+                self._last_seen[domain_id] = timestamp
+            self._totals[domain_id] += count
+            self._tail_domain.append(domain_id)
+            self._tail_time.append(timestamp)
+            self._tail_count.append(count)
+            self._n_rows += 1
+            self._touch()
+        self._maybe_seal()
 
 
 class ReferencePipeline:
@@ -41,7 +102,6 @@ class ReferencePipeline:
         schedule: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter_capacity: int = 8192,
-        deduplicate: bool = True,
         checkpoint_every: int = 0,
         spill_dir=None,
         spill_faults=None,
@@ -54,21 +114,38 @@ class ReferencePipeline:
         self.checkpoint_every = checkpoint_every
         self.stats = PipelineStats()
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
-        self.database = PassiveDnsDatabase(
-            deduplicate=deduplicate,
+        self.database = ScalarDatabase(
+            deduplicate=True,
             spill_dir=spill_dir,
             spill_faults=spill_faults,
             spill_compact_threshold=spill_compact_threshold,
         )
-        self.channel = SieChannel(
-            error_policy=DeliveryErrorPolicy.DEAD_LETTER,
-            dead_letters=self.dead_letters,
-        )
-        self.channel.subscribe(self._store)
+        self.channel = SieChannel()
+        self.channel.subscribe(self._quarantined(self._store))
         if schedule is not None and schedule.plan.subscriber_crash_rate > 0:
             self.channel.subscribe(
-                schedule.crash.wrap(self._tap, context="analysis-tap")
+                self._quarantined(
+                    schedule.crash.wrap(self._tap, context="analysis-tap")
+                )
             )
+
+    def _quarantined(
+        self, subscriber: Callable[[DnsObservation], None]
+    ) -> Callable[[DnsObservation], None]:
+        """Count a subscriber's failures and dead-letter the observation."""
+
+        def deliver(observation: DnsObservation) -> None:
+            try:
+                subscriber(observation)
+            except ReproError as exc:
+                self.channel.subscriber_errors += 1
+                self.dead_letters.push(
+                    observation,
+                    reason=f"subscriber failed: {exc}",
+                    timestamp=observation.timestamp,
+                )
+
+        return deliver
 
     # -- ingest path -------------------------------------------------------
 

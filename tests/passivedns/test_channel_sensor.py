@@ -90,7 +90,7 @@ class TestSensor:
     def test_malformed_wire_counted_not_raised(self):
         sensor = Sensor("s", SieChannel())
         assert sensor.observe_wire(b"\x00\x01", now=0) is None
-        assert sensor.decode_errors == 1
+        assert sensor.stats.decode_errors == 1
 
     def test_queries_ignored(self):
         sensor = Sensor("s", SieChannel())
@@ -101,7 +101,7 @@ class TestSensor:
         sensor = Sensor("s", SieChannel())
         query = DnsMessage.make_query(GONE)
         assert sensor.observe_message(query.make_response(), now=0) is None
-        assert sensor.observed == 1
+        assert sensor.stats.observed == 1
 
 
 class TestSensorTappedResolver:

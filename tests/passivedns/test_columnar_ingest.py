@@ -194,6 +194,31 @@ def test_columnar_matches_reference(plan, seed):
     assert plan is None or before["log"]
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [p for p in FAULT_MATRIX if p.id in ("bursts", "everything-at-once")],
+)
+def test_observations_built_only_for_dead_letters(plan, monkeypatch):
+    """Rows travel as columns: a faulted ingest builds a
+    :class:`DnsObservation` only for each dead-lettered row, once."""
+    observations = _observations()
+    built = []
+    post_init = DnsObservation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DnsObservation, "__post_init__", counting)
+    pipeline = _build(ResilientIngestPipeline, plan, 0)
+    pipeline.ingest_many(observations)
+    quarantined = {id(letter.item) for letter in pipeline.dead_letters.letters()}
+    assert {id(o) for o in built} == quarantined
+    assert len(built) == len(quarantined)
+    pipeline.finish()
+    assert len(built) == len(quarantined)
+
+
 @pytest.mark.parametrize("attempts", [1, 4])
 def test_retry_budgets(attempts):
     plan = FaultPlan(store_failure_rate=0.5, subscriber_crash_rate=0.1)

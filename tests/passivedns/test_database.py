@@ -9,10 +9,11 @@ from repro.clock import SECONDS_PER_DAY
 from repro.dns.message import RCode
 from repro.dns.name import DomainName
 from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.pipeline import ResilientIngestPipeline
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.sampling import sample_domains, scale_up
 from repro.rand import make_rng
-from tests.passivedns.reference import daily_series_scan
+from tests.passivedns.reference import ScalarDatabase, daily_series_scan
 
 DAY = SECONDS_PER_DAY
 D1 = DomainName("alpha.com")
@@ -22,9 +23,9 @@ D2 = DomainName("beta.net")
 @pytest.fixture
 def db():
     database = PassiveDnsDatabase()
-    database.add(D1, timestamp=0, count=10)
-    database.add(D1, timestamp=5 * DAY, count=5)
-    database.add(D2, timestamp=2 * DAY, count=3)
+    database.add_rows(D1, [0], [10])
+    database.add_rows(D1, [5 * DAY], [5])
+    database.add_rows(D2, [2 * DAY], [3])
     return database
 
 
@@ -34,21 +35,31 @@ class TestIngestion:
         assert db.unique_domains() == 2
         assert db.row_count() == 3
 
-    def test_ingest_filters_non_nx(self, db):
-        db.ingest(DnsObservation(DomainName("x.org"), RCode.NOERROR, 0))
-        assert db.unique_domains() == 2
-        db.ingest(DnsObservation(DomainName("x.org"), RCode.NXDOMAIN, 0))
-        assert db.unique_domains() == 3
+    def test_ingest_filters_non_nx(self):
+        pipeline = ResilientIngestPipeline()
+        pipeline.ingest(DnsObservation(DomainName("x.org"), RCode.NOERROR, 0))
+        assert pipeline.database.unique_domains() == 0
+        pipeline.ingest(DnsObservation(DomainName("x.org"), RCode.NXDOMAIN, 0))
+        assert pipeline.database.unique_domains() == 1
 
-    def test_subdomains_collapse_via_ingest(self, db):
-        db.ingest(
-            DnsObservation(DomainName("www.alpha.com"), RCode.NXDOMAIN, 9 * DAY)
+    def test_subdomains_collapse_via_ingest(self):
+        pipeline = ResilientIngestPipeline()
+        pipeline.ingest_many(
+            [
+                DnsObservation(D1, RCode.NXDOMAIN, 0, count=15),
+                DnsObservation(DomainName("www.alpha.com"), RCode.NXDOMAIN, 9 * DAY),
+            ]
         )
-        assert db.profile(D1).total_queries == 16
+        assert pipeline.database.profile(D1).total_queries == 16
+        assert pipeline.database.unique_domains() == 1
 
     def test_count_validation(self, db):
         with pytest.raises(ValueError):
-            db.add(D1, timestamp=0, count=0)
+            db.add_rows(D1, [0], [0])
+        # A rejected write interns nothing.
+        with pytest.raises(ValueError):
+            db.add_rows(DomainName("new.org"), [0, DAY], [1, 0])
+        assert db.unique_domains() == 2
 
 
 class TestProfiles:
@@ -94,8 +105,8 @@ class TestSeries:
 
     def test_monthly_series_spans_months(self):
         db = PassiveDnsDatabase()
-        db.add(D1, timestamp=0, count=1)           # 1970-01
-        db.add(D1, timestamp=40 * DAY, count=2)    # 1970-02
+        db.add_rows(D1, [0], [1])  # 1970-01
+        db.add_rows(D1, [40 * DAY], [2])  # 1970-02
         series = db.monthly_response_series()
         assert series["1970-01"] == 1
         assert series["1970-02"] == 2
@@ -132,8 +143,8 @@ class TestTlds:
     def test_top_tlds_order(self):
         db = PassiveDnsDatabase()
         for i in range(3):
-            db.add(DomainName(f"a{i}.com"), 0)
-        db.add(DomainName("b.net"), 0, count=100)
+            db.add_rows(DomainName(f"a{i}.com"), [0], [1])
+        db.add_rows(DomainName("b.net"), [0], [100])
         top = db.top_tlds(2)
         assert top[0][0] == "com"  # ranked by unique domains
         assert top[0][1] == 3
@@ -145,16 +156,16 @@ class TestLifespanDecay:
         db = PassiveDnsDatabase()
         # d1 queried on days 0,1,2; d2 only day 0.
         for day in range(3):
-            db.add(D1, day * DAY, count=2)
-        db.add(D2, 10 * DAY, count=1)  # its own day 0
+            db.add_rows(D1, [day * DAY], [2])
+        db.add_rows(D2, [10 * DAY], [1])  # its own day 0
         domains, queries = db.lifespan_decay(max_days=5)
         assert domains.tolist() == [2, 1, 1, 0, 0]
         assert queries.tolist() == [3, 2, 2, 0, 0]
 
     def test_decay_window_bound(self):
         db = PassiveDnsDatabase()
-        db.add(D1, 0)
-        db.add(D1, 100 * DAY)
+        db.add_rows(D1, [0], [1])
+        db.add_rows(D1, [100 * DAY], [1])
         domains, queries = db.lifespan_decay(max_days=10)
         assert queries.sum() == 1  # the day-100 row falls outside
 
@@ -166,14 +177,14 @@ class TestLifespanDecay:
     def test_decay_conserves_queries(self, rows):
         db = PassiveDnsDatabase()
         for domain_index, day in rows:
-            db.add(DomainName(f"d{domain_index}.com"), day * DAY)
+            db.add_rows(DomainName(f"d{domain_index}.com"), [day * DAY], [1])
         _, queries = db.lifespan_decay(max_days=31)
         assert queries.sum() == len(rows)
 
 
 class TestBatchIngest:
     def test_batch_matches_scalar(self):
-        """add_batch lands the same store as row-by-row add."""
+        """add_batch lands the same store as the row-by-row oracle."""
         rng = make_rng(7)
         domains = [DomainName(f"d{i}.com") for i in range(20)]
         rows = [
@@ -182,7 +193,7 @@ class TestBatchIngest:
              int(rng.integers(1, 9)))
             for _ in range(500)
         ]
-        scalar = PassiveDnsDatabase()
+        scalar = ScalarDatabase()
         for domain, timestamp, count in rows:
             scalar.add(domain, timestamp, count)
         batched = PassiveDnsDatabase()
@@ -205,7 +216,7 @@ class TestBatchIngest:
                 )
 
     def test_add_rows_matches_scalar(self):
-        scalar = PassiveDnsDatabase()
+        scalar = ScalarDatabase()
         batched = PassiveDnsDatabase()
         times = [0, 3 * DAY, 3 * DAY, 9 * DAY]
         counts = [2, 1, 4, 1]
@@ -244,7 +255,7 @@ class TestBatchIngest:
         for i in range(300):
             count = int(rng.integers(1, 5))
             total += count
-            db.add(DomainName(f"d{i % 7}.com"), i * DAY, count)
+            db.add_rows(DomainName(f"d{i % 7}.com"), [i * DAY], [count])
         assert db.row_count() == 300
         assert db.total_responses() == total
         series = db.daily_series_for(DomainName("d0.com"), 0, 300 * DAY)
@@ -253,9 +264,9 @@ class TestBatchIngest:
     def test_snapshot_immune_to_later_appends(self):
         """Column snapshots must not alias the mutable tail buffer."""
         db = PassiveDnsDatabase()
-        db.add(D1, 0, count=10)
+        db.add_rows(D1, [0], [10])
         ids, times, counts = db._columns()
-        db.add(D2, 5 * DAY, count=3)
+        db.add_rows(D2, [5 * DAY], [3])
         assert counts.tolist() == [10]
         assert db._columns()[2].tolist() == [10, 3]
 
@@ -267,13 +278,13 @@ class TestAggregateCache:
         first_fp = db.fingerprint()
         histogram = db.tld_histogram()
         assert histogram["com"] == (1, 15)
-        db.add(DomainName("gamma.org"), 7 * DAY, count=4)
+        db.add_rows(DomainName("gamma.org"), [7 * DAY], [4])
         assert db.total_responses() == 22
         assert db.tld_histogram()["org"] == (1, 4)
         assert sum(db.monthly_response_series().values()) == 22
         assert db.fingerprint() != first_fp
         decay_before = db.lifespan_decay(5)[1].sum()
-        db.add(DomainName("gamma.org"), 7 * DAY, count=1)
+        db.add_rows(DomainName("gamma.org"), [7 * DAY], [1])
         assert db.lifespan_decay(5)[1].sum() == decay_before + 1
 
     def test_cached_results_are_copies(self, db):
@@ -287,9 +298,9 @@ class TestAggregateCache:
         backward = PassiveDnsDatabase()
         rows = [(D1, 0, 1), (D2, DAY, 2), (D1, 2 * DAY, 3)]
         for domain, t, c in rows:
-            forward.add(domain, t, c)
+            forward.add_rows(domain, [t], [c])
         for domain, t, c in reversed(rows):
-            backward.add(domain, t, c)
+            backward.add_rows(domain, [t], [c])
         assert forward.fingerprint() == backward.fingerprint()
 
 
@@ -309,7 +320,7 @@ class TestIndexedSeries:
         """The CSR-indexed series equals the reference masked scan."""
         db = PassiveDnsDatabase()
         for domain_index, day, count in rows:
-            db.add(DomainName(f"d{domain_index}.com"), day * DAY, count)
+            db.add_rows(DomainName(f"d{domain_index}.com"), [day * DAY], [count])
         start = start_day * DAY
         end = (start_day + span_days) * DAY
         for domain_index in range(6):
@@ -337,11 +348,11 @@ def _key_observation(sensor, name, time):
 
 
 class TestBatchAdmit:
-    """``admit_many`` over batches ≡ one ``admit`` per observation."""
+    """``admit_many`` over batches ≡ the oracle's one ``admit`` per observation."""
 
     def _check(self, rows, window, cuts):
         observations = [_key_observation(*row) for row in rows]
-        scalar = PassiveDnsDatabase(deduplicate=True)
+        scalar = ScalarDatabase(deduplicate=True)
         batched = PassiveDnsDatabase(deduplicate=True)
         for db in (scalar, batched):
             db.DEDUP_WINDOW = window

@@ -7,11 +7,11 @@ from repro.dns.message import RCode
 from repro.dns.name import DomainName
 from repro.errors import ConfigError, UnknownKeyError, WorkloadError
 from repro.faults import FaultPlan
-from repro.passivedns.channel import DeliveryErrorPolicy, SieChannel
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.channel import SieChannel
 from repro.passivedns.pipeline import ResilientIngestPipeline
 from repro.passivedns.record import DnsObservation
-from repro.resilience import DeadLetterQueue, RetryPolicy
+from repro.resilience import RetryPolicy
+from tests.passivedns.reference import ScalarDatabase
 
 T0 = date_to_epoch(STUDY_START)
 
@@ -29,7 +29,7 @@ def _observations(count=300):
 
 
 def _plain_store(observations):
-    db = PassiveDnsDatabase()
+    db = ScalarDatabase()
     for observation in observations:
         db.ingest(observation)
     return db
@@ -216,7 +216,7 @@ def test_checkpoint_config_validation(tmp_path):
         pipeline.resume()
 
 
-# -- channel policies --------------------------------------------------------
+# -- channel fan-out ---------------------------------------------------------
 
 
 def _failing_subscriber(observation):
@@ -234,31 +234,6 @@ def test_channel_raise_policy_still_delivers_to_everyone():
     # The crash no longer starves later subscribers.
     assert seen == [observation]
     assert channel.subscriber_errors == 1
-
-
-def test_channel_count_policy_swallows_and_counts():
-    channel = SieChannel(error_policy=DeliveryErrorPolicy.COUNT)
-    channel.subscribe(_failing_subscriber)
-    assert channel.publish(_observations(1)[0])
-    assert channel.subscriber_errors == 1
-
-
-def test_channel_dead_letter_policy_quarantines():
-    queue = DeadLetterQueue(capacity=4)
-    channel = SieChannel(
-        error_policy=DeliveryErrorPolicy.DEAD_LETTER, dead_letters=queue
-    )
-    channel.subscribe(_failing_subscriber)
-    observation = _observations(1)[0]
-    channel.publish(observation)
-    (letter,) = queue.letters()
-    assert letter.item is observation
-    assert "analysis tap bug" in letter.reason
-
-
-def test_channel_dead_letter_policy_requires_queue():
-    with pytest.raises(ConfigError):
-        SieChannel(error_policy=DeliveryErrorPolicy.DEAD_LETTER)
 
 
 def test_unsubscribe_unknown_raises_library_error():

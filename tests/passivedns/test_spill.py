@@ -54,6 +54,7 @@ from repro.passivedns.pipeline import ResilientIngestPipeline
 from repro.passivedns.spill import SPILL_FORMAT_VERSION, SpillStore
 from repro.rand import derive_seed, make_rng
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
+from tests.passivedns.reference import ScalarDatabase
 
 INJECTOR_CLASSES = (TornWriteInjector, BitFlipInjector, FsyncLossInjector)
 
@@ -274,7 +275,7 @@ class TestSpillBackedDatabase:
 
     def test_spilled_rejects_foreign_directory(self, trace, tmp_path):
         foreign = PassiveDnsDatabase(spill_dir=tmp_path / "spill")
-        foreign.add(DomainName("other.example"), timestamp=0, count=1)
+        foreign.add_rows(DomainName("other.example"), [0], [1])
         foreign.spill_commit()
         with pytest.raises(WorkloadError):
             trace.spilled(tmp_path / "spill")
@@ -332,7 +333,7 @@ class TestSpillBackedDatabase:
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         _fill(db, rounds=1)
         reopened = PassiveDnsDatabase(spill_dir=tmp_path / "s")
-        reopened.add(DomainName("late.example.com"), timestamp=1_500_000_000)
+        reopened.add_rows(DomainName("late.example.com"), [1_500_000_000], [1])
         reopened.spill_commit()
         final = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         assert final.row_count() == db.row_count() + 1
@@ -663,7 +664,7 @@ class TestCompaction:
     def test_database_compact_requires_committed_tail(self, tmp_path):
         db = PassiveDnsDatabase(spill_dir=tmp_path / "s")
         _fill(db, rounds=2)
-        db.add(DomainName("tail.example.com"), timestamp=1_500_000_000)
+        db.add_rows(DomainName("tail.example.com"), [1_500_000_000], [1])
         with pytest.raises(ConfigError):
             db.spill_compact()
 
@@ -781,7 +782,7 @@ class TestIncrementalRecovery:
         again = PassiveDnsDatabase(spill_dir=root)
         assert again.spill.last_recovery.segments_crc_streamed == 1
         # ...until the next commit records its current stat.
-        again.add(DomainName("late.example.com"), timestamp=1_500_000_000)
+        again.add_rows(DomainName("late.example.com"), [1_500_000_000], [1])
         again.spill_commit()
         warm = PassiveDnsDatabase(spill_dir=root)
         assert warm.spill.last_recovery.clean()
@@ -1189,7 +1190,7 @@ class TestPipelineCrashResume:
         return list(db.iter_observations())
 
     def _clean_fingerprint(self, observations):
-        db = PassiveDnsDatabase()
+        db = ScalarDatabase()
         for observation in observations:
             db.ingest(observation)
         return db.fingerprint()

@@ -36,7 +36,7 @@ def _build(seed, commits, spill_dir=None):
     """Store + per-generation expected (rows, target-series-sum)."""
     db = synthetic_store(seed, domains=40, spill_dir=spill_dir)
     target = DomainName(TARGET)
-    db.add(target, T0, 1)
+    db.add_rows(target, [T0], [1])
     expected = {db.generation: (db.row_count(), 1)}
     plans = []
     total = 1

@@ -55,7 +55,7 @@ def test_cache_serves_generation_then_invalidates_on_write():
     # A committed write bumps the generation: the cache must refuse
     # the stale entry and re-execute.
     target = db.all_domains()[0]
-    db.add(target, T0 + SECONDS_PER_DAY, 5)
+    db.add_rows(target, [T0 + SECONDS_PER_DAY], [5])
     third = server.serve([request])[0]
     assert third.disposition is Disposition.SERVED
     assert third.generation > first.generation
@@ -88,7 +88,7 @@ def test_server_state_stays_bounded_across_writer_waves():
         assert set(server._fresh) <= live
         assert set(server._stale) <= degradable
         assert server._batch == []
-        db.add(db.all_domains()[wave], T0 + SECONDS_PER_DAY, 3)
+        db.add_rows(db.all_domains()[wave], [T0 + SECONDS_PER_DAY], [3])
     assert server._fresh_generation < db.generation
     assert len(server._stale) <= len(degradable)
     assert server.stats.total() == 160
@@ -163,7 +163,7 @@ def test_degraded_read_serves_last_good_generation():
     healthy = server.serve([request])[0]
     assert healthy.disposition is Disposition.SERVED
     # The store moves on; then the aggregate path goes unhealthy.
-    db.add(db.all_domains()[2], T0 + 2 * SECONDS_PER_DAY, 9)
+    db.add_rows(db.all_domains()[2], [T0 + 2 * SECONDS_PER_DAY], [9])
     server.breaker.record_failure(now=server.clock.now)
     assert server.breaker.state is BreakerState.OPEN
     degraded = server.serve([request])[0]

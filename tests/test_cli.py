@@ -225,7 +225,7 @@ class TestSpillCommand:
 
         root = tmp_path / "s"
         db = PassiveDnsDatabase(spill_dir=root)
-        db.add(DomainName("a.example.com"), timestamp=1_500_000_000)
+        db.add_rows(DomainName("a.example.com"), [1_500_000_000], [1])
         db.spill_commit()
         before = sorted(p.name for p in root.rglob("*"))
         assert main(["spill", "info", "--dir", str(root)]) == 0

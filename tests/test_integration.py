@@ -34,7 +34,9 @@ class TestLifecycleToPassiveDns:
         registry = Registry(hierarchy=hierarchy)
         channel = SieChannel()
         db = PassiveDnsDatabase()
-        channel.subscribe(db.ingest)
+        channel.subscribe(
+            lambda o: db.add_rows(o.registered_domain, [o.timestamp], [o.count])
+        )
         resolver = SensorTappedResolver(
             hierarchy.make_recursive_resolver(), Sensor("tap", channel)
         )

@@ -42,7 +42,7 @@ def _listing(root):
 def _commit_checkpoint(root, **overrides):
     """A spill store whose committed checkpoint payload is overridden."""
     db = PassiveDnsDatabase(spill_dir=root)
-    db.add(D1, timestamp=0, count=1)
+    db.add_rows(D1, [0], [1])
     payload = _checkpoint_payload(db, 1, None, None)
     payload.update(overrides)
     db.spill_commit({"checkpoint": payload})
