@@ -45,8 +45,7 @@ def test_faulted_ingestion_throughput(benchmark, trace, rate):
             [
                 ("dropped", f"{stats.dropped:,}"),
                 ("duplicates delivered", f"{stats.duplicates_delivered:,}"),
-                ("duplicates suppressed",
-                 f"{pipeline.database.duplicates_suppressed:,}"),
+                ("duplicates suppressed", f"{stats.duplicates_suppressed:,}"),
                 ("store retries", f"{stats.store_retries:,}"),
                 ("store failures", f"{stats.store_failures:,}"),
                 ("replay recovered", f"{stats.replay_recovered:,}"),

@@ -209,7 +209,6 @@ def fault_sweep(
         outcomes: Dict[str, CheckOutcome] = {}
         fractions: List[float] = []
         totals = PipelineStats()
-        duplicates = 0
         for seed in seeds:
             base = clean[seed]
             if rate > 0:
@@ -226,7 +225,7 @@ def fault_sweep(
                 totals.dropped += stats.dropped
                 totals.store_failures += stats.store_failures
                 totals.replay_recovered += stats.replay_recovered
-                duplicates += degraded.nx_db.duplicates_suppressed
+                totals.duplicates_suppressed += stats.duplicates_suppressed
             else:
                 degraded = base
             base_total = base.nx_db.total_responses()
@@ -256,7 +255,7 @@ def fault_sweep(
                 report=ValidationReport(seeds=list(seeds), outcomes=outcomes),
                 delivered_fraction=sum(fractions) / len(fractions),
                 dropped=totals.dropped,
-                duplicates_suppressed=duplicates,
+                duplicates_suppressed=totals.duplicates_suppressed,
                 store_failures=totals.store_failures,
                 replay_recovered=totals.replay_recovered,
             )

@@ -14,7 +14,9 @@ Performance layout (see ``docs/PERFORMANCE.md``):
 - **ingest** appends into a numpy tail buffer that is sealed into an
   immutable chunk at ``_CHUNK`` rows, so appends stay O(1) amortized
   per row and :meth:`add_batch` / :meth:`add_rows` land whole arrays
-  without a per-row Python loop;
+  without a per-row Python loop.  The store does not deduplicate:
+  suppressing an at-least-once feed's redeliveries is the ingest
+  pipeline's job (:mod:`repro.passivedns.pipeline`);
 - **aggregates** (monthly series, TLD histogram, lifespan decay, the
   fingerprint) are cached against a generation counter that every
   mutation bumps, so repeated analysis passes over a quiescent store
@@ -43,13 +45,11 @@ byte-identically to the in-memory path.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import io as _stdio
 import threading
 import zipfile
 import zlib
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -108,32 +108,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x *= _MIX_B
     x ^= x >> np.uint64(31)
     return x
-
-
-def _previous_occurrence(matrix: np.ndarray) -> np.ndarray:
-    """Index of the previous row equal to each row of ``matrix`` (-1: none).
-
-    Rows are grouped by a 64-bit mix of their columns with one stable
-    argsort, and neighbours in that order are compared in full, so the
-    answer is exact; should two distinct rows ever share a mix, the
-    rows are lexsorted column by column instead.
-    """
-    mixed = np.zeros(len(matrix), dtype=np.uint64)
-    for column in matrix.T:
-        mixed ^= column.astype(np.uint64)
-        _mix64(mixed)
-    order = np.argsort(mixed, kind="stable")
-    later, earlier = order[1:], order[:-1]
-    same_mix = mixed[later] == mixed[earlier]
-    pairs = np.flatnonzero(same_mix)
-    equal = (matrix[later[pairs]] == matrix[earlier[pairs]]).all(axis=1)
-    if not equal.all():
-        order = np.lexsort(matrix.T[::-1])
-        later, earlier = order[1:], order[:-1]
-        pairs = np.flatnonzero((matrix[later] == matrix[earlier]).all(axis=1))
-    previous = np.full(len(matrix), -1, dtype=np.int64)
-    previous[later[pairs]] = earlier[pairs]
-    return previous
 
 
 def _hash_name(text: str) -> int:
@@ -261,15 +235,9 @@ class PassiveDnsDatabase:
 
     #: Tail-buffer rows before consolidation into an immutable chunk.
     _CHUNK = 1 << 16
-    #: Bound on the duplicate-suppression window.  Redeliveries in real
-    #: feeds are near-adjacent (a retried publish, an at-least-once
-    #: redelivery), so a sliding window of recent observation keys is
-    #: both sufficient and checkpointable.
-    DEDUP_WINDOW = 4096
 
     def __init__(
         self,
-        deduplicate: bool = False,
         spill_dir: Optional[Any] = None,
         spill_faults: Optional[Any] = None,
         spill_paranoid: bool = False,
@@ -342,9 +310,6 @@ class PassiveDnsDatabase:
         #: (domains packed, their :func:`pack_names` bytes): the domain
         #: table only grows, so each commit packs only the new names.
         self._packed_names_cache: Tuple[int, bytes] = (0, b"")
-        self.deduplicate = deduplicate
-        self._recent_keys: "OrderedDict[tuple, None]" = OrderedDict()
-        self.duplicates_suppressed = 0
         #: Durable segment store when opened with ``spill_dir=``.
         self._spill: Optional[SpillStore] = None
         #: Committed segments at/above this count trigger auto-
@@ -360,102 +325,6 @@ class PassiveDnsDatabase:
             self._restore_from_spill(paranoid=spill_paranoid)
 
     # -- ingestion --------------------------------------------------------
-
-    def admit_many(
-        self,
-        sensor_ids: Sequence[str],
-        qnames: Sequence[str],
-        rcodes: np.ndarray,
-        rtypes: np.ndarray,
-        timestamps: np.ndarray,
-        counts: np.ndarray,
-    ) -> np.ndarray:
-        """Admission control for NXDomains given as observation-key columns.
-
-        Row ``i`` stands for the key ``(sensor_ids[i], qnames[i],
-        rcodes[i], rtypes[i], timestamps[i], counts[i])`` (a
-        :attr:`DnsObservation.observation_key`), in arrival order.
-        Returns the mask of rows that land.  With ``deduplicate`` on, a
-        redelivery whose key is still inside the sliding window is
-        suppressed and counted in ``duplicates_suppressed`` — the
-        idempotence that makes at-least-once channel delivery and
-        dead-letter replay safe.  The window and the counter end up
-        exactly as after admitting the rows one at a time, whatever
-        the batch cuts.
-
-        The window always holds the keys of the last ``DEDUP_WINDOW``
-        admissions, so a row is suppressed iff its key's latest
-        admission is among them.  Only rows whose key was seen before
-        (in the window or earlier in the batch) can be suppressed, so
-        only those are walked in order; every other row is admitted.
-        """
-        count = len(timestamps)
-        admitted = np.ones(count, dtype=bool)
-        if not self.deduplicate or count == 0:
-            return admitted
-        window = list(self._recent_keys)
-        held = len(window)
-        columns = [list(sensor_ids), list(qnames)] + [
-            np.asarray(column).tolist()
-            for column in (rcodes, rtypes, timestamps, counts)
-        ]
-        matrix = np.empty((held + count, len(columns)), dtype=np.int64)
-        for position, (past, batch) in enumerate(
-            zip(zip(*window) if window else [()] * len(columns), columns)
-        ):
-            values = list(past) + batch
-            if position < 2:
-                # Strings become dense codes (equal text, equal code).
-                codes = dict.fromkeys(values)
-                for code, text in enumerate(codes):
-                    codes[text] = code
-                values = list(map(codes.__getitem__, values))
-            matrix[:, position] = values
-        previous = _previous_occurrence(matrix)
-        fresh = previous[held:] < 0
-        candidates = np.flatnonzero(~fresh) + held
-        if len(candidates):
-            # Rank of an admission = admissions before it: window keys
-            # are admissions 0..held-1, and a batch row is preceded by
-            # the fresh rows before it plus the candidates admitted so
-            # far.
-            fresh_before = (np.cumsum(fresh) - fresh).tolist()
-            latest: Dict[int, int] = {}  # suppressed row -> latest admission
-            passed: List[int] = []  # admitted candidates, in order
-            suppressed: List[int] = []
-
-            def rank(position: int) -> int:
-                if position < held:
-                    return position
-                return (
-                    held
-                    + fresh_before[position - held]
-                    + bisect.bisect_left(passed, position)
-                )
-
-            for position, prior in zip(
-                candidates.tolist(), previous[candidates].tolist()
-            ):
-                source = latest.get(prior, prior)
-                if rank(source) >= rank(position) - self.DEDUP_WINDOW:
-                    suppressed.append(position - held)
-                    latest[position] = source
-                else:
-                    passed.append(position)
-            admitted[suppressed] = False
-            # Suppression state, not a row column: no generation-keyed
-            # cache reads the window or the counter.
-            self.duplicates_suppressed += len(suppressed)  # repro: noqa[REP204]
-        tail = np.flatnonzero(admitted)[-self.DEDUP_WINDOW :].tolist()
-        keep = self.DEDUP_WINDOW - len(tail)
-        recent: "OrderedDict[tuple, None]" = OrderedDict.fromkeys(
-            window[max(held - keep, 0) :]
-        )
-        recent.update(
-            dict.fromkeys(zip(*([column[i] for i in tail] for column in columns)))
-        )
-        self._recent_keys = recent  # repro: noqa[REP204]
-        return admitted
 
     def add_rows(
         self,
@@ -1108,26 +977,6 @@ class PassiveDnsDatabase:
     #: Former name of :meth:`fingerprint`, kept because the benchmark
     #: harness's per-layer table still wraps it by name.
     digest = fingerprint
-
-    def recent_keys(self) -> List[tuple]:
-        """The dedup window's keys, oldest first (checkpoint payload)."""
-        return list(self._recent_keys)
-
-    def restore_recent_keys(self, keys: Iterable[tuple]) -> None:
-        """Reload a dedup window saved by :meth:`recent_keys`.
-
-        The restored window is trimmed to ``DEDUP_WINDOW`` newest keys
-        so a checkpoint written under a larger window setting cannot
-        silently over-retain suppression state.
-        """
-        restored: "OrderedDict[tuple, None]" = OrderedDict(
-            (tuple(k), None) for k in keys
-        )
-        while len(restored) > self.DEDUP_WINDOW:
-            restored.popitem(last=False)
-        # The dedup window is suppression state consulted per-append,
-        # not a row column; no generation-keyed cache reads it.
-        self._recent_keys = restored  # repro: noqa[REP204]
 
     # -- global aggregates ---------------------------------------------------
 

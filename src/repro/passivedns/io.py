@@ -4,22 +4,23 @@ The passive DNS store has one durable format: the crash-safe spill
 directory of :class:`repro.passivedns.spill.SpillStore`.  A checkpoint
 is a spill commit — a new manifest generation whose ``meta`` carries
 the ingestion payload (cursor, fault-schedule draw counters, pipeline
-counters, the dedup window) — so the snapshot costs the unsealed
-tail, not a rewrite of the whole store, and a crash at any write
-boundary rolls back to the previous generation rather than to a torn
-file.  Loading a checkpoint reads the payload of the generation the
-already-open store recovered; it never opens the directory again.
+counters, the ingest pipeline's dedup window as text keys) — so the
+snapshot costs the unsealed tail, not a rewrite of the whole store,
+and a crash at any write boundary rolls back to the previous
+generation rather than to a torn file.  Loading a checkpoint reads the
+payload of the generation the already-open store recovered; it never
+opens the directory again, and it leaves the store itself untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.errors import ConfigError, CorruptArchiveError, WorkloadError
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -29,12 +30,15 @@ class CheckpointState:
     ``cursor`` is how many source events had been *offered* when the
     snapshot was taken; ``injector_counters`` are the fault schedule's
     per-injector draw counts (so a resumed run can fast-forward its RNG
-    streams); ``extra`` carries pipeline-specific counters verbatim.
+    streams); ``extra`` carries pipeline-specific counters verbatim;
+    ``recent_keys`` is the dedup window, oldest first, as
+    ``(sensor, qname, rcode, rtype, time, count)`` text keys.
     """
 
     cursor: int
     injector_counters: Dict[str, int] = field(default_factory=dict)
     extra: Dict[str, int] = field(default_factory=dict)
+    recent_keys: List[tuple] = field(default_factory=list)
 
 
 def _checkpoint_payload(
@@ -42,14 +46,13 @@ def _checkpoint_payload(
     cursor: int,
     injector_counters: Optional[Dict[str, int]],
     extra: Optional[Dict[str, int]],
+    recent_keys: Optional[Sequence[tuple]],
 ) -> Dict[str, object]:
     return {
         "version": CHECKPOINT_VERSION,
         "cursor": int(cursor),
         "fingerprint": db.fingerprint(),
-        "deduplicate": db.deduplicate,
-        "recent_keys": [list(key) for key in db.recent_keys()],
-        "duplicates_suppressed": db.duplicates_suppressed,
+        "recent_keys": [list(key) for key in recent_keys or ()],
         "injector_counters": dict(injector_counters or {}),
         "extra": dict(extra or {}),
     }
@@ -60,6 +63,7 @@ def save_checkpoint(
     cursor: int,
     injector_counters: Optional[Dict[str, int]] = None,
     extra: Optional[Dict[str, int]] = None,
+    recent_keys: Optional[Sequence[tuple]] = None,
 ) -> int:
     """Commit ``db`` as a resumable snapshot; returns its generation.
 
@@ -70,21 +74,19 @@ def save_checkpoint(
         raise ConfigError("checkpoint cursor must be non-negative")
     if db.spill is None:
         raise ConfigError("checkpoints need a store opened with spill_dir")
-    return db.spill_commit(
-        {"checkpoint": _checkpoint_payload(db, cursor, injector_counters, extra)}
-    )
+    payload = _checkpoint_payload(db, cursor, injector_counters, extra, recent_keys)
+    return db.spill_commit({"checkpoint": payload})
 
 
 def load_checkpoint(db: PassiveDnsDatabase) -> Optional[CheckpointState]:
     """Read the checkpoint of the generation ``db`` recovered.
 
-    Restores the dedup window and its counters onto ``db`` and returns
-    the cursor and counters to resume from; ``None`` when the store is
-    empty.  Raises :class:`WorkloadError` when the store holds data
-    but no checkpoint (resuming on top would count it twice),
-    :class:`CorruptArchiveError` when the payload does not describe
-    the recovered rows, and :class:`ConfigError` on a checkpoint
-    version we do not speak.
+    Returns the cursor, counters and dedup window to resume from;
+    ``None`` when the store is empty.  Raises :class:`WorkloadError`
+    when the store holds data but no checkpoint (resuming on top would
+    count it twice), :class:`CorruptArchiveError` when the payload does
+    not describe the recovered rows, and :class:`ConfigError` on a
+    checkpoint version we do not speak.
     """
     if db.spill is None:
         raise ConfigError("checkpoints need a store opened with spill_dir")
@@ -105,11 +107,6 @@ def load_checkpoint(db: PassiveDnsDatabase) -> Optional[CheckpointState]:
         raise CorruptArchiveError(
             db.spill.directory, "checkpoint store fingerprint mismatch"
         )
-    db.deduplicate = bool(manifest.get("deduplicate", False))
-    db.restore_recent_keys(
-        tuple(key) for key in manifest.get("recent_keys", [])
-    )
-    db.duplicates_suppressed = int(manifest.get("duplicates_suppressed", 0))
     return CheckpointState(
         cursor=int(manifest["cursor"]),
         injector_counters={
@@ -117,4 +114,5 @@ def load_checkpoint(db: PassiveDnsDatabase) -> Optional[CheckpointState]:
             for k, v in manifest.get("injector_counters", {}).items()
         },
         extra={str(k): int(v) for k, v in manifest.get("extra", {}).items()},
+        recent_keys=[tuple(key) for key in manifest.get("recent_keys", [])],
     )

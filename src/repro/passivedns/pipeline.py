@@ -3,7 +3,8 @@
 This module wires the fault harness (:mod:`repro.faults`) and the
 resilience primitives (:mod:`repro.resilience`) into the passive DNS
 stack.  One :class:`ResilientIngestPipeline` owns a filtered
-:class:`~repro.passivedns.channel.SieChannel`, a deduplicating
+:class:`~repro.passivedns.channel.SieChannel`, a dedup window over
+recent observation keys, a
 :class:`~repro.passivedns.database.PassiveDnsDatabase`, a bounded
 dead-letter queue, and — optionally — a
 :class:`~repro.faults.plan.FaultSchedule` that injects sensor drops,
@@ -27,11 +28,11 @@ counts, rcodes and rtypes.  No observation object travels further:
    that exhaust their retries, and rows the tap crashes on, are
    rebuilt as :class:`DnsObservation` objects (the only rows that
    are) and go to the dead-letter queue;
-5. the dedup window (:meth:`PassiveDnsDatabase.admit_many`) admits the
-   stored rows once, in arrival order, and the admitted rows land
-   through ``intern_many`` + ``add_batch``, the store's only
-   multi-domain write path.  Dead-letter replay lands every queued
-   letter the same way, in one call.
+5. the dedup window (:class:`_DedupWindow`) admits the stored rows
+   once, in arrival order, keyed on the chunk's id columns, and the
+   admitted rows land through ``intern_many`` + ``add_batch``, the
+   store's only multi-domain write path.  Dead-letter replay lands
+   every queued letter the same way, in one call.
 
 Guarantees:
 
@@ -60,6 +61,7 @@ Guarantees:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
 from itertools import islice
@@ -74,7 +76,7 @@ from repro.errors import ConfigError
 from repro.faults.injectors import InjectionEvent
 from repro.faults.plan import FaultSchedule
 from repro.passivedns.channel import SieChannel
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.database import PassiveDnsDatabase, _mix64
 from repro.passivedns.io import load_checkpoint, save_checkpoint
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.spill import PathLike
@@ -89,6 +91,12 @@ DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=4)
 
 #: Most observations one columnar chunk holds.
 CHUNK_ROWS = 1 << 15
+
+#: Bound on the duplicate-suppression window.  Redeliveries in real
+#: feeds are near-adjacent (a retried publish, an at-least-once
+#: redelivery), so a sliding window of recent observation keys is
+#: both sufficient and checkpointable.
+DEDUP_WINDOW = 4096
 
 #: Context the crash injector reports for the analysis tap.
 _TAP = "analysis-tap"
@@ -108,6 +116,7 @@ class PipelineStats:
     dropped: int = 0
     burst_amplified: int = 0
     duplicates_delivered: int = 0
+    duplicates_suppressed: int = 0
     store_retries: int = 0
     store_failures: int = 0
     replay_recovered: int = 0
@@ -124,10 +133,11 @@ class PipelineStats:
         return cls(**{k: int(v) for k, v in payload.items() if k in names})
 
 
-class _Names:
+class _Names(Dict[DomainName, int]):
     """Per-distinct-qname facts, computed once per pipeline.
 
-    Each distinct query name gets a dense id; the name itself, its
+    The mapping gives each distinct query name a dense id, interning a
+    name on its first lookup (:meth:`__missing__`); the name itself, its
     text, whether it is a reverse lookup and its registered domain
     (itself deduplicated into dense ids) are looked up by id instead
     of being recomputed per row.  Sensor ids are interned the same
@@ -137,7 +147,7 @@ class _Names:
     """
 
     def __init__(self) -> None:
-        self._id_of: Dict[DomainName, int] = {}
+        super().__init__()
         self.qname: List[DomainName] = []
         self.text: List[str] = []
         self.reverse: List[bool] = []
@@ -148,14 +158,9 @@ class _Names:
         self.sensors: List[str] = []
 
     def ids(self, qnames: Sequence[DomainName]) -> np.ndarray:
-        lookup = self._id_of.get
-        ids = [lookup(qname) for qname in qnames]
-        if None in ids:
-            new = (qname for qname, qid in zip(qnames, ids) if qid is None)
-            for qname in dict.fromkeys(new):
-                self._add(qname)
-            ids = [lookup(qname) for qname in qnames]
-        return np.array(ids, dtype=np.int64)
+        """Dense ids; a new name is interned where it first appears."""
+        ids = map(self.__getitem__, qnames)
+        return np.fromiter(ids, dtype=np.int64, count=len(qnames))
 
     def sensor_ids(self, sensors: Sequence[str]) -> np.ndarray:
         codes = self._sensor_of
@@ -166,8 +171,8 @@ class _Names:
         ids = map(codes.__getitem__, sensors)
         return np.fromiter(ids, dtype=np.int64, count=len(sensors))
 
-    def _add(self, qname: DomainName) -> None:
-        self._id_of[qname] = len(self.text)
+    def __missing__(self, qname: DomainName) -> int:
+        qid = self[qname] = len(self.text)
         self.qname.append(qname)
         self.text.append(str(qname))
         self.reverse.append(qname.is_reverse_lookup())
@@ -176,6 +181,101 @@ class _Names:
         if rid == len(self.registered):
             self.registered.append(registered)
         self.registered_id.append(rid)
+        return qid
+
+
+def _previous_occurrence(matrix: np.ndarray) -> np.ndarray:
+    """Index of the previous row equal to each row of ``matrix`` (-1: none).
+
+    Rows are grouped by a 64-bit mix of their columns with one stable
+    argsort, and neighbours in that order are compared in full, so the
+    answer is exact; should two distinct rows ever share a mix, the
+    rows are lexsorted column by column instead.
+    """
+    mixed = np.zeros(len(matrix), dtype=np.uint64)
+    for column in matrix.T:
+        mixed ^= column.astype(np.uint64)
+        _mix64(mixed)
+    order = np.argsort(mixed, kind="stable")
+    later, earlier = order[1:], order[:-1]
+    same_mix = mixed[later] == mixed[earlier]
+    pairs = np.flatnonzero(same_mix)
+    equal = (matrix[later[pairs]] == matrix[earlier[pairs]]).all(axis=1)
+    if not equal.all():
+        order = np.lexsort(matrix.T[::-1])
+        later, earlier = order[1:], order[:-1]
+        pairs = np.flatnonzero((matrix[later] == matrix[earlier]).all(axis=1))
+    previous = np.full(len(matrix), -1, dtype=np.int64)
+    previous[later[pairs]] = earlier[pairs]
+    return previous
+
+
+class _DedupWindow:
+    """The keys of the last ``size`` admitted rows, oldest first.
+
+    A key is ``(sensor id, qname id, rcode, rtype, time, count)`` in
+    :class:`_Names` ids: a :attr:`DnsObservation.observation_key` with
+    its two strings interned, so equal keys stand for equal
+    observations.
+    """
+
+    #: Admissions the window remembers (a test may shrink it).
+    size = DEDUP_WINDOW
+
+    def __init__(self) -> None:
+        self.keys = np.empty((0, 6), dtype=np.int64)
+
+    def admit(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the rows of ``keys`` (in arrival order) that land.
+
+        A redelivery whose key is still inside the window is
+        suppressed — the idempotence that makes at-least-once channel
+        delivery and dead-letter replay safe.  The mask and the window
+        end up exactly as after admitting the rows one at a time,
+        whatever the batch cuts.
+
+        The window always holds the keys of the last ``size``
+        admissions, so a row is suppressed iff its key's latest
+        admission is among them.  Only rows whose key was seen before
+        (in the window or earlier in the batch) can be suppressed, so
+        only those are walked in order; every other row is admitted.
+        """
+        admitted = np.ones(len(keys), dtype=bool)
+        held = len(self.keys)
+        previous = _previous_occurrence(np.concatenate((self.keys, keys)))
+        fresh = previous[held:] < 0
+        candidates = np.flatnonzero(~fresh) + held
+        if len(candidates):
+            # Rank of an admission = admissions before it: window keys
+            # are admissions 0..held-1, and a batch row is preceded by
+            # the fresh rows before it plus the candidates admitted so
+            # far.
+            fresh_before = (np.cumsum(fresh) - fresh).tolist()
+            latest: Dict[int, int] = {}  # suppressed row -> latest admission
+            passed: List[int] = []  # admitted candidates, in order
+            suppressed: List[int] = []
+
+            def rank(position: int) -> int:
+                if position < held:
+                    return position
+                return (
+                    held
+                    + fresh_before[position - held]
+                    + bisect.bisect_left(passed, position)
+                )
+
+            for position, prior in zip(
+                candidates.tolist(), previous[candidates].tolist()
+            ):
+                source = latest.get(prior, prior)
+                if rank(source) >= rank(position) - self.size:
+                    suppressed.append(position - held)
+                    latest[position] = source
+                else:
+                    passed.append(position)
+            admitted[suppressed] = False
+        self.keys = np.concatenate((self.keys, keys[admitted]))[-self.size :]
+        return admitted
 
 
 @dataclass
@@ -215,10 +315,9 @@ class _Rows:
 class ResilientIngestPipeline:
     """A fault-absorbing channel-to-store pipeline.
 
-    Feed observations through :meth:`ingest_many` (or :meth:`ingest`
-    for one), then call :meth:`finish` to flush the reorder buffer and
-    replay the dead-letter queue.  The resulting store is
-    ``pipeline.database``.
+    Feed observations through :meth:`ingest_many`, then call
+    :meth:`finish` to flush the reorder buffer and replay the
+    dead-letter queue.  The resulting store is ``pipeline.database``.
     """
 
     def __init__(
@@ -245,7 +344,6 @@ class ResilientIngestPipeline:
         self.stats = PipelineStats()
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
         self.database = PassiveDnsDatabase(
-            deduplicate=True,
             spill_dir=spill_dir,
             spill_faults=spill_faults,
             spill_compact_threshold=spill_compact_threshold,
@@ -254,14 +352,11 @@ class ResilientIngestPipeline:
         #: rows that pass and dead-letters the failed deliveries itself.
         self.channel = SieChannel()
         self._names = _Names()
+        self._window = _DedupWindow()
         #: Rows of the items the reorder injector holds, in its order.
         self._held = self._rows([])
 
     # -- ingest path -------------------------------------------------------
-
-    def ingest(self, observation: DnsObservation) -> int:
-        """Offer one observation; returns deliveries into the channel."""
-        return self.ingest_many([observation])
 
     def ingest_many(self, observations: Iterable[DnsObservation]) -> int:
         """Offer a whole stream; returns total channel deliveries."""
@@ -451,19 +546,14 @@ class ResilientIngestPipeline:
         """Admit stored rows through the dedup window and append them."""
         if not len(rows):
             return
-        names = self._names
-        admitted = np.flatnonzero(
-            self.database.admit_many(
-                list(map(names.sensors.__getitem__, rows.sensor.tolist())),
-                [names.text[q] for q in rows.qid.tolist()],
-                rows.rcode,
-                rows.rtype,
-                rows.time,
-                rows.count,
-            )
+        keys = np.column_stack(
+            (rows.sensor, rows.qid, rows.rcode, rows.rtype, rows.time, rows.count)
         )
+        admitted = np.flatnonzero(self._window.admit(keys))
+        self.stats.duplicates_suppressed += len(rows) - len(admitted)
         if not len(admitted):
             return
+        names = self._names
         registered = np.array(
             [names.registered_id[q] for q in rows.qid[admitted].tolist()],
             dtype=np.int64,
@@ -540,8 +630,21 @@ class ResilientIngestPipeline:
                 self.schedule.counters() if self.schedule is not None else {}
             ),
             extra=self.stats.to_dict(),
+            recent_keys=self.recent_keys(),
         )
         self.stats.checkpoints += 1
+
+    def recent_keys(self) -> List[tuple]:
+        """The dedup window as text keys, oldest first.
+
+        Each key is ``(sensor, qname, rcode, rtype, time, count)``, an
+        :attr:`DnsObservation.observation_key`: the checkpoint form.
+        """
+        names = self._names
+        return [
+            (names.sensors[sensor], names.text[qid], *rest)
+            for sensor, qid, *rest in self._window.keys.tolist()
+        ]
 
     def resume(self) -> int:
         """Continue from the checkpoint the spill store recovered.
@@ -561,4 +664,16 @@ class ResilientIngestPipeline:
             self.schedule.fast_forward(state.injector_counters)
         self.stats = PipelineStats.from_dict(state.extra)
         self.stats.offered = state.cursor
+        # Re-intern the newest keys: a checkpoint written under a
+        # larger window must not over-retain suppression state.
+        keys = state.recent_keys[-DEDUP_WINDOW:]
+        if keys:
+            sensors, qnames, *numbers = zip(*keys)
+            self._window.keys = np.column_stack(
+                (
+                    self._names.sensor_ids(sensors),
+                    self._names.ids([DomainName(qname) for qname in qnames]),
+                    np.array(numbers, dtype=np.int64).T,
+                )
+            )
         return state.cursor

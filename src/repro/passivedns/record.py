@@ -49,8 +49,8 @@ class DnsObservation:
 
         Two deliveries of the *same* sensed event (same sensor,
         name, type, outcome, reporting interval, and pre-aggregated
-        count) share a key, so a deduplicating store can drop the
-        at-least-once redelivery without collapsing genuinely
+        count) share a key, so the ingest pipeline's dedup window can
+        drop the at-least-once redelivery without collapsing genuinely
         distinct observations.
         """
         return (

@@ -1,23 +1,24 @@
 """Reference models the production ingest and query paths are checked against.
 
-- :class:`ScalarDatabase` is the store with record-at-a-time writers:
-  ``add`` interns one row's domain and updates its min/max/sum
-  aggregates in Python, and ``admit`` walks an ``OrderedDict`` dedup
-  window one observation at a time.  ``admit_many``, ``add_batch`` and
-  ``add_rows`` must land the same store.
+- :class:`ScalarDatabase` is the store with a record-at-a-time
+  writer: ``add`` interns one row's domain and updates its
+  min/max/sum aggregates in Python.  ``add_batch`` and ``add_rows``
+  must land the same store.
 - :class:`ReferencePipeline` is the record-at-a-time ingest pipeline:
   one :class:`DnsObservation` at a time through the scalar fault
   injectors, a subscribed :class:`SieChannel`, a retry-wrapped store
-  subscriber and per-row :meth:`ScalarDatabase.ingest`.  The
-  columnar :class:`ResilientIngestPipeline` must be observably
-  identical to it.
+  subscriber, an ``OrderedDict`` dedup window walked one observation
+  at a time (``admit``) and per-row :meth:`ScalarDatabase.ingest`.
+  The columnar :class:`ResilientIngestPipeline` and its batch dedup
+  window must be observably identical to it.
 - :func:`daily_series_scan` is the full-column masked scan the CSR
   index behind :meth:`PassiveDnsDatabase.daily_series_for` must match.
 
 All three are deliberately the slow, obvious form of the computation.
 """
 
-from typing import Callable, Iterable, Optional
+from collections import OrderedDict
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -28,7 +29,11 @@ from repro.faults.plan import FaultSchedule
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import load_checkpoint, save_checkpoint
-from repro.passivedns.pipeline import DEFAULT_RETRY_POLICY, PipelineStats
+from repro.passivedns.pipeline import (
+    DEDUP_WINDOW,
+    DEFAULT_RETRY_POLICY,
+    PipelineStats,
+)
 from repro.passivedns.record import DnsObservation
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
 from repro.resilience.retry import RetryPolicy
@@ -38,38 +43,13 @@ class ScalarDatabase(PassiveDnsDatabase):
     """:class:`PassiveDnsDatabase` with the record-at-a-time writers."""
 
     def ingest(self, observation: DnsObservation) -> None:
-        """Channel-subscriber entry point (NXDomains only).
-
-        With ``deduplicate`` enabled, a redelivery of an observation
-        whose key is still inside the sliding window is suppressed and
-        counted — the idempotence that makes at-least-once channel
-        delivery and dead-letter replay safe.
-        """
-        if self.admit(observation):
+        """Channel-subscriber entry point (NXDomains only)."""
+        if observation.is_nxdomain:
             self.add(
                 observation.registered_domain,
                 observation.timestamp,
                 observation.count,
             )
-
-    def admit(self, observation: DnsObservation) -> bool:
-        """Admission control without the row append.
-
-        Applies the NXDomain filter and, when ``deduplicate`` is on,
-        advances the sliding dedup window exactly as :meth:`ingest`
-        would — returning whether the observation should land.
-        """
-        if not observation.is_nxdomain:
-            return False
-        if self.deduplicate:
-            key = observation.observation_key
-            if key in self._recent_keys:
-                self.duplicates_suppressed += 1
-                return False
-            self._recent_keys[key] = None
-            while len(self._recent_keys) > self.DEDUP_WINDOW:
-                self._recent_keys.popitem(last=False)
-        return True
 
     def add(self, domain: DomainName, timestamp: int, count: int = 1) -> None:
         """Record ``count`` NXDomain responses for ``domain`` at ``timestamp``."""
@@ -94,8 +74,12 @@ class ReferencePipeline:
     """The record-at-a-time form of :class:`ResilientIngestPipeline`.
 
     Takes the same arguments and exposes the same state (``stats``,
-    ``channel``, ``dead_letters``, ``database``, ``schedule``).
+    ``channel``, ``dead_letters``, ``database``, ``schedule``,
+    ``recent_keys()``).
     """
+
+    #: Bound on the dedup window (a test may shrink it per instance).
+    dedup_window = DEDUP_WINDOW
 
     def __init__(
         self,
@@ -115,11 +99,11 @@ class ReferencePipeline:
         self.stats = PipelineStats()
         self.dead_letters = DeadLetterQueue(capacity=dead_letter_capacity)
         self.database = ScalarDatabase(
-            deduplicate=True,
             spill_dir=spill_dir,
             spill_faults=spill_faults,
             spill_compact_threshold=spill_compact_threshold,
         )
+        self._recent_keys: "OrderedDict[tuple, None]" = OrderedDict()
         self.channel = SieChannel()
         self.channel.subscribe(self._quarantined(self._store))
         if schedule is not None and schedule.plan.subscriber_crash_rate > 0:
@@ -196,7 +180,7 @@ class ReferencePipeline:
         def attempt() -> None:
             if self.schedule is not None:
                 self.schedule.store.check(str(observation.qname))
-            self.database.ingest(observation)
+            self._land(observation)
 
         def count_retry(attempt_index: int, error: BaseException) -> None:
             self.stats.store_retries += 1
@@ -210,6 +194,28 @@ class ReferencePipeline:
     def _tap(self, observation: DnsObservation) -> None:
         """The no-op analysis tap the crash injector wraps."""
 
+    def admit(self, observation: DnsObservation) -> bool:
+        """Advance the dedup window; whether ``observation`` should land.
+
+        A redelivery whose :attr:`DnsObservation.observation_key` is
+        still inside the window is suppressed and counted.
+        """
+        key = observation.observation_key
+        if key in self._recent_keys:
+            self.stats.duplicates_suppressed += 1
+            return False
+        self._recent_keys[key] = None
+        while len(self._recent_keys) > self.dedup_window:
+            self._recent_keys.popitem(last=False)
+        return True
+
+    def _land(self, observation: DnsObservation) -> None:
+        if self.admit(observation):
+            self.database.ingest(observation)
+
+    def recent_keys(self) -> List[tuple]:
+        return list(self._recent_keys)
+
     # -- lifecycle ---------------------------------------------------------
 
     def flush(self) -> int:
@@ -222,7 +228,7 @@ class ReferencePipeline:
         return released
 
     def replay_dead_letters(self) -> ReplayStats:
-        replay = self.dead_letters.replay(self.database.ingest)
+        replay = self.dead_letters.replay(self._land)
         self.stats.replay_recovered += replay.succeeded
         return replay
 
@@ -245,6 +251,7 @@ class ReferencePipeline:
                 self.schedule.counters() if self.schedule is not None else {}
             ),
             extra=self.stats.to_dict(),
+            recent_keys=self.recent_keys(),
         )
         self.stats.checkpoints += 1
 
@@ -256,6 +263,9 @@ class ReferencePipeline:
             self.schedule.fast_forward(state.injector_counters)
         self.stats = PipelineStats.from_dict(state.extra)
         self.stats.offered = state.cursor
+        self._recent_keys = OrderedDict.fromkeys(
+            state.recent_keys[-self.dedup_window :]
+        )
         return state.cursor
 
 

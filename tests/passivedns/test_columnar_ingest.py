@@ -111,8 +111,8 @@ def _state(pipeline):
         "domains": [str(d) for d in db.all_domains()],
         "rows": db.row_count(),
         "responses": db.total_responses(),
-        "suppressed": db.duplicates_suppressed,
-        "window": db.recent_keys(),
+        "suppressed": pipeline.stats.duplicates_suppressed,
+        "window": pipeline.recent_keys(),
         "stats": dataclasses.asdict(pipeline.stats),
         "channel": (channel.published, channel.dropped, channel.subscriber_errors),
         "dlq": (pipeline.dead_letters.pushed, pipeline.dead_letters.evicted),
@@ -279,11 +279,15 @@ def payloads(monkeypatch):
     written = {ResilientIngestPipeline: [], ReferencePipeline: []}
 
     def recorder(cls):
-        def save(db, cursor, injector_counters=None, extra=None):
+        def save(db, cursor, injector_counters=None, extra=None, recent_keys=None):
             written[cls].append(
-                io_mod._checkpoint_payload(db, cursor, injector_counters, extra)
+                io_mod._checkpoint_payload(
+                    db, cursor, injector_counters, extra, recent_keys
+                )
             )
-            return io_mod.save_checkpoint(db, cursor, injector_counters, extra)
+            return io_mod.save_checkpoint(
+                db, cursor, injector_counters, extra, recent_keys
+            )
 
         return save
 
@@ -330,7 +334,7 @@ def _store_state(pipeline):
     db = pipeline.database
     return (
         db.fingerprint(),
-        db.duplicates_suppressed,
+        pipeline.stats.duplicates_suppressed,
         db.total_responses(),
         [str(d) for d in db.all_domains()],
         pipeline.stats.offered,
@@ -374,6 +378,6 @@ def test_ledger(plan):
     if pipeline.dead_letters.evicted == 0:
         db = pipeline.database
         assert (
-            db.row_count() + db.duplicates_suppressed
+            db.row_count() + stats.duplicates_suppressed
             == channel.published - stats.store_failures + stats.replay_recovered
         )

@@ -6,14 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clock import SECONDS_PER_DAY
-from repro.dns.message import RCode
+from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
 from repro.passivedns.database import PassiveDnsDatabase
-from repro.passivedns.pipeline import ResilientIngestPipeline
+from repro.passivedns import pipeline as pipeline_mod
+from repro.passivedns.io import save_checkpoint
+from repro.passivedns.pipeline import (
+    DEDUP_WINDOW,
+    ResilientIngestPipeline,
+    _DedupWindow,
+    _Names,
+)
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.sampling import sample_domains, scale_up
 from repro.rand import make_rng
-from tests.passivedns.reference import ScalarDatabase, daily_series_scan
+from tests.passivedns.reference import (
+    ReferencePipeline,
+    ScalarDatabase,
+    daily_series_scan,
+)
 
 DAY = SECONDS_PER_DAY
 D1 = DomainName("alpha.com")
@@ -37,9 +48,9 @@ class TestIngestion:
 
     def test_ingest_filters_non_nx(self):
         pipeline = ResilientIngestPipeline()
-        pipeline.ingest(DnsObservation(DomainName("x.org"), RCode.NOERROR, 0))
+        pipeline.ingest_many([DnsObservation(DomainName("x.org"), RCode.NOERROR, 0)])
         assert pipeline.database.unique_domains() == 0
-        pipeline.ingest(DnsObservation(DomainName("x.org"), RCode.NXDOMAIN, 0))
+        pipeline.ingest_many([DnsObservation(DomainName("x.org"), RCode.NXDOMAIN, 0)])
         assert pipeline.database.unique_domains() == 1
 
     def test_subdomains_collapse_via_ingest(self):
@@ -348,30 +359,34 @@ def _key_observation(sensor, name, time):
 
 
 class TestBatchAdmit:
-    """``admit_many`` over batches ≡ the oracle's one ``admit`` per observation."""
+    """``_DedupWindow.admit`` over batches ≡ the oracle's one ``admit`` per observation."""
 
     def _check(self, rows, window, cuts):
         observations = [_key_observation(*row) for row in rows]
-        scalar = ScalarDatabase(deduplicate=True)
-        batched = PassiveDnsDatabase(deduplicate=True)
-        for db in (scalar, batched):
-            db.DEDUP_WINDOW = window
-        expected = [scalar.admit(o) for o in observations]
+        reference = ReferencePipeline()
+        reference.dedup_window = window
+        expected = [reference.admit(o) for o in observations]
+        names = _Names()
+        numbers = [(o.rcode, o.rtype, o.timestamp, o.count) for o in observations]
+        keys = np.column_stack(
+            (
+                names.sensor_ids([o.sensor_id for o in observations]),
+                names.ids([o.qname for o in observations]),
+                np.array(numbers, dtype=np.int64).reshape(-1, 4),
+            )
+        )
+        batched = _DedupWindow()
+        batched.size = window
         got = []
         bounds = sorted({0, len(observations), *cuts})
         for lo, hi in zip(bounds, bounds[1:]):
-            batch = observations[lo:hi]
-            got += batched.admit_many(
-                [o.sensor_id for o in batch],
-                [str(o.qname) for o in batch],
-                np.array([int(o.rcode) for o in batch], dtype=np.int64),
-                np.array([int(o.rtype) for o in batch], dtype=np.int64),
-                np.array([o.timestamp for o in batch], dtype=np.int64),
-                np.array([o.count for o in batch], dtype=np.int64),
-            ).tolist()
+            got += batched.admit(keys[lo:hi]).tolist()
         assert got == expected
-        assert batched.recent_keys() == scalar.recent_keys()
-        assert batched.duplicates_suppressed == scalar.duplicates_suppressed
+        assert [
+            (names.sensors[sensor], names.text[qid], *rest)
+            for sensor, qid, *rest in batched.keys.tolist()
+        ] == reference.recent_keys()
+        assert got.count(False) == reference.stats.duplicates_suppressed
 
     @given(
         _KEY_ROWS,
@@ -383,30 +398,53 @@ class TestBatchAdmit:
 
     def test_mix_collisions_fall_back_to_exact_grouping(self, monkeypatch):
         """Every row sharing one mix must still group exactly."""
-        from repro.passivedns import database as database_mod
-
-        monkeypatch.setattr(database_mod, "_mix64", lambda x: x.fill(0))
+        monkeypatch.setattr(pipeline_mod, "_mix64", lambda x: x.fill(0))
         rng = make_rng(4)
         rows = [tuple(int(v) for v in row) for row in rng.integers(0, 4, (80, 3))]
         self._check(rows, window=5, cuts=[17, 40])
 
 
-class TestDedupWindow:
-    def test_restore_trims_to_window(self):
-        db = PassiveDnsDatabase(deduplicate=True)
-        oversized = [("sensor", i, 0) for i in range(db.DEDUP_WINDOW + 100)]
-        db.restore_recent_keys(oversized)
-        restored = db.recent_keys()
-        assert len(restored) == db.DEDUP_WINDOW
-        # The newest keys survive; the oldest 100 are dropped.
-        assert restored[0] == ("sensor", 100, 0)
-        assert restored[-1] == ("sensor", db.DEDUP_WINDOW + 99, 0)
+def _window_key(i):
+    return ("sensor", f"d{i}.com", int(RCode.NXDOMAIN), int(RRType.A), i, 1)
 
-    def test_restore_roundtrip_under_window(self):
-        db = PassiveDnsDatabase(deduplicate=True)
-        keys = [("sensor", i, 0) for i in range(10)]
-        db.restore_recent_keys(keys)
-        assert db.recent_keys() == keys
+
+def _redelivery(key):
+    sensor, qname, rcode, rtype, timestamp, count = key
+    return DnsObservation(
+        qname=DomainName(qname),
+        rcode=RCode(rcode),
+        timestamp=timestamp,
+        sensor_id=sensor,
+        rtype=RRType(rtype),
+        count=count,
+    )
+
+
+class TestDedupWindow:
+    """A resumed pipeline restores the checkpoint's dedup window."""
+
+    def _resume(self, tmp_path, keys):
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        save_checkpoint(db, cursor=0, recent_keys=keys)
+        pipeline = ResilientIngestPipeline(spill_dir=tmp_path)
+        assert pipeline.resume() == 0
+        return pipeline
+
+    def test_restore_trims_to_window(self, tmp_path):
+        keys = [_window_key(i) for i in range(DEDUP_WINDOW + 100)]
+        pipeline = self._resume(tmp_path, keys)
+        # The newest keys survive; the oldest 100 are dropped.
+        assert pipeline.recent_keys() == keys[100:]
+        # A redelivery of a dropped key lands; of a retained one, not.
+        pipeline.ingest_many([_redelivery(keys[0]), _redelivery(keys[-1])])
+        assert pipeline.stats.duplicates_suppressed == 1
+        assert pipeline.database.row_count() == 1
+        assert pipeline.database.all_domains() == [DomainName("d0.com")]
+
+    def test_restore_roundtrip_under_window(self, tmp_path):
+        keys = [_window_key(i) for i in range(10)]
+        pipeline = self._resume(tmp_path, keys)
+        assert pipeline.recent_keys() == keys
 
 
 class TestSampling:

@@ -8,7 +8,7 @@ from repro.dns.name import DomainName
 from repro.errors import ConfigError, UnknownKeyError, WorkloadError
 from repro.faults import FaultPlan
 from repro.passivedns.channel import SieChannel
-from repro.passivedns.pipeline import ResilientIngestPipeline
+from repro.passivedns.pipeline import ResilientIngestPipeline, _Names
 from repro.passivedns.record import DnsObservation
 from repro.resilience import RetryPolicy
 from tests.passivedns.reference import ScalarDatabase
@@ -71,6 +71,32 @@ def test_same_seed_same_faulted_output():
     assert len(logs) == 1
 
 
+def test_names_look_each_row_up_once(monkeypatch):
+    """Interning a chunk that carries new names hashes each row once
+    (plus a few hashes per new name) and keeps first-appearance ids."""
+    names = _Names()
+    names.ids([DomainName(f"old{i}.example.com") for i in range(50)])
+    chunk = [
+        DomainName(f"{'old' if i % 2 else 'new'}{i % 50}.example.com")
+        for i in range(200)
+    ]
+    new = list(dict.fromkeys(name for name in chunk if "new" in str(name)))
+    hashed = []
+    name_hash = DomainName.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return name_hash(self)
+
+    monkeypatch.setattr(DomainName, "__hash__", counting)
+    ids = names.ids(chunk)
+    monkeypatch.undo()
+    assert len(new) == 25
+    assert len(hashed) <= len(chunk) + 3 * len(new)
+    assert names.qname[50:] == new
+    assert [names.qname[qid] for qid in ids.tolist()] == chunk
+
+
 # -- fault absorption --------------------------------------------------------
 
 
@@ -92,7 +118,7 @@ def test_duplicates_are_suppressed_by_dedup():
     pipeline.ingest_many(observations)
     pipeline.finish()
     assert pipeline.stats.duplicates_delivered == 200
-    assert pipeline.database.duplicates_suppressed == 200
+    assert pipeline.stats.duplicates_suppressed == 200
     assert pipeline.database.fingerprint() == _plain_store(observations).fingerprint()
 
 
@@ -143,7 +169,7 @@ def test_burst_amplifies_counts_inside_windows():
         count=2,
     )
     pipeline = ResilientIngestPipeline(schedule=schedule)
-    pipeline.ingest(observation)
+    pipeline.ingest_many([observation])
     pipeline.finish()
     assert pipeline.database.total_responses() == 10
     assert pipeline.stats.burst_amplified == 1
@@ -167,7 +193,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
         checkpoint_every=100,
     )
     for observation in observations[:250]:
-        first.ingest(observation)
+        first.ingest_many([observation])
     first.checkpoint()
 
     second = ResilientIngestPipeline(
@@ -178,7 +204,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     cursor = second.resume()
     assert cursor == 250
     for observation in observations[cursor:]:
-        second.ingest(observation)
+        second.ingest_many([observation])
     second.finish()
 
     assert (
@@ -199,7 +225,7 @@ def test_resume_after_ingest_is_refused(tmp_path):
     first = ResilientIngestPipeline(spill_dir=tmp_path, checkpoint_every=100)
     first.ingest_many(_observations(100))
     second = ResilientIngestPipeline(spill_dir=tmp_path, checkpoint_every=100)
-    second.ingest(_observations(1)[0])
+    second.ingest_many(_observations(1))
     with pytest.raises(ConfigError, match="precede"):
         second.resume()
 

@@ -43,7 +43,7 @@ def _commit_checkpoint(root, **overrides):
     """A spill store whose committed checkpoint payload is overridden."""
     db = PassiveDnsDatabase(spill_dir=root)
     db.add_rows(D1, [0], [1])
-    payload = _checkpoint_payload(db, 1, None, None)
+    payload = _checkpoint_payload(db, 1, None, None, None)
     payload.update(overrides)
     db.spill_commit({"checkpoint": payload})
 
