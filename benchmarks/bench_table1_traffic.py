@@ -7,7 +7,8 @@ resheba.online is the busiest domain and gpclick.com's traffic is
 >98% malicious requests (the botnet stream).
 
 The bench times the full filter + categorize pass over the recorded
-six-month collection and regenerates the table.
+six-month collection (as columns, the way the study runs it) and
+regenerates the table.
 """
 
 from repro.core.reports import render_table1
@@ -18,7 +19,7 @@ def test_table1_traffic(benchmark, security_result: SecurityRunResult):
     honeypot = security_result.honeypot
 
     def filter_and_categorize():
-        return honeypot.categorized_requests()
+        return honeypot.categorized_batch()
 
     benchmark(filter_and_categorize)
     print()

@@ -16,21 +16,25 @@ in the honeypot, and derive the evaluation artifacts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.honeypot.batch import first_appearance_counts
 from repro.honeypot.categorize import (
+    CategorizedBatch,
     CategorizedRequest,
     Category,
     Subcategory,
     TrafficCategorizer,
-    category_counts,
 )
 from repro.honeypot.filtering import FilterStats, TwoStageFilter
+from repro.honeypot.http import parse_query
 from repro.honeypot.recorder import TrafficRecorder
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.server import HoneypotReport, NxdHoneypot
+from repro.honeypot.useragent import AgentKind, parse_user_agent
 from repro.honeypot.webfilter import WebFilter
 from repro.workloads.botnet import TASK_PATH, continent_of_country
 from repro.workloads.control import (
@@ -51,15 +55,21 @@ class SecurityRunResult:
     control_group: TrafficRecorder
     noise_filter: TwoStageFilter
     filter_stats: FilterStats
-    categorized: List[CategorizedRequest]
+    #: The filtered traffic with each row's classification.
+    traffic: CategorizedBatch
     table1: List[HoneypotReport]
     reverse_ip: ReverseIpTable
+
+    @cached_property
+    def categorized(self) -> List[CategorizedRequest]:
+        """:attr:`traffic` as objects, built on first access."""
+        return self.traffic.items()
 
     def total_requests(self) -> int:
         return self.filter_stats.input_requests
 
     def category_totals(self) -> Dict[Category, int]:
-        return category_counts(self.categorized)
+        return self.traffic.category_counts()
 
     def shape_checks(self) -> Dict[str, bool]:
         """Table 1's qualitative shape."""
@@ -103,23 +113,21 @@ def run_security_experiment(
     )
     categorizer = TrafficCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
     honeypot = NxdHoneypot([p.domain for p in profiles], categorizer)
-    for request in generator.generate(include_noise=include_noise):
-        honeypot.accept_request(request)
+    honeypot.accept_batch(generator.generate_batch(include_noise=include_noise))
     if include_noise:
-        for packet in generate_platform_packets(rng, count=2_000):
-            honeypot.accept_packet(packet)
+        honeypot.accept_packet_batch(generate_platform_packets(rng, count=2_000))
 
     honeypot.calibrate(no_hosting, control_group)
-    kept, stats = honeypot.filtered_requests()
-    categorized = categorizer.categorize_many(kept)
-    table1 = honeypot.reports_from(categorized)
+    kept, stats = honeypot.filtered_batch()
+    traffic = categorizer.categorize_batch(kept)
+    table1 = honeypot.reports_from(traffic)
     return SecurityRunResult(
         honeypot=honeypot,
         no_hosting=no_hosting,
         control_group=control_group,
         noise_filter=honeypot.noise_filter,
         filter_stats=stats,
-        categorized=categorized,
+        traffic=traffic,
         table1=table1,
         reverse_ip=reverse_ip,
     )
@@ -154,12 +162,10 @@ class PortDistribution:
 
 def port_distribution(result: SecurityRunResult, top_n: int = 8) -> PortDistribution:
     """Figures 10a/10b from the two recorders, post-filtering."""
-    filtered_packets = result.noise_filter.filter_packets(
-        result.honeypot.recorder.packets()
+    filtered_packets = result.noise_filter.filter_packet_batch(
+        result.honeypot.recorder.packet_batch()
     )
-    histogram: Dict[int, int] = {}
-    for packet in filtered_packets:
-        histogram[packet.dst_port] = histogram.get(packet.dst_port, 0) + 1
+    histogram = filtered_packets.port_histogram()
     honeypot_ports = sorted(histogram.items(), key=lambda kv: kv[1], reverse=True)
     return PortDistribution(
         honeypot_ports=honeypot_ports[:top_n],
@@ -265,26 +271,21 @@ def email_crawler_breakdown(
     result: SecurityRunResult, domain: str = "conf-cdn.com"
 ) -> EmailCrawlerBreakdown:
     """Provider split of one domain's file-grabber traffic."""
-    from repro.honeypot.useragent import AgentKind, parse_user_agent
-
     lowered = domain.lower()
-    grabbers = [
-        item
-        for item in result.categorized
-        if item.request.host.lower() == lowered
-        and item.subcategory == Subcategory.FILE_GRABBER
-    ]
-    by_provider: Dict[str, int] = {}
-    email_total = 0
-    for item in grabbers:
-        agent = parse_user_agent(item.request.user_agent)
-        if agent.kind == AgentKind.EMAIL_CRAWLER:
-            email_total += 1
-            by_provider[agent.name] = by_provider.get(agent.name, 0) + 1
+    traffic = result.traffic
+    grabbers = traffic.requests.host_rows(lowered) & traffic.rows_of(
+        Subcategory.FILE_GRABBER
+    )
+
+    def email_provider(user_agent: str):
+        agent = parse_user_agent(user_agent)
+        return agent.name if agent.kind == AgentKind.EMAIL_CRAWLER else None
+
+    by_provider = traffic.requests.user_agent.tally(grabbers, email_provider)
     return EmailCrawlerBreakdown(
         domain=lowered,
-        file_grabber_total=len(grabbers),
-        email_crawler_total=email_total,
+        file_grabber_total=int(grabbers.sum()),
+        email_crawler_total=sum(by_provider.values()),
         by_provider=by_provider,
     )
 
@@ -293,12 +294,17 @@ def _search_engine_histograms(
     result: SecurityRunResult,
 ) -> Dict[str, Dict[str, int]]:
     """Crawler-service counts of search-engine traffic, per lowercased host."""
+    traffic = result.traffic
+    rows = np.flatnonzero(traffic.rows_of(Subcategory.SEARCH_ENGINE))
+    hosts = traffic.requests.host.take(rows)
+    names = traffic.agent_names.take(rows)
+    width = max(len(names.values), 1)
+    pairs, counts = first_appearance_counts(hosts.codes * width + names.codes)
     by_host: Dict[str, Dict[str, int]] = {}
-    for item in result.categorized:
-        if item.subcategory == Subcategory.SEARCH_ENGINE:
-            histogram = by_host.setdefault(item.request.host.lower(), {})
-            name = item.agent_name or "unknown"
-            histogram[name] = histogram.get(name, 0) + 1
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        histogram = by_host.setdefault(hosts.values[pair // width].lower(), {})
+        name = names.values[pair % width] or "unknown"
+        histogram[name] = histogram.get(name, 0) + count
     return by_host
 
 
@@ -351,11 +357,10 @@ def regional_correlation_checks(result: SecurityRunResult) -> Dict[str, bool]:
 
 def inapp_browser_distribution(result: SecurityRunResult) -> Dict[str, int]:
     """Requests per in-app browser across all domains (Figure 13)."""
-    histogram: Dict[str, int] = {}
-    for item in result.categorized:
-        if item.subcategory == Subcategory.INAPP:
-            name = item.agent_name or "Others"
-            histogram[name] = histogram.get(name, 0) + 1
+    traffic = result.traffic
+    histogram = traffic.agent_names.tally(
+        traffic.rows_of(Subcategory.INAPP), lambda name: name or "Others"
+    )
     return dict(sorted(histogram.items(), key=lambda kv: kv[1], reverse=True))
 
 
@@ -425,41 +430,43 @@ class BotnetAnalysis:
 
 
 def botnet_victim_analysis(result: SecurityRunResult) -> BotnetAnalysis:
-    """Parse the gpclick getTask.php stream (Figures 12/14/15)."""
-    requests = [
-        item.request
-        for item in result.categorized
-        if item.request.host == "gpclick.com" and item.request.path == TASK_PATH
-    ]
-    user_agents: Dict[str, int] = {}
+    """Parse the gpclick getTask.php stream (Figures 12/14/15).
+
+    Each distinct query string is parsed once; the histograms count
+    rows, keys in order of first appearance.
+    """
+    requests = result.traffic.requests
+    rows = requests.host.lookup(lambda host: host == "gpclick.com", bool)
+    rows &= requests.path.lookup(lambda path: path == TASK_PATH, bool)
+    queries = requests.query.take(rows)
     models: Dict[str, int] = {}
     countries: Dict[str, int] = {}
     continents: Dict[str, int] = {}
     phones = set()
-    for request in requests:
-        user_agents[request.user_agent] = user_agents.get(request.user_agent, 0) + 1
-        params = request.query_parameters()
+    for code, count in zip(
+        *(column.tolist() for column in first_appearance_counts(queries.codes))
+    ):
+        params = parse_query(queries.values[code])
         model = params.get("model", "").replace("%20", " ")
         if model:
-            models[model] = models.get(model, 0) + 1
+            models[model] = models.get(model, 0) + count
         country = params.get("country", "")
         if country:
-            countries[country] = countries.get(country, 0) + 1
+            countries[country] = countries.get(country, 0) + count
             continent = continent_of_country(country)
             if continent:
-                continents[continent] = continents.get(continent, 0) + 1
+                continents[continent] = continents.get(continent, 0) + count
         if "phone" in params:
             phones.add(params["phone"])
-    hostnames = result.reverse_ip.hostname_histogram(
-        [request.src_ip for request in requests]
-    )
     return BotnetAnalysis(
-        request_count=len(requests),
-        user_agents=user_agents,
+        request_count=len(queries),
+        user_agents=requests.user_agent.tally(rows),
         model_histogram=models,
         country_histogram=countries,
         continent_histogram=continents,
-        hostname_histogram=hostnames,
+        hostname_histogram=requests.src_ip.tally(
+            rows, result.reverse_ip.hostname_group
+        ),
         distinct_phones=len(phones),
     )
 

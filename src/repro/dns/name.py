@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import DomainNameError
 
@@ -39,21 +39,27 @@ class DomainName:
     DomainName('example.com')
     """
 
-    __slots__ = ("_labels",)
+    #: ``_hash`` is ``None`` until the first :meth:`__hash__` call
+    #: fills it: a name is immutable, and the store's dict lookups hash
+    #: each name many times.
+    __slots__ = ("_labels", "_hash")
 
     def __init__(self, text: object) -> None:
         if isinstance(text, DomainName):
             self._labels: Tuple[str, ...] = text._labels
+            self._hash: Optional[int] = text._hash
             return
         if not isinstance(text, str):
             raise DomainNameError(f"domain name must be str, got {type(text)!r}")
         self._labels = _parse(text)
+        self._hash = None
 
     @classmethod
     def from_labels(cls, labels: Tuple[str, ...]) -> "DomainName":
         """Build a name from a label tuple, lowercasing and validating it."""
         name = cls.__new__(cls)
         name._labels = tuple(label.lower() for label in labels)
+        name._hash = None
         _validate(name._labels)
         return name
 
@@ -66,6 +72,7 @@ class DomainName:
         """
         name = cls.__new__(cls)
         name._labels = labels
+        name._hash = None
         return name
 
     @classmethod
@@ -73,6 +80,7 @@ class DomainName:
         """The DNS root (empty name)."""
         name = cls.__new__(cls)
         name._labels = ()
+        name._hash = None
         return name
 
     # -- structure ----------------------------------------------------
@@ -173,7 +181,15 @@ class DomainName:
         return tuple(reversed(self._labels)) < tuple(reversed(other._labels))
 
     def __hash__(self) -> int:
-        return hash(self._labels)
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._labels)
+        return value
+
+    def __reduce__(self):
+        # The cached hash of a str tuple is salted per process: a copy
+        # or an unpickled name recomputes its own.
+        return (DomainName._from_valid, (self._labels,))
 
     def __len__(self) -> int:
         return len(str(self)) if self._labels else 0

@@ -5,6 +5,9 @@ server deployed on the hosting instances of the 19 registered domains.
 This package reproduces its entire data path:
 
 - :mod:`repro.honeypot.http` — the request/packet model;
+- :mod:`repro.honeypot.batch` — the same as columns
+  (:class:`RequestBatch`, :class:`PacketBatch`), which the generators,
+  the recorder, the filter and the categorizer pass along;
 - :mod:`repro.honeypot.recorder` — all-port traffic recording
   (Figure 10's port histograms);
 - :mod:`repro.honeypot.filtering` — the two-stage noise filter
@@ -20,7 +23,9 @@ This package reproduces its entire data path:
   and :mod:`repro.honeypot.webfilter` (referrer classification).
 """
 
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.categorize import (
+    CategorizedBatch,
     Category,
     CategorizedRequest,
     Subcategory,
@@ -42,6 +47,7 @@ from repro.honeypot.webfilter import ReferralKind, WebFilter
 
 __all__ = [  # repro: noqa[REP104] session/response record types; exported for annotations
     "AgentKind",
+    "CategorizedBatch",
     "CategorizedRequest",
     "Category",
     "FilterStats",
@@ -50,8 +56,10 @@ __all__ = [  # repro: noqa[REP104] session/response record types; exported for a
     "InteractiveHoneypot",
     "NxdHoneypot",
     "VisitorSession",
+    "PacketBatch",
     "PacketRecord",
     "ReferralKind",
+    "RequestBatch",
     "ReverseIpTable",
     "Severity",
     "Subcategory",

@@ -12,10 +12,22 @@ User Visit          PC & Mobile / In-App Browser
 Others              (everything unattributable)
 ==================  ======================================
 
-A run sees a few dozen distinct User-Agents and a few thousand
-distinct URIs spread over tens of thousands of requests, so each
-:class:`TrafficCategorizer` parses a User-Agent string once and its
-:class:`~repro.honeypot.nvd.VulnerabilityDatabase` judges a
+The categorizer works on a :class:`~repro.honeypot.batch.RequestBatch`
+(:meth:`TrafficCategorizer.categorize_batch`).  A run sees a few dozen
+distinct User-Agents and a few thousand distinct URIs spread over tens
+of thousands of requests, so each signal is evaluated once per
+distinct value — User-Agent → agent kind and name, (path, query) →
+NVD verdict, page extension and bare-root test, (Referer, Host) →
+web-filter verdict, and, for undeclared agents only, source IP →
+PTR-attested crawler — and the Figure 11 order of precedence is one
+vector select over the rows.  Stream reclassification counts
+(source IP, URI) pairs with ``np.unique``.  The result is a
+:class:`CategorizedBatch` of category and subcategory codes;
+:class:`CategorizedRequest` objects are built only on request
+(:meth:`CategorizedBatch.items`, :meth:`TrafficCategorizer.categorize_many`).
+
+Each :class:`TrafficCategorizer` parses a User-Agent string once and
+its :class:`~repro.honeypot.nvd.VulnerabilityDatabase` judges a
 (path, query) once.  Both memos belong to their instance and die with
 it; nothing is shared across categorizers.
 """
@@ -24,9 +36,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.honeypot.http import PAGE_EXTENSIONS, HttpRequest
+import numpy as np
+
+from repro.honeypot.batch import RequestBatch, StrColumn, pair_codes
+from repro.honeypot.http import PAGE_EXTENSIONS, HttpRequest, path_extension
 from repro.honeypot.nvd import VulnerabilityDatabase
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.useragent import AgentKind, UserAgentInfo, parse_user_agent
@@ -79,6 +94,52 @@ TABLE1_COLUMNS = (
 )
 
 
+#: Code order of :attr:`CategorizedBatch.categories` and
+#: :attr:`CategorizedBatch.subcategories`.
+CATEGORIES = tuple(Category)
+SUBCATEGORIES = tuple(Subcategory)
+_CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORIES)}
+_SUBCATEGORY_CODE = {sub: code for code, sub in enumerate(SUBCATEGORIES)}
+_KIND_CODE = {kind: code for code, kind in enumerate(AgentKind)}
+
+_REFERRAL_SUBCATEGORY = {
+    ReferralKind.SEARCH_ENGINE: _SUBCATEGORY_CODE[Subcategory.REFERRAL_SEARCH],
+    ReferralKind.EMBEDDED: _SUBCATEGORY_CODE[Subcategory.REFERRAL_EMBEDDED],
+    ReferralKind.MALICIOUS_LINK: _SUBCATEGORY_CODE[Subcategory.REFERRAL_MALICIOUS],
+}
+
+#: The branches of Figure 11, in order of precedence, and the category
+#: each one assigns.
+(
+    _REFERRED,
+    _DECLARED_CRAWLER,
+    _PTR_CRAWLER,
+    _INAPP,
+    _BROWSER,
+    _SCRIPT,
+    _MALICIOUS_URI,
+    _NON_ROOT_URI,
+    _UNATTRIBUTED,
+) = range(9)
+_BRANCH_CATEGORY = np.array(
+    [
+        _CATEGORY_CODE[category]
+        for category in (
+            Category.REFERRAL,
+            Category.WEB_CRAWLER,
+            Category.WEB_CRAWLER,
+            Category.USER_VISIT,
+            Category.USER_VISIT,
+            Category.AUTOMATED,
+            Category.AUTOMATED,
+            Category.AUTOMATED,
+            Category.OTHERS,
+        )
+    ],
+    dtype=np.int8,
+)
+
+
 @dataclass(frozen=True)
 class CategorizedRequest:
     """One request with its classification."""
@@ -87,6 +148,76 @@ class CategorizedRequest:
     category: Category
     subcategory: Subcategory
     agent_name: str = ""
+
+
+class CategorizedBatch:
+    """A :class:`RequestBatch` with each row's classification as codes.
+
+    ``categories`` and ``subcategories`` index :data:`CATEGORIES` and
+    :data:`SUBCATEGORIES`; ``agent_names`` holds each row's agent name
+    (``""`` where the categorizer names none).
+    """
+
+    __slots__ = ("requests", "categories", "subcategories", "agent_names")
+
+    def __init__(
+        self,
+        requests: RequestBatch,
+        categories: np.ndarray,
+        subcategories: np.ndarray,
+        agent_names: StrColumn,
+    ) -> None:
+        self.requests = requests
+        self.categories = categories
+        self.subcategories = subcategories
+        self.agent_names = agent_names
+
+    @classmethod
+    def from_items(cls, items: Iterable[CategorizedRequest]) -> "CategorizedBatch":
+        items = list(items)
+        return cls(
+            RequestBatch.from_requests(item.request for item in items),
+            np.array([_CATEGORY_CODE[i.category] for i in items], dtype=np.int8),
+            np.array([_SUBCATEGORY_CODE[i.subcategory] for i in items], dtype=np.int8),
+            StrColumn.encode([item.agent_name for item in items]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.categories)
+
+    def rows_of(self, subcategory: Subcategory) -> np.ndarray:
+        """Mask of the rows classified as ``subcategory``."""
+        return self.subcategories == _SUBCATEGORY_CODE[subcategory]
+
+    def items(
+        self, requests: Optional[Sequence[HttpRequest]] = None
+    ) -> List[CategorizedRequest]:
+        """The rows as objects (``requests``: this batch's rows, if built)."""
+        if requests is None:
+            requests = self.requests.to_requests()
+        return [
+            CategorizedRequest(
+                request, CATEGORIES[category], SUBCATEGORIES[sub], name
+            )
+            for request, category, sub, name in zip(
+                requests,
+                self.categories.tolist(),
+                self.subcategories.tolist(),
+                self.agent_names.decode(),
+            )
+        ]
+
+    def subcategory_counts(
+        self, rows: Optional[np.ndarray] = None
+    ) -> Dict[Subcategory, int]:
+        """Requests per subcategory over ``rows`` (all rows by default)."""
+        codes = self.subcategories if rows is None else self.subcategories[rows]
+        counts = np.bincount(codes, minlength=len(SUBCATEGORIES)).tolist()
+        return dict(zip(SUBCATEGORIES, counts))
+
+    def category_counts(self) -> Dict[Category, int]:
+        counts = np.bincount(self.categories, minlength=len(CATEGORIES)).tolist()
+        return dict(zip(CATEGORIES, counts))
 
 
 class TrafficCategorizer:
@@ -112,68 +243,24 @@ class TrafficCategorizer:
 
     def categorize(self, request: HttpRequest) -> CategorizedRequest:
         """Classify one request."""
-        # ① Referer: a populated Referer means the visit was referred.
-        if request.referer:
-            kind = self.web_filter.classify(request.referer, request.host)
-            subcategory = {
-                ReferralKind.SEARCH_ENGINE: Subcategory.REFERRAL_SEARCH,
-                ReferralKind.EMBEDDED: Subcategory.REFERRAL_EMBEDDED,
-                ReferralKind.MALICIOUS_LINK: Subcategory.REFERRAL_MALICIOUS,
-            }[kind]
-            return CategorizedRequest(request, Category.REFERRAL, subcategory)
-
-        # ② User-Agent.
-        agent = self._agent(request.user_agent)
-        if agent.kind in (AgentKind.CRAWLER, AgentKind.EMAIL_CRAWLER):
-            return CategorizedRequest(
-                request, Category.WEB_CRAWLER, self._crawler_subtype(request),
-                agent.name,
-            )
-        # ④ (pulled forward, as the paper does for crawler attestation):
-        # an undeclared UA whose source PTR is a major crawler service.
-        if agent.kind == AgentKind.UNKNOWN and self.reverse_ip.is_known_crawler(
-            request.src_ip
-        ):
-            return CategorizedRequest(
-                request,
-                Category.WEB_CRAWLER,
-                self._crawler_subtype(request),
-                self.reverse_ip.service_of(request.src_ip) or "",
-            )
-        if agent.kind == AgentKind.INAPP_BROWSER:
-            return CategorizedRequest(
-                request, Category.USER_VISIT, Subcategory.INAPP, agent.name
-            )
-        if agent.kind == AgentKind.BROWSER:
-            return CategorizedRequest(
-                request, Category.USER_VISIT, Subcategory.PC_MOBILE, agent.name
-            )
-        if agent.kind == AgentKind.SCRIPT:
-            return CategorizedRequest(
-                request,
-                Category.AUTOMATED,
-                self._automated_subtype(request),
-                agent.name,
-            )
-
-        # ③ Requested URL: no usable UA — decide on the URI alone.
-        if self.nvd.is_malicious_uri(request.path, request.query):
-            return CategorizedRequest(
-                request, Category.AUTOMATED, Subcategory.MALICIOUS_REQUEST
-            )
-        if request.path != "/" or request.has_query_string:
-            return CategorizedRequest(
-                request, Category.AUTOMATED, Subcategory.SCRIPT_SOFTWARE
-            )
-        # Bare "/" with no UA and no referral: unattributable.
-        return CategorizedRequest(request, Category.OTHERS, Subcategory.OTHER)
+        return self.categorize_many([request], stream_threshold=None)[0]
 
     def categorize_many(
         self,
         requests: Iterable[HttpRequest],
         stream_threshold: Optional[int] = 50,
     ) -> List[CategorizedRequest]:
-        """Classify a batch, then apply stream reclassification.
+        """:meth:`categorize_batch` over request objects."""
+        requests = list(requests)
+        batch = RequestBatch.from_requests(requests)
+        return self.categorize_batch(batch, stream_threshold).items(requests)
+
+    def categorize_batch(
+        self,
+        batch: RequestBatch,
+        stream_threshold: Optional[int] = 50,
+    ) -> CategorizedBatch:
+        """Classify every row, then apply stream reclassification.
 
         §6.3 observes that automated processes "have a repetitive
         pattern, i.e. the same URIs are frequently and periodically
@@ -184,41 +271,131 @@ class TrafficCategorizer:
         least ``stream_threshold`` times is therefore reclassified
         from User Visit to Automated Process.  Pass None to disable.
         """
-        categorized = [self.categorize(request) for request in requests]
-        if stream_threshold is None:
-            return categorized
-        keys = [(item.request.src_ip, item.request.uri) for item in categorized]
-        pair_counts: Dict[tuple, int] = {}
-        for key in keys:
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-        reclassified = []
-        for item, key in zip(categorized, keys):
-            if (
-                item.category == Category.USER_VISIT
-                and pair_counts[key] >= stream_threshold
-            ):
-                item = CategorizedRequest(
-                    item.request,
-                    Category.AUTOMATED,
-                    self._automated_subtype(item.request),
-                    item.agent_name,
-                )
-            reclassified.append(item)
-        return reclassified
+        names: Dict[str, int] = {"": 0}
 
-    # -- subtype helpers ---------------------------------------------------
+        def name_code(name: str) -> int:
+            return names.setdefault(name, len(names))
 
-    @staticmethod
-    def _crawler_subtype(request: HttpRequest) -> Subcategory:
-        """Search engines crawl pages; file grabbers fetch assets."""
-        if request.extension in PAGE_EXTENSIONS:
-            return Subcategory.SEARCH_ENGINE
-        return Subcategory.FILE_GRABBER
+        # ① Referer: a populated Referer means the visit was referred.
+        referred = batch.referer.lookup(bool, bool)
+        referral_pairs, referral_rows = pair_codes(batch.referer, batch.host)
+        referral_sub = np.array(
+            [
+                _REFERRAL_SUBCATEGORY[self.web_filter.classify(referer, host)]
+                if referer
+                else 0
+                for referer, host in referral_pairs
+            ],
+            dtype=np.int8,
+        )[referral_rows]
 
-    def _automated_subtype(self, request: HttpRequest) -> Subcategory:
-        if self.nvd.is_malicious_uri(request.path, request.query):
-            return Subcategory.MALICIOUS_REQUEST
-        return Subcategory.SCRIPT_SOFTWARE
+        # ② User-Agent.
+        kind = batch.user_agent.lookup(
+            lambda agent: _KIND_CODE[self._agent(agent).kind], np.int8
+        )
+        agent_name = batch.user_agent.lookup(
+            lambda agent: name_code(self._agent(agent).name)
+        )
+
+        # ③ Requested URL: the NVD verdict once per distinct (path,
+        # query), the page and bare-root tests once per distinct part.
+        uri_pairs, uri_rows = pair_codes(batch.path, batch.query)
+        malicious = np.array(
+            [self.nvd.is_malicious_uri(path, query) for path, query in uri_pairs],
+            dtype=bool,
+        )[uri_rows]
+        page = batch.path.lookup(
+            lambda path: path_extension(path) in PAGE_EXTENSIONS, bool
+        )
+        bare = batch.path.lookup(lambda path: path == "/", bool) & ~batch.query.lookup(
+            bool, bool
+        )
+
+        # ④ (pulled forward, as the paper does for crawler attestation):
+        # an undeclared UA whose source PTR is a major crawler service.
+        ptr_crawler = (kind == _KIND_CODE[AgentKind.UNKNOWN]) & ~referred
+        service_name = np.zeros(len(batch), dtype=np.int64)
+        if ptr_crawler.any():
+            rows = np.flatnonzero(ptr_crawler)
+            attested = batch.src_ip.take(rows).lookup(
+                self.reverse_ip.is_known_crawler, bool
+            )
+            ptr_crawler[rows] = attested
+            rows = rows[attested]
+            service_name[rows] = batch.src_ip.take(rows).lookup(
+                lambda ip: name_code(self.reverse_ip.service_of(ip) or "")
+            )
+
+        branch = np.select(
+            [
+                referred,
+                (kind == _KIND_CODE[AgentKind.CRAWLER])
+                | (kind == _KIND_CODE[AgentKind.EMAIL_CRAWLER]),
+                ptr_crawler,
+                kind == _KIND_CODE[AgentKind.INAPP_BROWSER],
+                kind == _KIND_CODE[AgentKind.BROWSER],
+                kind == _KIND_CODE[AgentKind.SCRIPT],
+                malicious,
+                ~bare,
+            ],
+            list(range(_UNATTRIBUTED)),
+            default=_UNATTRIBUTED,
+        )
+        crawler_sub = np.where(
+            page,
+            _SUBCATEGORY_CODE[Subcategory.SEARCH_ENGINE],
+            _SUBCATEGORY_CODE[Subcategory.FILE_GRABBER],
+        )
+        automated_sub = np.where(
+            malicious,
+            _SUBCATEGORY_CODE[Subcategory.MALICIOUS_REQUEST],
+            _SUBCATEGORY_CODE[Subcategory.SCRIPT_SOFTWARE],
+        )
+        categories = _BRANCH_CATEGORY[branch]
+        subcategories = _by_branch(
+            branch,
+            [
+                referral_sub,
+                crawler_sub,
+                crawler_sub,
+                _SUBCATEGORY_CODE[Subcategory.INAPP],
+                _SUBCATEGORY_CODE[Subcategory.PC_MOBILE],
+                automated_sub,
+                _SUBCATEGORY_CODE[Subcategory.MALICIOUS_REQUEST],
+                _SUBCATEGORY_CODE[Subcategory.SCRIPT_SOFTWARE],
+                _SUBCATEGORY_CODE[Subcategory.OTHER],
+            ],
+            np.int8,
+        )
+        agent_names = _by_branch(
+            branch,
+            [0, agent_name, service_name, agent_name, agent_name, agent_name, 0, 0, 0],
+            np.int64,
+        )
+
+        if stream_threshold is not None and len(batch):
+            uris = batch.uris()
+            pairs = batch.src_ip.codes * len(uris.values) + uris.codes
+            _, inverse, counts = np.unique(
+                pairs, return_inverse=True, return_counts=True
+            )
+            streamed = (categories == _CATEGORY_CODE[Category.USER_VISIT]) & (
+                counts[inverse.reshape(-1)] >= stream_threshold
+            )
+            categories[streamed] = _CATEGORY_CODE[Category.AUTOMATED]
+            subcategories[streamed] = automated_sub[streamed]
+        return CategorizedBatch(
+            batch, categories, subcategories, StrColumn(agent_names, tuple(names))
+        )
+
+
+def _by_branch(branch: np.ndarray, choices: list, dtype) -> np.ndarray:
+    """Per row, ``choices[branch]`` — a constant, or that row of an array."""
+    out = np.empty(len(branch), dtype=dtype)
+    for index, choice in enumerate(choices):
+        rows = branch == index
+        out[rows] = choice[rows] if isinstance(choice, np.ndarray) else choice
+    return out
 
 
 def subcategory_counts(

@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Set, Tuple
 
+import numpy as np
+
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.http import HttpRequest, PacketRecord
 from repro.honeypot.recorder import TrafficRecorder
 
@@ -54,20 +57,26 @@ class TwoStageFilter:
         self, baseline: Iterable[PacketRecord]
     ) -> int:
         """Stage 1: every source IP in no-hosting traffic is a scanner."""
-        before = len(self._scanner_ips)
-        for packet in baseline:
-            self._scanner_ips.add(packet.src_ip)
-        return len(self._scanner_ips) - before
+        return self._learn_scanners(packet.src_ip for packet in baseline)
 
     def learn_control_group(self, control: Iterable[HttpRequest]) -> int:
         """Stage 2: establishment-noise parameters from control domains."""
-        added = 0
-        for request in control:
-            if request.src_ip not in self._control_ips:
-                self._control_ips.add(request.src_ip)
-                added += 1
-            self._control_uris.add(request.uri)
-        return added
+        control = list(control)
+        return self._learn_control(
+            (request.src_ip for request in control),
+            (request.uri for request in control),
+        )
+
+    def _learn_scanners(self, ips: Iterable[str]) -> int:
+        before = len(self._scanner_ips)
+        self._scanner_ips.update(ips)
+        return len(self._scanner_ips) - before
+
+    def _learn_control(self, ips: Iterable[str], uris: Iterable[str]) -> int:
+        before = len(self._control_ips)
+        self._control_ips.update(ips)
+        self._control_uris.update(uris)
+        return len(self._control_ips) - before
 
     @classmethod
     def calibrated(
@@ -77,8 +86,9 @@ class TwoStageFilter:
     ) -> "TwoStageFilter":
         """Build a filter from the two calibration recorders."""
         instance = cls()
-        instance.learn_no_hosting_baseline(no_hosting.packets())
-        instance.learn_control_group(control_group.requests())
+        instance._learn_scanners(no_hosting.packet_batch().src_ip.distinct())
+        control = control_group.request_batch()
+        instance._learn_control(control.src_ip.distinct(), control.uris().distinct())
         return instance
 
     # -- application ---------------------------------------------------------
@@ -90,13 +100,15 @@ class TwoStageFilter:
         """Matches when the source IP *and* the URI were both seen on
         the control group — either alone also appears in genuine
         traffic (Let's Encrypt probes /.well-known on everyone)."""
-        return (
-            request.src_ip in self._control_ips
-            or (
-                request.uri in self._control_uris
-                and request.uri.startswith("/.well-known")
-            )
+        return request.src_ip in self._control_ips or self._is_control_uri(
+            request.uri
         )
+
+    def _is_control_uri(self, uri: str) -> bool:
+        return uri in self._control_uris and uri.startswith("/.well-known")
+
+    def _is_noise_source(self, src_ip: str) -> bool:
+        return src_ip in self._scanner_ips or src_ip in self._control_ips
 
     def filter_packets(
         self, packets: Iterable[PacketRecord]
@@ -108,29 +120,41 @@ class TwoStageFilter:
         their source addresses were learned from the calibration
         deployments.
         """
-        return [
-            packet
-            for packet in packets
-            if packet.src_ip not in self._scanner_ips
-            and packet.src_ip not in self._control_ips
-        ]
+        return [p for p in packets if not self._is_noise_source(p.src_ip)]
+
+    def filter_packet_batch(self, packets: PacketBatch) -> PacketBatch:
+        """:meth:`filter_packets` over columns, one test per distinct IP."""
+        noise = packets.src_ip.lookup(self._is_noise_source, bool)
+        return packets.take(~noise)
 
     def apply(
         self, requests: Iterable[HttpRequest]
     ) -> Tuple[List[HttpRequest], FilterStats]:
         """Split traffic into (kept, stats) per Figure 9."""
-        stats = FilterStats()
-        kept: List[HttpRequest] = []
-        for request in requests:
-            stats.input_requests += 1
-            if self.is_scanner_noise(request):
-                stats.dropped_by_ip_baseline += 1
-            elif self.is_establishment_noise(request):
-                stats.dropped_by_control_group += 1
-            else:
-                kept.append(request)
-        stats.kept = len(kept)
-        return kept, stats
+        requests = list(requests)
+        keep, stats = self._keep_mask(RequestBatch.from_requests(requests))
+        return [r for r, k in zip(requests, keep.tolist()) if k], stats
+
+    def apply_batch(self, batch: RequestBatch) -> Tuple[RequestBatch, FilterStats]:
+        """:meth:`apply` over columns: the kept rows, in order."""
+        keep, stats = self._keep_mask(batch)
+        return batch.take(keep), stats
+
+    def _keep_mask(self, batch: RequestBatch) -> Tuple[np.ndarray, FilterStats]:
+        """Stage 1 and stage 2 decided once per distinct IP and URI."""
+        scanner = batch.src_ip.lookup(self._scanner_ips.__contains__, bool)
+        establishment = batch.src_ip.lookup(
+            self._control_ips.__contains__, bool
+        ) | batch.uris().lookup(self._is_control_uri, bool)
+        establishment &= ~scanner
+        keep = ~(scanner | establishment)
+        stats = FilterStats(
+            input_requests=len(batch),
+            dropped_by_ip_baseline=int(scanner.sum()),
+            dropped_by_control_group=int(establishment.sum()),
+            kept=int(keep.sum()),
+        )
+        return keep, stats
 
     @property
     def scanner_ip_count(self) -> int:

@@ -89,10 +89,7 @@ class HttpRequest:
     @property
     def extension(self) -> str:
         """Lowercased file extension without the dot, or ''."""
-        name = self.filename
-        if "." not in name:
-            return ""
-        return name.rsplit(".", 1)[-1].lower()
+        return path_extension(self.path)
 
     def query_parameters(self) -> Dict[str, str]:
         """Parsed query-string parameters (last occurrence wins)."""
@@ -109,17 +106,17 @@ class HttpRequest:
         )
 
 
+def path_extension(path: str) -> str:
+    """Lowercased extension of a path's final segment, without the dot, or ''."""
+    name = path.rsplit("/", 1)[-1]
+    if "." not in name:
+        return ""
+    return name.rsplit(".", 1)[-1].lower()
+
+
 def parse_query(query: str) -> Dict[str, str]:
     """Parameters of a raw query string (last occurrence wins)."""
-    params: Dict[str, str] = {}
-    if not query:
-        return params
-    for pair in query.split("&"):
-        if not pair:
-            continue
-        key, _, value = pair.partition("=")
-        params[key] = value
-    return params
+    return dict(pair.partition("=")[::2] for pair in query.split("&") if pair)
 
 
 #: Extensions the categorizer treats as HTML page requests (search

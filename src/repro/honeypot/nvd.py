@@ -11,9 +11,7 @@ carrying query strings.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
-
-from repro.honeypot.http import parse_query
+from typing import Dict, Iterable, Optional, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -112,9 +110,7 @@ class VulnerabilityDatabase:
 
     def has_suspicious_query(self, query_parameters: Dict[str, str]) -> bool:
         """True when any parameter name is on the abuse list."""
-        return any(
-            name.lower() in SUSPICIOUS_PARAMETERS for name in query_parameters
-        )
+        return _any_suspicious(query_parameters)
 
     def is_malicious_uri(self, path: str, query: str) -> bool:
         """§6.2 step ③: a sensitive path or a suspicious query parameter.
@@ -124,8 +120,10 @@ class VulnerabilityDatabase:
         key = (path, query)
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self.is_sensitive(path) or self.has_suspicious_query(
-                parse_query(query)
+            # The parameter names of ``parse_query(query)``, without
+            # building the dict.
+            verdict = self.is_sensitive(path) or _any_suspicious(
+                pair.partition("=")[0] for pair in query.split("&") if pair
             )
             self._verdicts[key] = verdict
         return verdict
@@ -137,3 +135,7 @@ class VulnerabilityDatabase:
 
     def __len__(self) -> int:
         return len(self._files)
+
+
+def _any_suspicious(names: Iterable[str]) -> bool:
+    return any(name.lower() in SUSPICIOUS_PARAMETERS for name in names)

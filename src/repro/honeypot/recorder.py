@@ -6,20 +6,26 @@ and keep the HTTP/HTTPS requests for the categorizer.  Figure 10's
 port histograms are read straight off this recorder for the honeypot
 and control-group deployments.
 
-Query layout: traffic generators emit in timestamp order, so the
-recorder tracks whether its streams are still sorted as they arrive
-and serves :meth:`window` with two bisections instead of a full scan
-(falling back to the scan the moment an out-of-order record lands).
-:meth:`requests_for_host` reads a lazily built host index that every
-appended request invalidates — the per-domain Table 1 reports issue
-one such query per hosted domain over the same quiescent recorder.
+Storage layout: the recorder keeps columns — a list of
+:class:`~repro.honeypot.batch.RequestBatch` parts and a list of
+:class:`~repro.honeypot.batch.PacketBatch` parts, merged into one part
+each on the first read after a write.  :meth:`record_batch` appends a
+whole generated batch; :meth:`record_request` and
+:meth:`record_packet` buffer single rows in arrival order, which become
+one request part and one packet part on the next batch write or read.
+A request's transport-level shadow is derived from the request columns
+(:meth:`~repro.honeypot.batch.RequestBatch.packet_shadow`).
+:meth:`requests`, :meth:`packets`, :meth:`window` and
+:meth:`requests_for_host` build objects only when called.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
+import numpy as np
+
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.http import HttpRequest, PacketRecord
 
 
@@ -28,19 +34,12 @@ class TrafficRecorder:
 
     def __init__(self, deployment: str = "honeypot") -> None:
         self.deployment = deployment
-        self._packets: List[PacketRecord] = []
-        self._requests: List[HttpRequest] = []
-        # Timestamp shadows of the two streams, plus monotonicity
-        # flags: kept in lockstep on append so ``window`` can bisect
-        # when the stream arrived sorted (Python < 3.10 has no
-        # ``bisect(key=)``, hence the parallel lists).
-        self._packet_times: List[int] = []
-        self._request_times: List[int] = []
-        self._packets_sorted = True
-        self._requests_sorted = True
-        #: host (lowercased) → request positions, built on first
-        #: :meth:`requests_for_host` and dropped on every append.
-        self._host_index: Optional[Dict[str, List[int]]] = None
+        self._request_parts: List[RequestBatch] = []
+        self._packet_parts: List[PacketBatch] = []
+        #: Single-row writes in arrival order, columnized on the next
+        #: batch write or read.
+        self._pending: List[Union[HttpRequest, PacketRecord]] = []
+        self._pending_requests = 0
         #: Called with a context string before each write; a fault
         #: harness can raise :class:`~repro.errors.TransientStoreError`
         #: here to model a full disk or a wedged capture process.
@@ -52,56 +51,96 @@ class TrafficRecorder:
         """Record one transport-level packet."""
         if self.fault_hook is not None:
             self.fault_hook("packet")
-        self._append_packet(packet)
+        self._pending.append(packet)
 
     def record_request(self, request: HttpRequest) -> None:
         """Record an HTTP request (and its transport-level shadow)."""
         if self.fault_hook is not None:
             self.fault_hook("request")
-        if self._requests and request.timestamp < self._request_times[-1]:
-            self._requests_sorted = False
-        self._requests.append(request)
-        self._request_times.append(request.timestamp)
-        self._host_index = None
-        self._append_packet(request.to_packet())
+        self._pending.append(request)
+        self._pending_requests += 1
 
-    def _append_packet(self, packet: PacketRecord) -> None:
-        if self._packets and packet.timestamp < self._packet_times[-1]:
-            self._packets_sorted = False
-        self._packets.append(packet)
-        self._packet_times.append(packet.timestamp)
+    def record_batch(self, batch: RequestBatch) -> None:
+        """Record every request of ``batch`` (and their shadows), in order."""
+        if self.fault_hook is not None:
+            self.fault_hook("request")
+        self._flush()
+        self._request_parts.append(batch)
+        self._packet_parts.append(batch.packet_shadow())
+
+    def record_packet_batch(self, batch: PacketBatch) -> None:
+        """Record every packet of ``batch``, in order."""
+        if self.fault_hook is not None:
+            self.fault_hook("packet")
+        self._flush()
+        self._packet_parts.append(batch)
+
+    def _flush(self) -> None:
+        """Columnize the pending rows: one request part, and one packet
+        part interleaving explicit packets and request shadows in
+        arrival order."""
+        if not self._pending:
+            return
+        pending, self._pending, self._pending_requests = self._pending, [], 0
+        is_request = np.array([isinstance(item, HttpRequest) for item in pending])
+        requests = RequestBatch.from_requests(
+            item for item in pending if isinstance(item, HttpRequest)
+        )
+        packets = PacketBatch.from_packets(
+            item for item in pending if not isinstance(item, HttpRequest)
+        )
+        self._request_parts.append(requests)
+        # Shadows first, then packets; each row's arrival position,
+        # inverted, puts them back in arrival order.
+        arrival = np.concatenate(
+            [np.flatnonzero(is_request), np.flatnonzero(~is_request)]
+        )
+        self._packet_parts.append(
+            PacketBatch.concat([requests.packet_shadow(), packets]).take(
+                np.argsort(arrival)
+            )
+        )
+
+    # -- columns ------------------------------------------------------------
+
+    def request_batch(self) -> RequestBatch:
+        """Every recorded request, as one batch."""
+        self._flush()
+        if len(self._request_parts) != 1:
+            self._request_parts = [RequestBatch.concat(self._request_parts)]
+        return self._request_parts[0]
+
+    def packet_batch(self) -> PacketBatch:
+        """Every recorded packet (request shadows included), as one batch."""
+        self._flush()
+        if len(self._packet_parts) != 1:
+            self._packet_parts = [PacketBatch.concat(self._packet_parts)]
+        return self._packet_parts[0]
 
     # -- views ------------------------------------------------------------
 
     @property
     def packet_count(self) -> int:
-        return len(self._packets)
+        return sum(map(len, self._packet_parts)) + len(self._pending)
 
     @property
     def request_count(self) -> int:
-        return len(self._requests)
+        return sum(map(len, self._request_parts)) + self._pending_requests
 
     def packets(self) -> List[PacketRecord]:
-        return list(self._packets)
+        return self.packet_batch().to_packets()
 
     def requests(self) -> List[HttpRequest]:
-        return list(self._requests)
+        return self.request_batch().to_requests()
 
     def requests_for_host(self, host: str) -> List[HttpRequest]:
-        if self._host_index is None:
-            index: Dict[str, List[int]] = {}
-            for position, request in enumerate(self._requests):
-                index.setdefault(request.host.lower(), []).append(position)
-            self._host_index = index
-        positions = self._host_index.get(host.lower(), [])
-        return [self._requests[position] for position in positions]
+        """Requests whose Host header is ``host`` (any case), in order."""
+        batch = self.request_batch()
+        return batch.take(batch.host_rows(host)).to_requests()
 
     def port_histogram(self) -> Dict[int, int]:
         """Packets per destination port (Figure 10's axes)."""
-        histogram: Dict[int, int] = {}
-        for packet in self._packets:
-            histogram[packet.dst_port] = histogram.get(packet.dst_port, 0) + 1
-        return histogram
+        return self.packet_batch().port_histogram()
 
     def top_ports(self, n: int = 8) -> List[Tuple[int, int]]:
         """The ``n`` busiest ports as (port, packets), busiest first."""
@@ -111,49 +150,26 @@ class TrafficRecorder:
 
     def source_ips(self) -> Set[str]:
         """Every source IP observed (packets and requests)."""
-        return {p.src_ip for p in self._packets}
+        return set(self.packet_batch().src_ip.distinct())
 
     def http_share(self) -> float:
         """Fraction of packets on ports 80/443 (the paper's 81.7%)."""
-        if not self._packets:
+        ports = self.packet_batch().ports
+        if not len(ports):
             return 0.0
-        web = sum(1 for p in self._packets if p.dst_port in (80, 443))
-        return web / len(self._packets)
+        return int(np.isin(ports, (80, 443)).sum()) / len(ports)
 
     def window(self, start: int, end: int) -> "TrafficRecorder":
-        """A recorder view restricted to [start, end).
-
-        On a time-ordered stream (how the generators emit) the cut is
-        two bisections per list; out-of-order streams fall back to the
-        full filtering scan with identical results.  Either way the
-        view's slices are themselves sorted iff they arrived sorted,
-        so nested windows keep bisecting.
-        """
+        """A recorder view restricted to [start, end), order kept."""
         view = TrafficRecorder(self.deployment)
-        if self._packets_sorted:
-            lo = bisect_left(self._packet_times, start)
-            hi = bisect_left(self._packet_times, end)
-            view._packets = self._packets[lo:hi]
-            view._packet_times = self._packet_times[lo:hi]
-        else:
-            view._packets = [
-                p for p in self._packets if start <= p.timestamp < end
-            ]
-            view._packet_times = [p.timestamp for p in view._packets]
-            view._packets_sorted = _is_sorted(view._packet_times)
-        if self._requests_sorted:
-            lo = bisect_left(self._request_times, start)
-            hi = bisect_left(self._request_times, end)
-            view._requests = self._requests[lo:hi]
-            view._request_times = self._request_times[lo:hi]
-        else:
-            view._requests = [
-                r for r in self._requests if start <= r.timestamp < end
-            ]
-            view._request_times = [r.timestamp for r in view._requests]
-            view._requests_sorted = _is_sorted(view._request_times)
+        requests = self.request_batch()
+        packets = self.packet_batch()
+        view._request_parts = [
+            requests.take(
+                (requests.timestamps >= start) & (requests.timestamps < end)
+            )
+        ]
+        view._packet_parts = [
+            packets.take((packets.timestamps >= start) & (packets.timestamps < end))
+        ]
         return view
-
-
-def _is_sorted(values: List[int]) -> bool:
-    return all(a <= b for a, b in zip(values, values[1:]))

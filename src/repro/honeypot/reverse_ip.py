@@ -71,13 +71,17 @@ class ReverseIpTable:
         """
         histogram: Dict[str, int] = {}
         for ip in ips:
-            service = self.service_of(ip)
-            if service is None:
-                key = "unresolved" if self.lookup(ip) is None else "other-hosting"
-            else:
-                key = service
+            key = self.hostname_group(ip)
             histogram[key] = histogram.get(key, 0) + 1
         return histogram
+
+    def hostname_group(self, ip: str) -> str:
+        """The Figure 15 bucket of one IP: its service, else
+        "other-hosting" (a PTR no suffix matches) or "unresolved"."""
+        service = self.service_of(ip)
+        if service is not None:
+            return service
+        return "unresolved" if self.lookup(ip) is None else "other-hosting"
 
     def __len__(self) -> int:
         return len(self._ptr)

@@ -10,14 +10,17 @@ categorized view that Table 1 and Figures 10/13/14/15 are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ReproError
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.categorize import (
+    CategorizedBatch,
     CategorizedRequest,
     TrafficCategorizer,
-    subcategory_counts,
     Subcategory,
 )
 from repro.honeypot.filtering import FilterStats, TwoStageFilter
@@ -91,6 +94,25 @@ class NxdHoneypot:
         self.pages_served += 1
         return LANDING_PAGE
 
+    def accept_batch(self, batch: RequestBatch) -> None:
+        """:meth:`accept_request` for every row of ``batch``.
+
+        A recorder failure quarantines the whole batch as one item.
+        """
+        self._record_batch(self.recorder.record_batch, batch)
+        self.pages_served += len(batch)
+
+    def accept_packet_batch(self, batch: PacketBatch) -> None:
+        """:meth:`accept_packet` for every row of ``batch``."""
+        self._record_batch(self.recorder.record_packet_batch, batch)
+
+    def _record_batch(self, record, batch: Union[RequestBatch, PacketBatch]) -> None:
+        try:
+            record(batch)
+        except ReproError as exc:
+            first = int(batch.timestamps[0]) if len(batch) else 0
+            self._quarantine(batch, exc, first)
+
     def _quarantine(
         self, item: object, error: ReproError, timestamp: int
     ) -> None:
@@ -108,6 +130,10 @@ class NxdHoneypot:
         def handler(item: object) -> None:
             if isinstance(item, HttpRequest):
                 self.recorder.record_request(item)
+            elif isinstance(item, RequestBatch):
+                self.recorder.record_batch(item)
+            elif isinstance(item, PacketBatch):
+                self.recorder.record_packet_batch(item)
             else:
                 assert isinstance(item, PacketRecord)
                 self.recorder.record_packet(item)
@@ -125,52 +151,60 @@ class NxdHoneypot:
         self.noise_filter = TwoStageFilter.calibrated(no_hosting, control_group)
         return self.noise_filter
 
+    def filtered_batch(self) -> Tuple[RequestBatch, FilterStats]:
+        """All recorded requests after noise filtering, as columns."""
+        batch = self.recorder.request_batch()
+        if self.noise_filter is None:
+            stats = FilterStats(input_requests=len(batch), kept=len(batch))
+            return batch, stats
+        return self.noise_filter.apply_batch(batch)
+
     def filtered_requests(self) -> Tuple[List[HttpRequest], FilterStats]:
         """All recorded requests after noise filtering."""
-        requests = self.recorder.requests()
-        if self.noise_filter is None:
-            stats = FilterStats(
-                input_requests=len(requests), kept=len(requests)
-            )
-            return requests, stats
-        return self.noise_filter.apply(requests)
+        kept, stats = self.filtered_batch()
+        return kept.to_requests(), stats
+
+    def categorized_batch(self) -> CategorizedBatch:
+        kept, _ = self.filtered_batch()
+        return self.categorizer.categorize_batch(kept)
 
     def categorized_requests(self) -> List[CategorizedRequest]:
-        kept, _ = self.filtered_requests()
-        return self.categorizer.categorize_many(kept)
+        return self.categorized_batch().items()
 
     def report_for(self, domain: str) -> HoneypotReport:
-        """Table 1 row for one hosted domain."""
+        """Table 1 row for one domain, counted off one categorized batch."""
+        categorized = self.categorized_batch()
         lowered = domain.lower()
-        categorized = [
-            item
-            for item in self.categorized_requests()
-            if item.request.host.lower() == lowered
-        ]
-        counts = subcategory_counts(categorized)
-        return HoneypotReport(lowered, counts, total=len(categorized))
+        return _report(lowered, categorized, categorized.requests.host_rows(lowered))
 
     def reports(self) -> List[HoneypotReport]:
         """Table 1 rows for every hosted domain, by traffic volume."""
-        return self.reports_from(self.categorized_requests())
+        return self.reports_from(self.categorized_batch())
 
     def reports_from(
-        self, categorized: Iterable[CategorizedRequest]
+        self, categorized: Union[CategorizedBatch, Iterable[CategorizedRequest]]
     ) -> List[HoneypotReport]:
-        """Table 1 rows built from an already categorized request list."""
-        by_domain: Dict[str, List[CategorizedRequest]] = {
-            d: [] for d in self.hosted_domains
-        }
-        for item in categorized:
-            host = item.request.host.lower()
-            if host in by_domain:
-                by_domain[host].append(item)
+        """Table 1 rows built from already categorized traffic."""
+        if not isinstance(categorized, CategorizedBatch):
+            categorized = CategorizedBatch.from_items(categorized)
+        # Each distinct Host value maps to its hosted domain's position
+        # in ``domains`` (or -1), once.
+        domains = sorted(self.hosted_domains)
+        position = {domain: index for index, domain in enumerate(domains)}
+        rows_domain = categorized.requests.host.lookup(
+            lambda host: position.get(host.lower(), -1)
+        )
         reports = [
-            HoneypotReport(domain, subcategory_counts(items), total=len(items))
-            for domain, items in by_domain.items()
+            _report(domain, categorized, rows_domain == index)
+            for index, domain in enumerate(domains)
         ]
-        # Tie-break by name: ``hosted_domains`` is a set, so relying on
-        # the stable sort alone would leave equal-total rows in
-        # hash-seed-dependent order across processes.
+        # Busiest first; equal totals by name.
         reports.sort(key=lambda r: (-r.total, r.domain))
         return reports
+
+
+def _report(
+    domain: str, categorized: CategorizedBatch, rows: np.ndarray
+) -> HoneypotReport:
+    counts = categorized.subcategory_counts(rows)
+    return HoneypotReport(domain, counts, total=sum(counts.values()))

@@ -351,7 +351,14 @@ class PassiveDnsDatabase:
         ids, so the result is safe to feed straight to
         :meth:`add_batch` (with ``np.repeat`` for per-domain row runs).
         """
-        ids = [self._intern(domain) for domain in domains]
+        names = list(domains)
+        ids = list(map(self._id_of.get, names))
+        if None in ids:
+            # Only the misses pay for ``_intern``, in input order, so
+            # new ids still follow first appearance.
+            for position, domain_id in enumerate(ids):
+                if domain_id is None:
+                    ids[position] = self._intern(names[position])
         return np.asarray(ids, dtype=np.int64)
 
     def add_batch(

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.honeypot.batch import RequestBatch
 from repro.honeypot.http import HttpRequest
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.workloads.ipspace import make_pool
@@ -129,34 +130,41 @@ class GpclickBotnet:
 
     # -- request generation ----------------------------------------------------
 
-    def request_at(self, timestamp: int) -> HttpRequest:
-        """One bot poll (Figure 12's URL structure)."""
+    def _query(self) -> str:
+        """One poll's getTask.php query string (Figure 12's URL structure)."""
         country, phone, model, _ = self._victim()
         mnc = int(self.rng.integers(1, 999))
         mcc = int(self.rng.integers(200, 750))
-        query = (
+        return (
             f"imei={self._imei()}&balance=0&country={country}"
             f"&phone={phone}&op=Android&mnc={mnc}&mcc={mcc}"
             f"&model={model.replace(' ', '%20')}&os=23"
         )
-        return HttpRequest(
-            timestamp=timestamp,
-            src_ip=self._source_ip(),
-            host=self.host,
-            path=TASK_PATH,
-            query=query,
-            user_agent=BOTNET_USER_AGENT,
-            port=80,
-        )
 
-    def requests(self, count: int, start: int, end: int) -> List[HttpRequest]:
-        """``count`` polls spread uniformly over [start, end)."""
+    def batch(self, count: int, start: int, end: int) -> RequestBatch:
+        """``count`` polls spread uniformly over [start, end), time-ordered."""
         if count < 0:
             raise ConfigError("count must be non-negative")
         if end <= start:
             raise ConfigError("end must follow start")
         timestamps = np.sort(self.rng.integers(start, end, size=count))
-        return [self.request_at(int(t)) for t in timestamps]
+        queries, ips = [], []
+        for _ in range(count):
+            queries.append(self._query())
+            ips.append(self._source_ip())
+        return RequestBatch.of(
+            timestamps,
+            src_ip=ips,
+            host=self.host,
+            path=TASK_PATH,
+            query=queries,
+            user_agent=BOTNET_USER_AGENT,
+            port=80,
+        )
+
+    def requests(self, count: int, start: int, end: int) -> List[HttpRequest]:
+        """:meth:`batch` as request objects."""
+        return self.batch(count, start, end).to_requests()
 
 
 def continent_of_country(country: str) -> Optional[str]:

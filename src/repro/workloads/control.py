@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.honeypot.http import HttpRequest, PacketRecord, Transport
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.recorder import TrafficRecorder
 from repro.workloads import useragents as ua
 from repro.workloads.ipspace import make_pool
@@ -51,25 +51,26 @@ def generate_no_hosting_baseline(
     recorder = TrafficRecorder("no-hosting")
     scanners = make_pool("scanners", rng)
     aws = make_pool("aws-monitor", rng)
+    times, ips, ports, payloads = [], [], [], []
     for _ in range(packets):
-        timestamp = int(rng.integers(0, CALIBRATION_SECONDS))
+        times.append(int(rng.integers(0, CALIBRATION_SECONDS)))
         if rng.random() < monitor_share:
-            recorder.record_packet(
-                PacketRecord(
-                    timestamp, aws.address(), AWS_MONITOR_PORT, Transport.TCP, 64
-                )
-            )
+            ips.append(aws.address())
+            ports.append(AWS_MONITOR_PORT)
+            payloads.append(64)
         else:
-            port = SCANNED_PORTS[int(rng.integers(0, len(SCANNED_PORTS)))]
-            recorder.record_packet(
-                PacketRecord(
-                    timestamp,
-                    scanners.address(),
-                    port,
-                    Transport.TCP if port != 5900 else Transport.UDP,
-                    int(rng.integers(40, 400)),
-                )
-            )
+            ports.append(SCANNED_PORTS[int(rng.integers(0, len(SCANNED_PORTS)))])
+            ips.append(scanners.address())
+            payloads.append(int(rng.integers(40, 400)))
+    recorder.record_packet_batch(
+        PacketBatch.of(
+            times,
+            src_ip=ips,
+            port=ports,
+            udp=[port == 5900 for port in ports],
+            payload_size=payloads,
+        )
+    )
     return recorder
 
 
@@ -85,57 +86,43 @@ def generate_control_traffic(
     letsencrypt = make_pool("letsencrypt", rng)
     scanners = make_pool("scanners", rng)
     aws = make_pool("aws-monitor", rng)
+    times, targets, ips, paths, agents, ports = [], [], [], [], [], []
     for _ in range(requests):
-        timestamp = int(rng.integers(0, CALIBRATION_SECONDS))
-        host = hosts[int(rng.integers(0, len(hosts)))]
+        times.append(int(rng.integers(0, CALIBRATION_SECONDS)))
+        targets.append(hosts[int(rng.integers(0, len(hosts)))])
         roll = rng.random()
         if roll < 0.45:
             # Certificate validation probing /.well-known.
-            recorder.record_request(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=letsencrypt.address(),
-                    host=host,
-                    path="/.well-known/acme-challenge/token",
-                    user_agent=ua.LETSENCRYPT_UA,
-                    port=80,
-                )
-            )
+            ips.append(letsencrypt.address())
+            paths.append("/.well-known/acme-challenge/token")
+            agents.append(ua.LETSENCRYPT_UA)
+            ports.append(80)
         elif roll < 0.8:
             # New-domain crawlers notice the fresh registration.
-            recorder.record_request(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=scanners.address(),
-                    host=host,
-                    path="/" if rng.random() < 0.7 else "/robots.txt",
-                    user_agent="Mozilla/5.0 (compatible; NewDomainSpider/1.0 crawler)",
-                    port=80,
-                )
-            )
+            ips.append(scanners.address())
+            paths.append("/" if rng.random() < 0.7 else "/robots.txt")
+            agents.append("Mozilla/5.0 (compatible; NewDomainSpider/1.0 crawler)")
+            ports.append(80)
         else:
-            recorder.record_request(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=scanners.address(),
-                    host=host,
-                    path="/",
-                    user_agent="",
-                    port=443,
-                )
-            )
+            ips.append(scanners.address())
+            paths.append("/")
+            agents.append("")
+            ports.append(443)
+    recorder.record_batch(
+        RequestBatch.of(
+            times, src_ip=ips, host=targets, path=paths, user_agent=agents,
+            port=ports,
+        )
+    )
     if include_platform_noise:
         # The hosting platform's monitor runs here too (Figure 10b).
+        times, ips = [], []
         for _ in range(requests):
-            recorder.record_packet(
-                PacketRecord(
-                    int(rng.integers(0, CALIBRATION_SECONDS)),
-                    aws.address(),
-                    AWS_MONITOR_PORT,
-                    Transport.TCP,
-                    64,
-                )
-            )
+            times.append(int(rng.integers(0, CALIBRATION_SECONDS)))
+            ips.append(aws.address())
+        recorder.record_packet_batch(
+            PacketBatch.of(times, src_ip=ips, port=AWS_MONITOR_PORT, payload_size=64)
+        )
     return recorder
 
 
@@ -143,7 +130,7 @@ def generate_platform_packets(
     rng: np.random.Generator,
     count: int,
     duration: int = CALIBRATION_SECONDS * 3,
-) -> List[PacketRecord]:
+) -> PacketBatch:
     """Platform-monitor and scanner packets during the main collection.
 
     The same infrastructure that pollutes the calibration deployments
@@ -153,24 +140,15 @@ def generate_platform_packets(
     """
     scanners = make_pool("scanners", rng)
     aws = make_pool("aws-monitor", rng)
-    packets = []
+    times, ips, ports, payloads = [], [], [], []
     for _ in range(count):
-        timestamp = int(rng.integers(0, duration))
+        times.append(int(rng.integers(0, duration)))
         if rng.random() < 0.7:
-            packets.append(
-                PacketRecord(
-                    timestamp, aws.address(), AWS_MONITOR_PORT, Transport.TCP, 64
-                )
-            )
+            ips.append(aws.address())
+            ports.append(AWS_MONITOR_PORT)
+            payloads.append(64)
         else:
-            port = SCANNED_PORTS[int(rng.integers(0, len(SCANNED_PORTS)))]
-            packets.append(
-                PacketRecord(
-                    timestamp,
-                    scanners.address(),
-                    port,
-                    Transport.TCP,
-                    int(rng.integers(40, 400)),
-                )
-            )
-    return packets
+            ports.append(SCANNED_PORTS[int(rng.integers(0, len(SCANNED_PORTS)))])
+            ips.append(scanners.address())
+            payloads.append(int(rng.integers(40, 400)))
+    return PacketBatch.of(times, src_ip=ips, port=ports, payload_size=payloads)

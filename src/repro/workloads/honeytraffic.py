@@ -11,14 +11,23 @@ Also emitted (``include_noise=True``) is the contamination the filter
 exists to remove: cloud-scanner probes from the same address space as
 the no-hosting baseline and certificate-validation traffic matching the
 control group's signatures.
+
+Every emitter returns a :class:`~repro.honeypot.batch.RequestBatch`.
+Its per-request draws (``rng.integers``, ``rng.random`` and UA picks)
+are scalar calls in a fixed order per row: bounded-integer and
+``random()`` draws consume the generator's words differently, so they
+cannot be batched without changing the stream.  Only the polling
+fleet's jitter is one vector ``normal`` per bot, which equals the
+scalar calls value for value.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
+from repro.honeypot.batch import RequestBatch, StrColumn
 from repro.honeypot.categorize import Subcategory
 from repro.honeypot.http import HttpRequest
 from repro.honeypot.reverse_ip import ReverseIpTable
@@ -114,27 +123,28 @@ class HoneypotTrafficGenerator:
 
     def generate(self, include_noise: bool = True) -> List[HttpRequest]:
         """All requests of the collection period, time-ordered."""
-        requests: List[HttpRequest] = []
-        for profile in self.profiles:
-            requests.extend(self.generate_for(profile))
-        if include_noise:
-            requests.extend(self._emit_contamination())
-        requests.sort(key=lambda r: r.timestamp)
-        return requests
+        return self.generate_batch(include_noise).to_requests()
 
-    def generate_for(self, profile: RegisteredDomainProfile) -> List[HttpRequest]:
+    def generate_batch(self, include_noise: bool = True) -> RequestBatch:
+        """:meth:`generate` as one batch (equal ticks keep emission order)."""
+        parts = [
+            part for profile in self.profiles for part in self._parts_for(profile)
+        ]
+        if include_noise:
+            parts.append(self._emit_contamination())
+        batch = RequestBatch.concat(parts)
+        return batch.take(np.argsort(batch.timestamps, kind="stable"))
+
+    def _parts_for(self, profile: RegisteredDomainProfile) -> Iterator[RequestBatch]:
         """The 6-month stream for one domain, per its Table 1 row."""
-        requests: List[HttpRequest] = []
         for subcategory, count in profile.scaled_counts(self.scale).items():
-            if count <= 0:
-                continue
-            requests.extend(self._emitters[subcategory](profile, count))
-        return requests
+            if count > 0:
+                yield self._emitters[subcategory](profile, count)
 
     # -- shared helpers ------------------------------------------------------
 
-    def _times(self, count: int) -> List[int]:
-        return [int(t) for t in self.rng.integers(0, COLLECTION_SECONDS, size=count)]
+    def _times(self, count: int) -> np.ndarray:
+        return self.rng.integers(0, COLLECTION_SECONDS, size=count)
 
     def _port(self) -> int:
         return 443 if self.rng.random() < 0.55 else 80
@@ -142,167 +152,131 @@ class HoneypotTrafficGenerator:
     def _pick_path(self, paths) -> str:
         return paths[int(self.rng.integers(0, len(paths)))]
 
-    def _crawler_identity(self, profile: RegisteredDomainProfile):
-        """(user_agent, source_ip) for a search-engine crawler visit."""
+    # -- subcategory emitters ----------------------------------------------------
+
+    def _emit_search_engine(self, profile, count) -> RequestBatch:
         pool = (
             ua.SEARCH_CRAWLERS_RU if profile.region == "ru" else ua.SEARCH_CRAWLERS_GLOBAL
         )
-        agent = ua.pick(self.rng, pool)
-        lowered = agent.lower()
-        if "mail.ru_bot" in lowered:
-            ip_pool = "mailru-crawler"
-        elif "yandex" in lowered:
-            ip_pool = "yandex-crawler"
-        elif "bingbot" in lowered:
-            ip_pool = "bing-crawler"
-        elif "baiduspider" in lowered:
-            ip_pool = "baidu-crawler"
-        else:
-            ip_pool = "google-crawler"
-        return agent, self._pools[ip_pool].address()
+        table = ua.table(pool)
+        ip_pools = {agent: self._pools[_crawler_pool(agent)] for agent in table.items}
+        times = self._times(count)
+        agents, ips, paths, ports = [], [], [], []
+        for _ in range(count):
+            agent = table.draw(self.rng)
+            agents.append(agent)
+            ips.append(ip_pools[agent].address())
+            paths.append(self._pick_path(_PAGE_PATHS))
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, port=ports,
+        )
 
-    # -- subcategory emitters ----------------------------------------------------
-
-    def _emit_search_engine(self, profile, count) -> List[HttpRequest]:
-        requests = []
-        for timestamp in self._times(count):
-            agent, src_ip = self._crawler_identity(profile)
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=src_ip,
-                    host=profile.domain,
-                    path=self._pick_path(_PAGE_PATHS),
-                    user_agent=agent,
-                    port=self._port(),
-                )
-            )
-        return requests
-
-    def _emit_file_grabber(self, profile, count) -> List[HttpRequest]:
-        requests = []
-        for timestamp in self._times(count):
+    def _emit_file_grabber(self, profile, count) -> RequestBatch:
+        email = ua.table(ua.EMAIL_CRAWLERS)
+        proxies = {agent: self._pools[_email_proxy_pool(agent)] for agent in email.items}
+        draw_grabber = ua.table(ua.FILE_GRABBERS).draw
+        times = self._times(count)
+        agents, ips, paths, ports = [], [], [], []
+        for _ in range(count):
             if profile.email_crawler_heavy and self.rng.random() < 0.951:
-                agent = ua.pick(self.rng, ua.EMAIL_CRAWLERS)
-                lowered = agent.lower()
-                if "yahoo" in lowered:
-                    src_ip = self._pools["yahoo-proxy"].address()
-                elif "outlook" in lowered:
-                    src_ip = self._pools["outlook-proxy"].address()
-                else:
-                    src_ip = self._pools["gmail-proxy"].address()
-                path = self._pick_path(_EMAIL_ASSET_PATHS)
+                agent = email.draw(self.rng)
+                ips.append(proxies[agent].address())
+                paths.append(self._pick_path(_EMAIL_ASSET_PATHS))
             else:
-                agent = ua.pick(self.rng, ua.FILE_GRABBERS)
-                src_ip = self._pools["google-crawler"].address()
-                path = self._pick_path(_ASSET_PATHS)
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=src_ip,
-                    host=profile.domain,
-                    path=path,
-                    user_agent=agent,
-                    port=self._port(),
-                )
-            )
-        return requests
+                agent = draw_grabber(self.rng)
+                ips.append(self._pools["google-crawler"].address())
+                paths.append(self._pick_path(_ASSET_PATHS))
+            agents.append(agent)
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, port=ports,
+        )
 
-    def _emit_script_software(self, profile, count) -> List[HttpRequest]:
-        requests = []
+    def _emit_script_software(self, profile, count) -> RequestBatch:
         if profile.polling_fleet:
-            # The status.json fleet: many addresses, one UA, one URI.
-            # Each address polls on its own fixed period (with small
-            # jitter) — the periodic-stream signature that both the
-            # stream reclassifier and the interactive honeypot's
-            # session analysis key on.
-            fleet_size = max(count // 120, 1)
-            fleet = self._pools["scripts"].addresses(fleet_size)
-            per_bot = max(count // fleet_size, 1)
-            emitted = 0
-            for bot_ip in fleet:
-                if emitted >= count:
-                    break
-                period = COLLECTION_SECONDS / per_bot
-                start = float(self.rng.integers(0, max(int(period), 1)))
-                for poll in range(per_bot):
-                    if emitted >= count:
-                        break
-                    jitter = float(self.rng.normal(0, period * 0.02))
-                    timestamp = int(
-                        min(max(start + poll * period + jitter, 0), COLLECTION_SECONDS - 1)
-                    )
-                    requests.append(
-                        HttpRequest(
-                            timestamp=timestamp,
-                            src_ip=bot_ip,
-                            host=profile.domain,
-                            path="/status.json",
-                            user_agent=ua.POLLING_FLEET_UA,
-                            port=80,
-                        )
-                    )
-                    emitted += 1
-            # Round down to the requested count exactly.
-            return requests[:count]
-        for timestamp in self._times(count):
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["scripts"].address(),
-                    host=profile.domain,
-                    path=self._pick_path(_SCRIPT_PATHS),
-                    user_agent=ua.pick(self.rng, ua.SCRIPT_TOOLS),
-                    port=self._port(),
-                )
-            )
-        return requests
+            return self._emit_polling_fleet(profile, count)
+        scripts = self._pools["scripts"]
+        draw_agent = ua.table(ua.SCRIPT_TOOLS).draw
+        times = self._times(count)
+        agents, ips, paths, ports = [], [], [], []
+        for _ in range(count):
+            ips.append(scripts.address())
+            paths.append(self._pick_path(_SCRIPT_PATHS))
+            agents.append(draw_agent(self.rng))
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, port=ports,
+        )
 
-    def _emit_malicious_request(self, profile, count) -> List[HttpRequest]:
+    def _emit_polling_fleet(self, profile, count) -> RequestBatch:
+        """The status.json fleet: many addresses, one UA, one URI.
+
+        Each address polls on its own fixed period (with small jitter)
+        — the periodic-stream signature that both the stream
+        reclassifier and the interactive honeypot's session analysis
+        key on.  Every bot polls ``count // fleet_size`` times, so the
+        fleet emits at most ``count`` polls.
+        """
+        fleet_size = max(count // 120, 1)
+        fleet = self._pools["scripts"].addresses(fleet_size)
+        per_bot = max(count // fleet_size, 1)
+        period = COLLECTION_SECONDS / per_bot
+        times: List[np.ndarray] = []
+        for _ in fleet:
+            start = float(self.rng.integers(0, max(int(period), 1)))
+            jitter = self.rng.normal(0, period * 0.02, size=per_bot)
+            ticks = start + np.arange(per_bot) * period + jitter
+            times.append(np.clip(ticks, 0, COLLECTION_SECONDS - 1).astype(np.int64))
+        ips = StrColumn.encode(fleet).take(np.repeat(np.arange(fleet_size), per_bot))
+        return RequestBatch.of(
+            np.concatenate(times), src_ip=ips, host=profile.domain,
+            path="/status.json", user_agent=ua.POLLING_FLEET_UA, port=80,
+        )
+
+    def _emit_malicious_request(self, profile, count) -> RequestBatch:
         if profile.botnet_target:
-            return self._botnet.requests(count, 0, COLLECTION_SECONDS)
-        requests = []
-        for timestamp in self._times(count):
+            return self._botnet.batch(count, 0, COLLECTION_SECONDS)
+        scripts = self._pools["scripts"]
+        draw_agent = ua.table(ua.SCRIPT_TOOLS).draw
+        times = self._times(count)
+        agents, ips, paths, ports = [], [], [], []
+        for _ in range(count):
             # Vulnerability probes; half disclose a script tool, half
             # send no UA at all — both routes end in Malicious Request.
-            agent = (
-                ua.pick(self.rng, ua.SCRIPT_TOOLS)
-                if self.rng.random() < 0.5
-                else ""
-            )
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["scripts"].address(),
-                    host=profile.domain,
-                    path=self._pick_path(_PROBE_PATHS),
-                    user_agent=agent,
-                    port=self._port(),
-                )
-            )
-        return requests
+            agents.append(draw_agent(self.rng) if self.rng.random() < 0.5 else "")
+            ips.append(scripts.address())
+            paths.append(self._pick_path(_PROBE_PATHS))
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, port=ports,
+        )
 
-    def _emit_referral_search(self, profile, count) -> List[HttpRequest]:
+    def _emit_referral_search(self, profile, count) -> RequestBatch:
         templates = (
             _SEARCH_REFERERS_RU if profile.region == "ru" else _SEARCH_REFERERS_GLOBAL
         )
-        requests = []
-        for timestamp in self._times(count):
-            template = templates[int(self.rng.integers(0, len(templates)))]
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["users"].address(),
-                    host=profile.domain,
-                    path=self._pick_path(_PAGE_PATHS),
-                    user_agent=ua.pick(self.rng, ua.PC_MOBILE_BROWSERS),
-                    referer=template.format(d=profile.domain),
-                    port=self._port(),
-                )
-            )
-        return requests
+        referer_urls = [template.format(d=profile.domain) for template in templates]
+        users = self._pools["users"]
+        draw_agent = ua.table(ua.PC_MOBILE_BROWSERS).draw
+        times = self._times(count)
+        referers, agents, ips, paths, ports = [], [], [], [], []
+        for _ in range(count):
+            referers.append(referer_urls[int(self.rng.integers(0, len(templates)))])
+            ips.append(users.address())
+            paths.append(self._pick_path(_PAGE_PATHS))
+            agents.append(draw_agent(self.rng))
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, referer=referers, port=ports,
+        )
 
-    def _emit_referral_embedded(self, profile, count) -> List[HttpRequest]:
+    def _emit_referral_embedded(self, profile, count) -> RequestBatch:
         # Forum/blog pages that genuinely link to the domain; register
         # them with the web filter so its fetch-and-check passes.
         page_count = max(min(count // 10, 12), 1)
@@ -313,129 +287,136 @@ class HoneypotTrafficGenerator:
                 WebPage(url, category="forums-blogs", linked_domains={profile.domain})
             )
             pages.append(url)
-        requests = []
-        for timestamp in self._times(count):
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["users"].address(),
-                    host=profile.domain,
-                    path=self._pick_path(_PAGE_PATHS),
-                    user_agent=ua.pick(self.rng, ua.PC_MOBILE_BROWSERS),
-                    referer=pages[int(self.rng.integers(0, page_count))],
-                    port=self._port(),
-                )
-            )
-        return requests
+        users = self._pools["users"]
+        draw_agent = ua.table(ua.PC_MOBILE_BROWSERS).draw
+        times = self._times(count)
+        referers, agents, ips, paths, ports = [], [], [], [], []
+        for _ in range(count):
+            ips.append(users.address())
+            paths.append(self._pick_path(_PAGE_PATHS))
+            agents.append(draw_agent(self.rng))
+            referers.append(pages[int(self.rng.integers(0, page_count))])
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, referer=referers, port=ports,
+        )
 
-    def _emit_referral_malicious(self, profile, count) -> List[HttpRequest]:
+    def _emit_referral_malicious(self, profile, count) -> RequestBatch:
         # Forged Referers: ~18% point at real pages that do NOT link to
         # us (the paper's 1,524 valid-URL subset); the rest at dead URLs.
         decoy_url = f"https://pages.decoy-{profile.domain.split('.')[0]}.net/article"
         self.web_filter.register_page(
             WebPage(decoy_url, category="forums-blogs", linked_domains=set())
         )
-        requests = []
-        for timestamp in self._times(count):
+        scripts = self._pools["scripts"]
+        draw_agent = ua.table(ua.PC_MOBILE_BROWSERS).draw
+        times = self._times(count)
+        referers, agents, ips, paths, ports = [], [], [], [], []
+        for _ in range(count):
             if self.rng.random() < 0.18:
-                referer = decoy_url
+                referers.append(decoy_url)
             else:
-                referer = (
+                referers.append(
                     f"https://dead-link-{int(self.rng.integers(0, 1_000_000))}"
                     ".example-gone.net/x"
                 )
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["scripts"].address(),
-                    host=profile.domain,
-                    path=self._pick_path(_PAGE_PATHS),
-                    user_agent=ua.pick(self.rng, ua.PC_MOBILE_BROWSERS),
-                    referer=referer,
-                    port=self._port(),
-                )
-            )
-        return requests
+            ips.append(scripts.address())
+            paths.append(self._pick_path(_PAGE_PATHS))
+            agents.append(draw_agent(self.rng))
+            ports.append(self._port())
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, referer=referers, port=ports,
+        )
 
-    def _emit_pc_mobile(self, profile, count) -> List[HttpRequest]:
-        requests = []
-        for index, timestamp in enumerate(self._times(count)):
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["users"].address(),
-                    host=profile.domain,
-                    # Distinct URIs keep organic visits off the stream
-                    # reclassifier's radar.
-                    path=f"/page/{index % 37}",
-                    user_agent=ua.pick(self.rng, ua.PC_MOBILE_BROWSERS),
-                    port=self._port(),
-                )
-            )
-        return requests
+    def _emit_pc_mobile(self, profile, count) -> RequestBatch:
+        # Distinct URIs keep organic visits off the stream reclassifier's
+        # radar.
+        return self._emit_user_visits(
+            profile, count, ua.PC_MOBILE_BROWSERS, "/page/{}", 37
+        )
 
-    def _emit_inapp(self, profile, count) -> List[HttpRequest]:
-        requests = []
-        for index, timestamp in enumerate(self._times(count)):
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["users"].address(),
-                    host=profile.domain,
-                    path=f"/shared/{index % 23}",
-                    user_agent=ua.pick(self.rng, ua.INAPP_BROWSERS),
-                    port=self._port(),
-                )
-            )
-        return requests
+    def _emit_inapp(self, profile, count) -> RequestBatch:
+        return self._emit_user_visits(
+            profile, count, ua.INAPP_BROWSERS, "/shared/{}", 23
+        )
 
-    def _emit_other(self, profile, count) -> List[HttpRequest]:
-        requests = []
-        for timestamp in self._times(count):
-            requests.append(
-                HttpRequest(
-                    timestamp=timestamp,
-                    src_ip=self._pools["others"].address(),
-                    host=profile.domain,
-                    path="/",
-                    user_agent="",
-                    port=self._port(),
-                )
-            )
-        return requests
+    def _emit_user_visits(
+        self, profile, count, agent_pool, path_template: str, path_cycle: int
+    ) -> RequestBatch:
+        """Visitors from the users pool; the n-th visit requests path
+        ``path_template`` of ``n % path_cycle``."""
+        users = self._pools["users"]
+        draw_agent = ua.table(agent_pool).draw
+        times = self._times(count)
+        agents, ips, ports = [], [], []
+        for _ in range(count):
+            ips.append(users.address())
+            agents.append(draw_agent(self.rng))
+            ports.append(self._port())
+        paths = StrColumn(
+            np.arange(count, dtype=np.int64) % path_cycle,
+            tuple(path_template.format(index) for index in range(path_cycle)),
+        )
+        return RequestBatch.of(
+            times, src_ip=ips, host=profile.domain, path=paths,
+            user_agent=agents, port=ports,
+        )
+
+    def _emit_other(self, profile, count) -> RequestBatch:
+        others = self._pools["others"]
+        times = self._times(count)
+        ips, ports = [], []
+        for _ in range(count):
+            ips.append(others.address())
+            ports.append(self._port())
+        return RequestBatch.of(times, src_ip=ips, host=profile.domain, port=ports)
 
     # -- contamination (what the Figure 9 filter removes) ---------------------------
 
-    def _emit_contamination(self) -> List[HttpRequest]:
+    def _emit_contamination(self) -> RequestBatch:
         """Scanner and establishment noise hitting the real deployment."""
-        requests = []
         hosts = [p.domain for p in self.profiles]
         noise_count = max(int(sum(p.total() for p in self.profiles) * self.scale * 0.05), 10)
-        for timestamp in self._times(noise_count):
-            host = hosts[int(self.rng.integers(0, len(hosts)))]
-            roll = self.rng.random()
-            if roll < 0.6:
+        times = self._times(noise_count)
+        targets, agents, ips, paths = [], [], [], []
+        for _ in range(noise_count):
+            targets.append(hosts[int(self.rng.integers(0, len(hosts)))])
+            if self.rng.random() < 0.6:
                 # Cloud scanners (same pool as the no-hosting baseline).
-                requests.append(
-                    HttpRequest(
-                        timestamp=timestamp,
-                        src_ip=self._pools["scanners"].address(),
-                        host=host,
-                        path=self._pick_path(("/", "/robots.txt", "/admin")),
-                        user_agent="",
-                        port=80,
-                    )
-                )
+                ips.append(self._pools["scanners"].address())
+                paths.append(self._pick_path(("/", "/robots.txt", "/admin")))
+                agents.append("")
             else:
                 # Certificate validation (control-group signature).
-                requests.append(
-                    HttpRequest(
-                        timestamp=timestamp,
-                        src_ip=self._pools["letsencrypt"].address(),
-                        host=host,
-                        path="/.well-known/acme-challenge/token",
-                        user_agent=ua.LETSENCRYPT_UA,
-                        port=80,
-                    )
-                )
-        return requests
+                ips.append(self._pools["letsencrypt"].address())
+                paths.append("/.well-known/acme-challenge/token")
+                agents.append(ua.LETSENCRYPT_UA)
+        return RequestBatch.of(
+            times, src_ip=ips, host=targets, path=paths, user_agent=agents, port=80
+        )
+
+
+def _crawler_pool(agent: str) -> str:
+    """The IP pool a search-engine crawler UA visits from."""
+    lowered = agent.lower()
+    if "mail.ru_bot" in lowered:
+        return "mailru-crawler"
+    if "yandex" in lowered:
+        return "yandex-crawler"
+    if "bingbot" in lowered:
+        return "bing-crawler"
+    if "baiduspider" in lowered:
+        return "baidu-crawler"
+    return "google-crawler"
+
+
+def _email_proxy_pool(agent: str) -> str:
+    """The IP pool an email-provider image crawler UA fetches from."""
+    lowered = agent.lower()
+    if "yahoo" in lowered:
+        return "yahoo-proxy"
+    if "outlook" in lowered:
+        return "outlook-proxy"
+    return "gmail-proxy"

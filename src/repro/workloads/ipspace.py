@@ -52,8 +52,8 @@ class IpPool:
             ip = self._fixed[int(self._rng.integers(0, len(self._fixed)))]
             third, fourth = ip.split(".")[2:]
         else:
-            third = str(int(self._rng.integers(0, 256)))
-            fourth = str(int(self._rng.integers(1, 255)))
+            third = int(self._rng.integers(0, 256))
+            fourth = int(self._rng.integers(1, 255))
             ip = f"{self.prefix}.{third}.{fourth}"
         if self._reverse_ip is not None and self._ptr_suffix is not None:
             hostname = f"host-{third}-{fourth}.{self._ptr_suffix}"

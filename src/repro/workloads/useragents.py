@@ -117,11 +117,16 @@ _TABLES: Dict[Tuple[Tuple[str, float], ...], WeightedTable[str]] = {
 }
 
 
+def table(pool: Tuple[Tuple[str, float], ...]) -> WeightedTable[str]:
+    """The sampler of a pool: prebuilt for the module's own pools."""
+    prebuilt = _TABLES.get(pool)
+    return prebuilt if prebuilt is not None else _table(pool)
+
+
 def pick(rng: np.random.Generator, pool: Tuple[Tuple[str, float], ...]) -> str:
     """Draw one UA string from a weighted pool.
 
     The draw equals ``weighted_choice`` over the pool's strings and
-    weights; the module's own pools use their prebuilt tables.
+    weights.
     """
-    table = _TABLES.get(pool)
-    return (table if table is not None else _table(pool)).draw(rng)
+    return table(pool).draw(rng)

@@ -199,3 +199,35 @@ class TestDerivedNames:
         assert DomainName("example.com").child("WWW").labels[0] == "www"
         with pytest.raises(DomainNameError):
             DomainName("example.com").child("bad label")
+
+
+class TestCachedHash:
+    """``__hash__`` caches the label tuple's hash in the ``_hash`` slot."""
+
+    @given(st.lists(labels, min_size=1, max_size=5))
+    def test_every_constructor_hashes_its_labels(self, parts):
+        built = [
+            DomainName(".".join(parts)),
+            DomainName(DomainName(".".join(parts))),
+            DomainName.from_labels(tuple(parts)),
+            DomainName._from_valid(tuple(parts)),
+            DomainName(".".join(parts)).registered_domain(),
+            DomainName(".".join(parts)).parent(),
+        ]
+        for name in built:
+            assert hash(name) == hash(name._labels)
+            assert hash(name) == hash(name._labels)  # the cached value
+
+    def test_root_hashes_the_empty_tuple(self):
+        assert hash(DomainName.root()) == hash(())
+        assert hash(DomainName(".")) == hash(())
+
+    def test_copies_rehash_their_own_labels(self):
+        import copy
+        import pickle
+
+        name = DomainName("www.example.com")
+        hash(name)
+        for twin in (pickle.loads(pickle.dumps(name)), copy.copy(name)):
+            assert twin == name
+            assert hash(twin) == hash(name._labels)

@@ -1,9 +1,9 @@
 """The categorizer's per-instance memos never change a verdict.
 
 ``TrafficCategorizer`` parses each distinct User-Agent once and its
-``VulnerabilityDatabase`` judges each distinct (path, query) once.  A
-categorizer with empty memos — a fresh one per request — is the
-reference: a long-lived categorizer must classify every request the
+``VulnerabilityDatabase`` judges each distinct (path, query) once.  The
+per-request reference categorizer with empty memos — a fresh one per
+request — is the reference: a long-lived categorizer must classify every request the
 same way, including after ``VulnerabilityDatabase.add`` changes what
 counts as sensitive.
 """
@@ -24,6 +24,8 @@ from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.webfilter import WebFilter, WebPage
 from repro.workloads import useragents as ua
 
+from tests.honeypot.reference import ReferenceCategorizer
+
 USER_AGENTS = (
     "",
     "   ",
@@ -31,10 +33,12 @@ USER_AGENTS = (
     ua.POLLING_FLEET_UA,
     ua.LETSENCRYPT_UA,
     "Apache-HttpClient/UNAVAILABLE (java 1.4)",
+    "Mozilla/5.0",
 ) + tuple(
     agent
     for pool in (
         ua.SEARCH_CRAWLERS_GLOBAL,
+        ua.SEARCH_CRAWLERS_RU,
         ua.FILE_GRABBERS,
         ua.EMAIL_CRAWLERS,
         ua.SCRIPT_TOOLS,
@@ -46,7 +50,8 @@ USER_AGENTS = (
 PATHS = (
     "/", "/index.html", "/img/logo.png", "/wp-login.php", "/phpmyadmin/x.php",
     "/status.json", "/getTask.php", "/newprobe.php", "/files/newprobe.php",
-    "/.git/config", "/page/3",
+    "/.git/config", "/page/3", "/.well-known/acme-challenge/token",
+    "/Feed.HTML", "/archive.tar.gz", "/page/3?x", "/dir.d/",
 )
 QUERIES = (
     "", "page=2", "cmd=ls", "CMD=ls", "a=1&imei=3-1&os=23", "x", "&&", "redirect=",
@@ -56,14 +61,22 @@ REFERERS = (
     "https://www.google.com/search?q=x",
     "https://forum.example.org/thread",
     "https://dead.example-gone.net/x",
+    "http://go.mail.ru/search?q=resheba",
+    "https://forum.example.org/thread/",
 )
-IPS = ("10.0.0.1", "10.0.0.2", "66.249.66.1", "192.0.2.7")
-HOSTS = ("resheba.online", "gpclick.com", "Conf-CDN.com")
+IPS = (
+    "10.0.0.1", "10.0.0.2", "66.249.66.1", "192.0.2.7", "40.77.1.2",
+    "3.88.4.5", "52.101.0.9",
+)
+HOSTS = ("resheba.online", "gpclick.com", "Conf-CDN.com", "RESHEBA.online")
 
 
 def _context():
     reverse_ip = ReverseIpTable()
     reverse_ip.register("66.249.66.1", "crawl-66-249-66-1.googlebot.com")
+    reverse_ip.register("40.77.1.2", "msnbot-40-77-1-2.search.msn.com")
+    reverse_ip.register("3.88.4.5", "ec2-3-88-4-5.amazonaws.com")
+    reverse_ip.register("52.101.0.9", "unlisted.example.net")
     web_filter = WebFilter()
     web_filter.register_page(
         WebPage(
@@ -93,7 +106,7 @@ def _reference(requests, files, threshold):
     reverse_ip, web_filter = _context()
 
     def fresh():
-        return TrafficCategorizer(
+        return ReferenceCategorizer(
             nvd=VulnerabilityDatabase(files=files),
             reverse_ip=reverse_ip,
             web_filter=web_filter,
@@ -113,7 +126,7 @@ def _reference(requests, files, threshold):
             item = CategorizedRequest(
                 request,
                 Category.AUTOMATED,
-                fresh()._automated_subtype(request),
+                fresh().automated_subtype(request),
                 item.agent_name,
             )
         out.append(item)

@@ -1,10 +1,9 @@
-"""TrafficRecorder query layout: bisected windows and the host index.
+"""TrafficRecorder views over its columns: windows and per-host requests.
 
-The recorder serves :meth:`window` with two bisections while its
-streams arrive time-ordered (how the generators emit) and falls back
-to a full scan the moment an out-of-order record lands — both paths
-must return the same records.  ``requests_for_host`` reads a lazily
-built host index that every append invalidates.
+:meth:`window` cuts both streams to a time range whether or not they
+arrived time-ordered, and nested windows cut again.
+``requests_for_host`` matches the Host header case-insensitively and
+sees every append made before the call.
 """
 
 from repro.honeypot.http import HttpRequest, PacketRecord
@@ -109,3 +108,40 @@ def test_host_index_invalidated_by_append():
     assert len(recorder.requests_for_host("a.example")) == 2
     recorder.record_request(_request(3, host="b.example"))
     assert len(recorder.requests_for_host("b.example")) == 1
+
+
+def test_columns_round_trip_method_headers_and_packet_order():
+    """The recorder stores columns only: every recorded request and
+    packet, including a non-GET request with headers, comes back equal
+    and in arrival order, with each request's packet shadow in place."""
+    recorder = TrafficRecorder()
+    post = HttpRequest(
+        timestamp=5, src_ip="10.0.0.3", host="a.example", path="/form",
+        query="x=1", method="POST", port=443, user_agent="curl/7.85.0",
+        headers={"Content-Type": "text/plain"},
+    )
+    recorder.record_packet(_packet(1))
+    recorder.record_request(_request(2))
+    recorder.record_request(post)
+    recorder.record_packet(_packet(3, port=22))
+    assert recorder.requests() == [_request(2), post]
+    assert recorder.packets() == [
+        _packet(1), _request(2).to_packet(), post.to_packet(), _packet(3, port=22)
+    ]
+    assert recorder.request_count == 2 and recorder.packet_count == 4
+
+
+def test_batches_validate_like_requests():
+    import pytest
+
+    from repro.errors import ConfigError
+    from repro.honeypot.batch import PacketBatch, RequestBatch
+
+    with pytest.raises(ConfigError):
+        RequestBatch.of([0], src_ip="10.0.0.1", host="a.example", path="nope")
+    with pytest.raises(ConfigError):
+        RequestBatch.of([0], src_ip="10.0.0.1", host="a.example", port=8080)
+    with pytest.raises(ConfigError):
+        PacketBatch.of([0], src_ip="10.0.0.1", port=70_000)
+    with pytest.raises(ConfigError):
+        PacketBatch.of([0], src_ip="10.0.0.1", port=22, payload_size=-1)

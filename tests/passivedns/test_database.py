@@ -237,6 +237,19 @@ class TestBatchIngest:
         assert batched.fingerprint() == scalar.fingerprint()
         assert batched.row_count() == scalar.row_count() == 4
 
+    def test_intern_many_matches_per_domain_interning(self):
+        """Known names keep their ids and new ones follow first
+        appearance, exactly as interning one name at a time does."""
+        first = [DomainName(f"d{i % 7}.com") for i in range(20)]
+        second = [DomainName(f"d{i}.com") for i in (9, 3, 9, 12, 0, 3, 11, 12)]
+        batched, single = PassiveDnsDatabase(), PassiveDnsDatabase()
+        for chunk in (first, second, []):
+            ids = batched.intern_many(iter(chunk))
+            expected = [single._intern(domain) for domain in chunk]
+            assert ids.dtype == np.int64
+            assert ids.tolist() == expected
+        assert batched.all_domains() == single.all_domains()
+
     def test_batch_validation(self):
         db = PassiveDnsDatabase()
         ids = db.intern_many([D1])

@@ -76,7 +76,7 @@ class TestGeneratedClassification:
             profile = profiles[name]
             count = 40
             emitter = generator._emitters[field]
-            requests = emitter(profile, count)
+            requests = emitter(profile, count).to_requests()
             categorized = categorizer.categorize_many(requests, stream_threshold=None)
             matched = sum(1 for c in categorized if c.subcategory == field)
             assert matched / len(categorized) >= 0.9, (name, field)
@@ -86,7 +86,7 @@ class TestGeneratedClassification:
         profile = next(
             p for p in registered_domain_profiles() if p.polling_fleet
         )
-        requests = generator._emit_script_software(profile, 600)
+        requests = generator._emit_script_software(profile, 600).to_requests()
         without = categorizer.categorize_many(requests, stream_threshold=None)
         with_streams = categorizer.categorize_many(requests, stream_threshold=50)
         assert category_counts(without)[Category.USER_VISIT] == 600
