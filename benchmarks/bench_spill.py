@@ -6,7 +6,7 @@ Contracts of ``spill_dir=`` mode (see ``docs/RESILIENCE.md``):
   the TLD histogram, the monthly series, and ``daily_series_for``
   byte/value-identically to the in-memory store built from the same
   trace seed (hard gate everywhere, including CI);
-- **query latency** — the mmap-backed CSR path stays within
+- **query latency** — the mmap-backed indexed path stays within
   ``SPILL_MAX_SLOWDOWN`` of the in-memory per-domain query, and the
   mmap-backed fingerprint within ``FINGERPRINT_MAX_SLOWDOWN`` of the
   in-memory one (timing ratios printed everywhere, asserted only
@@ -37,8 +37,10 @@ IN_CI = bool(os.environ.get("CI"))
 TRACE_CONFIG = TraceConfig(total_domains=1_500, squat_count=60)
 TRACE_SEED = 0
 ROUNDS = 3
+#: Per-domain series window: 120 days from the domain's first query.
+SERIES_SPAN = 120 * 86_400
 #: Off-CI gates: mmap-backed queries may pay page-cache and
-#: per-part-gather overhead, but never an order of magnitude.
+#: per-part overhead, but never an order of magnitude.
 SPILL_MAX_SLOWDOWN = 8.0
 FINGERPRINT_MAX_SLOWDOWN = 8.0
 
@@ -68,22 +70,24 @@ def test_spill_store_is_byte_identical_and_fast_enough(tmp_path):
     assert disk.monthly_response_series() == memory.monthly_response_series()
     probe_domains = memory.all_domains()[:50]
     for domain in probe_domains:
-        profile = memory.profile(domain)
+        start = memory.profile(domain).first_seen
+        expected = memory.daily_series_for(domain, start, start + SERIES_SPAN)
+        assert expected.sum() > 0
         assert np.array_equal(
-            memory.daily_series_for(domain, profile.first_seen, 120),
-            disk.daily_series_for(domain, profile.first_seen, 120),
+            expected, disk.daily_series_for(domain, start, start + SERIES_SPAN)
         )
 
     # -- timing ratios (printed everywhere, asserted off-CI) --------------
     target = probe_domains[11]
     start = memory.profile(target).first_seen
-    memory.daily_series_for(target, start, 120)  # prime both CSR indexes
-    disk.daily_series_for(target, start, 120)
+    window = (start, start + SERIES_SPAN)
+    memory.daily_series_for(target, *window)  # prime both stores' indexes
+    disk.daily_series_for(target, *window)
     memory_series_time, _ = _timed(
-        lambda: memory.daily_series_for(target, start, 120)
+        lambda: memory.daily_series_for(target, *window)
     )
     disk_series_time, _ = _timed(
-        lambda: disk.daily_series_for(target, start, 120)
+        lambda: disk.daily_series_for(target, *window)
     )
 
     def fingerprint_uncached(db):

@@ -103,7 +103,7 @@ def series_db():
 
 
 def test_perf_daily_series_indexed(benchmark, series_db):
-    """CSR-indexed per-domain series (touches one domain's rows)."""
+    """Indexed per-domain series (binary-searches one domain's slices)."""
     db, domains = series_db
     target = domains[7]
     series = benchmark(db.daily_series_for, target, 0, 400 * 86_400)

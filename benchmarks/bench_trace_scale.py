@@ -8,8 +8,8 @@ vectorization:
   ``ScalarDatabase.add`` in ``tests/passivedns/reference.py``
   (fingerprint equality, the hard gate everywhere) and be >= 5x faster
   (asserted only off-CI, where wall time is meaningful);
-- **indexed vs scanned per-domain series** — the CSR-indexed
-  :meth:`daily_series_for` must match the reference masked scan
+- **indexed vs scanned per-domain series** — the (domain, time)
+  indexed :meth:`daily_series_for` must match the reference masked scan
   exactly and be >= 10x faster on a store where the target domain
   owns a small fraction of the rows;
 - **generation and aggregate rebuild** — wall time of one trace
@@ -148,7 +148,7 @@ def test_indexed_series_beats_scan():
     )
     target = domains[11]
     window = (0, 500 * 86_400)
-    # Prime the CSR index so the bench measures the query, not the
+    # Prime the part indexes so the bench measures the query, not the
     # one-off index build.
     db.daily_series_for(target, *window)
 

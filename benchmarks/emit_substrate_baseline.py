@@ -192,7 +192,7 @@ def build_snapshot():
 
     target = workload[0][11]
     window = (0, 500 * 86_400)
-    batch_db.daily_series_for(target, *window)  # prime the CSR index
+    batch_db.daily_series_for(target, *window)  # prime the part indexes
     indexed_time, indexed = _timed(
         lambda: batch_db.daily_series_for(target, *window)
     )

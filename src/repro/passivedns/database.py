@@ -24,12 +24,15 @@ Performance layout (see ``docs/PERFORMANCE.md``):
 - **identity**: :meth:`fingerprint` sums per-row 128-bit splitmix64
   mixes in ``uint64`` numpy — no sort, no per-row Python — so it
   ignores row order and each segment's digest is computed once;
-- **per-domain queries** go through one CSR-style domain→rows index
-  per immutable row part (a spill segment or a sealed in-memory
-  chunk), built lazily on first use and kept until compaction retires
-  the part; the live tail's index is cached against the generation.
-  :meth:`daily_series_for` gathers one domain's rows from each part,
-  so a writer wave costs an index of its own rows, not a rebuild
+- **per-domain queries** go through one (domain, time) index per
+  immutable row part (a spill segment or a sealed in-memory chunk):
+  the part's times sorted by domain then time, per-domain start
+  offsets and a running sum of counts.  It is built lazily on first
+  use and kept until compaction retires the part; the live tail's
+  index is cached against the generation.  :meth:`daily_series_for`
+  binary-searches the day edges in each part's slice for the domain
+  and differences the running sums, so a read costs days, not rows,
+  and a writer wave costs an index of its own rows, not a rebuild
   over the whole store.
 
 Durability layout (see ``docs/RESILIENCE.md``): constructing the store
@@ -128,18 +131,58 @@ def unpack_names(buffer: np.ndarray) -> List[DomainName]:
     return [DomainName(name) for name in text.split("\x00")] if text else []
 
 
-def _domain_index(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR-style domain→rows index of one row part: (order, starts).
+#: Largest combined sort key :func:`_domain_index` may form in ``int64``.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    ``order[starts[d]:starts[d + 1]]`` are the positions of domain
-    ``d``'s rows in ``ids``, in insertion order (the argsort is
-    stable).  ``starts`` covers ids up to the part's largest, so a
-    domain interned after the part was built has no slice in it.
+#: One row part's per-domain time index: (starts, times, running).
+_DomainIndex = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _domain_index(
+    ids: np.ndarray, times: np.ndarray, counts: np.ndarray
+) -> _DomainIndex:
+    """Per-domain time index of one row part: (starts, times, running).
+
+    The part's rows sorted by (domain, time): ``times[starts[d]:
+    starts[d + 1]]`` are domain ``d``'s timestamps in ascending order,
+    and ``running`` is the running sum of their counts in that order
+    with a leading 0, so the queries of the rows ``lo:hi`` sum to
+    ``running[hi] - running[lo]``.  ``starts`` covers ids up to the
+    part's largest, so a domain interned after the part was built has
+    no slice in it.  Which of two equal (domain, time) rows sorts first
+    is unspecified: integer bin sums do not depend on it.
+
+    At most two row-length temporaries are alive at once (the sort key
+    and its ``argsort``), and only one beside the result's columns
+    (the order, while it gathers them).
     """
-    order = np.argsort(ids, kind="stable")
-    starts = np.zeros(int(ids.max()) + 2 if len(ids) else 1, dtype=np.int64)
+    n = len(ids)
+    if n == 0:
+        zero = np.zeros(1, dtype=np.int64)
+        return zero, np.empty(0, dtype=np.int64), zero.copy()
+    max_id = int(ids.max())
+    starts = np.zeros(max_id + 2, dtype=np.int64)
     np.cumsum(np.bincount(ids), out=starts[1:])
-    return order, starts
+    t_min = int(times.min())
+    width = int(times.max()) - t_min + 1
+    if (max_id + 1) * width <= _INT64_MAX:
+        # One combined key ``id * width + (t - t_min)``: its default
+        # argsort is several times faster than a two-key lexsort.
+        key = times - t_min
+        key += ids * width
+        order = np.argsort(key)
+        del key
+    else:
+        order = np.lexsort((times, ids))
+    sorted_times = np.take(times, order)
+    running = np.empty(n + 1, dtype=np.int64)
+    running[0] = 0
+    # ``mode="clip"``: with the default ``"raise"``, ``out`` is buffered
+    # through one more row-length copy.
+    np.take(counts, order, out=running[1:], mode="clip")
+    del order
+    np.cumsum(running[1:], out=running[1:])
+    return starts, sorted_times, running
 
 
 class _IntColumn:
@@ -290,22 +333,16 @@ class PassiveDnsDatabase:
         self._part_digest_cache: Dict[str, int] = {}
         #: Per-part :func:`_domain_index`, built on a part's first
         #: per-domain query and dropped when compaction retires it.
-        self._part_csr_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._part_index_cache: Dict[str, _DomainIndex] = {}
         self._tail_domain = _IntColumn(self._CHUNK)
         self._tail_time = _IntColumn(self._CHUNK)
         self._tail_count = _IntColumn(self._CHUNK)
         self._n_rows = 0
         #: Bumped on every mutation; keys every derived cache below.
         self._generation = 0
-        #: (generation, tail snapshot, its index): the live tail's part
-        #: for per-domain queries, rebuilt once per generation.
-        self._tail_csr_cache: Optional[
-            Tuple[
-                int,
-                Tuple[np.ndarray, np.ndarray, np.ndarray],
-                Tuple[np.ndarray, np.ndarray],
-            ]
-        ] = None
+        #: (generation, index of the live tail's rows) for per-domain
+        #: queries, rebuilt once per generation.
+        self._tail_index_cache: Optional[Tuple[int, _DomainIndex]] = None
         self._agg_cache: Dict[Any, Tuple[int, Any]] = {}
         #: (domains packed, their :func:`pack_names` bytes): the domain
         #: table only grows, so each commit packs only the new names.
@@ -613,12 +650,8 @@ class PassiveDnsDatabase:
             self._agg_cache[key] = (self._generation, value)
         return value
 
-    def _indexed_parts(
-        self,
-    ) -> List[
-        Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    ]:
-        """Every row part with its :func:`_domain_index`, tail last.
+    def _indexed_parts(self) -> List[_DomainIndex]:
+        """The :func:`_domain_index` of every row part, tail last.
 
         A sealed part is indexed once, on its first per-domain query,
         and the index is cached under the part's key until compaction
@@ -631,48 +664,29 @@ class PassiveDnsDatabase:
             parts = list(zip(self._chunk_keys, self._chunks))
             # An empty tail has no part, whatever is cached: sealing
             # empties it without a bump.
-            tail = None
+            tail_index = tail_rows = None
             if len(self._tail_domain):
-                tail = self._tail_csr_cache
-                if tail is None or tail[0] != generation:
-                    tail = (generation, self._tail_snapshot(), None)
-        indexed = []
+                cached = self._tail_index_cache
+                if cached is not None and cached[0] == generation:
+                    tail_index = cached[1]
+                else:
+                    tail_rows = self._tail_snapshot()
+        indexes = []
         for key, part in parts:
-            index = self._part_csr_cache.get(key)
+            index = self._part_index_cache.get(key)
             if index is None:
-                index = _domain_index(part[0])
+                index = _domain_index(*part)
                 with self._cache_lock:
                     if key in self._chunk_keys:
-                        self._part_csr_cache[key] = index
-            indexed.append((part, index))
-        if tail is not None:
-            if tail[2] is None:
-                tail = (generation, tail[1], _domain_index(tail[1][0]))
-                with self._cache_lock:
-                    self._tail_csr_cache = tail
-            indexed.append((tail[1], tail[2]))
-        return indexed
-
-    def _domain_rows(self, domain_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, counts) of one domain's rows, in insertion order.
-
-        Each part contributes the rows its own index lists for the
-        domain, gathered from that part directly, so a spill-backed
-        store reads only those rows of each memory map.
-        """
-        times: List[np.ndarray] = []
-        counts: List[np.ndarray] = []
-        for (_, part_times, part_counts), (order, starts) in self._indexed_parts():
-            if domain_id + 1 >= len(starts):
-                continue
-            rows = order[starts[domain_id] : starts[domain_id + 1]]
-            if len(rows):
-                times.append(part_times[rows])
-                counts.append(part_counts[rows])
-        if not times:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return np.concatenate(times), np.concatenate(counts)
+                        self._part_index_cache[key] = index
+            indexes.append(index)
+        if tail_rows is not None:
+            tail_index = _domain_index(*tail_rows)
+            with self._cache_lock:
+                self._tail_index_cache = (generation, tail_index)
+        if tail_index is not None:
+            indexes.append(tail_index)
+        return indexes
 
     def _aggregate_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of the per-domain (first, last, totals) columns."""
@@ -716,21 +730,26 @@ class PassiveDnsDatabase:
         between two rows cannot cancel out.  Summing the high lane mod
         2**64 and the low lane exactly (as 32-bit halves) gives the sum
         of the rows' 128-bit values mod 2**128, which merges by addition.
+        The rows are hashed ``_CHUNK`` at a time, so hashing a merged
+        segment holds a few blocks of temporaries, never a row-length
+        one; the sums merge across blocks exactly as across parts.
         """
-        if len(ids) == 0:
-            return 0
         names = self._name_hash.view().view(np.uint64)
-        keys = names[np.asarray(ids, dtype=np.int64)]
-        times = np.asarray(times, dtype=np.int64).view(np.uint64)
-        counts = np.asarray(counts, dtype=np.int64).view(np.uint64)
-        high, low = (
-            _mix64(_mix64(_mix64(keys ^ seed) + times) + counts)
-            for seed in _LANE_SEEDS
-        )
-        low_sum = (int(np.sum(low >> np.uint64(32))) << 32) + int(
-            np.sum(low & np.uint64(0xFFFFFFFF))
-        )
-        return ((int(np.sum(high)) << 64) + low_sum) & DIGEST_MASK
+        high_sum = low_sum = 0
+        for lo in range(0, len(ids), self._CHUNK):
+            hi = lo + self._CHUNK
+            keys = names[np.asarray(ids[lo:hi], dtype=np.int64)]
+            block_times = np.asarray(times[lo:hi], dtype=np.int64).view(np.uint64)
+            block_counts = np.asarray(counts[lo:hi], dtype=np.int64).view(np.uint64)
+            high, low = (
+                _mix64(_mix64(_mix64(keys ^ seed) + block_times) + block_counts)
+                for seed in _LANE_SEEDS
+            )
+            high_sum += int(np.sum(high))
+            low_sum += (int(np.sum(low >> np.uint64(32))) << 32) + int(
+                np.sum(low & np.uint64(0xFFFFFFFF))
+            )
+        return ((high_sum << 64) + low_sum) & DIGEST_MASK
 
     def _build_digest(self) -> str:
         # Snapshot under the lock, hash outside it (REP30x): parts,
@@ -887,6 +906,13 @@ class PassiveDnsDatabase:
             raise ConfigError(
                 "spill_commit before compacting: the tail is unsealed"
             )
+        if len(self._spill.segments()) >= min_segments:
+            # The merge retires every committed segment: drop their
+            # indexes before it streams the rows, not after, so the
+            # two are never resident together.  A reader meanwhile
+            # rebuilds what it needs.
+            with self._cache_lock:
+                self._part_index_cache = {}
         generation = self._spill.compact(min_segments=min_segments)
         if generation is None:
             return None
@@ -922,9 +948,9 @@ class PassiveDnsDatabase:
                 for key, value in self._part_digest_cache.items()
                 if key in live
             }
-            self._part_csr_cache = {
+            self._part_index_cache = {
                 key: value
-                for key, value in self._part_csr_cache.items()
+                for key, value in self._part_index_cache.items()
                 if key in live
             }
         return generation
@@ -1089,21 +1115,29 @@ class PassiveDnsDatabase:
     ) -> np.ndarray:
         """Query counts per day for one domain over [start, end).
 
-        Served from the per-part domain→rows indexes: each immutable
+        Served from the per-part (domain, time) indexes: each immutable
         part (spill segment or sealed chunk) is indexed once and the
-        live tail once per generation, and only the target domain's
-        rows are gathered from each part, never the full columns.
+        live tail once per generation.  A part contributes one
+        ``searchsorted`` of the bin edges into the domain's sorted
+        times and one difference of its running count sums, so a call
+        costs days, not the domain's rows.
         """
         domain_id = self._id_of.get(domain.registered_domain())
         n_days = max((end - start) // SECONDS_PER_DAY, 0)
         series = np.zeros(n_days, dtype=np.int64)
         if domain_id is None or n_days == 0:
             return series
-        row_times, row_counts = self._domain_rows(domain_id)
         # Whole days only: a trailing partial day has no bin.
-        mask = (row_times >= start) & (row_times < start + n_days * SECONDS_PER_DAY)
-        offsets = (row_times[mask] - start) // SECONDS_PER_DAY
-        np.add.at(series, offsets, row_counts[mask])
+        edges = start + SECONDS_PER_DAY * np.arange(n_days + 1, dtype=np.int64)
+        for starts, times, running in self._indexed_parts():
+            if domain_id + 1 >= len(starts):
+                continue
+            lo = int(starts[domain_id])
+            hi = int(starts[domain_id + 1])
+            if lo == hi:
+                continue
+            bounds = np.searchsorted(times[lo:hi], edges)
+            series += np.diff(running[lo + bounds])
         return series
 
     def high_traffic_domains(

@@ -11,8 +11,9 @@
   at a time (``admit``) and per-row :meth:`ScalarDatabase.ingest`.
   The columnar :class:`ResilientIngestPipeline` and its batch dedup
   window must be observably identical to it.
-- :func:`daily_series_scan` is the full-column masked scan the CSR
-  index behind :meth:`PassiveDnsDatabase.daily_series_for` must match.
+- :func:`daily_series_scan` is the full-column masked scan the
+  per-part (domain, time) indexes behind
+  :meth:`PassiveDnsDatabase.daily_series_for` must match.
 
 All three are deliberately the slow, obvious form of the computation.
 """
@@ -274,7 +275,7 @@ def daily_series_scan(
 ) -> np.ndarray:
     """Masked full-column scan form of :meth:`daily_series_for`.
 
-    Identical output, O(total rows) instead of O(domain rows).
+    Identical output, O(total rows) instead of O(days) per part.
     """
     domain_id = db._id_of.get(domain.registered_domain())  # noqa: SLF001
     n_days = max((end - start) // SECONDS_PER_DAY, 0)
@@ -282,7 +283,9 @@ def daily_series_scan(
     if domain_id is None or n_days == 0:
         return series
     ids, times, counts = db._columns()  # noqa: SLF001
-    mask = (ids == domain_id) & (times >= start) & (times < end)
+    # Whole days only: a trailing partial day has no bin.
+    window_end = start + n_days * SECONDS_PER_DAY
+    mask = (ids == domain_id) & (times >= start) & (times < window_end)
     offsets = (times[mask] - start) // SECONDS_PER_DAY
     np.add.at(series, offsets, counts[mask])
     return series

@@ -10,6 +10,7 @@ batch, in one compacted segment, or in a store reopened read-only.
 """
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dns.name import DomainName
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.database import PassiveDnsDatabase, _domain_index
+from tests.passivedns.reference import daily_series_scan
 
 _DOMAINS = [
     DomainName(f"host{i}.zone{i % 7}.tld{i % 5}.com") for i in range(48)
@@ -132,8 +134,21 @@ _SPAN = 40 * _DAY
 #: Interned in batches as the operations run, so later batches bring
 #: domains whose ids lie past every part indexed before them.
 _POOL = [DomainName(f"n{i}.{('com', 'net', 'org')[i % 3]}") for i in range(40)]
-_WINDOWS = [(0, _SPAN + _DAY), (10 * _DAY + 3_600, 25 * _DAY)]
-_PIVOTS = [(20 * _DAY + 500, 7, 9), (2 * _DAY, 5, 3)]
+#: Bin edges fall on ``k * _DAY`` or ``k * _DAY + _EDGE``; a share of
+#: every batch's rows is drawn onto those edges (see ``_batch``).
+_EDGE = 3_600
+_WINDOWS = [
+    # Ends after every row.
+    (0, _SPAN + _DAY),
+    # A trailing partial day, which has no bin.
+    (10 * _DAY + _EDGE, 25 * _DAY),
+    # Starts before every row.
+    (-3 * _DAY + _EDGE, 12 * _DAY),
+    # Zero whole days, and an end before the start.
+    (7 * _DAY, 7 * _DAY + _EDGE),
+    (9 * _DAY, 2 * _DAY),
+]
+_PIVOTS = [(20 * _DAY + 500, 7, 9), (2 * _DAY, 5, 3), (5 * _DAY, 0, 0)]
 
 
 def _reference_rows(db, domain):
@@ -144,30 +159,45 @@ def _reference_rows(db, domain):
     return times[mask], counts[mask]
 
 
-def _reference_series(times, counts, start, end):
-    days = max((end - start) // _DAY, 0)
-    series = np.zeros(days, dtype=np.int64)
-    keep = (times >= start) & (times < start + days * _DAY)
-    np.add.at(series, (times[keep] - start) // _DAY, counts[keep])
-    return series
+def _batch(interned, n, seed):
+    """One add's (picks, times, counts).
+
+    A quarter of the rows sit exactly on a bin edge of ``_WINDOWS``,
+    pinning the half-open ``[start, end)`` bins.  Those times come from
+    an 80-value grid, so they recur across batches: equal timestamps
+    of one domain end up split across parts.
+    """
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, interned, n)
+    times = rng.integers(0, _SPAN, n).astype(np.int64)
+    on_edge = rng.random(n) < 0.25
+    grid = rng.integers(0, 40, n) * _DAY + rng.integers(0, 2, n) * _EDGE
+    times[on_edge] = grid[on_edge]
+    counts = rng.integers(1, 6, n).astype(np.int64)
+    return picks, times, counts
 
 
 def _check_per_domain_reads(db):
-    """Every per-domain read equals the brute-force reference."""
+    """Every per-domain read equals the reference scan."""
     from repro.serving.queries import ActivityWindowQuery
 
     for domain in db.all_domains():
         times, counts = _reference_rows(db, domain)
-        for start, end in _WINDOWS:
+        windows = list(_WINDOWS)
+        if len(times):
+            # Starts before the domain's first row and ends after its
+            # last, on unaligned seconds.
+            windows.append((int(times.min()) - 2 * _DAY + 1, int(times.max()) + _DAY))
+        for start, end in windows:
             assert np.array_equal(
                 db.daily_series_for(domain, start, end),
-                _reference_series(times, counts, start, end),
+                daily_series_scan(db, domain, start, end),
             ), (str(domain), start, end)
         for pivot, before, after in _PIVOTS:
             assert np.array_equal(
                 db.timeline_around(domain, pivot, before, after),
-                _reference_series(
-                    times, counts, pivot - before * _DAY, pivot + after * _DAY
+                daily_series_scan(
+                    db, domain, pivot - before * _DAY, pivot + after * _DAY
                 ),
             ), (str(domain), pivot)
         if not len(times):
@@ -230,7 +260,9 @@ def test_per_domain_reads_are_layout_invariant(ops, chunk):
     mid-batch), and every domain is checked after every operation: so
     queries land between ``add_batch`` and commit (tail rows), after
     seals and compactions (indexes of parts that come and go), and on
-    domains interned after older parts were indexed.
+    domains interned after older parts were indexed.  The windows start
+    before and end after the rows, hold zero days, and have rows on
+    their bin edges.
     """
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "s"
@@ -244,10 +276,7 @@ def test_per_domain_reads_are_layout_invariant(ops, chunk):
                 interned = min(interned + fresh, len(_POOL))
                 if not interned:
                     continue
-                rng = np.random.default_rng(seed)
-                picks = rng.integers(0, interned, n)
-                times = rng.integers(0, _SPAN, n).astype(np.int64)
-                counts = rng.integers(1, 6, n).astype(np.int64)
+                picks, times, counts = _batch(interned, n, seed)
                 for db in (memory, spilled):
                     ids = db.intern_many(_POOL[:interned])
                     db.add_batch(ids[picks], times, counts)
@@ -265,3 +294,139 @@ def test_per_domain_reads_are_layout_invariant(ops, chunk):
             for db in (memory, spilled):
                 _check_per_domain_reads(db)
         assert spilled.fingerprint() == memory.fingerprint()
+
+
+def _listing(root):
+    """Every file under ``root`` with its size and mtime."""
+    return sorted(
+        (str(path.relative_to(root)), path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+    )
+
+
+def test_per_domain_reads_persist_nothing(tmp_path):
+    """The per-part indexes live in memory only: reads write no file."""
+    from repro.serving.queries import ActivityWindowQuery
+
+    root = tmp_path / "s"
+    db = PassiveDnsDatabase(spill_dir=root)
+    db._CHUNK = 48
+    picks, times, counts = _batch(len(_POOL), 300, 7)
+    ids = db.intern_many(_POOL)
+    db.add_batch(ids[picks[:200]], times[:200], counts[:200])
+    db.spill_commit({"source": "layout-test"})
+    db.spill_compact()
+    db.add_batch(ids[picks[200:]], times[200:], counts[200:])
+    db.spill_commit({"source": "layout-test"})
+    before = _listing(root)
+    reopened = PassiveDnsDatabase(spill_dir=root, spill_read_only=True)
+    for store in (db, reopened):
+        for domain in _POOL:
+            store.daily_series_for(domain, 0, _SPAN)
+            store.timeline_around(domain, 20 * _DAY, 7, 9)
+            ActivityWindowQuery(domain=str(domain)).execute(store)
+        assert store._part_index_cache
+    assert _listing(root) == before
+
+
+# -- the per-part index and the row digest -----------------------------------
+
+
+def _check_index(ids, times, counts):
+    """:func:`_domain_index` against a brute-force (domain, time) sum."""
+    starts, sorted_times, running = _domain_index(ids, times, counts)
+    assert running[0] == 0 and len(running) == len(ids) + 1
+    for domain in range(len(starts) - 1):
+        lo, hi = int(starts[domain]), int(starts[domain + 1])
+        mine = ids == domain
+        assert np.array_equal(sorted_times[lo:hi], np.sort(times[mine]))
+        for t in np.unique(times[mine]).tolist():
+            first = lo + int(np.searchsorted(sorted_times[lo:hi], t, "left"))
+            last = lo + int(np.searchsorted(sorted_times[lo:hi], t, "right"))
+            assert running[last] - running[first] == counts[mine & (times == t)].sum()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=2**40, max_value=2**62),
+            st.integers(min_value=1, max_value=9),
+        ),
+        max_size=40,
+    ),
+)
+@example(rows=[(5, 2**40, 1), (0, 2**62, 2), (5, 2**40, 3), (0, 2**40, 4)])
+@example(rows=[])
+def test_domain_index_is_exact_past_int64(rows):
+    """Sorted times and running sums match brute force at any key width."""
+    columns = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+    if not columns:
+        columns = [np.empty(0, dtype=np.int64)] * 3
+    _check_index(*columns)
+
+
+def test_domain_index_falls_back_to_lexsort(monkeypatch):
+    """A combined key past int64 sorts by ``lexsort``; one that fits does not."""
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    # The times span 2**62 + 1 seconds: a largest id of 3 overflows
+    # the key, a largest id of 0 does not.
+    times = 2**40 + np.array([2**62, 0, 0, 2**62, 0], dtype=np.int64)
+    counts = np.array([1, 2, 3, 4, 5], dtype=np.int64)
+    _check_index(np.array([3, 0, 3, 2, 0], dtype=np.int64), times, counts)
+    assert calls == [5]
+    _check_index(np.zeros(5, dtype=np.int64), times, counts)
+    assert calls == [5]
+
+
+_BLOCK = 7
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_blockwise_digest_equals_one_shot(n, seed):
+    """Hashing ``_CHUNK`` rows at a time gives the one-shot digest."""
+    picks, times, counts = _rows(seed, n)
+    digests = set()
+    for block in (_BLOCK, max(n, 1)):
+        db = PassiveDnsDatabase()
+        db._CHUNK = block
+        ids = db.intern_many(_DOMAINS)[picks]
+        digests.add(db._rows_digest(ids, times, counts))
+    assert len(digests) == 1
+    assert n or digests == {0}
+
+
+def test_digest_of_a_large_part_holds_a_few_blocks():
+    """A 1M-row digest peaks at a few ``_CHUNK`` blocks, not the rows."""
+    db = PassiveDnsDatabase()
+    ids = db.intern_many(_DOMAINS)
+    n = 1_000_000
+    rng = np.random.default_rng(3)
+    rows = (
+        ids[rng.integers(0, len(_DOMAINS), n)],
+        rng.integers(0, 2**40, n),
+        rng.integers(1, 9, n),
+    )
+    tracemalloc.start()
+    try:
+        db._rows_digest(*rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Eight blocks of uint64 stay below one row-length column; hashing
+    # all rows at once peaked at four of them (32 MB here).
+    gate = 8 * db._CHUNK * 8
+    assert gate < n * 8
+    assert peak < gate, peak

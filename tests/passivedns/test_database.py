@@ -341,7 +341,7 @@ class TestIndexedSeries:
         st.integers(0, 70),
     )
     def test_indexed_matches_scan(self, rows, start_day, span_days):
-        """The CSR-indexed series equals the reference masked scan."""
+        """The indexed series equals the reference masked scan."""
         db = PassiveDnsDatabase()
         for domain_index, day, count in rows:
             db.add_rows(DomainName(f"d{domain_index}.com"), [day * DAY], [count])
