@@ -14,6 +14,8 @@ Usage::
 
 import sys
 
+import numpy as np
+
 from repro.core import reports
 from repro.core.security import botnet_victim_analysis, run_security_experiment
 from repro.rand import make_rng
@@ -29,13 +31,13 @@ def main() -> int:
     print(f"distinct victim phone numbers    : {analysis.distinct_phones:,}")
     print(f"user agents observed             : {list(analysis.user_agents)}")
 
-    example = next(
-        item.request
-        for item in result.categorized
-        if item.request.host == "gpclick.com" and item.request.path == "/getTask.php"
+    traffic = result.traffic.requests
+    polls = traffic.host_rows("gpclick.com") & traffic.path.lookup(
+        lambda path: path == "/getTask.php", bool
     )
+    [example] = traffic.take(np.flatnonzero(polls)[:1]).to_requests()
     print("\nFigure 12 — one captured request (anonymized by generation):")
-    print(f"  {example.method} {example.uri}")
+    print(f"  GET {example.uri}")
     print(f"  User-Agent: {example.user_agent}")
     print(f"  Source: {example.src_ip} "
           f"({result.reverse_ip.lookup(example.src_ip) or 'no PTR'})")

@@ -34,7 +34,7 @@ def run_interactive_honeypot(seed: int) -> None:
     honeypot = InteractiveHoneypot(
         [profile.domain for profile in registered_domain_profiles()]
     )
-    for request in generator.generate(include_noise=False):
+    for request in generator.generate_batch(include_noise=False).to_requests():
         honeypot.interact(request)
 
     summary = honeypot.session_summary()

@@ -16,7 +16,6 @@ in the honeypot, and derive the evaluation artifacts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 from repro.honeypot.batch import first_appearance_counts
 from repro.honeypot.categorize import (
     CategorizedBatch,
-    CategorizedRequest,
     Category,
     Subcategory,
     TrafficCategorizer,
@@ -59,11 +57,6 @@ class SecurityRunResult:
     traffic: CategorizedBatch
     table1: List[HoneypotReport]
     reverse_ip: ReverseIpTable
-
-    @cached_property
-    def categorized(self) -> List[CategorizedRequest]:
-        """:attr:`traffic` as objects, built on first access."""
-        return self.traffic.items()
 
     def total_requests(self) -> int:
         return self.filter_stats.input_requests

@@ -1,4 +1,4 @@
-"""Struct-of-arrays request and packet batches.
+"""Struct-of-arrays request and packet batches: the one §6 data path.
 
 §6 moves tens of thousands of requests from the traffic generator
 through the recorder, the Figure 9 filter and the Figure 11
@@ -10,10 +10,12 @@ per-string decision is made once per distinct value and spread over
 the rows with numpy indexing.  :class:`PacketBatch` is the same for
 the transport-level view.
 
-:class:`~repro.honeypot.http.HttpRequest` and
-:class:`~repro.honeypot.http.PacketRecord` objects are built only when
-a caller asks for them (:meth:`RequestBatch.to_requests`,
-:meth:`PacketBatch.to_packets`).
+Objects cross this module at two edges only.  In:
+:meth:`RequestBatch.from_requests` columnizes
+:class:`~repro.honeypot.http.HttpRequest` objects (the recorder's
+buffered single requests).  Out: :meth:`RequestBatch.to_requests` and
+:meth:`PacketBatch.to_packets` build objects for a caller that needs
+them, such as an interactive replay.
 """
 
 from __future__ import annotations
@@ -171,14 +173,9 @@ REQUEST_STR_FIELDS = ("src_ip", "host", "path", "query", "user_agent", "referer"
 
 
 class RequestBatch:
-    """HTTP requests as columns (see the module docstring).
+    """HTTP requests as columns (see the module docstring)."""
 
-    ``extras`` maps the few rows whose method or headers differ from
-    ``HttpRequest``'s defaults to their ``(method, headers)``; the
-    generators never emit such rows.
-    """
-
-    __slots__ = ("timestamps", "ports", *REQUEST_STR_FIELDS, "extras", "_uris")
+    __slots__ = ("timestamps", "ports", *REQUEST_STR_FIELDS, "_uris")
 
     def __init__(
         self,
@@ -190,7 +187,6 @@ class RequestBatch:
         query: StrColumn,
         user_agent: StrColumn,
         referer: StrColumn,
-        extras: Optional[Dict[int, Tuple[str, Dict[str, str]]]] = None,
     ) -> None:
         self.timestamps = timestamps
         self.ports = ports
@@ -200,7 +196,6 @@ class RequestBatch:
         self.query = query
         self.user_agent = user_agent
         self.referer = referer
-        self.extras = extras if extras is not None else {}
         #: :meth:`uris`, once computed; :meth:`take` carries it along.
         self._uris: Optional[StrColumn] = None
 
@@ -238,7 +233,7 @@ class RequestBatch:
     @classmethod
     def from_requests(cls, requests: Iterable[HttpRequest]) -> "RequestBatch":
         requests = list(requests)
-        batch = cls(
+        return cls(
             np.fromiter(
                 (r.timestamp for r in requests), dtype=np.int64, count=len(requests)
             ),
@@ -248,21 +243,9 @@ class RequestBatch:
                 for name in REQUEST_STR_FIELDS
             ),
         )
-        batch.extras = {
-            row: (r.method, dict(r.headers))
-            for row, r in enumerate(requests)
-            if r.method != "GET" or r.headers
-        }
-        return batch
 
     @classmethod
     def concat(cls, batches: Sequence["RequestBatch"]) -> "RequestBatch":
-        extras: Dict[int, Tuple[str, Dict[str, str]]] = {}
-        offset = 0
-        for batch in batches:
-            for row, extra in batch.extras.items():
-                extras[offset + row] = extra
-            offset += len(batch)
         return cls(
             _concat_ints([b.timestamps for b in batches]),
             _concat_ints([b.ports for b in batches]),
@@ -270,7 +253,6 @@ class RequestBatch:
                 StrColumn.concat([getattr(b, name) for b in batches])
                 for name in REQUEST_STR_FIELDS
             ),
-            extras=extras,
         )
 
     def _validate(self) -> None:
@@ -296,18 +278,10 @@ class RequestBatch:
         rows = np.asarray(rows)
         if rows.dtype == bool:
             rows = np.flatnonzero(rows)
-        extras = {}
-        if self.extras:
-            extras = {
-                new: self.extras[old]
-                for new, old in enumerate(rows.tolist())
-                if old in self.extras
-            }
         taken = RequestBatch(
             self.timestamps[rows],
             self.ports[rows],
             *(getattr(self, name).take(rows) for name in REQUEST_STR_FIELDS),
-            extras=extras,
         )
         if self._uris is not None:
             taken._uris = self._uris.take(rows)
@@ -333,7 +307,7 @@ class RequestBatch:
         return self.host.lookup(lambda host: host.lower() == lowered, bool)
 
     def to_requests(self) -> List[HttpRequest]:
-        requests = [
+        return [
             HttpRequest(
                 timestamp=timestamp,
                 src_ip=src_ip,
@@ -350,24 +324,11 @@ class RequestBatch:
                 *(getattr(self, name).decode() for name in REQUEST_STR_FIELDS),
             )
         ]
-        for row, (method, headers) in self.extras.items():
-            request = requests[row]
-            requests[row] = HttpRequest(
-                timestamp=request.timestamp,
-                src_ip=request.src_ip,
-                host=request.host,
-                path=request.path,
-                query=request.query,
-                method=method,
-                port=request.port,
-                user_agent=request.user_agent,
-                referer=request.referer,
-                headers=dict(headers),
-            )
-        return requests
 
     def packet_shadow(self) -> "PacketBatch":
-        """The transport-level shadow of every row (``HttpRequest.to_packet``)."""
+        """The transport-level shadow of every row: a TCP packet to the
+        row's port whose payload is the URI length plus the User-Agent
+        length plus 64 header bytes."""
         path_len = np.array([len(p) for p in self.path.values], dtype=np.int64)
         query_len = np.array(
             [len(q) + 1 if q else 0 for q in self.query.values], dtype=np.int64
@@ -445,20 +406,6 @@ class PacketBatch:
         if n and batch.payload_sizes.min() < 0:
             raise ConfigError("payload_size must be non-negative")
         return batch
-
-    @classmethod
-    def from_packets(cls, packets: Iterable[PacketRecord]) -> "PacketBatch":
-        packets = list(packets)
-        n = len(packets)
-        return cls(
-            np.fromiter((p.timestamp for p in packets), dtype=np.int64, count=n),
-            StrColumn.encode([p.src_ip for p in packets]),
-            np.fromiter((p.dst_port for p in packets), dtype=np.int64, count=n),
-            np.fromiter(
-                (p.transport is Transport.UDP for p in packets), dtype=bool, count=n
-            ),
-            np.fromiter((p.payload_size for p in packets), dtype=np.int64, count=n),
-        )
 
     @classmethod
     def concat(cls, batches: Sequence["PacketBatch"]) -> "PacketBatch":

@@ -22,9 +22,8 @@ web-filter verdict, and, for undeclared agents only, source IP →
 PTR-attested crawler — and the Figure 11 order of precedence is one
 vector select over the rows.  Stream reclassification counts
 (source IP, URI) pairs with ``np.unique``.  The result is a
-:class:`CategorizedBatch` of category and subcategory codes;
-:class:`CategorizedRequest` objects are built only on request
-(:meth:`CategorizedBatch.items`, :meth:`TrafficCategorizer.categorize_many`).
+:class:`CategorizedBatch` of category and subcategory codes, which
+Table 1 and the §6 figures count directly.
 
 Each :class:`TrafficCategorizer` parses a User-Agent string once and
 its :class:`~repro.honeypot.nvd.VulnerabilityDatabase` judges a
@@ -35,13 +34,12 @@ it; nothing is shared across categorizers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.honeypot.batch import RequestBatch, StrColumn, pair_codes
-from repro.honeypot.http import PAGE_EXTENSIONS, HttpRequest, path_extension
+from repro.honeypot.http import PAGE_EXTENSIONS, path_extension
 from repro.honeypot.nvd import VulnerabilityDatabase
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.useragent import AgentKind, UserAgentInfo, parse_user_agent
@@ -140,16 +138,6 @@ _BRANCH_CATEGORY = np.array(
 )
 
 
-@dataclass(frozen=True)
-class CategorizedRequest:
-    """One request with its classification."""
-
-    request: HttpRequest
-    category: Category
-    subcategory: Subcategory
-    agent_name: str = ""
-
-
 class CategorizedBatch:
     """A :class:`RequestBatch` with each row's classification as codes.
 
@@ -172,40 +160,12 @@ class CategorizedBatch:
         self.subcategories = subcategories
         self.agent_names = agent_names
 
-    @classmethod
-    def from_items(cls, items: Iterable[CategorizedRequest]) -> "CategorizedBatch":
-        items = list(items)
-        return cls(
-            RequestBatch.from_requests(item.request for item in items),
-            np.array([_CATEGORY_CODE[i.category] for i in items], dtype=np.int8),
-            np.array([_SUBCATEGORY_CODE[i.subcategory] for i in items], dtype=np.int8),
-            StrColumn.encode([item.agent_name for item in items]),
-        )
-
     def __len__(self) -> int:
         return len(self.categories)
 
     def rows_of(self, subcategory: Subcategory) -> np.ndarray:
         """Mask of the rows classified as ``subcategory``."""
         return self.subcategories == _SUBCATEGORY_CODE[subcategory]
-
-    def items(
-        self, requests: Optional[Sequence[HttpRequest]] = None
-    ) -> List[CategorizedRequest]:
-        """The rows as objects (``requests``: this batch's rows, if built)."""
-        if requests is None:
-            requests = self.requests.to_requests()
-        return [
-            CategorizedRequest(
-                request, CATEGORIES[category], SUBCATEGORIES[sub], name
-            )
-            for request, category, sub, name in zip(
-                requests,
-                self.categories.tolist(),
-                self.subcategories.tolist(),
-                self.agent_names.decode(),
-            )
-        ]
 
     def subcategory_counts(
         self, rows: Optional[np.ndarray] = None
@@ -240,20 +200,6 @@ class TrafficCategorizer:
         if agent is None:
             agent = self._agents[user_agent] = parse_user_agent(user_agent)
         return agent
-
-    def categorize(self, request: HttpRequest) -> CategorizedRequest:
-        """Classify one request."""
-        return self.categorize_many([request], stream_threshold=None)[0]
-
-    def categorize_many(
-        self,
-        requests: Iterable[HttpRequest],
-        stream_threshold: Optional[int] = 50,
-    ) -> List[CategorizedRequest]:
-        """:meth:`categorize_batch` over request objects."""
-        requests = list(requests)
-        batch = RequestBatch.from_requests(requests)
-        return self.categorize_batch(batch, stream_threshold).items(requests)
 
     def categorize_batch(
         self,
@@ -397,21 +343,3 @@ def _by_branch(branch: np.ndarray, choices: list, dtype) -> np.ndarray:
         out[rows] = choice[rows] if isinstance(choice, np.ndarray) else choice
     return out
 
-
-def subcategory_counts(
-    categorized: Iterable[CategorizedRequest],
-) -> Dict[Subcategory, int]:
-    """Requests per subcategory (one Table 1 row's cells)."""
-    counts: Dict[Subcategory, int] = {s: 0 for s in Subcategory}
-    for item in categorized:
-        counts[item.subcategory] += 1
-    return counts
-
-
-def category_counts(
-    categorized: Iterable[CategorizedRequest],
-) -> Dict[Category, int]:
-    counts: Dict[Category, int] = {c: 0 for c in Category}
-    for item in categorized:
-        counts[item.category] += 1
-    return counts

@@ -10,19 +10,24 @@ deployments and subtracts it:
    from the experiment traffic.
 2. **Control group** — freshly registered, never-before-seen domains
    with the same landing page collect *only* establishment noise
-   (certificate validators, new-domain crawlers); the (source IP,
-   URI, hostname-pattern) parameters observed there are excluded too.
+   (certificate validators, new-domain crawlers); the source IPs and
+   ``/.well-known`` URIs observed there are excluded too.
+
+The filter learns both from the calibration recorders
+(:meth:`TwoStageFilter.calibrated`) and applies them to columns:
+:meth:`TwoStageFilter.apply_batch` for requests,
+:meth:`TwoStageFilter.filter_packet_batch` for packets.  Each test is
+made once per distinct source IP or URI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from typing import Set, Tuple
 
 import numpy as np
 
 from repro.honeypot.batch import PacketBatch, RequestBatch
-from repro.honeypot.http import HttpRequest, PacketRecord
 from repro.honeypot.recorder import TrafficRecorder
 
 
@@ -51,58 +56,26 @@ class TwoStageFilter:
         self._control_ips: Set[str] = set()
         self._control_uris: Set[str] = set()
 
-    # -- calibration ------------------------------------------------------
-
-    def learn_no_hosting_baseline(
-        self, baseline: Iterable[PacketRecord]
-    ) -> int:
-        """Stage 1: every source IP in no-hosting traffic is a scanner."""
-        return self._learn_scanners(packet.src_ip for packet in baseline)
-
-    def learn_control_group(self, control: Iterable[HttpRequest]) -> int:
-        """Stage 2: establishment-noise parameters from control domains."""
-        control = list(control)
-        return self._learn_control(
-            (request.src_ip for request in control),
-            (request.uri for request in control),
-        )
-
-    def _learn_scanners(self, ips: Iterable[str]) -> int:
-        before = len(self._scanner_ips)
-        self._scanner_ips.update(ips)
-        return len(self._scanner_ips) - before
-
-    def _learn_control(self, ips: Iterable[str], uris: Iterable[str]) -> int:
-        before = len(self._control_ips)
-        self._control_ips.update(ips)
-        self._control_uris.update(uris)
-        return len(self._control_ips) - before
-
     @classmethod
     def calibrated(
         cls,
         no_hosting: TrafficRecorder,
         control_group: TrafficRecorder,
     ) -> "TwoStageFilter":
-        """Build a filter from the two calibration recorders."""
+        """Build a filter from the two calibration recorders.
+
+        Stage 1: every source IP in no-hosting traffic is a scanner.
+        Stage 2: the control group's request source IPs and URIs are
+        establishment noise.
+        """
         instance = cls()
-        instance._learn_scanners(no_hosting.packet_batch().src_ip.distinct())
+        instance._scanner_ips.update(no_hosting.packet_batch().src_ip.distinct())
         control = control_group.request_batch()
-        instance._learn_control(control.src_ip.distinct(), control.uris().distinct())
+        instance._control_ips.update(control.src_ip.distinct())
+        instance._control_uris.update(control.uris().distinct())
         return instance
 
     # -- application ---------------------------------------------------------
-
-    def is_scanner_noise(self, request: HttpRequest) -> bool:
-        return request.src_ip in self._scanner_ips
-
-    def is_establishment_noise(self, request: HttpRequest) -> bool:
-        """Matches when the source IP *and* the URI were both seen on
-        the control group — either alone also appears in genuine
-        traffic (Let's Encrypt probes /.well-known on everyone)."""
-        return request.src_ip in self._control_ips or self._is_control_uri(
-            request.uri
-        )
 
     def _is_control_uri(self, uri: str) -> bool:
         return uri in self._control_uris and uri.startswith("/.well-known")
@@ -110,9 +83,7 @@ class TwoStageFilter:
     def _is_noise_source(self, src_ip: str) -> bool:
         return src_ip in self._scanner_ips or src_ip in self._control_ips
 
-    def filter_packets(
-        self, packets: Iterable[PacketRecord]
-    ) -> List[PacketRecord]:
+    def filter_packet_batch(self, packets: PacketBatch) -> PacketBatch:
         """Drop transport-level packets from learned noise sources.
 
         Used for the port-distribution view (Figure 10a): platform
@@ -120,28 +91,25 @@ class TwoStageFilter:
         their source addresses were learned from the calibration
         deployments.
         """
-        return [p for p in packets if not self._is_noise_source(p.src_ip)]
-
-    def filter_packet_batch(self, packets: PacketBatch) -> PacketBatch:
-        """:meth:`filter_packets` over columns, one test per distinct IP."""
         noise = packets.src_ip.lookup(self._is_noise_source, bool)
         return packets.take(~noise)
 
-    def apply(
-        self, requests: Iterable[HttpRequest]
-    ) -> Tuple[List[HttpRequest], FilterStats]:
-        """Split traffic into (kept, stats) per Figure 9."""
-        requests = list(requests)
-        keep, stats = self._keep_mask(RequestBatch.from_requests(requests))
-        return [r for r, k in zip(requests, keep.tolist()) if k], stats
-
     def apply_batch(self, batch: RequestBatch) -> Tuple[RequestBatch, FilterStats]:
-        """:meth:`apply` over columns: the kept rows, in order."""
+        """Split traffic into the kept rows (in order) and stats, per Figure 9."""
         keep, stats = self._keep_mask(batch)
         return batch.take(keep), stats
 
     def _keep_mask(self, batch: RequestBatch) -> Tuple[np.ndarray, FilterStats]:
-        """Stage 1 and stage 2 decided once per distinct IP and URI."""
+        """Stage 1 and stage 2 decided once per distinct IP and URI.
+
+        A row is scanner noise when its source IP was seen on the
+        no-hosting baseline.  Otherwise it is establishment noise when
+        its source IP was seen on the control group, *or* its URI was
+        seen there and starts with ``/.well-known`` (certificate
+        validators probe it on every domain, hosted or not).
+        Either test alone drops the row; a shared benign URI such as
+        ``/`` from a new address is kept.
+        """
         scanner = batch.src_ip.lookup(self._scanner_ips.__contains__, bool)
         establishment = batch.src_ip.lookup(
             self._control_ips.__contains__, bool

@@ -1,16 +1,20 @@
-"""Request and packet models captured by the honeypot.
+"""Request and packet models: the honeypot's two object edges.
 
-:class:`PacketRecord` is the transport-level view (every TCP/UDP packet
-on every well-known port — Figure 10's raw material);
-:class:`HttpRequest` is the application-level view the categorizer
-consumes, carrying exactly the header fields of Figure 11: Referer,
-User-Agent, the requested URL, and the source IP.
+:class:`HttpRequest` is one HTTP request as the server receives it,
+carrying exactly the header fields of Figure 11: Referer, User-Agent,
+the requested URL, and the source IP.  :class:`PacketRecord` is one
+transport-level packet (Figure 10's raw material).  Between the edges
+everything runs on the columns of :mod:`repro.honeypot.batch`: a
+request enters through ``InteractiveHoneypot.interact`` →
+``NxdHoneypot.accept_request`` → ``TrafficRecorder.record_request``
+or ``RequestBatch.from_requests``, and objects leave only through
+``RequestBatch.to_requests`` and ``PacketBatch.to_packets``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 from repro.errors import ConfigError
 
@@ -54,11 +58,9 @@ class HttpRequest:
     host: str
     path: str = "/"
     query: str = ""
-    method: str = "GET"
     port: int = HTTP_PORT
     user_agent: str = ""
     referer: str = ""
-    headers: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.path.startswith("/"):
@@ -94,16 +96,6 @@ class HttpRequest:
     def query_parameters(self) -> Dict[str, str]:
         """Parsed query-string parameters (last occurrence wins)."""
         return parse_query(self.query)
-
-    def to_packet(self) -> PacketRecord:
-        """The transport-level shadow of this request."""
-        return PacketRecord(
-            timestamp=self.timestamp,
-            src_ip=self.src_ip,
-            dst_port=self.port,
-            transport=Transport.TCP,
-            payload_size=len(self.uri) + len(self.user_agent) + 64,
-        )
 
 
 def path_extension(path: str) -> str:

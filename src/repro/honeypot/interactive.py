@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.honeypot.categorize import TrafficCategorizer
-from repro.honeypot.http import HttpRequest
+from repro.honeypot.http import HttpRequest, path_extension
 from repro.honeypot.nvd import VulnerabilityDatabase
 from repro.honeypot.server import LANDING_PAGE, NxdHoneypot
 
@@ -106,43 +106,40 @@ class InteractiveHoneypot(NxdHoneypot):
     def interact(self, request: HttpRequest) -> HoneypotResponse:
         """Record the request and answer it per the interaction policy."""
         super().accept_request(request)
-        self._track_session(request)
-        response = self._respond(request)
+        self._track_session(request.src_ip, request.timestamp, request.uri)
+        response = self._respond(request.path)
         self.responses_by_status[response.status] = (
             self.responses_by_status.get(response.status, 0) + 1
         )
         return response
 
-    def _respond(self, request: HttpRequest) -> HoneypotResponse:
+    def _respond(self, path: str) -> HoneypotResponse:
         # Never pretend to be vulnerable.
-        if self.nvd.is_sensitive(request.path):
+        if self.nvd.is_sensitive(path):
             return HoneypotResponse(404, "text/html", NOT_FOUND_BODY)
-        if request.filename == "getTask.php":
+        if path.endswith("/getTask.php"):
             return HoneypotResponse(200, "application/json", EMPTY_TASK_RESPONSE)
-        machine = _MACHINE_EXTENSIONS.get(request.extension)
+        extension = path_extension(path)
+        machine = _MACHINE_EXTENSIONS.get(extension)
         if machine is not None:
             content_type, body = machine
             return HoneypotResponse(200, content_type, body)
-        if request.extension in _IMAGE_EXTENSIONS:
+        if extension in _IMAGE_EXTENSIONS:
             return HoneypotResponse(200, "image/png", PLACEHOLDER_IMAGE)
         return HoneypotResponse(200, "text/html", LANDING_PAGE)
 
-    def _track_session(self, request: HttpRequest) -> None:
-        session = self._sessions.get(request.src_ip)
+    def _track_session(self, src_ip: str, timestamp: int, uri: str) -> None:
+        session = self._sessions.get(src_ip)
         if session is None:
             session = VisitorSession(
-                src_ip=request.src_ip,
-                first_seen=request.timestamp,
-                last_seen=request.timestamp,
+                src_ip=src_ip, first_seen=timestamp, last_seen=timestamp
             )
-            self._sessions[request.src_ip] = session
+            self._sessions[src_ip] = session
         else:
-            session.interarrivals.append(
-                max(request.timestamp - session.last_seen, 0)
-            )
-            session.last_seen = max(session.last_seen, request.timestamp)
+            session.interarrivals.append(max(timestamp - session.last_seen, 0))
+            session.last_seen = max(session.last_seen, timestamp)
         session.requests += 1
-        session.distinct_uris.add(request.uri)
+        session.distinct_uris.add(uri)
 
     # -- analysis -----------------------------------------------------------
 

@@ -9,24 +9,25 @@ and control-group deployments.
 Storage layout: the recorder keeps columns — a list of
 :class:`~repro.honeypot.batch.RequestBatch` parts and a list of
 :class:`~repro.honeypot.batch.PacketBatch` parts, merged into one part
-each on the first read after a write.  :meth:`record_batch` appends a
-whole generated batch; :meth:`record_request` and
-:meth:`record_packet` buffer single rows in arrival order, which become
-one request part and one packet part on the next batch write or read.
-A request's transport-level shadow is derived from the request columns
-(:meth:`~repro.honeypot.batch.RequestBatch.packet_shadow`).
-:meth:`requests`, :meth:`packets`, :meth:`window` and
-:meth:`requests_for_host` build objects only when called.
+each on the first read after a write.  :meth:`record_batch` and
+:meth:`record_packet_batch` append whole batches.
+:meth:`record_request` is the one object edge: it buffers single
+:class:`~repro.honeypot.http.HttpRequest` objects, which become one
+request part plus its transport-level shadow
+(:meth:`~repro.honeypot.batch.RequestBatch.packet_shadow`) on the next
+batch write or read, so arrival order holds across both kinds of
+write.  Reads return columns; a caller that needs objects decodes them
+with ``to_requests()`` / ``to_packets()``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.honeypot.batch import PacketBatch, RequestBatch
-from repro.honeypot.http import HttpRequest, PacketRecord
+from repro.honeypot.http import HttpRequest
 
 
 class TrafficRecorder:
@@ -36,10 +37,9 @@ class TrafficRecorder:
         self.deployment = deployment
         self._request_parts: List[RequestBatch] = []
         self._packet_parts: List[PacketBatch] = []
-        #: Single-row writes in arrival order, columnized on the next
+        #: Single requests in arrival order, columnized on the next
         #: batch write or read.
-        self._pending: List[Union[HttpRequest, PacketRecord]] = []
-        self._pending_requests = 0
+        self._pending: List[HttpRequest] = []
         #: Called with a context string before each write; a fault
         #: harness can raise :class:`~repro.errors.TransientStoreError`
         #: here to model a full disk or a wedged capture process.
@@ -47,18 +47,11 @@ class TrafficRecorder:
 
     # -- capture --------------------------------------------------------
 
-    def record_packet(self, packet: PacketRecord) -> None:
-        """Record one transport-level packet."""
-        if self.fault_hook is not None:
-            self.fault_hook("packet")
-        self._pending.append(packet)
-
     def record_request(self, request: HttpRequest) -> None:
         """Record an HTTP request (and its transport-level shadow)."""
         if self.fault_hook is not None:
             self.fault_hook("request")
         self._pending.append(request)
-        self._pending_requests += 1
 
     def record_batch(self, batch: RequestBatch) -> None:
         """Record every request of ``batch`` (and their shadows), in order."""
@@ -76,30 +69,13 @@ class TrafficRecorder:
         self._packet_parts.append(batch)
 
     def _flush(self) -> None:
-        """Columnize the pending rows: one request part, and one packet
-        part interleaving explicit packets and request shadows in
-        arrival order."""
+        """Columnize the pending requests: one request part and its shadow."""
         if not self._pending:
             return
-        pending, self._pending, self._pending_requests = self._pending, [], 0
-        is_request = np.array([isinstance(item, HttpRequest) for item in pending])
-        requests = RequestBatch.from_requests(
-            item for item in pending if isinstance(item, HttpRequest)
-        )
-        packets = PacketBatch.from_packets(
-            item for item in pending if not isinstance(item, HttpRequest)
-        )
+        requests = RequestBatch.from_requests(self._pending)
+        self._pending = []
         self._request_parts.append(requests)
-        # Shadows first, then packets; each row's arrival position,
-        # inverted, puts them back in arrival order.
-        arrival = np.concatenate(
-            [np.flatnonzero(is_request), np.flatnonzero(~is_request)]
-        )
-        self._packet_parts.append(
-            PacketBatch.concat([requests.packet_shadow(), packets]).take(
-                np.argsort(arrival)
-            )
-        )
+        self._packet_parts.append(requests.packet_shadow())
 
     # -- columns ------------------------------------------------------------
 
@@ -125,18 +101,7 @@ class TrafficRecorder:
 
     @property
     def request_count(self) -> int:
-        return sum(map(len, self._request_parts)) + self._pending_requests
-
-    def packets(self) -> List[PacketRecord]:
-        return self.packet_batch().to_packets()
-
-    def requests(self) -> List[HttpRequest]:
-        return self.request_batch().to_requests()
-
-    def requests_for_host(self, host: str) -> List[HttpRequest]:
-        """Requests whose Host header is ``host`` (any case), in order."""
-        batch = self.request_batch()
-        return batch.take(batch.host_rows(host)).to_requests()
+        return sum(map(len, self._request_parts)) + len(self._pending)
 
     def port_histogram(self) -> Dict[int, int]:
         """Packets per destination port (Figure 10's axes)."""

@@ -19,12 +19,11 @@ from repro.resilience.dlq import DeadLetterQueue, ReplayStats
 from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.categorize import (
     CategorizedBatch,
-    CategorizedRequest,
     TrafficCategorizer,
     Subcategory,
 )
 from repro.honeypot.filtering import FilterStats, TwoStageFilter
-from repro.honeypot.http import HttpRequest, PacketRecord
+from repro.honeypot.http import HttpRequest
 from repro.honeypot.recorder import TrafficRecorder
 
 LANDING_PAGE = (
@@ -72,13 +71,6 @@ class NxdHoneypot:
 
     # -- capture path ------------------------------------------------------
 
-    def accept_packet(self, packet: PacketRecord) -> None:
-        """Non-HTTP traffic: recorded (best-effort), never answered."""
-        try:
-            self.recorder.record_packet(packet)
-        except ReproError as exc:
-            self._quarantine(packet, exc, packet.timestamp)
-
     def accept_request(self, request: HttpRequest) -> str:
         """HTTP/HTTPS traffic: recorded and served the landing page.
 
@@ -103,7 +95,10 @@ class NxdHoneypot:
         self.pages_served += len(batch)
 
     def accept_packet_batch(self, batch: PacketBatch) -> None:
-        """:meth:`accept_packet` for every row of ``batch``."""
+        """Transport-level traffic: recorded (best-effort), never answered.
+
+        A recorder failure quarantines the whole batch as one item.
+        """
         self._record_batch(self.recorder.record_packet_batch, batch)
 
     def _record_batch(self, record, batch: Union[RequestBatch, PacketBatch]) -> None:
@@ -132,11 +127,9 @@ class NxdHoneypot:
                 self.recorder.record_request(item)
             elif isinstance(item, RequestBatch):
                 self.recorder.record_batch(item)
-            elif isinstance(item, PacketBatch):
-                self.recorder.record_packet_batch(item)
             else:
-                assert isinstance(item, PacketRecord)
-                self.recorder.record_packet(item)
+                assert isinstance(item, PacketBatch)
+                self.recorder.record_packet_batch(item)
 
         return self.dead_letters.replay(handler)
 
@@ -159,17 +152,9 @@ class NxdHoneypot:
             return batch, stats
         return self.noise_filter.apply_batch(batch)
 
-    def filtered_requests(self) -> Tuple[List[HttpRequest], FilterStats]:
-        """All recorded requests after noise filtering."""
-        kept, stats = self.filtered_batch()
-        return kept.to_requests(), stats
-
     def categorized_batch(self) -> CategorizedBatch:
         kept, _ = self.filtered_batch()
         return self.categorizer.categorize_batch(kept)
-
-    def categorized_requests(self) -> List[CategorizedRequest]:
-        return self.categorized_batch().items()
 
     def report_for(self, domain: str) -> HoneypotReport:
         """Table 1 row for one domain, counted off one categorized batch."""
@@ -181,12 +166,8 @@ class NxdHoneypot:
         """Table 1 rows for every hosted domain, by traffic volume."""
         return self.reports_from(self.categorized_batch())
 
-    def reports_from(
-        self, categorized: Union[CategorizedBatch, Iterable[CategorizedRequest]]
-    ) -> List[HoneypotReport]:
+    def reports_from(self, categorized: CategorizedBatch) -> List[HoneypotReport]:
         """Table 1 rows built from already categorized traffic."""
-        if not isinstance(categorized, CategorizedBatch):
-            categorized = CategorizedBatch.from_items(categorized)
         # Each distinct Host value maps to its hosted domain's position
         # in ``domains`` (or -1), once.
         domains = sorted(self.hosted_domains)

@@ -13,12 +13,11 @@ Figure 15), with victims spread across ~40 phone models (Nexus 5X
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.honeypot.batch import RequestBatch
-from repro.honeypot.http import HttpRequest
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.workloads.ipspace import make_pool
 from repro.errors import ConfigError
@@ -161,10 +160,6 @@ class GpclickBotnet:
             user_agent=BOTNET_USER_AGENT,
             port=80,
         )
-
-    def requests(self, count: int, start: int, end: int) -> List[HttpRequest]:
-        """:meth:`batch` as request objects."""
-        return self.batch(count, start, end).to_requests()
 
 
 def continent_of_country(country: str) -> Optional[str]:

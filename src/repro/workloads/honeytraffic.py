@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.honeypot.batch import RequestBatch, StrColumn
 from repro.honeypot.categorize import Subcategory
-from repro.honeypot.http import HttpRequest
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.webfilter import WebFilter, WebPage
 from repro.workloads import useragents as ua
@@ -121,12 +120,9 @@ class HoneypotTrafficGenerator:
 
     # -- top-level -----------------------------------------------------------
 
-    def generate(self, include_noise: bool = True) -> List[HttpRequest]:
-        """All requests of the collection period, time-ordered."""
-        return self.generate_batch(include_noise).to_requests()
-
     def generate_batch(self, include_noise: bool = True) -> RequestBatch:
-        """:meth:`generate` as one batch (equal ticks keep emission order)."""
+        """All requests of the collection period, time-ordered (equal
+        ticks keep emission order)."""
         parts = [
             part for profile in self.profiles for part in self._parts_for(profile)
         ]

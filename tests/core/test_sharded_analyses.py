@@ -14,8 +14,10 @@ import pytest
 from repro.clock import SECONDS_PER_DAY
 from repro.core.origin import WhoisJoinResult, whois_join
 from repro.core.scale import expiry_timeline
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.filtering import FilterStats, TwoStageFilter
-from repro.honeypot.http import HttpRequest, PacketRecord
+from repro.honeypot.http import HttpRequest
+from repro.honeypot.recorder import TrafficRecorder
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
 
@@ -121,36 +123,36 @@ def _synthetic_traffic(n=600):
                 timestamp=1_000 + i, src_ip=src, host="study.example", path=path
             )
         )
-    return requests
+    return RequestBatch.from_requests(requests)
 
 
 def _calibrated_filter():
-    noise_filter = TwoStageFilter()
-    noise_filter.learn_no_hosting_baseline(
-        PacketRecord(timestamp=0, src_ip=f"scanner-{i}", dst_port=80)
-        for i in range(10)
+    no_hosting = TrafficRecorder("no-hosting")
+    no_hosting.record_packet_batch(
+        PacketBatch.of([0] * 10, src_ip=[f"scanner-{i}" for i in range(10)], port=80)
     )
-    noise_filter.learn_control_group(
-        HttpRequest(
-            timestamp=0,
-            src_ip=f"control-{i}",
+    control = TrafficRecorder("control-group")
+    control.record_batch(
+        RequestBatch.of(
+            [0] * 10,
+            src_ip=[f"control-{i}" for i in range(10)],
             host="ctrl.example",
             path="/.well-known/acme-challenge/tok",
         )
-        for i in range(10)
     )
-    return noise_filter
+    return TwoStageFilter.calibrated(no_hosting, control)
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 8])
 def test_noise_filter_sharded_matches_serial(jobs):
     traffic = _synthetic_traffic()
     noise_filter = _calibrated_filter()
-    serial_kept, serial_stats = noise_filter.apply(traffic)
+    serial_kept, serial_stats = noise_filter.apply_batch(traffic)
+    serial_kept = serial_kept.to_requests()
     sharded_kept, sharded_stats = [], FilterStats()
-    for shard in _shards(traffic, jobs):
-        kept, stats = noise_filter.apply(shard)
-        sharded_kept.extend(kept)
+    for shard in _shards(np.arange(len(traffic)), jobs):
+        kept, stats = noise_filter.apply_batch(traffic.take(shard))
+        sharded_kept.extend(kept.to_requests())
         sharded_stats.input_requests += stats.input_requests
         sharded_stats.dropped_by_ip_baseline += stats.dropped_by_ip_baseline
         sharded_stats.dropped_by_control_group += stats.dropped_by_control_group

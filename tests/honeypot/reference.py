@@ -4,9 +4,13 @@
   categorizer: one :class:`CategorizedRequest` per request through an
   if/elif chain, then stream reclassification over a dict of
   (source IP, URI) counts.  :meth:`TrafficCategorizer.categorize_batch`
-  must classify every row the same way.
+  must classify every row the same way; :func:`categorized_items`
+  decodes its result into the same objects for comparison.
 - :func:`reference_apply` is the per-request Figure 9 filter loop
-  :meth:`TwoStageFilter.apply_batch` must match.
+  :meth:`TwoStageFilter.apply_batch` must match.  It reads only the
+  filter's learned sets and applies its own predicates to them.
+- :func:`reference_shadow` is a request's transport-level shadow,
+  the packet :meth:`RequestBatch.packet_shadow` must derive.
 - :class:`ReferenceTrafficGenerator` (with
   :func:`reference_botnet_requests`) builds one :class:`HttpRequest`
   per draw, in the draw order the columnar generator must keep:
@@ -17,14 +21,19 @@
 All of them are deliberately the slow, obvious form of the computation.
 """
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.honeypot.batch import RequestBatch
 from repro.honeypot.categorize import (
-    CategorizedRequest,
+    CATEGORIES,
+    SUBCATEGORIES,
+    CategorizedBatch,
     Category,
     Subcategory,
+    TrafficCategorizer,
 )
 from repro.honeypot.filtering import FilterStats, TwoStageFilter
 from repro.honeypot.http import (
@@ -34,7 +43,6 @@ from repro.honeypot.http import (
     Transport,
 )
 from repro.honeypot.nvd import VulnerabilityDatabase
-from repro.honeypot.recorder import TrafficRecorder
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.useragent import AgentKind, UserAgentInfo, parse_user_agent
 from repro.honeypot.webfilter import ReferralKind, WebFilter, WebPage
@@ -60,6 +68,39 @@ from repro.workloads.honeytraffic import (
 from repro.workloads.ipspace import make_pool
 
 # -- categorizer -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CategorizedRequest:
+    """One request with its classification."""
+
+    request: HttpRequest
+    category: Category
+    subcategory: Subcategory
+    agent_name: str = ""
+
+
+def categorized_items(categorized: CategorizedBatch) -> List[CategorizedRequest]:
+    """A categorized batch's rows, decoded into objects."""
+    return [
+        CategorizedRequest(request, CATEGORIES[category], SUBCATEGORIES[sub], name)
+        for request, category, sub, name in zip(
+            categorized.requests.to_requests(),
+            categorized.categories.tolist(),
+            categorized.subcategories.tolist(),
+            categorized.agent_names.decode(),
+        )
+    ]
+
+
+def categorize_requests(
+    categorizer: TrafficCategorizer,
+    requests: Iterable[HttpRequest],
+    stream_threshold: Optional[int] = 50,
+) -> List[CategorizedRequest]:
+    """``categorizer.categorize_batch`` over request objects, decoded."""
+    batch = RequestBatch.from_requests(requests)
+    return categorized_items(categorizer.categorize_batch(batch, stream_threshold))
 
 
 class ReferenceCategorizer:
@@ -174,19 +215,35 @@ class ReferenceCategorizer:
 def reference_apply(
     noise_filter: TwoStageFilter, requests: Iterable[HttpRequest]
 ) -> Tuple[List[HttpRequest], FilterStats]:
-    """Figure 9, one request at a time."""
+    """Figure 9, one request at a time, over the filter's learned sets:
+    a baseline IP is scanner noise; a control IP, or a ``/.well-known``
+    URI seen on the control group, is establishment noise."""
     stats = FilterStats()
     kept: List[HttpRequest] = []
     for request in requests:
         stats.input_requests += 1
-        if noise_filter.is_scanner_noise(request):
+        if request.src_ip in noise_filter._scanner_ips:
             stats.dropped_by_ip_baseline += 1
-        elif noise_filter.is_establishment_noise(request):
+        elif request.src_ip in noise_filter._control_ips or (
+            request.uri in noise_filter._control_uris
+            and request.uri.startswith("/.well-known")
+        ):
             stats.dropped_by_control_group += 1
         else:
             kept.append(request)
     stats.kept = len(kept)
     return kept, stats
+
+
+def reference_shadow(request: HttpRequest) -> PacketRecord:
+    """The transport-level shadow of one request."""
+    return PacketRecord(
+        timestamp=request.timestamp,
+        src_ip=request.src_ip,
+        dst_port=request.port,
+        transport=Transport.TCP,
+        payload_size=len(request.uri) + len(request.user_agent) + 64,
+    )
 
 
 # -- traffic generators ----------------------------------------------------------
@@ -537,20 +594,21 @@ class ReferenceTrafficGenerator:
 
 
 def reference_no_hosting_baseline(rng, packets=3_000, monitor_share=0.55):
-    recorder = TrafficRecorder("no-hosting")
+    """The no-hosting recorder's packets, in recording order."""
     scanners = make_pool("scanners", rng)
     aws = make_pool("aws-monitor", rng)
+    recorded = []
     for _ in range(packets):
         timestamp = int(rng.integers(0, CALIBRATION_SECONDS))
         if rng.random() < monitor_share:
-            recorder.record_packet(
+            recorded.append(
                 PacketRecord(
                     timestamp, aws.address(), AWS_MONITOR_PORT, Transport.TCP, 64
                 )
             )
         else:
             port = SCANNED_PORTS[int(rng.integers(0, len(SCANNED_PORTS)))]
-            recorder.record_packet(
+            recorded.append(
                 PacketRecord(
                     timestamp,
                     scanners.address(),
@@ -559,15 +617,17 @@ def reference_no_hosting_baseline(rng, packets=3_000, monitor_share=0.55):
                     int(rng.integers(40, 400)),
                 )
             )
-    return recorder
+    return recorded
 
 
 def reference_control_traffic(rng, requests=1_500):
-    recorder = TrafficRecorder("control-group")
+    """The control recorder's (requests, packets), in recording order:
+    each request's shadow, then the platform monitor's packets."""
     hosts = list(CONTROL_DOMAINS)
     letsencrypt = make_pool("letsencrypt", rng)
     scanners = make_pool("scanners", rng)
     aws = make_pool("aws-monitor", rng)
+    recorded = []
     for _ in range(requests):
         timestamp = int(rng.integers(0, CALIBRATION_SECONDS))
         host = hosts[int(rng.integers(0, len(hosts)))]
@@ -590,9 +650,10 @@ def reference_control_traffic(rng, requests=1_500):
                 timestamp=timestamp, src_ip=scanners.address(), host=host,
                 path="/", user_agent="", port=443,
             )
-        recorder.record_request(request)
+        recorded.append(request)
+    packets = [reference_shadow(request) for request in recorded]
     for _ in range(requests):
-        recorder.record_packet(
+        packets.append(
             PacketRecord(
                 int(rng.integers(0, CALIBRATION_SECONDS)),
                 aws.address(),
@@ -601,7 +662,7 @@ def reference_control_traffic(rng, requests=1_500):
                 64,
             )
         )
-    return recorder
+    return recorded, packets
 
 
 def reference_platform_packets(rng, count, duration=CALIBRATION_SECONDS * 3):

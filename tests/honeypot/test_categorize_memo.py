@@ -13,18 +13,18 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.honeypot.categorize import (
-    CategorizedRequest,
-    Category,
-    TrafficCategorizer,
-)
+from repro.honeypot.categorize import Category, TrafficCategorizer
 from repro.honeypot.http import HttpRequest
 from repro.honeypot.nvd import SENSITIVE_FILES, Severity, VulnerabilityDatabase
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.webfilter import WebFilter, WebPage
 from repro.workloads import useragents as ua
 
-from tests.honeypot.reference import ReferenceCategorizer
+from tests.honeypot.reference import (
+    CategorizedRequest,
+    ReferenceCategorizer,
+    categorize_requests,
+)
 
 USER_AGENTS = (
     "",
@@ -146,19 +146,25 @@ def test_memoized_categorize_many_matches_fresh_categorize(first, second, thresh
         nvd=nvd, reverse_ip=reverse_ip, web_filter=web_filter
     )
     files = dict(SENSITIVE_FILES)
-    assert categorizer.categorize_many(first, threshold) == _reference(
+    assert categorize_requests(categorizer, first, threshold) == _reference(
         first, files, threshold
     )
     # A database update between batches must reach remembered verdicts.
     nvd.add("newprobe.php", Severity.HIGH)
     files["newprobe.php"] = Severity.HIGH
-    assert categorizer.categorize_many(second, threshold) == _reference(
+    assert categorize_requests(categorizer, second, threshold) == _reference(
         second, files, threshold
     )
     # And a replay of the first batch sees the new database too.
-    assert categorizer.categorize_many(first, threshold) == _reference(
+    assert categorize_requests(categorizer, first, threshold) == _reference(
         first, files, threshold
     )
+
+
+def _subcategory(categorizer, request):
+    """The one request's subcategory, without stream reclassification."""
+    [item] = categorize_requests(categorizer, [request], stream_threshold=None)
+    return item.subcategory.value
 
 
 def test_add_flips_a_remembered_verdict():
@@ -168,12 +174,11 @@ def test_add_flips_a_remembered_verdict():
         timestamp=0, src_ip="10.0.0.1", host="a.com", path="/newprobe.php",
         user_agent="curl/7.85.0",
     )
-    before = categorizer.categorize(probe)
-    assert before.subcategory.value == "script-software"
+    assert _subcategory(categorizer, probe) == "script-software"
     assert nvd.is_malicious_uri("/newprobe.php", "") is False
     nvd.add("newprobe.php", Severity.HIGH)
     assert nvd.is_malicious_uri("/newprobe.php", "") is True
-    assert categorizer.categorize(probe).subcategory.value == "malicious-request"
+    assert _subcategory(categorizer, probe) == "malicious-request"
 
 
 def test_memos_belong_to_their_instance():
@@ -184,8 +189,8 @@ def test_memos_belong_to_their_instance():
         timestamp=0, src_ip="10.0.0.1", host="a.com", path="/newprobe.php",
         user_agent="curl/7.85.0",
     )
-    left.categorize(probe)
-    right.categorize(probe)
+    _subcategory(left, probe)
+    _subcategory(right, probe)
     left.nvd.add("newprobe.php", Severity.HIGH)
-    assert left.categorize(probe).subcategory.value == "malicious-request"
-    assert right.categorize(probe).subcategory.value == "script-software"
+    assert _subcategory(left, probe) == "malicious-request"
+    assert _subcategory(right, probe) == "script-software"

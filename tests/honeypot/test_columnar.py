@@ -10,7 +10,8 @@
   honeypot generator in the same state; so do the calibration
   generators.
 - Structure: a whole study report builds no request, packet or
-  categorized-request object.
+  categorized-request object (``test_edges.py`` checks the same
+  statically: where ``src`` may build or accept one).
 """
 
 import pytest
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 from repro.core.study import NxdomainStudy, StudyConfig
 from repro.honeypot import categorize as categorize_mod
 from repro.honeypot import http as http_mod
-from repro.honeypot.batch import RequestBatch
+from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.categorize import TrafficCategorizer
 from repro.honeypot.filtering import TwoStageFilter
-from repro.honeypot.http import HttpRequest, PacketRecord
+from repro.honeypot.http import HttpRequest
+from repro.honeypot.recorder import TrafficRecorder
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.webfilter import WebFilter
 from repro.rand import make_rng
@@ -35,9 +37,12 @@ from repro.workloads.control import (
 from repro.workloads.domains import registered_domain_profiles
 from repro.workloads.honeytraffic import HoneypotTrafficGenerator
 
+from tests.honeypot import reference as reference_mod
 from tests.honeypot.reference import (
     ReferenceCategorizer,
     ReferenceTrafficGenerator,
+    categorize_requests,
+    categorized_items,
     reference_apply,
     reference_control_traffic,
     reference_no_hosting_baseline,
@@ -47,21 +52,16 @@ from tests.honeypot.test_categorize_memo import IPS, _context, requests_strategy
 
 
 def _filter():
-    noise_filter = TwoStageFilter()
-    noise_filter.learn_no_hosting_baseline([PacketRecord(0, IPS[3], 22)])
-    noise_filter.learn_control_group(
-        [
-            HttpRequest(
-                timestamp=0, src_ip=IPS[1], host="ctrl.example",
-                path="/.well-known/acme-challenge/token",
-            ),
-            HttpRequest(
-                timestamp=0, src_ip="203.0.113.9", host="ctrl.example", path="/page/3",
-                query="x",
-            ),
-        ]
+    no_hosting = TrafficRecorder("no-hosting")
+    no_hosting.record_packet_batch(PacketBatch.of([0], src_ip=IPS[3], port=22))
+    control = TrafficRecorder("control-group")
+    control.record_batch(
+        RequestBatch.of(
+            [0, 0], src_ip=[IPS[1], "203.0.113.9"], host="ctrl.example",
+            path=["/.well-known/acme-challenge/token", "/page/3"], query=["", "x"],
+        )
     )
-    return noise_filter
+    return TwoStageFilter.calibrated(no_hosting, control)
 
 
 def _rows(items):
@@ -83,7 +83,8 @@ def test_columnar_filter_and_categorizer_match_reference(requests, threshold):
     reverse_ip, web_filter = _context()
     columnar = TrafficCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
     reference = ReferenceCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
-    assert _rows(columnar.categorize_batch(kept, threshold).items()) == _rows(
+    categorized = columnar.categorize_batch(kept, threshold)
+    assert _rows(categorized_items(categorized)) == _rows(
         reference.categorize_many(reference_kept, threshold)
     )
 
@@ -117,7 +118,7 @@ def test_every_branch_matches_reference():
     reverse_ip, web_filter = _context()
     columnar = TrafficCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
     reference = ReferenceCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
-    items = columnar.categorize_many(requests, stream_threshold=3)
+    items = categorize_requests(columnar, requests, stream_threshold=3)
     assert _rows(items) == _rows(reference.categorize_many(requests, 3))
     assert {item.subcategory for item in items} == set(categorize_mod.Subcategory)
     assert items[-1].category == categorize_mod.Category.AUTOMATED
@@ -137,7 +138,7 @@ def test_stream_threshold_counts_equal_uris_from_different_fields():
     ]
     columnar = TrafficCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
     reference = ReferenceCategorizer(reverse_ip=reverse_ip, web_filter=web_filter)
-    items = columnar.categorize_many(requests, stream_threshold=2)
+    items = categorize_requests(columnar, requests, stream_threshold=2)
     assert _rows(items) == _rows(reference.categorize_many(requests, 2))
     assert {item.category.value for item in items} == {"automated-process"}
 
@@ -184,13 +185,14 @@ def test_polling_fleet_keeps_the_draw_stream(count):
 @pytest.mark.parametrize("seed", [0, 4])
 def test_calibration_generators_keep_the_draw_stream(seed):
     ours, theirs = make_rng(seed), make_rng(seed)
-    for build, reference in (
-        (generate_no_hosting_baseline, reference_no_hosting_baseline),
-        (generate_control_traffic, reference_control_traffic),
-    ):
-        recorder, expected = build(ours, 400), reference(theirs, 400)
-        assert recorder.requests() == expected.requests()
-        assert recorder.packets() == expected.packets()
+    recorder = generate_no_hosting_baseline(ours, 400)
+    expected_packets = reference_no_hosting_baseline(theirs, 400)
+    assert recorder.request_batch().to_requests() == []
+    assert recorder.packet_batch().to_packets() == expected_packets
+    recorder = generate_control_traffic(ours, 400)
+    expected_requests, expected_packets = reference_control_traffic(theirs, 400)
+    assert recorder.request_batch().to_requests() == expected_requests
+    assert recorder.packet_batch().to_packets() == expected_packets
     packets = generate_platform_packets(ours, 300)
     assert packets.to_packets() == reference_platform_packets(theirs, 300)
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -201,7 +203,7 @@ def test_full_report_builds_no_per_request_objects(monkeypatch):
     for module, name in (
         (http_mod, "HttpRequest"),
         (http_mod, "PacketRecord"),
-        (categorize_mod, "CategorizedRequest"),
+        (reference_mod, "CategorizedRequest"),
     ):
         cls = getattr(module, name)
         original = cls.__init__

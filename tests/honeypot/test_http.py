@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.honeypot.batch import RequestBatch
 from repro.honeypot.http import HttpRequest, PacketRecord, Transport
+
+from tests.honeypot.reference import reference_shadow
 
 
 def request(**overrides):
@@ -66,8 +69,14 @@ class TestHttpRequest:
         assert params["empty"] == ""
         assert request().query_parameters() == {}
 
-    def test_to_packet(self):
-        packet = request(port=443).to_packet()
-        assert packet.dst_port == 443
-        assert packet.src_ip == "198.51.100.7"
-        assert packet.payload_size > 0
+    def test_packet_shadow_matches_reference(self):
+        requests = [
+            request(port=443),
+            request(path="/getTask.php", query="imei=1", user_agent="curl/7.85.0"),
+            request(timestamp=9, src_ip="10.0.0.1", path="/a/b.json"),
+        ]
+        shadows = RequestBatch.from_requests(requests).packet_shadow().to_packets()
+        assert shadows == [reference_shadow(r) for r in requests]
+        assert shadows[0].dst_port == 443
+        assert shadows[0].src_ip == "198.51.100.7"
+        assert shadows[1].payload_size == len("/getTask.php?imei=1") + 11 + 64

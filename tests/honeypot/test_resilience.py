@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import TransientStoreError
 from repro.faults import FaultPlan
-from repro.honeypot.http import HttpRequest, PacketRecord
+from repro.honeypot.batch import PacketBatch
+from repro.honeypot.http import HttpRequest
 from repro.honeypot.server import LANDING_PAGE, NxdHoneypot
 from repro.resilience import DeadLetterQueue
 
@@ -20,7 +21,7 @@ def _request(i=0):
 
 
 def _packet(i=0):
-    return PacketRecord(timestamp=1_000 + i, src_ip="203.0.113.9", dst_port=22)
+    return PacketBatch.of([1_000 + i], src_ip="203.0.113.9", port=22)
 
 
 def _always_fail(context):
@@ -31,7 +32,7 @@ def test_recorder_failure_still_serves_the_landing_page():
     honeypot = NxdHoneypot(["x.com"])
     honeypot.recorder.fault_hook = _always_fail
     assert honeypot.accept_request(_request()) == LANDING_PAGE
-    honeypot.accept_packet(_packet())
+    honeypot.accept_packet_batch(_packet())
     assert honeypot.recorder_errors == 2
     assert honeypot.recorder.request_count == 0
     assert honeypot.pages_served == 1
@@ -42,7 +43,7 @@ def test_dead_lettered_traffic_replays_after_recovery():
     honeypot = NxdHoneypot(["x.com"], dead_letters=queue)
     honeypot.recorder.fault_hook = _always_fail
     honeypot.accept_request(_request(0))
-    honeypot.accept_packet(_packet(1))
+    honeypot.accept_packet_batch(_packet(1))
     assert len(queue) == 2
     honeypot.recorder.fault_hook = None  # the recorder recovers
     stats = honeypot.replay_dead_letters()
@@ -70,7 +71,7 @@ def test_store_injector_drives_the_recorder_hook():
 def test_healthy_capture_path_is_unchanged():
     honeypot = NxdHoneypot(["x.com"])
     assert honeypot.accept_request(_request()) == LANDING_PAGE
-    honeypot.accept_packet(_packet())
+    honeypot.accept_packet_batch(_packet())
     assert honeypot.recorder.request_count == 1
     assert honeypot.recorder.packet_count == 2
     assert honeypot.recorder_errors == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.honeypot.categorize import Subcategory, TrafficCategorizer
+from repro.honeypot.batch import RequestBatch
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.rand import make_rng
 from repro.workloads.botnet import (
@@ -51,7 +52,7 @@ class TestGpclickBotnet:
     def requests(self):
         table = ReverseIpTable()
         botnet = GpclickBotnet(make_rng(7), table)
-        return botnet.requests(800, 0, 10_000_000), table
+        return botnet.batch(800, 0, 10_000_000).to_requests(), table
 
     def test_shape(self, requests):
         reqs, _ = requests
@@ -95,15 +96,17 @@ class TestGpclickBotnet:
     def test_classified_as_malicious_request(self, requests):
         reqs, _ = requests
         categorizer = TrafficCategorizer()
-        item = categorizer.categorize(reqs[0])
-        assert item.subcategory == Subcategory.MALICIOUS_REQUEST
+        categorized = categorizer.categorize_batch(
+            RequestBatch.from_requests(reqs[:1]), stream_threshold=None
+        )
+        assert categorized.rows_of(Subcategory.MALICIOUS_REQUEST).all()
 
     def test_validation(self):
         botnet = GpclickBotnet(make_rng(1))
         with pytest.raises(ValueError):
-            botnet.requests(-1, 0, 10)
+            botnet.batch(-1, 0, 10)
         with pytest.raises(ValueError):
-            botnet.requests(1, 10, 10)
+            botnet.batch(1, 10, 10)
 
     def test_continent_of_unknown(self):
         assert continent_of_country("zz") is None

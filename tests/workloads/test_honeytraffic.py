@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.honeypot.categorize import (
-    Category,
-    Subcategory,
-    TrafficCategorizer,
-    category_counts,
-    subcategory_counts,
-)
+from repro.honeypot.categorize import Category, Subcategory, TrafficCategorizer
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.honeypot.webfilter import WebFilter
 from repro.rand import make_rng
@@ -76,9 +70,10 @@ class TestGeneratedClassification:
             profile = profiles[name]
             count = 40
             emitter = generator._emitters[field]
-            requests = emitter(profile, count).to_requests()
-            categorized = categorizer.categorize_many(requests, stream_threshold=None)
-            matched = sum(1 for c in categorized if c.subcategory == field)
+            categorized = categorizer.categorize_batch(
+                emitter(profile, count), stream_threshold=None
+            )
+            matched = int(categorized.rows_of(field).sum())
             assert matched / len(categorized) >= 0.9, (name, field)
 
     def test_polling_fleet_needs_stream_reclassifier(self, setup):
@@ -86,11 +81,11 @@ class TestGeneratedClassification:
         profile = next(
             p for p in registered_domain_profiles() if p.polling_fleet
         )
-        requests = generator._emit_script_software(profile, 600).to_requests()
-        without = categorizer.categorize_many(requests, stream_threshold=None)
-        with_streams = categorizer.categorize_many(requests, stream_threshold=50)
-        assert category_counts(without)[Category.USER_VISIT] == 600
-        counts = category_counts(with_streams)
+        requests = generator._emit_script_software(profile, 600)
+        without = categorizer.categorize_batch(requests, stream_threshold=None)
+        with_streams = categorizer.categorize_batch(requests, stream_threshold=50)
+        assert without.category_counts()[Category.USER_VISIT] == 600
+        counts = with_streams.category_counts()
         assert counts[Category.AUTOMATED] > 500
 
 
@@ -105,52 +100,38 @@ class TestEndToEndTable1:
         categorizer = TrafficCategorizer(
             reverse_ip=reverse_ip, web_filter=web_filter
         )
-        requests = generator.generate(include_noise=False)
-        categorized = categorizer.categorize_many(requests)
-        return requests, categorized
+        traffic = generator.generate_batch(include_noise=False)
+        return categorizer.categorize_batch(traffic)
 
     def test_volume_matches_scale(self, table):
-        requests, _ = table
         expected = 5_925_311 * 0.002
-        assert abs(len(requests) - expected) / expected < 0.1
+        assert abs(len(table.requests) - expected) / expected < 0.1
 
     def test_automated_dominates(self, table):
-        _, categorized = table
-        counts = category_counts(categorized)
+        counts = table.category_counts()
         assert counts[Category.AUTOMATED] > counts[Category.WEB_CRAWLER]
         assert counts[Category.AUTOMATED] > counts[Category.USER_VISIT]
         assert counts[Category.AUTOMATED] > counts[Category.REFERRAL]
 
     def test_resheba_is_top_domain(self, table):
-        requests, _ = table
-        volumes = {}
-        for request in requests:
-            volumes[request.host] = volumes.get(request.host, 0) + 1
+        volumes = table.requests.host.tally()
         top = max(volumes, key=volumes.get)
         assert top == "resheba.online"
 
     def test_gpclick_malicious_share(self, table):
-        _, categorized = table
-        gpclick = [c for c in categorized if c.request.host == "gpclick.com"]
-        malicious = sum(
-            1 for c in gpclick if c.subcategory == Subcategory.MALICIOUS_REQUEST
-        )
-        assert malicious / len(gpclick) > 0.9
+        gpclick = table.requests.host_rows("gpclick.com")
+        malicious = gpclick & table.rows_of(Subcategory.MALICIOUS_REQUEST)
+        assert malicious.sum() / gpclick.sum() > 0.9
 
     def test_subcategory_shape_per_domain(self, table):
         """Every domain's dominant generated subcategory matches Table 1."""
-        _, categorized = table
         paper_dominant = {}
         for domain, (row, _) in PAPER_TABLE1.items():
             cells = dict(zip(TABLE1_FIELDS, row))
             paper_dominant[domain] = max(cells, key=cells.get)
-        measured = {}
-        for item in categorized:
-            bucket = measured.setdefault(item.request.host, [])
-            bucket.append(item)
         mismatches = []
-        for domain, items in measured.items():
-            counts = subcategory_counts(items)
+        for domain in table.requests.host.tally():
+            counts = table.subcategory_counts(table.requests.host_rows(domain))
             dominant = max(counts, key=counts.get)
             if dominant != paper_dominant[domain]:
                 mismatches.append((domain, dominant, paper_dominant[domain]))
@@ -167,7 +148,7 @@ class TestCalibrationDeployments:
 
     def test_control_group_has_establishment_traffic(self):
         recorder = generate_control_traffic(make_rng(3), requests=500)
-        requests = recorder.requests()
+        requests = recorder.request_batch().to_requests()
         assert any(r.path.startswith("/.well-known") for r in requests)
         assert all(r.host.startswith("control-study-") for r in requests)
         assert recorder.port_histogram().get(52646, 0) > 0
@@ -181,10 +162,10 @@ class TestCalibrationDeployments:
         noise_filter = TwoStageFilter.calibrated(no_hosting, control)
 
         generator = HoneypotTrafficGenerator(make_rng(10), scale=0.001)
-        requests = generator.generate(include_noise=True)
-        kept, stats = noise_filter.apply(requests)
+        requests = generator.generate_batch(include_noise=True)
+        kept, stats = noise_filter.apply_batch(requests)
         assert stats.dropped > 0
         # The genuine traffic survives nearly intact.
         assert stats.kept / stats.input_requests > 0.9
         # And the well-known URI noise is gone from what's kept.
-        assert not any(r.path.startswith("/.well-known") for r in kept)
+        assert not any(p.startswith("/.well-known") for p in kept.path.distinct())
