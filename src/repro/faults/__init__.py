@@ -1,18 +1,20 @@
 """Deterministic fault injection.
 
 The paper's measurement substrate ran for eight years in the wild,
-where sensor dropout, malformed packets, duplicate delivery, and
-collector outages are routine.  This package reproduces those failure
-modes *deterministically*: a :class:`FaultPlan` describes which faults
-occur at which rates, and :class:`FaultSchedule` materializes the plan
-against a seed so that the same (plan, seed) pair produces a
-bit-identical injection schedule — every decision flows through
-:mod:`repro.rand` streams and simulated time, never wall-clock state.
+where sensor dropout, duplicate and out-of-order delivery, crashing
+consumers, and collector outages are routine.  This package
+reproduces those failure modes *deterministically*: a
+:class:`FaultPlan` describes which faults occur at which rates, and
+:class:`FaultSchedule` materializes the plan against a seed so that
+the same (plan, seed) pair produces a bit-identical injection
+schedule — every decision flows through :mod:`repro.rand` streams and
+simulated time, never wall-clock state.
 
-The injectors are composable and content-agnostic (they operate on
-opaque items, timestamps, and byte strings), so the same harness
-drives the passive DNS pipeline, the honeypot recorder, and the
-resolver.  The resilience primitives that absorb these faults live in
+The injectors are composable and content-agnostic (they decide over
+timestamps, opaque items, and write boundaries): the ingest injectors
+drive the passive DNS pipeline, the serving injectors the query tier,
+and the storage injectors the spill store's write boundaries.  The
+resilience primitives that absorb these faults live in
 :mod:`repro.resilience`; the wired-up pipeline lives in
 :mod:`repro.passivedns.pipeline`.
 """
@@ -20,7 +22,6 @@ resolver.  The resilience primitives that absorb these faults live in
 from repro.faults.injectors import (
     BitFlipInjector,
     BurstInjector,
-    CorruptionInjector,
     CrashInjector,
     DropInjector,
     DuplicateInjector,
@@ -46,7 +47,6 @@ from repro.faults.plan import (
 __all__ = [  # repro: noqa[REP104] fault-plan record types; exported for annotations
     "BitFlipInjector",
     "BurstInjector",
-    "CorruptionInjector",
     "CrashInjector",
     "DropInjector",
     "DropoutWindow",

@@ -12,13 +12,15 @@ Every injector counts the uniform draws it consumes (``draws``) so a
 resumed pipeline can fast-forward a fresh schedule to the exact RNG
 state of an interrupted run (see ``FaultSchedule.fast_forward``).
 
-The ingest-side injectors also decide whole batches at once
-(``drop_mask``, ``copies_mask``, ``push_many``, ``attempt_many``, ...).
-A batch draws its uniforms as one vector, which reproduces the scalar
-draws bit for bit, and returns its events instead of logging them, so
-the caller can merge the events of several injectors into the order
-the scalar calls would have logged them in (see
-``InjectionLog.extend``).
+The ingest-side injectors decide whole batches only (``drop_mask``,
+``copies_mask``, ``push_many``, ``crash_mask``, ``attempt_many``,
+``burst_mask``): a batch draws its uniforms as one vector and returns
+its events instead of logging them, so the ingest pipeline can merge
+the events of several injectors into one injection order (see
+``InjectionLog.extend``).  The serving injectors decide one query at a
+time (``delay``, ``stuck``, ``factor``), because the query tier meets
+its queries one at a time.  The record-at-a-time rules the batch forms
+must reproduce live in ``tests/faults/reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Iterable,
     List,
     NamedTuple,
@@ -206,27 +207,15 @@ class DropInjector(Injector):
         self.window_drops = 0
         self.random_drops = 0
 
-    def should_drop(self, timestamp: int) -> bool:
-        """Decide whether the observation at ``timestamp`` is lost."""
-        self.decisions += 1
-        draw = self._uniform()
-        for start, end in self.windows:
-            if start <= timestamp < end:
-                self.window_drops += 1
-                self._record("window-drop", f"t={timestamp}")
-                return True
-        if draw < self.rate:
-            self.random_drops += 1
-            self._record("drop", f"t={timestamp}")
-            return True
-        return False
-
     def drop_mask(
         self, timestamps: np.ndarray
     ) -> Tuple[np.ndarray, List[InjectionEvent]]:
-        """Vector form of :meth:`should_drop` over a batch.
+        """Decide which observations at ``timestamps`` are lost.
 
-        Returns the drop mask and one event per drop, in decision order.
+        Every decision takes one draw, window or not: an observation
+        inside a dark window is lost whatever its draw, any other when
+        its draw falls below ``rate``.  Returns the drop mask and one
+        event per drop, in decision order.
         """
         first, draws = self._decide(len(timestamps))
         windowed = _in_windows(self.windows, timestamps)
@@ -252,29 +241,6 @@ class DropInjector(Injector):
         return dropped, events
 
 
-class CorruptionInjector(Injector):
-    """Wire-byte corruption: a truncated or bit-flipped UDP datagram."""
-
-    name = "corrupt"
-
-    def __init__(self, rate: float, rng: np.random.Generator, log: InjectionLog) -> None:
-        super().__init__(rng, log)
-        self.rate = rate
-
-    def corrupt(self, data: bytes) -> bytes:
-        """Return ``data``, possibly with one byte flipped."""
-        self.decisions += 1
-        draw = self._uniform()
-        if draw >= self.rate or not data:
-            return data
-        position = int(self._uniform() * len(data)) % len(data)
-        flip = 1 + int(self._uniform() * 255) % 255
-        self._record("flip", f"byte={position} xor={flip}")
-        mutated = bytearray(data)
-        mutated[position] ^= flip
-        return bytes(mutated)
-
-
 class DuplicateInjector(Injector):
     """At-least-once delivery: the channel hands an item over twice."""
 
@@ -284,18 +250,10 @@ class DuplicateInjector(Injector):
         super().__init__(rng, log)
         self.rate = rate
 
-    def copies(self, timestamp: int) -> int:
-        """How many times the current item is delivered (1 or 2)."""
-        self.decisions += 1
-        if self._uniform() < self.rate:
-            self._record("duplicate", f"t={timestamp}")
-            return 2
-        return 1
-
     def copies_mask(
         self, timestamps: np.ndarray
     ) -> Tuple[np.ndarray, List[InjectionEvent]]:
-        """Vector form of :meth:`copies`: the mask of doubled items."""
+        """The mask of items delivered twice, one draw each."""
         first, draws = self._decide(len(timestamps))
         doubled = draws < self.rate
         positions = np.flatnonzero(doubled)
@@ -322,24 +280,10 @@ class ReorderInjector(Injector):
         self.depth = depth
         self._held: List[T] = []
 
-    def push(self, item: T) -> List[T]:
-        """Offer one item; returns the items released (possibly [])."""
-        self.decisions += 1
-        draw = self._uniform()
-        if draw < self.rate and len(self._held) < self.depth:
-            self._held.append(item)
-            self._record("hold", f"depth={len(self._held)}")
-            return []
-        if self._held:
-            released = [item] + self._held
-            self._held = []
-            return released
-        return [item]
-
     def push_many(
         self, items: Sequence[T]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[InjectionEvent]]:
-        """Vector form of :meth:`push` over ``items`` in push order.
+        """Offer ``items`` to the hold-back buffer in push order.
 
         Works on integer positions over the items already held (oldest
         first, positions ``0..h-1``) followed by ``items`` (position
@@ -350,8 +294,10 @@ class ReorderInjector(Injector):
         their item (one event each).  Items still held at the end stay
         held for the next batch or :meth:`flush`.
 
-        A push holds while the buffer has room and its draw says hold,
-        so within a run of hold draws that starts with ``h0`` items
+        Each push takes one draw.  It holds its item while the buffer
+        has room and the draw falls below ``rate``; otherwise it
+        releases its own item, then every held item, oldest first.  So
+        within a run of hold draws that starts with ``h0`` items
         held, the buffer before the ``j``-th push holds
         ``(h0 + j) mod (depth + 1)`` items and the push releases
         exactly when that reaches ``depth``.
@@ -408,13 +354,6 @@ class CrashInjector(Injector):
         super().__init__(rng, log)
         self.rate = rate
 
-    def maybe_crash(self, context: str = "") -> None:
-        """Raise :class:`InjectedFaultError` with the configured rate."""
-        self.decisions += 1
-        if self._uniform() < self.rate:
-            self._record("crash", context)
-            raise self.failure(context)
-
     def failure(self, context: str = "") -> InjectedFaultError:
         """The error an injected crash at ``context`` raises."""
         return InjectedFaultError(
@@ -424,24 +363,12 @@ class CrashInjector(Injector):
     def crash_mask(
         self, count: int, context: str = ""
     ) -> Tuple[np.ndarray, List[InjectionEvent]]:
-        """Vector form of :meth:`maybe_crash` for ``count`` deliveries.
-
-        Returns the mask of deliveries that crash instead of raising.
-        """
+        """The mask of ``count`` deliveries that crash, one draw each."""
         first, draws = self._decide(count)
         crashed = draws < self.rate
         positions = np.flatnonzero(crashed)
         details = [context] * len(positions)
         return crashed, self._events(first, positions, "crash", details)
-
-    def wrap(self, handler: Callable[[T], None], context: str = "") -> Callable[[T], None]:
-        """A handler that crashes per schedule before delegating."""
-
-        def faulty(item: T) -> None:
-            self.maybe_crash(context)
-            handler(item)
-
-        return faulty
 
 
 class StoreFaultInjector(Injector):
@@ -453,13 +380,6 @@ class StoreFaultInjector(Injector):
         super().__init__(rng, log)
         self.rate = rate
 
-    def check(self, context: str = "") -> None:
-        """Raise :class:`TransientStoreError` with the configured rate."""
-        self.decisions += 1
-        if self._uniform() < self.rate:
-            self._record("store-failure", context)
-            raise self.failure(context)
-
     def failure(self, context: str = "") -> TransientStoreError:
         """The error an injected store failure at ``context`` raises."""
         return TransientStoreError(
@@ -469,10 +389,11 @@ class StoreFaultInjector(Injector):
     def attempt_many(
         self, contexts: Sequence[str], max_attempts: int
     ) -> Tuple[np.ndarray, np.ndarray, List[InjectionEvent]]:
-        """Vector form of up to ``max_attempts`` :meth:`check` calls per item.
+        """Up to ``max_attempts`` write attempts per item, one draw each.
 
-        Item ``j`` is checked until one check passes or
-        ``max_attempts`` have failed, then item ``j + 1`` is checked.
+        An attempt fails when its draw falls below ``rate``.  Item
+        ``j`` is checked until one check passes or ``max_attempts``
+        have failed, then item ``j + 1`` is checked.
         Returns ``(failed, failure_items, events)``: ``failed[j]`` says
         whether all of item ``j``'s attempts failed, and one event per
         failed check gives its item in ``failure_items``.
@@ -541,19 +462,10 @@ class BurstInjector(Injector):
         self.windows = tuple(windows)
         self.multiplier = multiplier
 
-    def factor(self, timestamp: int) -> int:
-        """Volume multiplier in effect at ``timestamp`` (1 = none)."""
-        self.decisions += 1
-        for start, end in self.windows:
-            if start <= timestamp < end:
-                self._record("burst", f"t={timestamp} x{self.multiplier}")
-                return self.multiplier
-        return 1
-
     def burst_mask(
         self, timestamps: np.ndarray
     ) -> Tuple[np.ndarray, List[InjectionEvent]]:
-        """Vector form of :meth:`factor`: the mask of amplified items."""
+        """The mask of items inside a flood window (no draws)."""
         first, _ = self._decide(len(timestamps), draw=False)
         amplified = _in_windows(self.windows, timestamps)
         positions = np.flatnonzero(amplified)

@@ -18,7 +18,6 @@ from repro.clock import SECONDS_PER_DAY, STUDY_END, STUDY_START, date_to_epoch
 from repro.errors import ConfigError
 from repro.faults.injectors import (
     BurstInjector,
-    CorruptionInjector,
     CrashInjector,
     DropInjector,
     DuplicateInjector,
@@ -42,7 +41,6 @@ __all__ = [  # repro: noqa[REP104] fault-plan record types; exported for annotat
 
 _RATE_FIELDS = (
     "drop_rate",
-    "corrupt_rate",
     "duplicate_rate",
     "reorder_rate",
     "subscriber_crash_rate",
@@ -83,8 +81,6 @@ class FaultPlan:
     #: Count and length of scheduled sensor-dark windows.
     dropout_windows: int = 0
     dropout_window_days: float = 1.0
-    #: Per-packet wire-byte corruption.
-    corrupt_rate: float = 0.0
     #: Per-observation duplicate delivery.
     duplicate_rate: float = 0.0
     #: Per-observation hold-back (out-of-order delivery).
@@ -203,11 +199,6 @@ class FaultSchedule:
     resumed run can re-align by fast-forwarding draw counters.
     """
 
-    _INJECTOR_LABELS = (
-        "drop", "corrupt", "duplicate", "reorder", "crash", "store", "burst",
-        "slow-worker", "stuck-worker", "query-burst",
-    )
-
     def __init__(self, plan: FaultPlan, seed: int) -> None:
         self.plan = plan
         self.seed = int(seed)
@@ -226,9 +217,6 @@ class FaultSchedule:
             [(w.start, w.end) for w in self.dropout_windows],
             self._seeds.rng("drop"),
             self.log,
-        )
-        self.corrupt = CorruptionInjector(
-            plan.corrupt_rate, self._seeds.rng("corrupt"), self.log
         )
         self.duplicate = DuplicateInjector(
             plan.duplicate_rate, self._seeds.rng("duplicate"), self.log
@@ -252,7 +240,7 @@ class FaultSchedule:
             self.log,
         )
         # Serving-tier injectors.  Streams are label-derived, so adding
-        # these never perturbs the seven ingest-side streams above.
+        # these never perturbs the six ingest-side streams above.
         self.query_burst_windows = self._place_windows(
             "query-burst-windows",
             plan.query_burst_episodes,
@@ -273,17 +261,20 @@ class FaultSchedule:
             self._seeds.rng("query-burst"),
             self.log,
         )
+        #: Every injector under its stream label, in ``summary`` order.
         self._injectors = {
-            "drop": self.drop,
-            "corrupt": self.corrupt,
-            "duplicate": self.duplicate,
-            "reorder": self.reorder,
-            "crash": self.crash,
-            "store": self.store,
-            "burst": self.burst,
-            "slow-worker": self.slow_worker,
-            "stuck-worker": self.stuck_worker,
-            "query-burst": self.query_burst,
+            injector.name: injector
+            for injector in (
+                self.drop,
+                self.duplicate,
+                self.reorder,
+                self.crash,
+                self.store,
+                self.burst,
+                self.slow_worker,
+                self.stuck_worker,
+                self.query_burst,
+            )
         }
 
     def _place_windows(
@@ -303,7 +294,7 @@ class FaultSchedule:
 
     def injector_seed(self, name: str) -> int:
         """The derived child seed feeding the named injector's stream."""
-        if name not in self._INJECTOR_LABELS:
+        if name not in self._injectors:
             raise ConfigError(f"unknown injector {name!r}")
         return self._seeds.child_seed(name)
 
@@ -330,6 +321,6 @@ class FaultSchedule:
     def summary(self) -> List[Tuple[str, int, int]]:
         """Per-injector (name, decisions, injected) rows, stable order."""
         return [
-            (name, self._injectors[name].decisions, self._injectors[name].injected)
-            for name in self._INJECTOR_LABELS
+            (name, injector.decisions, injector.injected)
+            for name, injector in self._injectors.items()
         ]

@@ -68,34 +68,10 @@ class HttpRequest:
         if self.port not in (HTTP_PORT, HTTPS_PORT):
             raise ConfigError("HTTP requests arrive on port 80 or 443 only")
 
-    # -- derived views ---------------------------------------------------
-
-    @property
-    def is_tls(self) -> bool:
-        return self.port == HTTPS_PORT
-
     @property
     def uri(self) -> str:
         """Path plus query string, as logged."""
         return f"{self.path}?{self.query}" if self.query else self.path
-
-    @property
-    def has_query_string(self) -> bool:
-        return bool(self.query)
-
-    @property
-    def filename(self) -> str:
-        """The final path segment ('' for directory-style paths)."""
-        return self.path.rsplit("/", 1)[-1]
-
-    @property
-    def extension(self) -> str:
-        """Lowercased file extension without the dot, or ''."""
-        return path_extension(self.path)
-
-    def query_parameters(self) -> Dict[str, str]:
-        """Parsed query-string parameters (last occurrence wins)."""
-        return parse_query(self.query)
 
 
 def path_extension(path: str) -> str:

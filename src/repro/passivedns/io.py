@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.errors import ConfigError, CorruptArchiveError, WorkloadError
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass

@@ -8,17 +8,17 @@ the workload layer — a recursive resolver whose *upstream* traffic is
 mirrored to a sensor, matching Farsight's dominant vantage point
 (between recursive resolvers and authoritative servers, above caches).
 
-A sensor may carry a :class:`~repro.faults.plan.FaultSchedule`, in
-which case the schedule's corruption injector mangles wire bytes
-before decoding and its drop injector models dark windows and packet
-loss — with every outcome tallied in :class:`SensorStats` rather than
-lost silently.
+A sensor injects no faults of its own: collection loss is modelled
+downstream by the ingest pipeline's fault schedule
+(:mod:`repro.passivedns.pipeline`).  Bytes that fail to decode come
+from outside the program, so they are counted in :class:`SensorStats`
+and dropped, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.dns.message import DnsMessage, RRType
 from repro.dns.name import DomainName
@@ -28,39 +28,23 @@ from repro.errors import WireFormatError
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.record import DnsObservation
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultSchedule
-
 
 @dataclass
 class SensorStats:
-    """Structured drop/corruption accounting for one sensor."""
+    """Per-sensor accounting of what was tapped and where it went."""
 
     observed: int = 0
     decode_errors: int = 0
-    corrupted: int = 0
-    dropped: int = 0
     published: int = 0
     filtered: int = 0
-
-    @property
-    def loss(self) -> int:
-        """Observations the sensor itself lost (decode + drops)."""
-        return self.decode_errors + self.dropped
 
 
 class Sensor:
     """Decodes wire responses and publishes observations."""
 
-    def __init__(
-        self,
-        sensor_id: str,
-        channel: SieChannel,
-        faults: Optional["FaultSchedule"] = None,
-    ) -> None:
+    def __init__(self, sensor_id: str, channel: SieChannel) -> None:
         self.sensor_id = sensor_id
         self.channel = channel
-        self.faults = faults
         self.stats = SensorStats()
 
     # -- capture -------------------------------------------------------------
@@ -68,11 +52,6 @@ class Sensor:
     def observe_wire(self, response_bytes: bytes, now: int) -> Optional[DnsObservation]:
         """Tap one wire-format response; malformed packets are counted
         and dropped, never raised (a sensor must not crash on noise)."""
-        if self.faults is not None:
-            mangled = self.faults.corrupt.corrupt(response_bytes)
-            if mangled is not response_bytes:
-                self.stats.corrupted += 1
-            response_bytes = mangled
         try:
             message = decode_message(response_bytes)
         except WireFormatError:
@@ -87,8 +66,6 @@ class Sensor:
         if not message.is_response or not message.questions:
             return None
         self.stats.observed += 1
-        if self._drops(now):
-            return None
         observation = DnsObservation(
             qname=message.question.name,
             rcode=message.rcode,
@@ -104,8 +81,6 @@ class Sensor:
     ) -> Optional[DnsObservation]:
         """Tap a resolver-level result (the aggregated fast path)."""
         self.stats.observed += 1
-        if self._drops(now):
-            return None
         observation = DnsObservation(
             qname=result.qname,
             rcode=result.rcode,
@@ -117,12 +92,6 @@ class Sensor:
         return self._publish(observation)
 
     # -- internals -----------------------------------------------------------
-
-    def _drops(self, now: int) -> bool:
-        if self.faults is not None and self.faults.drop.should_drop(now):
-            self.stats.dropped += 1
-            return True
-        return False
 
     def _publish(self, observation: DnsObservation) -> Optional[DnsObservation]:
         if self.channel.publish(observation):

@@ -1,4 +1,9 @@
-"""Unit tests for the individual fault injectors."""
+"""Unit tests for the individual fault injectors.
+
+The ingest injectors are tested through their batch forms, and
+checked against the record-at-a-time rules of
+:mod:`tests.faults.reference` on the same plans and seeds.
+"""
 
 import numpy as np
 import pytest
@@ -11,13 +16,14 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.faults.injectors import (
-    CorruptionInjector,
     DropInjector,
     DuplicateInjector,
     InjectionLog,
     ReorderInjector,
 )
 from repro.rand import make_rng
+
+from tests.faults import reference
 
 T0 = date_to_epoch(STUDY_START)
 
@@ -37,13 +43,15 @@ def test_null_plan_is_null_and_injects_nothing():
     plan = FaultPlan()
     assert plan.is_null
     schedule = plan.schedule(0)
-    for index in range(50):
-        assert not schedule.drop.should_drop(T0 + index)
-        assert schedule.duplicate.copies(T0 + index) == 1
-        assert schedule.burst.factor(T0 + index) == 1
-        schedule.crash.maybe_crash("x")
-        schedule.store.check("x")
-    assert len(schedule.log) == 0
+    times = T0 + np.arange(50)
+    dropped, drops = schedule.drop.drop_mask(times)
+    doubled, duplicates = schedule.duplicate.copies_mask(times)
+    amplified, bursts = schedule.burst.burst_mask(times)
+    crashed, crashes = schedule.crash.crash_mask(50, "x")
+    failed, _, failures = schedule.store.attempt_many(["x"] * 50, 1)
+    for mask in (dropped, doubled, amplified, crashed, failed):
+        assert not mask.any()
+    assert drops == duplicates == bursts == crashes == failures == []
     assert schedule.injected_total() == 0
 
 
@@ -58,8 +66,9 @@ def test_dropout_window_always_drops():
     injector = DropInjector(
         0.0, [(T0, T0 + SECONDS_PER_DAY)], make_rng(1), log
     )
-    assert injector.should_drop(T0 + 100)
-    assert not injector.should_drop(T0 + SECONDS_PER_DAY)
+    dropped, events = injector.drop_mask(np.array([T0 + 100, T0 + SECONDS_PER_DAY]))
+    assert dropped.tolist() == [True, False]
+    assert [event.action for event in events] == ["window-drop"]
     assert injector.window_drops == 1
     assert injector.random_drops == 0
     assert injector.draws == 2  # one draw per decision, window or not
@@ -69,46 +78,31 @@ def test_random_drop_rate_extremes():
     log = InjectionLog()
     never = DropInjector(0.0, [], make_rng(1), log)
     always = DropInjector(1.0, [], make_rng(1), log)
-    assert not any(never.should_drop(T0 + i) for i in range(100))
-    assert all(always.should_drop(T0 + i) for i in range(100))
-
-
-def test_corruption_flips_exactly_one_byte():
-    log = InjectionLog()
-    injector = CorruptionInjector(1.0, make_rng(3), log)
-    original = bytes(range(64))
-    mangled = injector.corrupt(original)
-    assert mangled is not original
-    diffs = [i for i, (a, b) in enumerate(zip(original, mangled)) if a != b]
-    assert len(diffs) == 1
-    assert len(mangled) == len(original)
-
-
-def test_corruption_returns_same_object_when_not_firing():
-    log = InjectionLog()
-    injector = CorruptionInjector(0.0, make_rng(3), log)
-    original = b"\x01\x02\x03"
-    assert injector.corrupt(original) is original
-    assert injector.corrupt(b"") == b""
+    times = T0 + np.arange(100)
+    assert not never.drop_mask(times)[0].any()
+    assert always.drop_mask(times)[0].all()
 
 
 def test_duplicate_copies_is_one_or_two():
     log = InjectionLog()
     injector = DuplicateInjector(0.5, make_rng(4), log)
-    copies = {injector.copies(T0 + i) for i in range(200)}
-    assert copies == {1, 2}
+    doubled, events = injector.copies_mask(T0 + np.arange(200))
+    assert 0 < doubled.sum() < 200
+    assert len(events) == doubled.sum()
 
 
 def test_reorder_holds_then_releases_in_burst():
     log = InjectionLog()
     injector = ReorderInjector(1.0, 2, make_rng(5), log)
-    assert injector.push("a") == []
-    assert injector.push("b") == []
+    order, at, holds, _ = injector.push_many(["a", "b"])
+    assert order.tolist() == [] and holds.tolist() == [0, 1]
     assert injector.held == 2
     # Buffer full: the next item flushes everything, new item first.
-    assert injector.push("c") == ["c", "a", "b"]
-    assert injector.held == 0
-    assert injector.push("d") == []
+    # Positions count the two held items first, then the new ones.
+    order, at, holds, _ = injector.push_many(["c", "d"])
+    assert order.tolist() == [2, 0, 1] and at.tolist() == [0, 0, 0]
+    assert holds.tolist() == [1]
+    assert injector.held == 1
     assert injector.flush() == ["d"]
     assert injector.flush() == []
 
@@ -116,17 +110,26 @@ def test_reorder_holds_then_releases_in_burst():
 def test_reorder_rate_zero_is_passthrough():
     log = InjectionLog()
     injector = ReorderInjector(0.0, 4, make_rng(5), log)
-    for item in ("a", "b", "c"):
-        assert injector.push(item) == [item]
+    order, at, holds, events = injector.push_many(["a", "b", "c"])
+    assert order.tolist() == at.tolist() == [0, 1, 2]
+    assert holds.tolist() == [] and events == []
+    assert injector.held == 0
 
 
 def test_crash_injector_raises_and_wraps():
     plan = FaultPlan(subscriber_crash_rate=1.0)
     schedule = plan.schedule(9)
+    crashed, events = schedule.crash.crash_mask(2, "tap")
+    assert crashed.tolist() == [True, True]
+    assert [event.render() for event in events] == [
+        "crash[1] crash tap",
+        "crash[2] crash tap",
+    ]
+    assert isinstance(schedule.crash.failure("tap"), InjectedFaultError)
     with pytest.raises(InjectedFaultError):
-        schedule.crash.maybe_crash("tap")
+        reference.maybe_crash(schedule.crash, "tap")
     seen = []
-    wrapped = schedule.crash.wrap(seen.append, context="tap")
+    wrapped = reference.wrap(schedule.crash, seen.append, context="tap")
     with pytest.raises(InjectedFaultError):
         wrapped("item")
     assert seen == []
@@ -135,16 +138,22 @@ def test_crash_injector_raises_and_wraps():
 def test_store_injector_raises_transient_store_error():
     plan = FaultPlan(store_failure_rate=1.0)
     schedule = plan.schedule(9)
+    failed, items, _ = schedule.store.attempt_many(["write"], 3)
+    assert failed.tolist() == [True] and items.tolist() == [0, 0, 0]
+    assert isinstance(schedule.store.failure("write"), TransientStoreError)
     with pytest.raises(TransientStoreError):
-        schedule.store.check("write")
+        reference.check(schedule.store, "write")
 
 
 def test_burst_factor_only_inside_windows():
     plan = FaultPlan(burst_episodes=1, burst_days=2.0, burst_multiplier=7)
     schedule = plan.schedule(11)
     (window,) = schedule.burst_windows
-    assert schedule.burst.factor(window.start) == 7
-    assert schedule.burst.factor(window.end) == 1
+    amplified, events = schedule.burst.burst_mask(
+        np.array([window.start, window.end])
+    )
+    assert amplified.tolist() == [True, False]
+    assert events[0].detail == f"t={window.start} x7"
     assert schedule.burst.draws == 0  # purely window-driven
 
 
@@ -162,9 +171,9 @@ def test_log_fingerprint_tracks_content():
     plan = FaultPlan(drop_rate=1.0)
     a = plan.schedule(1)
     b = plan.schedule(1)
-    a.drop.should_drop(T0)
+    a.log.extend(a.drop.drop_mask(np.array([T0]))[1])
     assert a.fingerprint() != b.fingerprint()
-    b.drop.should_drop(T0)
+    b.log.extend(b.drop.drop_mask(np.array([T0]))[1])
     assert a.fingerprint() == b.fingerprint()
     assert a.log.lines() == b.log.lines()
     assert a.summary() == b.summary()
@@ -357,12 +366,14 @@ def test_fast_forward_then_draw_matches_uninterrupted(skip):
     plan = FaultPlan(drop_rate=0.5)
     straight = plan.schedule(8)
     for _ in range(skip):
-        straight.drop.should_drop(T0)
+        reference.should_drop(straight.drop, T0)
     resumed = plan.schedule(8)
     resumed.fast_forward({"drop": skip})
     assert resumed.counters() == straight.counters()
-    tail = [resumed.drop.should_drop(T0) for _ in range(50)]
-    assert tail == [straight.drop.should_drop(T0) for _ in range(50)]
+    tail, _ = resumed.drop.drop_mask(np.full(50, T0))
+    assert tail.tolist() == [
+        reference.should_drop(straight.drop, T0) for _ in range(50)
+    ]
 
 
 def _twin_schedules(plan, seed):
@@ -386,22 +397,24 @@ def test_batch_decisions_match_scalar(seed):
     scalar, batch = _twin_schedules(plan, seed)
     for _ in range(3):
         times = T0 + rng.integers(0, 6 * SECONDS_PER_DAY, size=int(rng.integers(0, 40)))
-        expected = [scalar.burst.factor(t) > 1 for t in times.tolist()]
+        expected = [reference.factor(scalar.burst, t) > 1 for t in times.tolist()]
         amplified, events = batch.burst.burst_mask(times)
         batch.log.extend(events)
         assert amplified.tolist() == expected
-        expected = [scalar.drop.should_drop(t) for t in times.tolist()]
+        expected = [reference.should_drop(scalar.drop, t) for t in times.tolist()]
         dropped, events = batch.drop.drop_mask(times)
         batch.log.extend(events)
         assert dropped.tolist() == expected
-        expected = [scalar.duplicate.copies(t) == 2 for t in times.tolist()]
+        expected = [
+            reference.copies(scalar.duplicate, t) == 2 for t in times.tolist()
+        ]
         doubled, events = batch.duplicate.copies_mask(times)
         batch.log.extend(events)
         assert doubled.tolist() == expected
         expected = []
         for _ in times:
             try:
-                scalar.crash.maybe_crash("tap")
+                reference.maybe_crash(scalar.crash, "tap")
                 expected.append(False)
             except InjectedFaultError:
                 expected.append(True)
@@ -429,7 +442,9 @@ def test_push_many_matches_push(seed):
         items = list(range(serial, serial + size))
         serial += size
         for push, item in enumerate(items):
-            released += [(out, push) for out in scalar.reorder.push(item)]
+            released += [
+                (out, push) for out in reference.push(scalar.reorder, item)
+            ]
         candidates = list(batch.reorder._held) + items
         order, at, holds, events = batch.reorder.push_many(items)
         batch.log.extend(events)
@@ -453,7 +468,7 @@ def test_attempt_many_matches_retried_check(attempts, rate):
             failures = 0
             while failures < attempts:
                 try:
-                    scalar.store.check(context)
+                    reference.check(scalar.store, context)
                     break
                 except TransientStoreError:
                     failures += 1

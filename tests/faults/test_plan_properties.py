@@ -17,6 +17,15 @@ from repro.clock import SECONDS_PER_DAY, STUDY_START, date_to_epoch
 from repro.errors import InjectedFaultError, TransientStoreError
 from repro.faults import FaultPlan
 
+from tests.faults.reference import (
+    check,
+    copies,
+    factor,
+    maybe_crash,
+    push,
+    should_drop,
+)
+
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 rates = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 T0 = date_to_epoch(STUDY_START)
@@ -25,17 +34,17 @@ T0 = date_to_epoch(STUDY_START)
 def _step(schedule, index):
     """Drive every injector once for synthetic event ``index``."""
     timestamp = T0 + index * 3_600
-    schedule.burst.factor(timestamp)
-    if schedule.drop.should_drop(timestamp):
+    factor(schedule.burst, timestamp)
+    if should_drop(schedule.drop, timestamp):
         return
-    schedule.duplicate.copies(timestamp)
-    schedule.reorder.push(index)
+    copies(schedule.duplicate, timestamp)
+    push(schedule.reorder, index)
     try:
-        schedule.crash.maybe_crash(f"event-{index}")
+        maybe_crash(schedule.crash, f"event-{index}")
     except InjectedFaultError:
         pass
     try:
-        schedule.store.check(f"event-{index}")
+        check(schedule.store, f"event-{index}")
     except TransientStoreError:
         pass
 
@@ -84,7 +93,7 @@ def test_window_placement_is_seed_deterministic(seed):
 def test_injector_streams_are_decorrelated(seed):
     plan = FaultPlan(drop_rate=0.5, duplicate_rate=0.5)
     schedule = plan.schedule(seed)
-    names = schedule._INJECTOR_LABELS
+    names = [name for name, _, _ in schedule.summary()]
     injector_seeds = [schedule.injector_seed(name) for name in names]
     assert len(set(injector_seeds)) == len(names)
 
@@ -98,8 +107,8 @@ def test_drop_decisions_do_not_depend_on_other_injectors(seed, rate):
     timestamps = [T0 + i * SECONDS_PER_DAY for i in range(100)]
     lean_schedule = lean.schedule(seed)
     rich_schedule = rich.schedule(seed)
-    lean_drops = [lean_schedule.drop.should_drop(t) for t in timestamps]
-    rich_drops = [rich_schedule.drop.should_drop(t) for t in timestamps]
+    lean_drops = [should_drop(lean_schedule.drop, t) for t in timestamps]
+    rich_drops = [should_drop(rich_schedule.drop, t) for t in timestamps]
     assert lean_drops == rich_drops
 
 

@@ -41,6 +41,7 @@ from repro.honeypot.http import (
     HttpRequest,
     PacketRecord,
     Transport,
+    path_extension,
 )
 from repro.honeypot.nvd import VulnerabilityDatabase
 from repro.honeypot.reverse_ip import ReverseIpTable
@@ -164,7 +165,7 @@ class ReferenceCategorizer:
             return CategorizedRequest(
                 request, Category.AUTOMATED, Subcategory.MALICIOUS_REQUEST
             )
-        if request.path != "/" or request.has_query_string:
+        if request.path != "/" or bool(request.query):
             return CategorizedRequest(
                 request, Category.AUTOMATED, Subcategory.SCRIPT_SOFTWARE
             )
@@ -199,7 +200,7 @@ class ReferenceCategorizer:
 
     @staticmethod
     def crawler_subtype(request: HttpRequest) -> Subcategory:
-        if request.extension in PAGE_EXTENSIONS:
+        if path_extension(request.path) in PAGE_EXTENSIONS:
             return Subcategory.SEARCH_ENGINE
         return Subcategory.FILE_GRABBER
 

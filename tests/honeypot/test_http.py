@@ -3,7 +3,13 @@
 import pytest
 
 from repro.honeypot.batch import RequestBatch
-from repro.honeypot.http import HttpRequest, PacketRecord, Transport
+from repro.honeypot.http import (
+    HttpRequest,
+    PacketRecord,
+    Transport,
+    parse_query,
+    path_extension,
+)
 
 from tests.honeypot.reference import reference_shadow
 
@@ -34,9 +40,8 @@ class TestHttpRequest:
     def test_defaults(self):
         r = request()
         assert r.path == "/"
-        assert not r.is_tls
+        assert r.port == 80
         assert r.uri == "/"
-        assert not r.has_query_string
 
     def test_path_validation(self):
         with pytest.raises(ValueError):
@@ -47,27 +52,24 @@ class TestHttpRequest:
             request(port=8080)
 
     def test_tls(self):
-        assert request(port=443).is_tls
+        assert request(port=443).port == 443
 
     def test_uri_with_query(self):
         r = request(path="/getTask.php", query="imei=1&balance=0")
         assert r.uri == "/getTask.php?imei=1&balance=0"
-        assert r.has_query_string
 
     def test_filename_and_extension(self):
-        assert request(path="/a/b/status.json").filename == "status.json"
-        assert request(path="/a/b/status.json").extension == "json"
-        assert request(path="/dir/").filename == ""
-        assert request(path="/README").extension == ""
-        assert request(path="/pic.JPEG").extension == "jpeg"
+        assert path_extension("/a/b/status.json") == "json"
+        assert path_extension("/dir/") == ""
+        assert path_extension("/README") == ""
+        assert path_extension("/pic.JPEG") == "jpeg"
 
     def test_query_parameters(self):
-        r = request(query="imei=A-1&country=us&os=23&empty")
-        params = r.query_parameters()
+        params = parse_query("imei=A-1&country=us&os=23&empty")
         assert params["imei"] == "A-1"
         assert params["country"] == "us"
         assert params["empty"] == ""
-        assert request().query_parameters() == {}
+        assert parse_query("") == {}
 
     def test_packet_shadow_matches_reference(self):
         requests = [

@@ -15,6 +15,8 @@ from repro.honeypot.http import HttpRequest
 from repro.honeypot.server import LANDING_PAGE, NxdHoneypot
 from repro.resilience import DeadLetterQueue
 
+from tests.faults.reference import check
+
 
 def _request(i=0):
     return HttpRequest(timestamp=1_000 + i, src_ip="203.0.113.9", host="x.com")
@@ -62,7 +64,7 @@ def test_store_injector_drives_the_recorder_hook():
     """The fault schedule's store injector plugs straight in."""
     schedule = FaultPlan(store_failure_rate=1.0).schedule(3)
     honeypot = NxdHoneypot(["x.com"])
-    honeypot.recorder.fault_hook = schedule.store.check
+    honeypot.recorder.fault_hook = lambda context: check(schedule.store, context)
     assert honeypot.accept_request(_request()) == LANDING_PAGE
     assert honeypot.recorder_errors == 1
     assert schedule.store.injected == 1

@@ -5,8 +5,8 @@
   min/max/sum aggregates in Python.  ``add_batch`` and ``add_rows``
   must land the same store.
 - :class:`ReferencePipeline` is the record-at-a-time ingest pipeline:
-  one :class:`DnsObservation` at a time through the scalar fault
-  injectors, a subscribed :class:`SieChannel`, a retry-wrapped store
+  one :class:`DnsObservation` at a time through the record-at-a-time
+  fault rules of :mod:`tests.faults.reference`, a subscribed :class:`SieChannel`, a retry-wrapped store
   subscriber, an ``OrderedDict`` dedup window walked one observation
   at a time (``admit``) and per-row :meth:`ScalarDatabase.ingest`.
   The columnar :class:`ResilientIngestPipeline` and its batch dedup
@@ -38,6 +38,8 @@ from repro.passivedns.pipeline import (
 from repro.passivedns.record import DnsObservation
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
 from repro.resilience.retry import RetryPolicy
+
+from tests.faults import reference as faults
 
 
 class ScalarDatabase(PassiveDnsDatabase):
@@ -110,7 +112,9 @@ class ReferencePipeline:
         if schedule is not None and schedule.plan.subscriber_crash_rate > 0:
             self.channel.subscribe(
                 self._quarantined(
-                    schedule.crash.wrap(self._tap, context="analysis-tap")
+                    faults.wrap(
+                        schedule.crash, self._tap, context="analysis-tap"
+                    )
                 )
             )
 
@@ -152,7 +156,7 @@ class ReferencePipeline:
             self.channel.publish(observation)
             self.stats.delivered += 1
             return 1
-        factor = self.schedule.burst.factor(observation.timestamp)
+        factor = faults.factor(self.schedule.burst, observation.timestamp)
         if factor > 1:
             observation = DnsObservation(
                 qname=observation.qname,
@@ -163,15 +167,15 @@ class ReferencePipeline:
                 count=observation.count * factor,
             )
             self.stats.burst_amplified += 1
-        if self.schedule.drop.should_drop(observation.timestamp):
+        if faults.should_drop(self.schedule.drop, observation.timestamp):
             self.stats.dropped += 1
             return 0
-        copies = self.schedule.duplicate.copies(observation.timestamp)
+        copies = faults.copies(self.schedule.duplicate, observation.timestamp)
         if copies > 1:
             self.stats.duplicates_delivered += copies - 1
         delivered = 0
         for _ in range(copies):
-            for released in self.schedule.reorder.push(observation):
+            for released in faults.push(self.schedule.reorder, observation):
                 self.channel.publish(released)
                 delivered += 1
         self.stats.delivered += delivered
@@ -180,7 +184,7 @@ class ReferencePipeline:
     def _store(self, observation: DnsObservation) -> None:
         def attempt() -> None:
             if self.schedule is not None:
-                self.schedule.store.check(str(observation.qname))
+                faults.check(self.schedule.store, str(observation.qname))
             self._land(observation)
 
         def count_retry(attempt_index: int, error: BaseException) -> None:

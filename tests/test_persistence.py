@@ -79,6 +79,19 @@ class TestCorruptArchives:
         with pytest.raises(ConfigError, match="checkpoint version"):
             load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
 
+    def test_v3_checkpoint_with_corrupt_counter_is_refused(self, tmp_path):
+        # A version-3 payload as the build with a corruption injector
+        # committed it: a true fingerprint, but counters for an
+        # injector this build no longer schedules.
+        counters = {
+            "drop": 5, "corrupt": 0, "duplicate": 5, "reorder": 0,
+            "crash": 0, "store": 5, "burst": 0, "slow-worker": 0,
+            "stuck-worker": 0, "query-burst": 0,
+        }
+        _commit_checkpoint(tmp_path, version=3, injector_counters=counters)
+        with pytest.raises(ConfigError, match="checkpoint version"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
 
 class TestWhoisIo:
     def test_roundtrip(self, tmp_path):

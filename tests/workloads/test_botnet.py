@@ -4,6 +4,7 @@ import pytest
 
 from repro.honeypot.categorize import Subcategory, TrafficCategorizer
 from repro.honeypot.batch import RequestBatch
+from repro.honeypot.http import parse_query
 from repro.honeypot.reverse_ip import ReverseIpTable
 from repro.rand import make_rng
 from repro.workloads.botnet import (
@@ -68,7 +69,7 @@ class TestGpclickBotnet:
 
     def test_query_structure_matches_figure12(self, requests):
         reqs, _ = requests
-        params = reqs[0].query_parameters()
+        params = parse_query(reqs[0].query)
         for key in ("imei", "balance", "country", "phone", "op", "mnc", "mcc", "model", "os"):
             assert key in params, key
         assert params["op"] == "Android"
@@ -77,13 +78,13 @@ class TestGpclickBotnet:
 
     def test_nexus_models_dominate(self, requests):
         reqs, _ = requests
-        models = [r.query_parameters()["model"] for r in reqs]
+        models = [parse_query(r.query)["model"] for r in reqs]
         nexus = sum(1 for m in models if m.startswith("Nexus"))
         assert nexus / len(models) > 0.9
 
     def test_country_spread_across_continents(self, requests):
         reqs, _ = requests
-        countries = {r.query_parameters()["country"] for r in reqs}
+        countries = {parse_query(r.query)["country"] for r in reqs}
         continents = {continent_of_country(c) for c in countries}
         assert {"Europe", "Asia", "America"} <= continents
 
