@@ -15,18 +15,22 @@ state of an interrupted run (see ``FaultSchedule.fast_forward``).
 The ingest-side injectors decide whole batches only (``drop_mask``,
 ``copies_mask``, ``push_many``, ``crash_mask``, ``attempt_many``,
 ``burst_mask``): a batch draws its uniforms as one vector and returns
-its events instead of logging them, so the ingest pipeline can merge
-the events of several injectors into one injection order (see
-``InjectionLog.extend``).  The serving injectors decide one query at a
-time (``delay``, ``stuck``, ``factor``), because the query tier meets
-its queries one at a time.  The record-at-a-time rules the batch forms
-must reproduce live in ``tests/faults/reference.py``.
+its events as :class:`EventColumns` instead of logging them, so the
+ingest pipeline can merge the events of several injectors into one
+injection order (see ``InjectionLog.extend``).  No
+:class:`InjectionEvent` exists until a reader of the log asks for
+one.  The serving injectors decide one query at a time (``delay``,
+``stuck``, ``factor``) and record each event as it happens, because
+the query tier meets its queries one at a time.  The record-at-a-time
+rules the batch forms must reproduce live in
+``tests/faults/reference.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Iterable,
     List,
@@ -35,6 +39,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 import numpy as np
@@ -62,27 +67,114 @@ class InjectionEvent(NamedTuple):
         return f"{self.injector}[{self.index}] {self.action} {self.detail}".rstrip()
 
 
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """One injector's batch of events, as columns.
+
+    Event ``k`` is decision ``index[k]`` of ``injector``.  Its action
+    is ``actions[codes[k]]``, or ``actions[0]`` when ``codes`` is
+    ``None``.  Its detail is ``prefix + value + suffix`` with
+    ``value`` the decimal ``values[k]``, or ``texts[values[k]]`` when
+    ``texts`` is set, or nothing when ``values`` is ``None``.
+    ``texts`` is read only when the events are, so it may be a table
+    that keeps growing, such as the ingest pipeline's qname texts.
+    """
+
+    injector: str
+    index: np.ndarray
+    actions: Tuple[str, ...]
+    codes: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
+    prefix: str = ""
+    suffix: str = ""
+    texts: Optional[Sequence[str]] = None
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def events(self) -> List[InjectionEvent]:
+        """The batch as :class:`InjectionEvent` objects, in order."""
+        count = len(self.index)
+        if self.codes is None:
+            actions: Iterable[str] = repeat(self.actions[0], count)
+        else:
+            actions = map(self.actions.__getitem__, self.codes.tolist())
+        if self.values is None:
+            details: Iterable[str] = repeat(self.prefix + self.suffix, count)
+        else:
+            values = self.values.tolist()
+            if self.texts is not None:
+                values = map(self.texts.__getitem__, values)
+            details = (f"{self.prefix}{value}{self.suffix}" for value in values)
+        return list(
+            map(
+                InjectionEvent,
+                repeat(self.injector, count),
+                self.index.tolist(),
+                actions,
+                details,
+            )
+        )
+
+
+#: One part of an :class:`InjectionLog`: events recorded one at a
+#: time, or (batches, merge order) as :meth:`InjectionLog.extend` got them.
+_LogPart = Union[
+    List[InjectionEvent], Tuple[Tuple[EventColumns, ...], Optional[np.ndarray]]
+]
+
+
 class InjectionLog:
-    """Ordered record of every injected fault in a schedule's lifetime."""
+    """Ordered record of every injected fault in a schedule's lifetime.
+
+    The log keeps what it is given: events recorded one at a time, and
+    batches of :class:`EventColumns` with the order that merges them.
+    Events are built only when :meth:`events`, :meth:`lines` or
+    :meth:`fingerprint` reads them.
+    """
 
     def __init__(self) -> None:
-        self._events: List[InjectionEvent] = []
+        self._parts: List[_LogPart] = []
+        self._count = 0
 
     def append(self, event: InjectionEvent) -> None:
         """Record one injected fault."""
-        self._events.append(event)
+        if not self._parts or not isinstance(self._parts[-1], list):
+            self._parts.append([])
+        self._parts[-1].append(event)
+        self._count += 1
 
-    def extend(self, events: Iterable[InjectionEvent]) -> None:
-        """Record a batch of injected faults, already in injection order."""
-        self._events.extend(events)
+    def extend(
+        self, *batches: EventColumns, order: Optional[np.ndarray] = None
+    ) -> None:
+        """Record batches of injected faults as one part.
+
+        The part is the concatenation of ``batches`` taken in
+        ``order`` (positions into it), or as given when ``order`` is
+        ``None``.
+        """
+        count = sum(map(len, batches))
+        if count:
+            self._parts.append((batches, order))
+            self._count += count
 
     def events(self) -> List[InjectionEvent]:
         """A copy of the recorded events, in injection order."""
-        return list(self._events)
+        out: List[InjectionEvent] = []
+        for part in self._parts:
+            if isinstance(part, list):
+                out += part
+                continue
+            batches, order = part
+            merged = [event for batch in batches for event in batch.events()]
+            if order is not None:
+                merged = list(map(merged.__getitem__, order.tolist()))
+            out += merged
+        return out
 
     def lines(self) -> List[str]:
         """The rendered log, one line per injected fault."""
-        return [event.render() for event in self._events]
+        return [event.render() for event in self.events()]
 
     def fingerprint(self) -> str:
         """SHA-256 over the rendered log — the bit-identity check."""
@@ -93,7 +185,7 @@ class InjectionLog:
         return digest.hexdigest()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._count
 
 
 class Injector:
@@ -138,19 +230,17 @@ class Injector:
         self.draws += count
         return first, self._rng.random(count)
 
-    def _events(
-        self,
-        first: int,
-        positions: np.ndarray,
-        action: str,
-        details: Iterable[str],
-    ) -> List[InjectionEvent]:
-        """Events for the batch decisions at ``positions`` (not logged)."""
+    def _columns(
+        self, first: int, positions: np.ndarray, action: str, **detail
+    ) -> EventColumns:
+        """Events for the batch decisions at ``positions`` (not logged).
+
+        ``detail`` holds the :class:`EventColumns` detail fields.
+        """
         self.injected += len(positions)
-        return [
-            InjectionEvent(self.name, first + position + 1, action, detail)
-            for position, detail in zip(positions.tolist(), details)
-        ]
+        return EventColumns(
+            self.name, first + 1 + positions, (action,), **detail
+        )
 
     def fast_forward(self, draws: int) -> None:
         """Discard ``draws`` uniforms to re-align with a prior run."""
@@ -207,9 +297,7 @@ class DropInjector(Injector):
         self.window_drops = 0
         self.random_drops = 0
 
-    def drop_mask(
-        self, timestamps: np.ndarray
-    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+    def drop_mask(self, timestamps: np.ndarray) -> Tuple[np.ndarray, EventColumns]:
         """Decide which observations at ``timestamps`` are lost.
 
         Every decision takes one draw, window or not: an observation
@@ -223,21 +311,15 @@ class DropInjector(Injector):
         positions = np.flatnonzero(dropped)
         self.window_drops += int(windowed.sum())
         self.random_drops += len(positions) - int(windowed.sum())
-        events = []
-        for position, in_window, timestamp in zip(
-            positions.tolist(),
-            windowed[positions].tolist(),
-            timestamps[positions].tolist(),
-        ):
-            events.append(
-                InjectionEvent(
-                    self.name,
-                    first + position + 1,
-                    "window-drop" if in_window else "drop",
-                    f"t={timestamp}",
-                )
-            )
-        self.injected += len(events)
+        self.injected += len(positions)
+        events = EventColumns(
+            self.name,
+            first + 1 + positions,
+            ("drop", "window-drop"),
+            codes=windowed[positions].astype(np.int64),
+            values=timestamps[positions],
+            prefix="t=",
+        )
         return dropped, events
 
 
@@ -250,15 +332,14 @@ class DuplicateInjector(Injector):
         super().__init__(rng, log)
         self.rate = rate
 
-    def copies_mask(
-        self, timestamps: np.ndarray
-    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+    def copies_mask(self, timestamps: np.ndarray) -> Tuple[np.ndarray, EventColumns]:
         """The mask of items delivered twice, one draw each."""
         first, draws = self._decide(len(timestamps))
         doubled = draws < self.rate
         positions = np.flatnonzero(doubled)
-        details = (f"t={t}" for t in timestamps[positions].tolist())
-        return doubled, self._events(first, positions, "duplicate", details)
+        return doubled, self._columns(
+            first, positions, "duplicate", values=timestamps[positions], prefix="t="
+        )
 
 
 class ReorderInjector(Injector):
@@ -282,7 +363,7 @@ class ReorderInjector(Injector):
 
     def push_many(
         self, items: Sequence[T]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[InjectionEvent]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, EventColumns]:
         """Offer ``items`` to the hold-back buffer in push order.
 
         Works on integer positions over the items already held (oldest
@@ -331,8 +412,13 @@ class ReorderInjector(Injector):
             self._held[p] if p < held else items[p - held] for p in kept.tolist()
         ]
         hold_positions = np.flatnonzero(holds)
-        details = (f"depth={d + 1}" for d in before[hold_positions].tolist())
-        events = self._events(first, hold_positions, "hold", details)
+        events = self._columns(
+            first,
+            hold_positions,
+            "hold",
+            values=before[hold_positions] + 1,
+            prefix="depth=",
+        )
         return order, at, hold_positions, events
 
     def flush(self) -> List[T]:
@@ -362,13 +448,12 @@ class CrashInjector(Injector):
 
     def crash_mask(
         self, count: int, context: str = ""
-    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+    ) -> Tuple[np.ndarray, EventColumns]:
         """The mask of ``count`` deliveries that crash, one draw each."""
         first, draws = self._decide(count)
         crashed = draws < self.rate
         positions = np.flatnonzero(crashed)
-        details = [context] * len(positions)
-        return crashed, self._events(first, positions, "crash", details)
+        return crashed, self._columns(first, positions, "crash", prefix=context)
 
 
 class StoreFaultInjector(Injector):
@@ -387,13 +472,14 @@ class StoreFaultInjector(Injector):
         )
 
     def attempt_many(
-        self, contexts: Sequence[str], max_attempts: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[InjectionEvent]]:
+        self, contexts: np.ndarray, texts: Sequence[str], max_attempts: int
+    ) -> Tuple[np.ndarray, np.ndarray, EventColumns]:
         """Up to ``max_attempts`` write attempts per item, one draw each.
 
-        An attempt fails when its draw falls below ``rate``.  Item
-        ``j`` is checked until one check passes or ``max_attempts``
-        have failed, then item ``j + 1`` is checked.
+        Item ``j``'s context is ``texts[contexts[j]]``.  An attempt
+        fails when its draw falls below ``rate``.  Item ``j`` is
+        checked until one check passes or ``max_attempts`` have
+        failed, then item ``j + 1`` is checked.
         Returns ``(failed, failure_items, events)``: ``failed[j]`` says
         whether all of item ``j``'s attempts failed, and one event per
         failed check gives its item in ``failure_items``.
@@ -433,9 +519,12 @@ class StoreFaultInjector(Injector):
             streak = 0 if ends[-1] else int(attempt[-1]) + 1
             offset += len(draws)
         items = np.concatenate(fail_items)
-        details = (contexts[j] for j in items.tolist())
-        events = self._events(
-            first, np.concatenate(fail_draws), "store-failure", details
+        events = self._columns(
+            first,
+            np.concatenate(fail_draws),
+            "store-failure",
+            values=contexts[items],
+            texts=texts,
         )
         return failed, items, events
 
@@ -462,17 +551,19 @@ class BurstInjector(Injector):
         self.windows = tuple(windows)
         self.multiplier = multiplier
 
-    def burst_mask(
-        self, timestamps: np.ndarray
-    ) -> Tuple[np.ndarray, List[InjectionEvent]]:
+    def burst_mask(self, timestamps: np.ndarray) -> Tuple[np.ndarray, EventColumns]:
         """The mask of items inside a flood window (no draws)."""
         first, _ = self._decide(len(timestamps), draw=False)
         amplified = _in_windows(self.windows, timestamps)
         positions = np.flatnonzero(amplified)
-        details = (
-            f"t={t} x{self.multiplier}" for t in timestamps[positions].tolist()
+        return amplified, self._columns(
+            first,
+            positions,
+            "burst",
+            values=timestamps[positions],
+            prefix="t=",
+            suffix=f" x{self.multiplier}",
         )
-        return amplified, self._events(first, positions, "burst", details)
 
 
 # ---------------------------------------------------------------------------

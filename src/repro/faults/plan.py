@@ -57,14 +57,6 @@ class DropoutWindow:
     start: int
     end: int
 
-    def contains(self, timestamp: int) -> bool:
-        """True when ``timestamp`` falls inside the window."""
-        return self.start <= timestamp < self.end
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class FaultPlan:

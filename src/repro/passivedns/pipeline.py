@@ -34,6 +34,12 @@ counts, rcodes and rtypes.  No observation object travels further:
    store's only multi-domain write path.  Dead-letter replay lands
    every queued letter the same way, in one call.
 
+Per-name facts (reverse lookup or not, registered domain) are arrays
+over the qname ids, so each step reads them with one gather.  The
+injectors return their events as columns, and each chunk logs them
+as one part with the order that merges them, so no event object is
+built unless the log is read.
+
 Guarantees:
 
 - the result is identical to offering the observations one at a time
@@ -57,6 +63,8 @@ Guarantees:
   torn archive; once a checkpoint leaves ``spill_compact_threshold``
   segments on disk the commit also compacts them into one superseding
   generation, so long ingests never accumulate unbounded segments.
+  The dedup window rides in each checkpoint as one binary ``window``
+  sidecar (:class:`~repro.passivedns.io.WindowKeys`).
 """
 
 from __future__ import annotations
@@ -73,11 +81,16 @@ import numpy as np
 from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
 from repro.errors import ConfigError
-from repro.faults.injectors import InjectionEvent
+from repro.faults.injectors import EventColumns
 from repro.faults.plan import FaultSchedule
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase, _mix64
-from repro.passivedns.io import load_checkpoint, save_checkpoint
+from repro.passivedns.io import (
+    WindowKeys,
+    _first_appearance,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.spill import PathLike
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
@@ -104,7 +117,7 @@ _TAP = "analysis-tap"
 _NXDOMAIN = int(RCode.NXDOMAIN)
 
 #: One batch of events with their merge keys: (tick, sub, events).
-_EventBatch = Tuple[np.ndarray, np.ndarray, List[InjectionEvent]]
+_EventBatch = Tuple[np.ndarray, np.ndarray, EventColumns]
 
 
 @dataclass
@@ -140,18 +153,19 @@ class _Names(Dict[DomainName, int]):
     name on its first lookup (:meth:`__missing__`); the name itself, its
     text, whether it is a reverse lookup and its registered domain
     (itself deduplicated into dense ids) are looked up by id instead
-    of being recomputed per row.  Sensor ids are interned the same
-    way.  The tables live as long as the pipeline, so they grow with
-    the distinct names offered (rows held by the reorder buffer refer
-    to them across chunks).
+    of being recomputed per row: ``reverse`` and ``registered_id`` are
+    arrays over the ids, grown by :meth:`ids` as it interns names.
+    Sensor ids are interned the same way.  The tables live as long as
+    the pipeline, so they grow with the distinct names offered (rows
+    held by the reorder buffer refer to them across chunks).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.qname: List[DomainName] = []
         self.text: List[str] = []
-        self.reverse: List[bool] = []
-        self.registered_id: List[int] = []
+        self.reverse = np.empty(0, dtype=bool)
+        self.registered_id = np.empty(0, dtype=np.int64)
         self._registered_of: Dict[DomainName, int] = {}
         self.registered: List[DomainName] = []
         self._sensor_of: Dict[str, int] = {}
@@ -159,8 +173,26 @@ class _Names(Dict[DomainName, int]):
 
     def ids(self, qnames: Sequence[DomainName]) -> np.ndarray:
         """Dense ids; a new name is interned where it first appears."""
+        known = len(self.qname)
         ids = map(self.__getitem__, qnames)
-        return np.fromiter(ids, dtype=np.int64, count=len(qnames))
+        ids = np.fromiter(ids, dtype=np.int64, count=len(qnames))
+        fresh = self.qname[known:]
+        if fresh:
+            reverse = [qname.is_reverse_lookup() for qname in fresh]
+            registered_ids = []
+            for qname in fresh:
+                registered = qname.registered_domain()
+                rid = self._registered_of.setdefault(
+                    registered, len(self.registered)
+                )
+                if rid == len(self.registered):
+                    self.registered.append(registered)
+                registered_ids.append(rid)
+            self.reverse = np.concatenate((self.reverse, reverse))
+            self.registered_id = np.concatenate(
+                (self.registered_id, registered_ids)
+            )
+        return ids
 
     def sensor_ids(self, sensors: Sequence[str]) -> np.ndarray:
         codes = self._sensor_of
@@ -175,12 +207,6 @@ class _Names(Dict[DomainName, int]):
         qid = self[qname] = len(self.text)
         self.qname.append(qname)
         self.text.append(str(qname))
-        self.reverse.append(qname.is_reverse_lookup())
-        registered = qname.registered_domain()
-        rid = self._registered_of.setdefault(registered, len(self.registered))
-        if rid == len(self.registered):
-            self.registered.append(registered)
-        self.registered_id.append(rid)
         return qid
 
 
@@ -422,11 +448,11 @@ class ResilientIngestPipeline:
         schedule = self.schedule
         if schedule is None:
             self.stats.delivered += count
-            self._log(self._publish(rows, np.zeros(count, dtype=np.int64)))
+            self._publish(rows, np.zeros(count, dtype=np.int64))
             return count
         batches: List[_EventBatch] = []
         amplified, burst_events = schedule.burst.burst_mask(rows.time)
-        if burst_events:
+        if len(burst_events):
             rows.count[amplified] *= schedule.burst.multiplier
             self.stats.burst_amplified += len(burst_events)
         dropped, drop_events = schedule.drop.drop_mask(rows.time)
@@ -455,67 +481,70 @@ class ResilientIngestPipeline:
         still_held[order] = False
         self._held = candidates.take(np.flatnonzero(still_held))
         self.stats.delivered += len(order)
-        batches.append(self._publish(candidates.take(order), push_tick[at]))
-        self._log(*batches)
+        batches += self._publish(candidates.take(order), push_tick[at])
+        self._log(batches)
         return len(order)
 
     @staticmethod
-    def _keyed(ticks: np.ndarray, events: List[InjectionEvent]) -> _EventBatch:
+    def _keyed(ticks: np.ndarray, events: EventColumns) -> _EventBatch:
         return ticks, np.zeros(len(events), dtype=np.int64), events
 
-    def _log(self, *batches: _EventBatch) -> None:
-        """Append event batches to the schedule's log in merge-key order."""
-        events = [event for _, _, batch in batches for event in batch]
-        if not events:
+    def _log(self, batches: List[_EventBatch]) -> None:
+        """Log event batches as one part, in merge-key order."""
+        batches = [batch for batch in batches if len(batch[2])]
+        if not batches:
             return
         ticks = np.concatenate([batch[0] for batch in batches])
         subs = np.concatenate([batch[1] for batch in batches])
-        order = np.lexsort((subs, ticks))
         assert self.schedule is not None
-        self.schedule.log.extend(events[i] for i in order.tolist())
+        self.schedule.log.extend(
+            *(batch[2] for batch in batches), order=np.lexsort((subs, ticks))
+        )
 
-    def _publish(self, rows: _Rows, ticks: np.ndarray) -> _EventBatch:
+    def _publish(self, rows: _Rows, ticks: np.ndarray) -> List[_EventBatch]:
         """Publish ``rows`` in order: filter, store, tap, land.
 
         ``ticks`` are the rows' event merge keys; within a tick, events
         order by publish position, then by attempt, with the tap's
-        crash after the store attempts.
+        crash after the store attempts.  Returns the event batches.
         """
         names = self._names
-        reverse = np.array([names.reverse[q] for q in rows.qid.tolist()], dtype=bool)
         published = np.flatnonzero(
-            self.channel.accept_many(rows.rcode == _NXDOMAIN, reverse)
+            self.channel.accept_many(
+                rows.rcode == _NXDOMAIN, names.reverse[rows.qid]
+            )
         )
         stored = published
-        event_ticks = [np.empty(0, dtype=np.int64)]
-        event_subs = [np.empty(0, dtype=np.int64)]
-        events: List[InjectionEvent] = []
+        batches: List[_EventBatch] = []
         schedule = self.schedule
         if schedule is not None and len(published):
             attempts = self.retry_policy.max_attempts
-            contexts = [names.text[q] for q in rows.qid[published].tolist()]
             failed, items, store_events = schedule.store.attempt_many(
-                contexts, attempts
+                rows.qid[published], names.text, attempts
             )
             self.stats.store_retries += len(items) - int(failed.sum())
             self.stats.store_failures += int(failed.sum())
             attempt = np.arange(len(items)) - np.searchsorted(items, items)
-            event_ticks.append(ticks[published[items]])
-            event_subs.append(published[items] * (attempts + 1) + attempt)
-            events += store_events
+            batches.append(
+                (
+                    ticks[published[items]],
+                    published[items] * (attempts + 1) + attempt,
+                    store_events,
+                )
+            )
             crashed = np.zeros(len(published), dtype=bool)
             if schedule.plan.subscriber_crash_rate > 0:
                 crashed, crash_events = schedule.crash.crash_mask(
                     len(published), _TAP
                 )
                 hit = published[crashed]
-                event_ticks.append(ticks[hit])
-                event_subs.append(hit * (attempts + 1) + attempts)
-                events += crash_events
-            self._dead_letter(rows, published, failed, crashed, contexts)
+                batches.append(
+                    (ticks[hit], hit * (attempts + 1) + attempts, crash_events)
+                )
+            self._dead_letter(rows, published, failed, crashed)
             stored = published[~failed]
         self._land(rows.take(stored))
-        return np.concatenate(event_ticks), np.concatenate(event_subs), events
+        return batches
 
     def _dead_letter(
         self,
@@ -523,15 +552,16 @@ class ResilientIngestPipeline:
         published: np.ndarray,
         failed: np.ndarray,
         crashed: np.ndarray,
-        contexts: List[str],
     ) -> None:
         """Quarantine failed deliveries, store failure before tap crash."""
         assert self.schedule is not None
         for item in np.flatnonzero(failed | crashed).tolist():
-            observation = self._observation(rows, published[item])
+            row = published[item]
+            observation = self._observation(rows, row)
             errors = []
             if failed[item]:
-                errors.append(self.schedule.store.failure(contexts[item]))
+                context = self._names.text[rows.qid[row]]
+                errors.append(self.schedule.store.failure(context))
             if crashed[item]:
                 errors.append(self.schedule.crash.failure(_TAP))
             for error in errors:
@@ -554,21 +584,15 @@ class ResilientIngestPipeline:
         if not len(admitted):
             return
         names = self._names
-        registered = np.array(
-            [names.registered_id[q] for q in rows.qid[admitted].tolist()],
-            dtype=np.int64,
-        )
         # Intern in first-appearance order, as one-row writes would.
-        distinct, first, inverse = np.unique(
-            registered, return_index=True, return_inverse=True
+        local, registered = _first_appearance(
+            names.registered_id[rows.qid[admitted]]
         )
-        appearance = np.argsort(first)
-        ids = np.empty(len(distinct), dtype=np.int64)
-        ids[appearance] = self.database.intern_many(
-            [names.registered[r] for r in distinct[appearance].tolist()]
+        ids = self.database.intern_many(
+            [names.registered[r] for r in registered.tolist()]
         )
         self.database.add_batch(
-            ids[inverse.ravel()], rows.time[admitted], rows.count[admitted]
+            ids[local], rows.time[admitted], rows.count[admitted]
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -630,21 +654,11 @@ class ResilientIngestPipeline:
                 self.schedule.counters() if self.schedule is not None else {}
             ),
             extra=self.stats.to_dict(),
-            recent_keys=self.recent_keys(),
+            window=WindowKeys.local(
+                self._window.keys, self._names.sensors, self._names.text
+            ),
         )
         self.stats.checkpoints += 1
-
-    def recent_keys(self) -> List[tuple]:
-        """The dedup window as text keys, oldest first.
-
-        Each key is ``(sensor, qname, rcode, rtype, time, count)``, an
-        :attr:`DnsObservation.observation_key`: the checkpoint form.
-        """
-        names = self._names
-        return [
-            (names.sensors[sensor], names.text[qid], *rest)
-            for sensor, qid, *rest in self._window.keys.tolist()
-        ]
 
     def resume(self) -> int:
         """Continue from the checkpoint the spill store recovered.
@@ -664,16 +678,16 @@ class ResilientIngestPipeline:
             self.schedule.fast_forward(state.injector_counters)
         self.stats = PipelineStats.from_dict(state.extra)
         self.stats.offered = state.cursor
-        # Re-intern the newest keys: a checkpoint written under a
-        # larger window must not over-retain suppression state.
-        keys = state.recent_keys[-DEDUP_WINDOW:]
-        if keys:
-            sensors, qnames, *numbers = zip(*keys)
-            self._window.keys = np.column_stack(
-                (
-                    self._names.sensor_ids(sensors),
-                    self._names.ids([DomainName(qname) for qname in qnames]),
-                    np.array(numbers, dtype=np.int64).T,
-                )
-            )
+        # Re-intern the names of the newest keys: a checkpoint written
+        # under a larger window must not over-retain suppression state.
+        window = state.window
+        window = WindowKeys.local(
+            window.keys[-DEDUP_WINDOW:], window.sensors, window.qnames
+        )
+        keys = window.keys
+        keys[:, 0] = self._names.sensor_ids(window.sensors)[keys[:, 0]]
+        keys[:, 1] = self._names.ids(
+            [DomainName(qname) for qname in window.qnames]
+        )[keys[:, 1]]
+        self._window.keys = keys
         return state.cursor

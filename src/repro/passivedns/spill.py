@@ -552,6 +552,8 @@ class SpillStore:
         #: only the in-memory publish of an already-durable state is
         #: guarded, never an fsync or a rename.
         self._lock = threading.Lock()
+        #: One memory map per segment name (see :meth:`mmap_segment`).
+        self._maps: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- opening ------------------------------------------------------------
 
@@ -870,7 +872,16 @@ class SpillStore:
     def mmap_segment(
         self, info: SegmentInfo
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Memory-map one segment as its (ids, times, counts) triple."""
+        """Memory-map one segment as its (ids, times, counts) triple.
+
+        Each segment is mapped once: later calls return the same views
+        until :meth:`compact` retires the segment, so a merge streams
+        through the pages the store's reader already holds.
+        """
+        with self._lock:
+            mapped = self._maps.get(info.name)
+        if mapped is not None:
+            return mapped
         path = self.directory / "segments" / info.name
         try:
             # The returned row views pin the mmap open for as long as
@@ -885,7 +896,8 @@ class SpillStore:
         # Plain ndarray views (their base keeps the map open): gathers
         # from a memmap pay for its Python-level __getitem__.
         rows = stacked.view(np.ndarray)
-        return rows[0], rows[1], rows[2]
+        with self._lock:
+            return self._maps.setdefault(info.name, (rows[0], rows[1], rows[2]))
 
     def sidecar_path(self, kind: str) -> Optional[Path]:
         """Where the committed sidecar of ``kind`` lives (None when absent)."""
@@ -1125,6 +1137,8 @@ class SpillStore:
             self.generation = generation
             self._segments = [merged]
             self.meta = meta
+            # The inputs are retired: their maps go with them.
+            self._maps = {}
         retired = self._retire_superseded()
         self._journal(
             {"op": "retired", "generation": generation, "files": retired}
@@ -1344,7 +1358,7 @@ def _envelope(payload: Dict[str, Any]) -> bytes:
     separators), which readers recompute from the parsed payload, so
     a document verifies whatever its layout.  Documents are written
     compact: indentation forces the pure-Python encoder, which costs
-    several times the C one on a manifest carrying a dedup window.
+    several times the C one on a large manifest.
     """
     encoded = json.dumps(payload, sort_keys=True).encode("utf-8")
     return json.dumps(

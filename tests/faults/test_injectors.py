@@ -48,10 +48,13 @@ def test_null_plan_is_null_and_injects_nothing():
     doubled, duplicates = schedule.duplicate.copies_mask(times)
     amplified, bursts = schedule.burst.burst_mask(times)
     crashed, crashes = schedule.crash.crash_mask(50, "x")
-    failed, _, failures = schedule.store.attempt_many(["x"] * 50, 1)
+    failed, _, failures = schedule.store.attempt_many(
+        np.zeros(50, dtype=np.int64), ["x"], 1
+    )
     for mask in (dropped, doubled, amplified, crashed, failed):
         assert not mask.any()
-    assert drops == duplicates == bursts == crashes == failures == []
+    for events in (drops, duplicates, bursts, crashes, failures):
+        assert len(events) == 0 and events.events() == []
     assert schedule.injected_total() == 0
 
 
@@ -68,7 +71,7 @@ def test_dropout_window_always_drops():
     )
     dropped, events = injector.drop_mask(np.array([T0 + 100, T0 + SECONDS_PER_DAY]))
     assert dropped.tolist() == [True, False]
-    assert [event.action for event in events] == ["window-drop"]
+    assert [event.action for event in events.events()] == ["window-drop"]
     assert injector.window_drops == 1
     assert injector.random_drops == 0
     assert injector.draws == 2  # one draw per decision, window or not
@@ -112,7 +115,7 @@ def test_reorder_rate_zero_is_passthrough():
     injector = ReorderInjector(0.0, 4, make_rng(5), log)
     order, at, holds, events = injector.push_many(["a", "b", "c"])
     assert order.tolist() == at.tolist() == [0, 1, 2]
-    assert holds.tolist() == [] and events == []
+    assert holds.tolist() == [] and events.events() == []
     assert injector.held == 0
 
 
@@ -121,7 +124,7 @@ def test_crash_injector_raises_and_wraps():
     schedule = plan.schedule(9)
     crashed, events = schedule.crash.crash_mask(2, "tap")
     assert crashed.tolist() == [True, True]
-    assert [event.render() for event in events] == [
+    assert [event.render() for event in events.events()] == [
         "crash[1] crash tap",
         "crash[2] crash tap",
     ]
@@ -138,7 +141,9 @@ def test_crash_injector_raises_and_wraps():
 def test_store_injector_raises_transient_store_error():
     plan = FaultPlan(store_failure_rate=1.0)
     schedule = plan.schedule(9)
-    failed, items, _ = schedule.store.attempt_many(["write"], 3)
+    failed, items, _ = schedule.store.attempt_many(
+        np.zeros(1, dtype=np.int64), ["write"], 3
+    )
     assert failed.tolist() == [True] and items.tolist() == [0, 0, 0]
     assert isinstance(schedule.store.failure("write"), TransientStoreError)
     with pytest.raises(TransientStoreError):
@@ -153,7 +158,7 @@ def test_burst_factor_only_inside_windows():
         np.array([window.start, window.end])
     )
     assert amplified.tolist() == [True, False]
-    assert events[0].detail == f"t={window.start} x7"
+    assert events.events()[0].detail == f"t={window.start} x7"
     assert schedule.burst.draws == 0  # purely window-driven
 
 
@@ -473,7 +478,9 @@ def test_attempt_many_matches_retried_check(attempts, rate):
                 except TransientStoreError:
                     failures += 1
             expected.append((failures, failures == attempts))
-        failed, items, events = batch.store.attempt_many(contexts, attempts)
+        failed, items, events = batch.store.attempt_many(
+            np.arange(size), contexts, attempts
+        )
         batch.log.extend(events)
         failures = np.bincount(items, minlength=size)
         assert list(zip(failures.tolist(), failed.tolist())) == expected

@@ -11,6 +11,9 @@
   at a time (``admit``) and per-row :meth:`ScalarDatabase.ingest`.
   The columnar :class:`ResilientIngestPipeline` and its batch dedup
   window must be observably identical to it.
+  Its dedup window is a list of text keys; :func:`window_keys` and
+  :func:`text_keys` convert between that and the checkpoint form, and
+  :func:`recent_keys` reads either pipeline's window as text keys.
 - :func:`daily_series_scan` is the full-column masked scan the
   per-part (domain, time) indexes behind
   :meth:`PassiveDnsDatabase.daily_series_for` must match.
@@ -19,7 +22,7 @@ All three are deliberately the slow, obvious form of the computation.
 """
 
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -29,11 +32,12 @@ from repro.errors import ConfigError, ReproError, TransientStoreError
 from repro.faults.plan import FaultSchedule
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.database import PassiveDnsDatabase
-from repro.passivedns.io import load_checkpoint, save_checkpoint
+from repro.passivedns.io import WindowKeys, load_checkpoint, save_checkpoint
 from repro.passivedns.pipeline import (
     DEDUP_WINDOW,
     DEFAULT_RETRY_POLICY,
     PipelineStats,
+    ResilientIngestPipeline,
 )
 from repro.passivedns.record import DnsObservation
 from repro.resilience.dlq import DeadLetterQueue, ReplayStats
@@ -256,7 +260,7 @@ class ReferencePipeline:
                 self.schedule.counters() if self.schedule is not None else {}
             ),
             extra=self.stats.to_dict(),
-            recent_keys=self.recent_keys(),
+            window=window_keys(self.recent_keys()),
         )
         self.stats.checkpoints += 1
 
@@ -269,9 +273,45 @@ class ReferencePipeline:
         self.stats = PipelineStats.from_dict(state.extra)
         self.stats.offered = state.cursor
         self._recent_keys = OrderedDict.fromkeys(
-            state.recent_keys[-self.dedup_window :]
+            text_keys(state.window)[-self.dedup_window :]
         )
         return state.cursor
+
+
+def window_keys(keys: List[tuple]) -> WindowKeys:
+    """The checkpoint form of text keys ``(sensor, qname, rcode,
+    rtype, time, count)``, oldest first."""
+    sensors: Dict[str, int] = {}
+    qnames: Dict[str, int] = {}
+    rows = [
+        (
+            sensors.setdefault(sensor, len(sensors)),
+            qnames.setdefault(qname, len(qnames)),
+            *rest,
+        )
+        for sensor, qname, *rest in keys
+    ]
+    matrix = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    return WindowKeys(matrix, list(sensors), list(qnames))
+
+
+def text_keys(window: WindowKeys) -> List[tuple]:
+    """Inverse of :func:`window_keys`."""
+    return [
+        (window.sensors[sensor], window.qnames[qname], *rest)
+        for sensor, qname, *rest in window.keys.tolist()
+    ]
+
+
+def recent_keys(pipeline) -> List[tuple]:
+    """Either pipeline's dedup window as text keys, oldest first."""
+    if isinstance(pipeline, ResilientIngestPipeline):
+        names = pipeline._names  # noqa: SLF001
+        return [
+            (names.sensors[sensor], names.text[qid], *rest)
+            for sensor, qid, *rest in pipeline._window.keys.tolist()  # noqa: SLF001
+        ]
+    return pipeline.recent_keys()
 
 
 def daily_series_scan(

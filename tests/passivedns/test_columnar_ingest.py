@@ -17,6 +17,7 @@ from repro.clock import SECONDS_PER_DAY, STUDY_START, date_to_epoch
 from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
 from repro.faults import FaultPlan
+from repro.faults.injectors import InjectionEvent
 from repro.passivedns import io as io_mod
 from repro.passivedns import pipeline as pipeline_mod
 from repro.passivedns.pipeline import ResilientIngestPipeline
@@ -112,7 +113,7 @@ def _state(pipeline):
         "rows": db.row_count(),
         "responses": db.total_responses(),
         "suppressed": pipeline.stats.duplicates_suppressed,
-        "window": pipeline.recent_keys(),
+        "window": reference_mod.recent_keys(pipeline),
         "stats": dataclasses.asdict(pipeline.stats),
         "channel": (channel.published, channel.dropped, channel.subscriber_errors),
         "dlq": (pipeline.dead_letters.pushed, pipeline.dead_letters.evicted),
@@ -219,6 +220,36 @@ def test_observations_built_only_for_dead_letters(plan, monkeypatch):
     assert len(built) == len(quarantined)
 
 
+def test_faulted_ingest_builds_no_injection_event_until_read(
+    tmp_path, monkeypatch
+):
+    """The injection log stays columns through a faulted, checkpointed
+    ingest: an :class:`InjectionEvent` is built only when a reader
+    asks, one per logged fault."""
+    built = []
+    original = InjectionEvent.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(InjectionEvent, "__new__", staticmethod(counting))
+    pipeline = _build(
+        ResilientIngestPipeline,
+        EVERYTHING,
+        0,
+        spill_dir=tmp_path,
+        checkpoint_every=100,
+    )
+    pipeline.ingest_many(_observations(500))
+    pipeline.finish()
+    log = pipeline.schedule.log
+    assert len(log) > 0
+    assert built == []
+    lines = log.lines()
+    assert len(built) == len(lines) == len(log)
+
+
 @pytest.mark.parametrize("attempts", [1, 4])
 def test_retry_budgets(attempts):
     plan = FaultPlan(store_failure_rate=0.5, subscriber_crash_rate=0.1)
@@ -275,19 +306,36 @@ def test_dedup_window_with_doubled_input():
 
 @pytest.fixture
 def payloads(monkeypatch):
-    """Record every checkpoint payload written, per pipeline class."""
+    """Record every checkpoint written, per pipeline class.
+
+    Each record is the committed payload, the window handed to
+    ``save_checkpoint`` and the window read back from the committed
+    ``window`` sidecar, each window as its text keys plus its
+    checkpoint form (key matrix and name tables).
+    """
     written = {ResilientIngestPipeline: [], ReferencePipeline: []}
 
+    def form(window):
+        return (
+            reference_mod.text_keys(window),
+            window.keys.tolist(),
+            window.sensors,
+            window.qnames,
+        )
+
     def recorder(cls):
-        def save(db, cursor, injector_counters=None, extra=None, recent_keys=None):
+        def save(db, cursor, injector_counters=None, extra=None, window=None):
+            generation = io_mod.save_checkpoint(
+                db, cursor, injector_counters, extra, window
+            )
             written[cls].append(
-                io_mod._checkpoint_payload(
-                    db, cursor, injector_counters, extra, recent_keys
+                (
+                    db.spill.meta["checkpoint"],
+                    form(window),
+                    form(io_mod.load_checkpoint(db).window),
                 )
             )
-            return io_mod.save_checkpoint(
-                db, cursor, injector_counters, extra, recent_keys
-            )
+            return generation
 
         return save
 
@@ -322,6 +370,9 @@ def test_checkpoints_inside_batches_crash_and_resume(
     assert outcomes[0] == outcomes[1]
     assert payloads[ResilientIngestPipeline] == payloads[ReferencePipeline]
     assert len(payloads[ResilientIngestPipeline]) >= 500 // every
+    for _, given, decoded in payloads[ResilientIngestPipeline]:
+        assert decoded == given
+    assert any(given[0] for _, given, _ in payloads[ResilientIngestPipeline])
 
 
 def _store_state(pipeline):

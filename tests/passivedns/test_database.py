@@ -24,6 +24,8 @@ from tests.passivedns.reference import (
     ReferencePipeline,
     ScalarDatabase,
     daily_series_scan,
+    recent_keys,
+    window_keys,
 )
 
 DAY = SECONDS_PER_DAY
@@ -438,7 +440,7 @@ class TestDedupWindow:
 
     def _resume(self, tmp_path, keys):
         db = PassiveDnsDatabase(spill_dir=tmp_path)
-        save_checkpoint(db, cursor=0, recent_keys=keys)
+        save_checkpoint(db, cursor=0, window=window_keys(keys))
         pipeline = ResilientIngestPipeline(spill_dir=tmp_path)
         assert pipeline.resume() == 0
         return pipeline
@@ -447,7 +449,7 @@ class TestDedupWindow:
         keys = [_window_key(i) for i in range(DEDUP_WINDOW + 100)]
         pipeline = self._resume(tmp_path, keys)
         # The newest keys survive; the oldest 100 are dropped.
-        assert pipeline.recent_keys() == keys[100:]
+        assert recent_keys(pipeline) == keys[100:]
         # A redelivery of a dropped key lands; of a retained one, not.
         pipeline.ingest_many([_redelivery(keys[0]), _redelivery(keys[-1])])
         assert pipeline.stats.duplicates_suppressed == 1
@@ -457,7 +459,7 @@ class TestDedupWindow:
     def test_restore_roundtrip_under_window(self, tmp_path):
         keys = [_window_key(i) for i in range(10)]
         pipeline = self._resume(tmp_path, keys)
-        assert pipeline.recent_keys() == keys
+        assert recent_keys(pipeline) == keys
 
 
 class TestSampling:

@@ -505,6 +505,32 @@ class TestCrashAtEveryBoundary:
         }
 
 
+class TestOneMapPerSegment:
+    """A store maps each segment once; compaction streams its inputs
+    through those maps instead of mapping every input again."""
+
+    def test_compaction_reuses_the_store_maps(self, tmp_path, monkeypatch):
+        store = TestStreamedCompaction._store(tmp_path / "s", segments=3, rows=500)
+        held = [store.mmap_segment(info) for info in store.segments()]
+        again = [store.mmap_segment(info) for info in store.segments()]
+        assert all(a is b for a, b in zip(held, again))
+        loads = []
+        load = np.load
+
+        def counting(*args, **kwargs):
+            loads.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting)
+        assert store.compact() is not None
+        assert loads == []
+        (merged,) = store.segments()
+        part = store.mmap_segment(merged)
+        assert store.mmap_segment(merged) is part
+        assert len(loads) == 1
+        assert np.array_equal(part[0], np.concatenate([ids for ids, _, _ in held]))
+
+
 def _three_generation_store(root):
     """A store with three committed single-segment generations."""
     store = SpillStore.open(root)

@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.dns.name import DomainName
@@ -10,14 +11,18 @@ from repro.errors import ConfigError, CorruptArchiveError, WorkloadError
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.io import (
     CHECKPOINT_VERSION,
+    WindowKeys,
     _checkpoint_payload,
     load_checkpoint,
+    save_checkpoint,
 )
 from repro.whois.history import WhoisHistoryDatabase
 from repro.whois.io import load_history, save_history
 from repro.whois.record import WhoisRecord
 from repro.workloads.persistence import load_trace, save_trace
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
+
+from tests.passivedns.reference import text_keys, window_keys
 
 D1 = DomainName("alpha.com")
 D2 = DomainName("beta.net")
@@ -43,7 +48,7 @@ def _commit_checkpoint(root, **overrides):
     """A spill store whose committed checkpoint payload is overridden."""
     db = PassiveDnsDatabase(spill_dir=root)
     db.add_rows(D1, [0], [1])
-    payload = _checkpoint_payload(db, 1, None, None, None)
+    payload = _checkpoint_payload(db, 1, None, None, {})
     payload.update(overrides)
     db.spill_commit({"checkpoint": payload})
 
@@ -91,6 +96,136 @@ class TestCorruptArchives:
         _commit_checkpoint(tmp_path, version=3, injector_counters=counters)
         with pytest.raises(ConfigError, match="checkpoint version"):
             load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
+
+def _window(count, offset=0):
+    """A dedup window of ``count`` distinct text keys."""
+    return window_keys(
+        [
+            (f"s{i % 3}", f"h{i}.d{i % 7}.com", 3, 1, offset + i, 1 + i % 2)
+            for i in range(count)
+        ]
+    )
+
+
+def _newest_manifest(root):
+    return sorted(root.glob("manifest-*.json"))[-1]
+
+
+class TestCheckpointWindow:
+    """The dedup window rides in a ``window`` sidecar, not the manifest."""
+
+    def test_manifest_size_does_not_grow_with_the_window(self, tmp_path):
+        # Only digit counts differ (the sidecar's size and CRC, the
+        # payload's row count), so a few bytes, not ~50 per key.
+        sizes = {}
+        for count in (10, 4096):
+            root = tmp_path / str(count)
+            db = PassiveDnsDatabase(spill_dir=root)
+            db.add_rows(D1, [0], [1])
+            save_checkpoint(db, cursor=1, window=_window(count))
+            sizes[count] = _newest_manifest(root).stat().st_size
+            state = load_checkpoint(PassiveDnsDatabase(spill_dir=root))
+            assert text_keys(state.window) == text_keys(_window(count))
+        assert abs(sizes[4096] - sizes[10]) <= 32
+
+    def test_v4_checkpoint_is_refused_by_version(self, tmp_path):
+        # A version-4 payload as the previous build committed it: a
+        # true fingerprint and the window as manifest text keys.
+        keys = [list(key) for key in text_keys(_window(5))]
+        _commit_checkpoint(tmp_path, version=4, recent_keys=keys)
+        with pytest.raises(ConfigError, match="checkpoint version 4"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
+    def test_payload_naming_another_sidecar_is_refused(self, tmp_path):
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        db.add_rows(D1, [0], [1])
+        save_checkpoint(db, cursor=1, window=_window(4))
+        payload = dict(db.spill.meta["checkpoint"])
+        payload["window"] = {"sidecar": "window-0000099.bin", "rows": 4}
+        db.spill_commit({"checkpoint": payload})
+        with pytest.raises(CorruptArchiveError, match="window sidecar"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
+    def test_payload_without_window_sidecar_is_refused(self, tmp_path):
+        _commit_checkpoint(tmp_path)
+        with pytest.raises(CorruptArchiveError, match="window sidecar"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
+    def test_row_count_mismatch_is_refused(self, tmp_path):
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        db.add_rows(D1, [0], [1])
+        save_checkpoint(db, cursor=1, window=_window(4))
+        payload = dict(db.spill.meta["checkpoint"])
+        payload["window"] = dict(payload["window"], rows=5)
+        db.spill_commit({"checkpoint": payload})
+        with pytest.raises(CorruptArchiveError, match="4 keys"):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
+    @pytest.mark.parametrize(
+        "blob, rows, problem",
+        [
+            (b"not a window", 0, "unreadable window"),
+            (
+                WindowKeys(np.zeros((2, 5), dtype=np.int64)).encode(),
+                2,
+                "shape",
+            ),
+            (
+                WindowKeys(
+                    np.array([[0, 1, 3, 1, 0, 1]], dtype=np.int64),
+                    ["s"],
+                    ["only.com"],
+                ).encode(),
+                1,
+                "outside its name table",
+            ),
+        ],
+        ids=["garbage", "shape", "outside-table"],
+    )
+    def test_malformed_window_blob_is_refused(
+        self, tmp_path, blob, rows, problem
+    ):
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        db.add_rows(D1, [0], [1])
+        info = db.spill.write_sidecar("window", blob)
+        payload = _checkpoint_payload(
+            db, 1, None, None, {"sidecar": info.name, "rows": rows}
+        )
+        db.spill_commit({"checkpoint": payload})
+        with pytest.raises(CorruptArchiveError, match=problem):
+            load_checkpoint(PassiveDnsDatabase(spill_dir=tmp_path))
+
+    def test_window_damaged_after_open_is_refused(self, tmp_path):
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        db.add_rows(D1, [0], [1])
+        save_checkpoint(db, cursor=1, window=_window(4))
+        reopened = PassiveDnsDatabase(spill_dir=tmp_path)
+        victim = reopened.spill.sidecar_path("window")
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        with pytest.raises(CorruptArchiveError, match="checksum"):
+            load_checkpoint(reopened)
+
+    def test_damaged_window_falls_back_to_previous_generation(self, tmp_path):
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        db.add_rows(D1, [0], [1])
+        save_checkpoint(db, cursor=1, window=_window(4))
+        db.add_rows(D2, [5], [1])
+        save_checkpoint(db, cursor=2, window=_window(6, offset=100))
+        victim = db.spill.sidecar_path("window")
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        reopened = PassiveDnsDatabase(spill_dir=tmp_path)
+        report = reopened.spill.last_recovery
+        assert [entry.kind for entry in report.quarantined] == [
+            "damaged-sidecar"
+        ]
+        state = load_checkpoint(reopened)
+        assert state.cursor == 1
+        assert text_keys(state.window) == text_keys(_window(4))
 
 
 class TestWhoisIo:
