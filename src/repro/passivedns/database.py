@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import io as _stdio
+import itertools
+import re
 import threading
 import zipfile
 import zlib
@@ -71,7 +73,7 @@ import numpy as np
 
 from repro.clock import SECONDS_PER_DAY, month_key
 from repro.dns.message import RCode
-from repro.dns.name import DomainName
+from repro.dns.name import MAX_NAME_LENGTH, DomainName
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.spill import DIGEST_MASK, SpillStore
 from repro.errors import ConfigError, CorruptArchiveError
@@ -113,10 +115,16 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hash_name(text: str) -> int:
-    """64-bit identity of a domain name (signed, for an int64 column)."""
-    raw = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(raw, "little", signed=True)
+def _hash_names(names: Iterable[Any]) -> np.ndarray:
+    """64-bit identities of domain names (signed, for an int64 column).
+
+    Each is the little-endian 8-byte BLAKE2b digest of the name's text.
+    """
+    digests = b"".join(
+        hashlib.blake2b(str(name).encode("utf-8"), digest_size=8).digest()
+        for name in names
+    )
+    return np.frombuffer(digests, dtype="<i8").astype(np.int64, copy=False)
 
 
 def pack_names(names: Iterable[Any]) -> np.ndarray:
@@ -125,10 +133,88 @@ def pack_names(names: Iterable[Any]) -> np.ndarray:
     return np.frombuffer(joined, dtype=np.uint8)
 
 
+#: One lowercase label of :data:`repro.dns.name._LABEL_RE`'s grammar
+#: (1–63 characters, no leading or trailing hyphen, ``_`` only first).
+_LABEL = r"[a-z0-9_](?:[a-z0-9-]{0,61}[a-z0-9])?"
+#: Names of that grammar: labels joined by dots within a name and by
+#: ``\x00`` between names.
+_TABLE_RE = re.compile(rf"(?:{_LABEL}[.\x00])*{_LABEL}")
+#: Names per :data:`_TABLE_RE` match.  The engine keeps backtracking
+#: state for every repetition (several hundred bytes a name), so a
+#: table is matched a bounded run of names at a time.
+_NAMES_PER_MATCH = 1024
+
+
 def unpack_names(buffer: np.ndarray) -> List[DomainName]:
-    """Inverse of :func:`pack_names`."""
-    text = np.asarray(buffer, dtype=np.uint8).tobytes().decode("utf-8")
-    return [DomainName(name) for name in text.split("\x00")] if text else []
+    """Inverse of :func:`pack_names`, validating the table in bulk.
+
+    :data:`_TABLE_RE` is fullmatched over the ``\x00``-joined text
+    (:data:`_NAMES_PER_MATCH` names per match) and one ``max`` over the
+    separator offsets bounds every name at ``MAX_NAME_LENGTH``
+    characters; a table that passes both is built straight from its
+    label tuples.  Any other table is parsed name by name with
+    :class:`DomainName`, which accepts what the grammar leaves out
+    (the root ``"."``, upper case, surrounding whitespace) and
+    otherwise raises the error a one-at-a-time parse raises, so every
+    table decodes to the same names, or the same error, either way.
+    """
+    raw = np.asarray(buffer, dtype=np.uint8)
+    text = raw.tobytes().decode("utf-8")
+    if not text:
+        return []
+    names = text.split("\x00")
+    # The grammar is ASCII, so where it matches, bytes are characters.
+    if len(text) == len(raw):
+        separators = np.flatnonzero(raw == 0)
+        lengths = np.diff(separators, prepend=-1, append=len(raw)) - 1
+        cuts = separators[_NAMES_PER_MATCH - 1 :: _NAMES_PER_MATCH].tolist()
+        bounds = [-1, *cuts, len(text)]
+        fullmatch = _TABLE_RE.fullmatch
+        if int(lengths.max()) <= MAX_NAME_LENGTH and all(
+            fullmatch(text, lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])
+        ):
+            from_valid = DomainName._from_valid
+            return [from_valid(tuple(name.split("."))) for name in names]
+    return [DomainName(name) for name in names]
+
+
+def _intern_keys(
+    table: Dict[Any, int], keys: Sequence[Any], start: int
+) -> Tuple[np.ndarray, List[int]]:
+    """Ids of ``keys`` in ``table``, interning the new ones in bulk.
+
+    ``start`` is the first free id: every id in ``table`` is below it.
+    Returns the ids and the positions of the new keys' first copies.
+    A new key gets the next free id in order of first appearance, and
+    ``table`` gains it.  Each key is hashed once, plus once per new key:
+    the lookup pass inserts a new key under the placeholder ``start +
+    position``, so its later copies find that, and the placeholders
+    are then swapped for the ids.  No placeholder or new id is below
+    ``start``, so a reader of ``table`` meanwhile sees a new key as one
+    whose columns have not landed yet.
+    """
+    try:
+        ids = np.fromiter(
+            map(table.setdefault, keys, itertools.count(start)),
+            dtype=np.int64,
+            count=len(keys),
+        )
+    except BaseException:
+        for key in [key for key, value in table.items() if value >= start]:
+            del table[key]
+        raise
+    missed = np.flatnonzero(ids >= start)
+    if not len(missed):
+        return ids, []
+    placeholders = ids[missed] - start
+    # A key's first copy holds its own position as placeholder.
+    firsts = missed[placeholders == missed]
+    fresh = np.empty(len(keys), dtype=np.int64)
+    fresh[firsts] = np.arange(start, start + len(firsts))
+    ids[missed] = fresh[placeholders]
+    positions = firsts.tolist()
+    table.update(zip(map(keys.__getitem__, positions), itertools.count(start)))
+    return ids, positions
 
 
 #: Largest combined sort key :func:`_domain_index` may form in ``int64``.
@@ -188,8 +274,8 @@ def _domain_index(
 class _IntColumn:
     """Amortized-append ``int64`` column (capacity-doubling array).
 
-    The growable building block of the store: appends are O(1)
-    amortized, :meth:`extend` lands whole arrays with one copy, and
+    The growable building block of the store: :meth:`extend` lands
+    whole arrays with one copy, O(1) amortized per value, and
     :meth:`view` exposes the live prefix zero-copy.
     """
 
@@ -212,12 +298,6 @@ class _IntColumn:
         grown = np.empty(capacity, dtype=np.int64)
         grown[: self._size] = self._data[: self._size]
         self._data = grown
-
-    def append(self, value: int) -> None:
-        """Append one value."""
-        self._reserve(1)
-        self._data[self._size] = value
-        self._size += 1
 
     def extend(self, values: np.ndarray) -> None:
         """Append a whole array of values."""
@@ -299,7 +379,7 @@ class PassiveDnsDatabase:
         self._totals = _IntColumn()
         #: Interned per-domain TLD ids (index into ``_tlds``).
         self._tld_ids = _IntColumn()
-        #: Per-domain 64-bit name hash (:func:`_hash_name`) for the row
+        #: Per-domain 64-bit name hash (:func:`_hash_names`) for the row
         #: digest; derived, so restores recompute it from the names.
         self._name_hash = _IntColumn()
         self._tld_of: Dict[str, int] = {}
@@ -382,21 +462,20 @@ class PassiveDnsDatabase:
     def intern_many(self, domains: Iterable[DomainName]) -> np.ndarray:
         """Bulk-intern domains, returning their ids as an int64 array.
 
-        New domains are assigned ids in input order with sentinel
-        aggregates; the first :meth:`add_batch` referencing them sets
-        real first/last-seen values.  Already-known domains keep their
-        ids, so the result is safe to feed straight to
+        New domains are assigned ids in order of first appearance with
+        sentinel aggregates; the first :meth:`add_batch` referencing
+        them sets real first/last-seen values.  Already-known domains
+        keep their ids, so the result is safe to feed straight to
         :meth:`add_batch` (with ``np.repeat`` for per-domain row runs).
+        One lookup pass hashes each name once (:func:`_intern_keys`),
+        and the new names' columns grow by one ``extend`` each.
         """
         names = list(domains)
-        ids = list(map(self._id_of.get, names))
-        if None in ids:
-            # Only the misses pay for ``_intern``, in input order, so
-            # new ids still follow first appearance.
-            for position, domain_id in enumerate(ids):
-                if domain_id is None:
-                    ids[position] = self._intern(names[position])
-        return np.asarray(ids, dtype=np.int64)
+        with self._rows_lock:
+            ids, fresh = _intern_keys(self._id_of, names, len(self._domains))
+            if fresh:
+                self._append_domains([names[position] for position in fresh])
+        return ids
 
     def add_batch(
         self,
@@ -471,25 +550,39 @@ class PassiveDnsDatabase:
                 # Interning alone changes no row aggregates; every caller
                 # appends rows next and bumps via _touch().
                 self._id_of[domain] = domain_id  # repro: noqa[REP204]
-                self._domains.append(domain)
-                self._first_seen.append(_FIRST_SEEN_SENTINEL)
-                self._last_seen.append(_LAST_SEEN_SENTINEL)
-                self._totals.append(0)
-                self._append_domain_keys(domain)
+                self._append_domains([domain])
         return domain_id
 
-    def _append_domain_keys(self, domain: DomainName) -> None:
-        """Append ``domain``'s TLD id and name hash (rows lock held)."""
-        tld = domain.tld
-        tld_id = self._tld_of.get(tld)
-        if tld_id is None:
-            tld_id = len(self._tlds)
-            # Per-domain keys change no row aggregate; every caller
-            # lands rows or a whole table next and sets the generation.
-            self._tld_of[tld] = tld_id  # repro: noqa[REP204]
-            self._tlds.append(tld)
-        self._tld_ids.append(tld_id)
-        self._name_hash.append(_hash_name(str(domain)))
+    def _append_domains(self, domains: List[DomainName]) -> None:
+        """Append new domains with sentinel aggregates.
+
+        Their ``_id_of`` entries are the caller's: the next ids, in
+        order.
+        """
+        count = len(domains)
+        with self._rows_lock:
+            # Interning alone changes no row aggregates; every caller
+            # appends rows next and bumps via _touch().
+            self._domains.extend(domains)  # repro: noqa[REP204]
+            self._first_seen.extend(np.full(count, _FIRST_SEEN_SENTINEL))
+            self._last_seen.extend(np.full(count, _LAST_SEEN_SENTINEL))
+            self._totals.extend(np.zeros(count, dtype=np.int64))
+            self._append_domain_keys(domains)
+
+    def _append_domain_keys(self, domains: List[DomainName]) -> None:
+        """Append the domains' TLD ids and name hashes (rows lock held).
+
+        The one domain-key path: interning and reopening both land
+        their names' keys here, one ``extend`` per column.
+        """
+        tlds = [domain.tld for domain in domains]
+        tld_ids, fresh = _intern_keys(self._tld_of, tlds, len(self._tlds))
+        # Per-domain keys change no row aggregate; every caller lands
+        # rows or a whole table next and sets the generation.
+        new_tlds = [tlds[position] for position in fresh]
+        self._tlds.extend(new_tlds)  # repro: noqa[REP204]
+        self._tld_ids.extend(tld_ids)
+        self._name_hash.extend(_hash_names(domains))
 
     def _adopt_domains(
         self,
@@ -505,15 +598,14 @@ class PassiveDnsDatabase:
         """
         with self._rows_lock:
             # Callers set the generation once the rows are in place.
-            self._id_of = {  # repro: noqa[REP204]
-                domain: i for i, domain in enumerate(domains)
-            }
+            self._id_of = dict(  # repro: noqa[REP204]
+                zip(domains, range(len(domains)))
+            )
             self._domains = list(domains)
             self._first_seen.extend(np.asarray(first_seen, dtype=np.int64))
             self._last_seen.extend(np.asarray(last_seen, dtype=np.int64))
             self._totals.extend(np.asarray(totals, dtype=np.int64))
-            for domain in domains:
-                self._append_domain_keys(domain)
+            self._append_domain_keys(domains)
 
     def _touch(self) -> None:
         self._generation += 1

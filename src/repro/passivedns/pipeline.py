@@ -29,10 +29,14 @@ counts, rcodes and rtypes.  No observation object travels further:
    rebuilt as :class:`DnsObservation` objects (the only rows that
    are) and go to the dead-letter queue;
 5. the dedup window (:class:`_DedupWindow`) admits the stored rows
-   once, in arrival order, keyed on the chunk's id columns, and the
-   admitted rows land through ``intern_many`` + ``add_batch``, the
-   store's only multi-domain write path.  Dead-letter replay lands
-   every queued letter the same way, in one call.
+   once, in arrival order, keyed on the chunk's id columns.  A
+   redelivery at most the window's size behind an admitted copy is
+   suppressed with array operations, and only the rows left are
+   walked in order.  The admitted rows land through ``intern_many``,
+   which interns the chunk's new registered domains in one step, and
+   ``add_batch``: the store's only multi-domain write path.
+   Dead-letter replay lands every queued letter the same way, in one
+   call.
 
 Per-name facts (reverse lookup or not, registered domain) are arrays
 over the qname ids, so each step reads them with one gather.  The
@@ -263,45 +267,72 @@ class _DedupWindow:
         The window always holds the keys of the last ``size``
         admissions, so a row is suppressed iff its key's latest
         admission is among them.  Only rows whose key was seen before
-        (in the window or earlier in the batch) can be suppressed, so
-        only those are walked in order; every other row is admitted.
+        (in the window or earlier in the batch) can be suppressed.
+        Most are decided with array operations: the rank gap between
+        two rows (the admissions between them) is never larger than
+        their position gap, so a row whose previous occurrence is an
+        admission — a window key or a fresh batch row — at most
+        ``size`` positions back is suppressed.  Only the rest are
+        walked in order: a row whose previous occurrence is another
+        candidate, or an admission further back.
         """
-        admitted = np.ones(len(keys), dtype=bool)
         held = len(self.keys)
         previous = _previous_occurrence(np.concatenate((self.keys, keys)))
         fresh = previous[held:] < 0
         candidates = np.flatnonzero(~fresh) + held
-        if len(candidates):
-            # Rank of an admission = admissions before it: window keys
-            # are admissions 0..held-1, and a batch row is preceded by
-            # the fresh rows before it plus the candidates admitted so
-            # far.
-            fresh_before = (np.cumsum(fresh) - fresh).tolist()
-            latest: Dict[int, int] = {}  # suppressed row -> latest admission
-            passed: List[int] = []  # admitted candidates, in order
-            suppressed: List[int] = []
-
-            def rank(position: int) -> int:
-                if position < held:
-                    return position
-                return (
-                    held
-                    + fresh_before[position - held]
-                    + bisect.bisect_left(passed, position)
-                )
-
-            for position, prior in zip(
-                candidates.tolist(), previous[candidates].tolist()
-            ):
-                source = latest.get(prior, prior)
-                if rank(source) >= rank(position) - self.size:
-                    suppressed.append(position - held)
-                    latest[position] = source
-                else:
-                    passed.append(position)
-            admitted[suppressed] = False
+        priors = previous[candidates]
+        prior_admitted = priors < held
+        in_batch = np.flatnonzero(~prior_admitted)
+        prior_admitted[in_batch] = fresh[priors[in_batch] - held]
+        forced = prior_admitted & (candidates - priors <= self.size)
+        # Each suppressed row's source: its key's latest admission, by
+        # position.  Every other row is its own.
+        source = np.arange(held + len(keys))
+        source[candidates[forced]] = priors[forced]
+        admitted = np.ones(len(keys), dtype=bool)
+        admitted[candidates[forced] - held] = False
+        if not forced.all():
+            self._walk(candidates[~forced], previous, fresh, source, admitted)
         self.keys = np.concatenate((self.keys, keys[admitted]))[-self.size :]
         return admitted
+
+    def _walk(
+        self,
+        candidates: np.ndarray,
+        previous: np.ndarray,
+        fresh: np.ndarray,
+        source: np.ndarray,
+        admitted: np.ndarray,
+    ) -> None:
+        """Decide the unforced ``candidates`` in order, in place.
+
+        Rank of an admission = admissions before it: window keys are
+        admissions ``0..held-1``, and a batch row is preceded by the
+        fresh rows before it plus the walked candidates admitted so far
+        (forced rows are all suppressed).
+        """
+        held = len(self.keys)
+        fresh_before = np.cumsum(fresh) - fresh
+        passed: List[int] = []  # admitted walked candidates, in order
+
+        def rank(position: int) -> int:
+            if position < held:
+                return position
+            return (
+                held
+                + int(fresh_before[position - held])
+                + bisect.bisect_left(passed, position)
+            )
+
+        for position, prior in zip(
+            candidates.tolist(), previous[candidates].tolist()
+        ):
+            latest = int(source[prior])
+            if rank(latest) >= rank(position) - self.size:
+                admitted[position - held] = False
+                source[position] = latest
+            else:
+                passed.append(position)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 - :class:`ScalarDatabase` is the store with a record-at-a-time
   writer: ``add`` interns one row's domain and updates its
   min/max/sum aggregates in Python.  ``add_batch`` and ``add_rows``
-  must land the same store.
+  must land the same store.  Its ``_intern`` interns one name at a
+  time, appending to every per-domain column and the TLD table by
+  hand; ``intern_many``'s bulk interning must build the same tables.
 - :class:`ReferencePipeline` is the record-at-a-time ingest pipeline:
   one :class:`DnsObservation` at a time through the record-at-a-time
   fault rules of :mod:`tests.faults.reference`, a subscribed :class:`SieChannel`, a retry-wrapped store
@@ -21,6 +23,7 @@
 All three are deliberately the slow, obvious form of the computation.
 """
 
+import hashlib
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -31,7 +34,11 @@ from repro.dns.name import DomainName
 from repro.errors import ConfigError, ReproError, TransientStoreError
 from repro.faults.plan import FaultSchedule
 from repro.passivedns.channel import SieChannel
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.passivedns.database import (
+    _FIRST_SEEN_SENTINEL,
+    _LAST_SEEN_SENTINEL,
+    PassiveDnsDatabase,
+)
 from repro.passivedns.io import WindowKeys, load_checkpoint, save_checkpoint
 from repro.passivedns.pipeline import (
     DEDUP_WINDOW,
@@ -69,12 +76,35 @@ class ScalarDatabase(PassiveDnsDatabase):
             if timestamp > self._last_seen[domain_id]:
                 self._last_seen[domain_id] = timestamp
             self._totals[domain_id] += count
-            self._tail_domain.append(domain_id)
-            self._tail_time.append(timestamp)
-            self._tail_count.append(count)
+            self._tail_domain.extend([domain_id])
+            self._tail_time.extend([timestamp])
+            self._tail_count.extend([count])
             self._n_rows += 1
             self._touch()
         self._maybe_seal()
+
+    def _intern(self, domain: DomainName) -> int:
+        """One name: a lookup, then one append to every column."""
+        domain_id = self._id_of.get(domain)
+        if domain_id is not None:
+            return domain_id
+        with self._rows_lock:
+            domain_id = len(self._domains)
+            self._id_of[domain] = domain_id
+            self._domains.append(domain)
+            self._first_seen.extend([_FIRST_SEEN_SENTINEL])
+            self._last_seen.extend([_LAST_SEEN_SENTINEL])
+            self._totals.extend([0])
+            tld_id = self._tld_of.get(domain.tld)
+            if tld_id is None:
+                tld_id = self._tld_of[domain.tld] = len(self._tlds)
+                self._tlds.append(domain.tld)
+            self._tld_ids.extend([tld_id])
+            digest = hashlib.blake2b(
+                str(domain).encode("utf-8"), digest_size=8
+            ).digest()
+            self._name_hash.extend([int.from_bytes(digest, "little", signed=True)])
+        return domain_id
 
 
 class ReferencePipeline:

@@ -1,5 +1,7 @@
 """Tests for the columnar passive DNS database."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from repro.clock import SECONDS_PER_DAY
 from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
-from repro.passivedns.database import PassiveDnsDatabase
+from repro.errors import DomainNameError
+from repro.passivedns.database import (
+    _NAMES_PER_MATCH,
+    PassiveDnsDatabase,
+    pack_names,
+    unpack_names,
+)
 from repro.passivedns import pipeline as pipeline_mod
 from repro.passivedns.io import save_checkpoint
 from repro.passivedns.pipeline import (
@@ -31,6 +39,18 @@ from tests.passivedns.reference import (
 DAY = SECONDS_PER_DAY
 D1 = DomainName("alpha.com")
 D2 = DomainName("beta.net")
+
+
+def assert_same_domain_tables(got, expected):
+    """Equal domain tables: ids, aggregates, TLD table and name hashes."""
+    assert got.all_domains() == expected.all_domains()
+    assert got._id_of == expected._id_of
+    assert got._tlds == expected._tlds
+    assert got._tld_of == expected._tld_of
+    for column in ("_first_seen", "_last_seen", "_totals", "_tld_ids", "_name_hash"):
+        np.testing.assert_array_equal(
+            getattr(got, column).view(), getattr(expected, column).view()
+        )
 
 
 @pytest.fixture
@@ -244,13 +264,13 @@ class TestBatchIngest:
         appearance, exactly as interning one name at a time does."""
         first = [DomainName(f"d{i % 7}.com") for i in range(20)]
         second = [DomainName(f"d{i}.com") for i in (9, 3, 9, 12, 0, 3, 11, 12)]
-        batched, single = PassiveDnsDatabase(), PassiveDnsDatabase()
+        batched, single = PassiveDnsDatabase(), ScalarDatabase()
         for chunk in (first, second, []):
             ids = batched.intern_many(iter(chunk))
             expected = [single._intern(domain) for domain in chunk]
             assert ids.dtype == np.int64
             assert ids.tolist() == expected
-        assert batched.all_domains() == single.all_domains()
+        assert_same_domain_tables(batched, single)
 
     def test_batch_validation(self):
         db = PassiveDnsDatabase()
@@ -417,6 +437,262 @@ class TestBatchAdmit:
         rng = make_rng(4)
         rows = [tuple(int(v) for v in row) for row in rng.integers(0, 4, (80, 3))]
         self._check(rows, window=5, cuts=[17, 40])
+
+
+class TestForcedAdmit:
+    """Rows ``admit`` decides without walking, and the edges of that."""
+
+    def _admit(self, monkeypatch, names, window):
+        """``TestBatchAdmit``'s oracle check, recording walked rows."""
+        walked = []
+        walk = _DedupWindow._walk
+
+        def recording(self, candidates, *rest):
+            walked.extend(candidates.tolist())
+            return walk(self, candidates, *rest)
+
+        monkeypatch.setattr(_DedupWindow, "_walk", recording)
+        TestBatchAdmit()._check([(0, name, 0) for name in names], window, [])
+        return walked
+
+    def test_duplicate_at_window_size_is_forced(self, monkeypatch):
+        """A copy exactly ``size`` rows after its admitted first copy
+        is suppressed without a walk."""
+        assert self._admit(monkeypatch, [0, 1, 2, 3, 0], window=4) == []
+
+    def test_duplicate_past_window_size_lands(self, monkeypatch):
+        """One row further, with no suppression between, it lands."""
+        assert self._admit(monkeypatch, [0, 1, 2, 3, 4, 0], window=4) == [5]
+
+    def test_prior_forced_suppression_is_walked(self, monkeypatch):
+        """A row whose previous copy was itself suppressed decides by
+        the walk: here its key's admission has slid out of the window,
+        though its previous copy is only two rows back."""
+        names = [0, 1, 2, 0, 3, 0]
+        assert self._admit(monkeypatch, names, window=3) == [5]
+
+    def test_adjacent_duplicates_never_bisect(self, monkeypatch):
+        calls = []
+        bisect_left = bisect.bisect_left
+
+        def counting(*args):
+            calls.append(args)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(bisect, "bisect_left", counting)
+        rows = np.repeat(np.arange(5_000), 2)
+        keys = np.zeros((len(rows), 6), dtype=np.int64)
+        keys[:, 1] = rows
+        window = _DedupWindow()
+        admitted = np.concatenate(
+            [window.admit(keys[lo : lo + 4_000]) for lo in range(0, len(keys), 4_000)]
+        )
+        assert calls == []
+        assert admitted.tolist() == [True, False] * 5_000
+        np.testing.assert_array_equal(window.keys, keys[::2][-DEDUP_WINDOW:])
+
+
+#: Label characters beside ``_`` (which only a label's first may be).
+_LDH = "abcdefghijklmnopqrstuvwxyz0123456789"
+_LABELS = st.one_of(
+    st.sampled_from(_LDH + "_"),
+    st.builds(
+        lambda first, middle, last: first + middle + last,
+        st.sampled_from(_LDH + "_"),
+        st.text(_LDH + "-", max_size=61),
+        st.sampled_from(_LDH),
+    ),
+    st.builds(
+        lambda first, middle: first + middle,
+        st.sampled_from(_LDH + "_"),
+        st.text(_LDH, min_size=62, max_size=62),
+    ),
+)
+_NAMES = (
+    st.lists(_LABELS, min_size=1, max_size=6)
+    .map(".".join)
+    .filter(lambda name: len(name) <= 253)
+)
+_LONGEST = ".".join(("a" * 63, "b" * 63, "c" * 63, "d" * 61))
+
+
+def _parsed(names):
+    """What parsing each name with :class:`DomainName` gives: the names,
+    or the type and message of the error it raises."""
+    try:
+        return [DomainName(name) for name in names]
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _unpacked(names):
+    """``unpack_names`` of the packed table, in the same form."""
+    buffer = np.frombuffer("\x00".join(names).encode("utf-8"), dtype=np.uint8)
+    try:
+        return unpack_names(buffer)
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestUnpackNames:
+    """``unpack_names`` ≡ parsing each packed name with ``DomainName``."""
+
+    @given(st.lists(_NAMES, min_size=1, max_size=12))
+    def test_valid_tables_take_the_bulk_path(self, names):
+        parse = DomainName.__init__
+        parsed = []
+
+        def counting(self, text):
+            parsed.append(text)
+            parse(self, text)
+
+        DomainName.__init__ = counting
+        try:
+            got = _unpacked(names)
+        finally:
+            DomainName.__init__ = parse
+        assert got == _parsed(names)
+        assert [name.labels for name in got] == [
+            tuple(name.split(".")) for name in names
+        ]
+        assert parsed == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "a" * 64 + ".com",
+            _LONGEST + "d",
+            "a..com",
+            ".a.com",
+            "a.com.",
+            "-a.com",
+            "a-.com",
+            "a.b-",
+            "a_.com",
+            "a__b.com",
+            "Example.COM",
+            ".",
+            "a\n.com",
+            "a.com\n",
+            " a.com",
+            "a b.com",
+            "\u00fc.com",
+            "",
+        ],
+    )
+    def test_invalid_tables_parse_name_by_name(self, bad):
+        # A lone empty name is the empty table (``test_empty_table``).
+        tables = [["ok.com", bad, "x.net"]] + ([[bad]] if bad else [])
+        for names in tables:
+            assert _unpacked(names) == _parsed(names)
+
+    def test_longest_name_and_label_are_valid(self):
+        names = [_LONGEST, "a" * 63 + ".com", "_.b", "_-1.c", "9.z"]
+        assert _unpacked(names) == _parsed(names)
+
+    def test_every_match_run_is_checked(self):
+        """A bad name at either side of a match-run boundary is caught."""
+        names = [f"n{i}.com" for i in range(3 * _NAMES_PER_MATCH)]
+        assert _unpacked(names) == _parsed(names)
+        for position in (
+            _NAMES_PER_MATCH - 1,
+            _NAMES_PER_MATCH,
+            len(names) - 1,
+        ):
+            bad = list(names)
+            bad[position] = "bad-.com"
+            assert _unpacked(bad) == _parsed(bad)
+            assert _unpacked(bad)[0] is DomainNameError
+
+    def test_empty_table(self):
+        assert unpack_names(pack_names([])) == []
+
+
+class TestBulkIntern:
+    """``intern_many`` interns a chunk's new names in one step."""
+
+    def _chunk(self):
+        old = [DomainName(f"old{i}.example.com") for i in range(50)]
+        chunk = [
+            DomainName(f"old{i % 50}.example.com" if i % 2 else f"new{i % 25}.org")
+            for i in range(200)
+        ]
+        return old, chunk
+
+    def test_no_intern_call_per_name(self, monkeypatch):
+        old, chunk = self._chunk()
+        db = PassiveDnsDatabase()
+        db.intern_many(old)
+
+        def refuse(self, domain):
+            raise AssertionError("intern_many interned a name one at a time")
+
+        monkeypatch.setattr(PassiveDnsDatabase, "_intern", refuse)
+        db.intern_many(chunk)
+        assert db.unique_domains() > len(old)
+
+    def test_names_hashed_once(self, monkeypatch):
+        """Each input name is hashed once, plus a constant per new name,
+        and the new names take ids in first-appearance order."""
+        old, chunk = self._chunk()
+        db = PassiveDnsDatabase()
+        db.intern_many(old)
+        new = [name for name in dict.fromkeys(chunk) if name not in set(old)]
+        hashed = []
+        name_hash = DomainName.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return name_hash(self)
+
+        monkeypatch.setattr(DomainName, "__hash__", counting)
+        ids = db.intern_many(chunk)
+        monkeypatch.undo()
+        assert len(new) == 25
+        assert sum(name in new for name in chunk) == 4 * len(new)
+        assert len(hashed) <= len(chunk) + 2 * len(new)
+        assert db.all_domains()[len(old):] == new
+        assert [db.all_domains()[i] for i in ids.tolist()] == chunk
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4)), max_size=40),
+            max_size=5,
+        )
+    )
+    def test_matches_one_at_a_time(self, chunks):
+        """Ids, the TLD table, TLD ids and name hashes equal those of
+        the one-at-a-time reference, over any chunking."""
+        tlds = ("com", "net", "org", "xn--p1ai", "io")
+        batched, single = PassiveDnsDatabase(), ScalarDatabase()
+        for chunk in chunks:
+            names = [DomainName(f"d{i}.{tlds[t]}") for i, t in chunk]
+            ids = batched.intern_many(names)
+            assert ids.tolist() == [single._intern(name) for name in names]
+        assert_same_domain_tables(batched, single)
+
+    def test_one_name_interning_shares_the_path(self):
+        names = [DomainName(f"d{i}.{('com', 'net')[i % 2]}") for i in range(9)]
+        db, single = PassiveDnsDatabase(), ScalarDatabase()
+        for name in names + names[:3]:
+            assert db._intern(name) == single._intern(name)
+        assert_same_domain_tables(db, single)
+
+    def test_reopened_tables_equal_the_writer(self, tmp_path):
+        writer = PassiveDnsDatabase(spill_dir=tmp_path)
+        rng = make_rng(5)
+        for lo in range(0, 120, 40):
+            names = [
+                DomainName(f"h{int(i)}.{('com', 'net', 'de', '_x')[int(i) % 4]}")
+                for i in rng.integers(0, 90, 40)
+            ]
+            ids = writer.intern_many(names)
+            times = np.arange(lo, lo + 40) * DAY
+            writer.add_batch(ids, times, np.ones(40, dtype=np.int64))
+            writer.spill_commit()
+        reopened = PassiveDnsDatabase(spill_dir=tmp_path)
+        assert_same_domain_tables(reopened, writer)
+        assert reopened.fingerprint() == writer.fingerprint()
 
 
 def _window_key(i):
