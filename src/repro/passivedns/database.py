@@ -115,6 +115,42 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: one sort and an adjacent mask.
+
+    ``np.unique`` would do, but numpy 2 takes a hash path for it that
+    costs several sorts of the same array.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _day_sums(days: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``days``, ascending, and the ``counts`` summed per day."""
+    distinct = _sorted_unique(days)
+    sums = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(sums, np.searchsorted(distinct, days), counts)
+    return distinct, sums
+
+
+def _blocks(
+    parts: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]], size: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every part's (ids, times, counts), ``size`` rows at a time.
+
+    The blocks are views, so a reduce over them holds block-sized
+    temporaries whatever the size of a part (a compacted segment is
+    the whole store).
+    """
+    for ids, times, counts in parts:
+        for lo in range(0, len(ids), size):
+            hi = lo + size
+            yield ids[lo:hi], times[lo:hi], counts[lo:hi]
+
+
 def _hash_names(names: Iterable[Any]) -> np.ndarray:
     """64-bit identities of domain names (signed, for an int64 column).
 
@@ -380,7 +416,9 @@ class PassiveDnsDatabase:
         #: Interned per-domain TLD ids (index into ``_tlds``).
         self._tld_ids = _IntColumn()
         #: Per-domain 64-bit name hash (:func:`_hash_names`) for the row
-        #: digest; derived, so restores recompute it from the names.
+        #: digest; derived, and filled only when a digest first needs it
+        #: (:meth:`_name_hashes`), so a reopen that only reads hashes
+        #: nothing.  It may be shorter than ``_domains``.
         self._name_hash = _IntColumn()
         self._tld_of: Dict[str, int] = {}
         self._tlds: List[str] = []
@@ -570,10 +608,11 @@ class PassiveDnsDatabase:
             self._append_domain_keys(domains)
 
     def _append_domain_keys(self, domains: List[DomainName]) -> None:
-        """Append the domains' TLD ids and name hashes (rows lock held).
+        """Append the domains' TLD ids (rows lock held).
 
         The one domain-key path: interning and reopening both land
-        their names' keys here, one ``extend`` per column.
+        their names' keys here, one ``extend`` per column.  Name hashes
+        are not keys: :meth:`_name_hashes` fills them on demand.
         """
         tlds = [domain.tld for domain in domains]
         tld_ids, fresh = _intern_keys(self._tld_of, tlds, len(self._tlds))
@@ -582,7 +621,24 @@ class PassiveDnsDatabase:
         new_tlds = [tlds[position] for position in fresh]
         self._tlds.extend(new_tlds)  # repro: noqa[REP204]
         self._tld_ids.extend(tld_ids)
-        self._name_hash.extend(_hash_names(domains))
+
+    def _name_hashes(self) -> np.ndarray:
+        """Every interned name's :func:`_hash_names` value, in id order.
+
+        Hashes the names interned since the last call, so each name is
+        hashed once, when a row digest (seal, commit, paranoid open,
+        compaction check, an uncached part's fingerprint) first needs
+        it.  The returned view stays valid: later names only append.
+        """
+        with self._rows_lock:
+            hashed = len(self._name_hash)
+            if hashed < len(self._domains):
+                # A derived column catching up with the domain table;
+                # no row or aggregate changes.
+                self._name_hash.extend(  # repro: noqa[REP204]
+                    _hash_names(self._domains[hashed:])
+                )
+            return self._name_hash.view()
 
     def _adopt_domains(
         self,
@@ -826,13 +882,14 @@ class PassiveDnsDatabase:
         segment holds a few blocks of temporaries, never a row-length
         one; the sums merge across blocks exactly as across parts.
         """
-        names = self._name_hash.view().view(np.uint64)
+        names = self._name_hashes().view(np.uint64)
         high_sum = low_sum = 0
-        for lo in range(0, len(ids), self._CHUNK):
-            hi = lo + self._CHUNK
-            keys = names[np.asarray(ids[lo:hi], dtype=np.int64)]
-            block_times = np.asarray(times[lo:hi], dtype=np.int64).view(np.uint64)
-            block_counts = np.asarray(counts[lo:hi], dtype=np.int64).view(np.uint64)
+        for block_ids, block_times, block_counts in _blocks(
+            [(ids, times, counts)], self._CHUNK
+        ):
+            keys = names[np.asarray(block_ids, dtype=np.int64)]
+            block_times = np.asarray(block_times, dtype=np.int64).view(np.uint64)
+            block_counts = np.asarray(block_counts, dtype=np.int64).view(np.uint64)
             high, low = (
                 _mix64(_mix64(_mix64(keys ^ seed) + block_times) + block_counts)
                 for seed in _LANE_SEEDS
@@ -871,13 +928,13 @@ class PassiveDnsDatabase:
         """Rehydrate from the spill store's recovered generation.
 
         The domain table comes from the ``domains`` sidecar (name
-        hashes are recomputed from it); the row parts stay on disk as
-        memory maps.  Per-segment digests are adopted from the manifest
-        (``paranoid=True`` recomputes each from its rows and rejects a
-        mismatch), then the whole-store digest is verified against the
-        committed ``store_digest``.  A mismatch raises
-        :class:`CorruptArchiveError` rather than serving silently
-        wrong data.
+        hashes are computed from it only when a digest needs them); the
+        row parts stay on disk as memory maps.  Per-segment digests are
+        adopted from the manifest (``paranoid=True`` recomputes each
+        from its rows and rejects a mismatch), then the whole-store
+        digest is verified against the committed ``store_digest``.  A
+        mismatch raises :class:`CorruptArchiveError` rather than
+        serving silently wrong data.
         """
         store = self._spill
         assert store is not None
@@ -1121,28 +1178,27 @@ class PassiveDnsDatabase:
         return dict(self._cached(("monthly",), self._build_monthly_series))
 
     def _build_monthly_series(self) -> Dict[str, int]:
-        series: Dict[str, int] = {}
         # Bucket by month via 30.44-day bins would drift; instead map
         # each distinct day to its month key once (cheap: few thousand
         # distinct days over the study window).  Per-day sums stream
-        # over the row parts so a spill-backed store never
-        # concatenates; day-keyed sums commute across any part layout,
-        # and the final ascending-day walk reproduces the single-pass
-        # insertion order exactly.
-        day_sums: Dict[int, int] = {}
+        # over the row parts a block at a time so a spill-backed store
+        # never concatenates: each block reduces to its sorted distinct
+        # days and their sums, and the pooled sums reduce the same way,
+        # so any part cut gives the same days and totals.  Nothing is
+        # sized by the timestamp span, which ingest does not bound.
         with self._cache_lock:
             parts = self._parts()
-        for _, times, counts in parts:
-            unique_days, inverse = np.unique(
-                times // SECONDS_PER_DAY, return_inverse=True
-            )
-            sums = np.zeros(len(unique_days), dtype=np.int64)
-            np.add.at(sums, inverse, counts)
-            for day, total in zip(unique_days.tolist(), sums.tolist()):
-                day_sums[day] = day_sums.get(day, 0) + total
-        for day in sorted(day_sums):
+        pooled = [
+            _day_sums(times // SECONDS_PER_DAY, counts)
+            for _, times, counts in _blocks(parts, self._CHUNK)
+        ]
+        series: Dict[str, int] = {}
+        if not pooled:
+            return series
+        days, sums = _day_sums(*(np.concatenate(column) for column in zip(*pooled)))
+        for day, total in zip(days.tolist(), sums.tolist()):
             month = month_key(day * SECONDS_PER_DAY)
-            series[month] = series.get(month, 0) + day_sums[day]
+            series[month] = series.get(month, 0) + total
         return series
 
     def tld_histogram(self) -> Dict[str, Tuple[int, int]]:
@@ -1275,31 +1331,32 @@ class PassiveDnsDatabase:
     def _build_lifespan_decay(
         self, max_days: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        domains_series = np.zeros(max_days, dtype=np.int64)
         queries_series = np.zeros(max_days, dtype=np.int64)
         with self._cache_lock:
             first_seen = self._first_seen.view().copy()
             n_domains = len(self._domains)
             parts = self._parts()
-        # Stream the row parts: query sums accumulate per part and add
-        # up in any cut; distinct domains per offset need unique
-        # (offset, domain) pairs, so per-part uniques are pooled and
-        # deduplicated globally (the pool holds unique pairs only, far
-        # fewer than rows — and a global unique of per-part uniques
-        # equals the unique of the raw rows, whatever the part cut).
-        pair_pool: List[np.ndarray] = []
-        for ids, times, counts in parts:
+        # Stream the row parts a block at a time: query sums
+        # accumulate per block and add up in any cut; distinct domains
+        # per offset need distinct (offset, domain) pair codes, so each
+        # block's are deduplicated and the pool of per-block distinct
+        # codes once more (the pool holds distinct pairs only, far
+        # fewer than rows, and the distinct codes of the pool are those
+        # of the raw rows, whatever the cut).  A code's offset is its
+        # quotient by the domain count, so one bincount gives the
+        # domains series.
+        pair_pool = [np.empty(0, dtype=np.int64)]
+        for ids, times, counts in _blocks(parts, self._CHUNK):
             offsets = (times - first_seen[ids]) // SECONDS_PER_DAY
             in_window = (offsets >= 0) & (offsets < max_days)
-            np.add.at(queries_series, offsets[in_window], counts[in_window])
+            offsets = offsets[in_window]
+            np.add.at(queries_series, offsets, counts[in_window])
             pair_pool.append(
-                np.unique(offsets[in_window] * np.int64(n_domains) + ids[in_window])
+                _sorted_unique(offsets * np.int64(n_domains) + ids[in_window])
             )
-        if pair_pool:
-            unique_pairs = np.unique(np.concatenate(pair_pool))
-            pair_offsets = unique_pairs // n_domains
-            np.add.at(domains_series, pair_offsets, 1)
-        return domains_series, queries_series
+        pairs = _sorted_unique(np.concatenate(pair_pool))
+        domains_series = np.bincount(pairs // n_domains, minlength=max_days)
+        return domains_series.astype(np.int64, copy=False), queries_series
 
     def timeline_around(
         self,

@@ -536,15 +536,67 @@ class NxdomainTraceGenerator:
         Each record draws from its own stream, derived from the
         ``queries`` seed and the record's population index, so one
         record's draws never depend on how many another one made.
+        Each store's rows are collected in population order and land
+        in bulk (:class:`_StoreRows`).
         """
         factory = SeedSequenceFactory(self._seeds.child_seed("queries"))
+        nx_rows = _StoreRows(nx_db)
+        pre_rows = _StoreRows(pre_db)
         for index, record in enumerate(population):
             rng = factory.rng(f"record-{index}")
-            nx_times, nx_counts = _emit_nx_activity(rng, record, self.config)
-            nx_db.add_rows(record.domain, nx_times, nx_counts)
+            nx_rows.add(record.domain, *_emit_nx_activity(rng, record, self.config))
             if record.kind.is_expired:
-                pre_times, pre_counts = _emit_pre_expiry(rng, record)
-                pre_db.add_rows(record.domain, pre_times, pre_counts)
+                pre_rows.add(record.domain, *_emit_pre_expiry(rng, record))
+        nx_rows.land()
+        pre_rows.land()
+
+
+#: Rows a store's pending landing holds before it lands.  One store
+#: chunk (``PassiveDnsDatabase._CHUNK``): landings then cut the chunks
+#: where one ``add_rows`` per domain sealed them, and a large trace
+#: never holds all its rows twice.
+_LANDING_ROWS = 1 << 16
+
+
+class _StoreRows:
+    """One store's pending per-domain (times, counts) arrays.
+
+    Domains are kept in emission order and land through one
+    :meth:`~PassiveDnsDatabase.intern_many` and one ``add_batch`` per
+    :data:`_LANDING_ROWS` rows, so ids are assigned and rows land in
+    the order one ``add_rows`` per domain gives.
+    """
+
+    def __init__(self, db: PassiveDnsDatabase) -> None:
+        self._db = db
+        self._domains: List[DomainName] = []
+        self._times: List[np.ndarray] = []
+        self._counts: List[np.ndarray] = []
+        self._rows = 0
+
+    def add(self, domain: DomainName, times: np.ndarray, counts: np.ndarray) -> None:
+        """Keep a domain's rows; a domain without rows is not interned."""
+        if not len(times):
+            return
+        self._domains.append(domain)
+        self._times.append(times)
+        self._counts.append(counts)
+        self._rows += len(times)
+        if self._rows >= _LANDING_ROWS:
+            self.land()
+
+    def land(self) -> None:
+        """Land the pending domains and rows in the store."""
+        if not self._domains:
+            return
+        ids = self._db.intern_many(self._domains)
+        self._db.add_batch(
+            np.repeat(ids, [len(times) for times in self._times]),
+            np.concatenate(self._times),
+            np.concatenate(self._counts),
+        )
+        self._domains, self._times, self._counts = [], [], []
+        self._rows = 0
 
 
 def _emit_nx_activity(

@@ -6,6 +6,8 @@
   must land the same store.  Its ``_intern`` interns one name at a
   time, appending to every per-domain column and the TLD table by
   hand; ``intern_many``'s bulk interning must build the same tables.
+  Its ``_name_hashes`` hashes the names one at a time with
+  ``hashlib``, the form the lazily filled name-hash column must equal.
 - :class:`ReferencePipeline` is the record-at-a-time ingest pipeline:
   one :class:`DnsObservation` at a time through the record-at-a-time
   fault rules of :mod:`tests.faults.reference`, a subscribed :class:`SieChannel`, a retry-wrapped store
@@ -19,17 +21,22 @@
 - :func:`daily_series_scan` is the full-column masked scan the
   per-part (domain, time) indexes behind
   :meth:`PassiveDnsDatabase.daily_series_for` must match.
+- :func:`monthly_series_scan` and :func:`lifespan_decay_scan` are
+  ``np.unique`` reductions over every row at once.
+  :meth:`PassiveDnsDatabase.monthly_response_series` and
+  :meth:`PassiveDnsDatabase.lifespan_decay` sort instead and stream
+  the row parts a block at a time; they must match.
 
-All three are deliberately the slow, obvious form of the computation.
+All of them are deliberately the slow, obvious form of the computation.
 """
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.clock import SECONDS_PER_DAY
+from repro.clock import SECONDS_PER_DAY, month_key
 from repro.dns.name import DomainName
 from repro.errors import ConfigError, ReproError, TransientStoreError
 from repro.faults.plan import FaultSchedule
@@ -100,11 +107,19 @@ class ScalarDatabase(PassiveDnsDatabase):
                 tld_id = self._tld_of[domain.tld] = len(self._tlds)
                 self._tlds.append(domain.tld)
             self._tld_ids.extend([tld_id])
-            digest = hashlib.blake2b(
-                str(domain).encode("utf-8"), digest_size=8
-            ).digest()
-            self._name_hash.extend([int.from_bytes(digest, "little", signed=True)])
         return domain_id
+
+    def _name_hashes(self) -> np.ndarray:
+        """One BLAKE2b-64 digest per name not yet hashed, name by name."""
+        with self._rows_lock:
+            for domain in self._domains[len(self._name_hash) :]:
+                digest = hashlib.blake2b(
+                    str(domain).encode("utf-8"), digest_size=8
+                ).digest()
+                self._name_hash.extend(
+                    [int.from_bytes(digest, "little", signed=True)]
+                )
+            return self._name_hash.view()
 
 
 class ReferencePipeline:
@@ -363,3 +378,42 @@ def daily_series_scan(
     offsets = (times[mask] - start) // SECONDS_PER_DAY
     np.add.at(series, offsets, counts[mask])
     return series
+
+
+def monthly_series_scan(db: PassiveDnsDatabase) -> Dict[str, int]:
+    """Full-column form of :meth:`monthly_response_series`.
+
+    Sums counts per distinct day with ``np.unique``, then walks the
+    days in ascending order into their month keys.
+    """
+    _, times, counts = db._columns()  # noqa: SLF001
+    days, inverse = np.unique(times // SECONDS_PER_DAY, return_inverse=True)
+    sums = np.zeros(len(days), dtype=np.int64)
+    np.add.at(sums, inverse, counts)
+    series: Dict[str, int] = {}
+    for day, total in zip(days.tolist(), sums.tolist()):
+        month = month_key(day * SECONDS_PER_DAY)
+        series[month] = series.get(month, 0) + total
+    return series
+
+
+def lifespan_decay_scan(
+    db: PassiveDnsDatabase, max_days: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Full-column form of :meth:`lifespan_decay`.
+
+    Counts each distinct in-window (offset, domain) pair once, found by
+    ``np.unique`` over every row's pair.
+    """
+    ids, times, counts = db._columns()  # noqa: SLF001
+    first_seen = db._first_seen.view()  # noqa: SLF001
+    offsets = (times - first_seen[ids]) // SECONDS_PER_DAY
+    in_window = (offsets >= 0) & (offsets < max_days)
+    queries_series = np.zeros(max_days, dtype=np.int64)
+    np.add.at(queries_series, offsets[in_window], counts[in_window])
+    domains_series = np.zeros(max_days, dtype=np.int64)
+    pairs = np.unique(
+        np.stack([offsets[in_window], ids[in_window]], axis=1), axis=0
+    )
+    np.add.at(domains_series, pairs[:, 0], 1)
+    return domains_series, queries_series

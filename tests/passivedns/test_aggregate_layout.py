@@ -21,19 +21,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.dns.name import DomainName
 from repro.passivedns.database import PassiveDnsDatabase, _domain_index
-from tests.passivedns.reference import daily_series_scan
+from tests.passivedns.reference import (
+    daily_series_scan,
+    lifespan_decay_scan,
+    monthly_series_scan,
+)
 
 _DOMAINS = [
     DomainName(f"host{i}.zone{i % 7}.tld{i % 5}.com") for i in range(48)
 ]
 
 
-def _rows(seed, n):
+def _rows(seed, n, span_days=40):
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(_DOMAINS), n)
     # A 40-day span keeps (day, domain) pairs recurring across batches,
     # so per-part reduces that are not associative show up.
-    times = rng.integers(0, 40 * 86_400, n).astype(np.int64)
+    times = rng.integers(0, span_days * 86_400, n).astype(np.int64)
     counts = rng.integers(1, 6, n).astype(np.int64)
     return picks, times, counts
 
@@ -61,8 +65,8 @@ def _aggregates(db):
     )
 
 
-def _layouts(root: Path, rows, cuts):
-    """Aggregates of the same rows under each of the four layouts."""
+def _stores(root: Path, rows, cuts):
+    """The same rows under each of the four layouts."""
     in_memory = _fill(PassiveDnsDatabase(), rows, cuts)
     segmented = _fill(
         PassiveDnsDatabase(spill_dir=root / "segmented"),
@@ -81,11 +85,11 @@ def _layouts(root: Path, rows, cuts):
         spill_dir=root / "segmented", spill_read_only=True
     )
     return {
-        "in-memory": _aggregates(in_memory),
-        "segmented": _aggregates(segmented),
-        "compacted": _aggregates(compacted),
-        "reopened": _aggregates(reopened),
-    }, segmented, compacted
+        "in-memory": in_memory,
+        "segmented": segmented,
+        "compacted": compacted,
+        "reopened": reopened,
+    }
 
 
 @st.composite
@@ -105,10 +109,11 @@ def _row_sets(draw):
 def test_aggregates_are_layout_invariant(case):
     rows, cuts = case
     with tempfile.TemporaryDirectory() as tmp:
-        results, segmented, compacted = _layouts(Path(tmp), rows, cuts)
+        stores = _stores(Path(tmp), rows, cuts)
+        results = {layout: _aggregates(db) for layout, db in stores.items()}
         # The layouts really differ: one segment per batch vs one.
-        assert len(segmented.spill.segments()) == len(cuts) + 1
-        assert len(compacted.spill.segments()) == 1
+        assert len(stores["segmented"].spill.segments()) == len(cuts) + 1
+        assert len(stores["compacted"].spill.segments()) == 1
     expected = results.pop("in-memory")
     for layout, aggregates in results.items():
         assert aggregates == expected, layout
@@ -125,6 +130,118 @@ def test_empty_store_aggregates(tmp_path):
     assert _aggregates(spilled) == expected
     assert _aggregates(reopened) == expected
     assert expected[0] == {} and expected[1] == {}
+    for db in (empty, spilled, reopened):
+        _check_against_scans(db, _MAX_DAYS)
+
+
+# -- the §4 reads against their scan oracles --------------------------------
+
+#: Window lengths around the 64-day mark, one day, and Figure 5's
+#: daily window (130 days).
+_MAX_DAYS = [1, 63, 64, 65, 130]
+
+
+def _check_against_scans(db, max_days_list):
+    """Monthly series and lifespan decay equal the full-column scans."""
+    assert db.monthly_response_series() == monthly_series_scan(db)
+    for max_days in max_days_list:
+        domains_series, queries_series = db.lifespan_decay(max_days)
+        want_domains, want_queries = lifespan_decay_scan(db, max_days)
+        assert domains_series.dtype == queries_series.dtype == np.int64
+        assert np.array_equal(domains_series, want_domains), max_days
+        assert np.array_equal(queries_series, want_queries), max_days
+
+
+@st.composite
+def _scan_cases(draw):
+    n = draw(st.integers(min_value=0, max_value=300))
+    cuts = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=max(n, 1)), max_size=5, unique=True
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    # Spans past 130 days put rows outside every window.
+    span_days = draw(st.sampled_from([1, 40, 200]))
+    max_days = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_MAX_DAYS), st.integers(min_value=1, max_value=220)
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return _rows(seed, n, span_days), sorted(c for c in cuts if c < n), max_days
+
+
+@settings(deadline=None, max_examples=15)
+@given(case=_scan_cases(), block=st.sampled_from([7, 64, 1 << 16]))
+@example(case=(_rows(5, 0), [], _MAX_DAYS), block=7)
+@example(case=(_rows(5, 250, 200), [40, 130], _MAX_DAYS), block=64)
+def test_section4_reads_equal_scans_under_every_layout(case, block):
+    """Sort-based, block-streamed reads ≡ ``np.unique`` scans.
+
+    The same random rows, cut into random batches, under the four
+    layouts, read ``block`` rows at a time (so blocks also cut inside
+    a part); ``max_days`` from one day to past the longest span, and
+    rows both inside and outside the window.
+    """
+    rows, cuts, max_days = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for db in _stores(Path(tmp), rows, cuts).values():
+            db._CHUNK = block
+            _check_against_scans(db, max_days)
+
+
+def test_section4_reads_call_no_unique(tmp_path, monkeypatch):
+    """Neither build reaches ``np.unique`` (numpy 2's hash path)."""
+    db = _fill(
+        PassiveDnsDatabase(spill_dir=tmp_path / "s"),
+        _rows(9, 400, 200),
+        [100, 250],
+        commit_each=True,
+    )
+    db.add_batch(db.intern_many(_DOMAINS)[:3], [5, 6, 7], [1, 2, 3])
+    assert len(db._parts()) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    db._build_monthly_series()
+    for max_days in _MAX_DAYS:
+        db._build_lifespan_decay(max_days)
+
+
+def test_lifespan_decay_of_a_large_part_holds_a_few_blocks():
+    """A 1M-row part's lifespan decay peaks at a few ``_CHUNK`` blocks.
+
+    48 domains over 90 days hold at most 4,320 distinct (offset,
+    domain) pairs per block, so the pooled codes stay small too; a
+    part-sized reduce held several row-length arrays (25 MB here).
+    """
+    db = PassiveDnsDatabase()
+    ids = db.intern_many(_DOMAINS)
+    n = 1_000_000
+    rng = np.random.default_rng(3)
+    db._CHUNK = n
+    db.add_batch(
+        ids[rng.integers(0, len(_DOMAINS), n)],
+        rng.integers(0, 90 * 86_400, n),
+        rng.integers(1, 9, n),
+    )
+    del db._CHUNK
+    assert len(db._parts()) == 1 and len(db._parts()[0][0]) == n
+    tracemalloc.start()
+    try:
+        db._build_lifespan_decay(130)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gate = 8 * db._CHUNK * 8
+    assert gate < n * 8
+    assert peak < gate, peak
 
 
 # -- per-domain reads -------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the columnar passive DNS database."""
 
 import bisect
+import collections
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from repro.clock import SECONDS_PER_DAY
 from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
 from repro.errors import DomainNameError
+from repro.passivedns import database as database_mod
 from repro.passivedns.database import (
     _NAMES_PER_MATCH,
     PassiveDnsDatabase,
@@ -47,10 +51,11 @@ def assert_same_domain_tables(got, expected):
     assert got._id_of == expected._id_of
     assert got._tlds == expected._tlds
     assert got._tld_of == expected._tld_of
-    for column in ("_first_seen", "_last_seen", "_totals", "_tld_ids", "_name_hash"):
+    for column in ("_first_seen", "_last_seen", "_totals", "_tld_ids"):
         np.testing.assert_array_equal(
             getattr(got, column).view(), getattr(expected, column).view()
         )
+    np.testing.assert_array_equal(got._name_hashes(), expected._name_hashes())
 
 
 @pytest.fixture
@@ -693,6 +698,106 @@ class TestBulkIntern:
         reopened = PassiveDnsDatabase(spill_dir=tmp_path)
         assert_same_domain_tables(reopened, writer)
         assert reopened.fingerprint() == writer.fingerprint()
+
+
+class TestLazyNameHashes:
+    """Names are hashed when a row digest first needs them, once each."""
+
+    def _committed(self, root):
+        """A two-segment store of 60 names, committed and closed."""
+        db = PassiveDnsDatabase(spill_dir=root)
+        names = [DomainName(f"h{i}.{('com', 'net', 'de')[i % 3]}") for i in range(60)]
+        for lo in (0, 30):
+            ids = db.intern_many(names[lo : lo + 40])
+            times = np.arange(len(ids), dtype=np.int64) * DAY + lo
+            db.add_batch(ids, times, np.ones(len(ids), dtype=np.int64))
+            db.spill_commit()
+        return names
+
+    def _record(self, monkeypatch):
+        """Every name ``_hash_names`` hashes, in call order."""
+        hashed = []
+        original = database_mod._hash_names
+
+        def recording(names):
+            names = list(names)
+            hashed.extend(names)
+            return original(names)
+
+        monkeypatch.setattr(database_mod, "_hash_names", recording)
+        return hashed
+
+    def test_reopen_and_section4_reads_hash_nothing(self, tmp_path, monkeypatch):
+        self._committed(tmp_path)
+        hashed = self._record(monkeypatch)
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        db.monthly_response_series()
+        db.tld_histogram()
+        db.lifespan_decay()
+        assert db.fingerprint() == db.spill.meta["store_digest"]
+        assert hashed == []
+
+    def test_first_seal_after_reopen_hashes_each_name_once(
+        self, tmp_path, monkeypatch
+    ):
+        names = self._committed(tmp_path)
+        hashed = self._record(monkeypatch)
+        db = PassiveDnsDatabase(spill_dir=tmp_path)
+        fresh = [DomainName("late.org"), DomainName("later.io")]
+        ids = db.intern_many(names[:5] + fresh)
+        ones = np.ones(len(ids), dtype=np.int64)
+        db.add_batch(ids, np.full(len(ids), 99 * DAY), ones)
+        assert hashed == []
+        db.spill_commit()
+        assert collections.Counter(hashed) == collections.Counter(names + fresh)
+        # Later digests hash only the names interned since.
+        del hashed[:]
+        newest = DomainName("newest.net")
+        db.add_rows(newest, [100 * DAY], [1])
+        db.spill_commit()
+        assert hashed == [newest]
+        assert len(db._name_hashes()) == db.unique_domains()
+        reference = ScalarDatabase()
+        reference.intern_many(db.all_domains())
+        assert np.array_equal(db._name_hashes(), reference._name_hashes())
+
+    def test_concurrent_digests_hash_each_name_once(self):
+        """Readers racing a writer's interning never extend the column
+        twice for one name."""
+        db = PassiveDnsDatabase()
+        names = [DomainName(f"r{i}.com") for i in range(2_000)]
+        errors = []
+        done = threading.Event()
+        start = threading.Barrier(5)
+
+        def writer():
+            start.wait()
+            for lo in range(0, len(names), 50):
+                db.intern_many(names[lo : lo + 50])
+            done.set()
+
+        def reader():
+            start.wait()
+            while not done.is_set():
+                hashes = db._name_hashes()
+                if len(hashes) > db.unique_domains():
+                    errors.append(len(hashes))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader) for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert np.array_equal(db._name_hashes(), database_mod._hash_names(names))
 
 
 def _window_key(i):

@@ -178,8 +178,11 @@ def test_spill_matches_in_memory_through_commit_compact_and_reopen(tmp_path):
         assert reopened.fingerprint() == expected
 
 
-def _forge_segment(root):
+def _forge_segment(root, column=1):
     """Change one row of the newest segment and re-sign it.
+
+    ``column`` 0 moves the row to another interned name (only the name
+    hashes tell the two apart), 1 shifts its time by a second.
 
     The segment's bytes and every manifest's CRC for it agree again
     afterwards (manifest checksums recomputed; the rewrite changes the
@@ -189,7 +192,10 @@ def _forge_segment(root):
     """
     victim = sorted((root / "segments").glob("seg-*.npy"))[-1]
     stacked = np.load(victim)
-    stacked[1, 0] += 1
+    if column == 0:
+        stacked[0, 0] = (stacked[0, 0] + 1) % len(_NAMES)
+    else:
+        stacked[1, 0] += 1
     np.save(victim, stacked)
     crc = zlib.crc32(victim.read_bytes()) & 0xFFFFFFFF
     for manifest in root.glob("manifest-*.json"):
@@ -203,13 +209,18 @@ def _forge_segment(root):
         manifest.write_text(json.dumps(document, sort_keys=True, indent=1))
 
 
-def test_forged_segment_is_caught_by_paranoid_open_and_compaction(tmp_path):
-    root = tmp_path / "s"
+def _committed(root):
+    """Two committed batches over every name, the writer closed."""
     db = PassiveDnsDatabase(spill_dir=root)
     for batch in _batches(batches=2):
         _store(batch, db)
         db.spill_commit()
-    del db
+    assert db.unique_domains() == len(_NAMES)
+
+
+def test_forged_segment_is_caught_by_paranoid_open_and_compaction(tmp_path):
+    root = tmp_path / "s"
+    _committed(root)
     _forge_segment(root)
     with pytest.raises(CorruptArchiveError, match="row digest"):
         PassiveDnsDatabase(spill_dir=root, spill_paranoid=True)
@@ -221,3 +232,16 @@ def test_forged_segment_is_caught_by_paranoid_open_and_compaction(tmp_path):
     # rows and refuses the sum of the recorded ones.
     with pytest.raises(CorruptArchiveError, match="combined digest"):
         trusting.spill_compact()
+
+
+def test_row_moved_to_another_name_is_caught_by_paranoid_open(tmp_path):
+    """Only the name hashes tell the forged row from the committed one.
+
+    The reopened store hashes no name until a digest needs one, so the
+    paranoid open must fill the hashes before it digests the segment.
+    """
+    root = tmp_path / "s"
+    _committed(root)
+    _forge_segment(root, column=0)
+    with pytest.raises(CorruptArchiveError, match="row digest"):
+        PassiveDnsDatabase(spill_dir=root, spill_paranoid=True)
