@@ -12,9 +12,10 @@ The engine runs four passes.  The per-file pass walks each module's
 AST once, dispatching nodes to the REP001–REP009 rules.  The
 whole-program pass assembles every module's extracted facts into a
 :class:`~repro.analysis.project.ProjectModel` — resolved names and
-the call graph — and hands it to the flow-sensitive REP101–REP104
+the call graph — and hands it to the flow-sensitive REP101–REP105
 rules, which catch wall-clock reads and unseeded RNGs laundered
-through helpers, dynamic-import layering evasions, and dead exports.
+through helpers, dynamic-import layering evasions, dead exports, and
+public API that only tests reach.
 The effect pass runs the REP201–REP204 rules over per-function effect
 summaries (filesystem writes, caught exception types, shared-state
 mutations, thread/pool spawns) collected in the same single AST walk,
@@ -40,7 +41,7 @@ Pieces:
 - :mod:`repro.analysis.project` — module summaries, name resolution,
   the call graph, and taint propagation;
 - :mod:`repro.analysis.program_rules` — the whole-program
-  REP101–REP104 rules;
+  REP101–REP105 rules;
 - :mod:`repro.analysis.effect_rules` — the effect-flow REP201–REP204
   rules (durability, crash-exception, shared-state, cache-generation);
 - :mod:`repro.analysis.concurrency_rules` — the concurrency-safety
@@ -59,10 +60,11 @@ Pieces:
 
 Programmatic use::
 
-    from repro.analysis import Analyzer, AnalysisConfig, default_rules
+    from repro.analysis import Analyzer, all_rule_ids, instantiate, load_config
 
-    analyzer = Analyzer(AnalysisConfig(), default_rules())
-    findings = analyzer.check_source(code, "snippet.py")
+    config = load_config(root)
+    analyzer = Analyzer(config, instantiate(all_rule_ids()))
+    findings = analyzer.run(root, [root / "src/repro"])
 """
 
 from repro.analysis.cache import AnalysisCache, load_cache, save_cache
@@ -94,7 +96,6 @@ __all__ = [  # repro: noqa[REP104] rule-author API: ctx argument type of Rule.vi
     "Rule",
     "Severity",
     "all_rule_ids",
-    "default_rules",
     "explain",
     "instantiate",
     "load_cache",
@@ -105,7 +106,3 @@ __all__ = [  # repro: noqa[REP104] rule-author API: ctx argument type of Rule.vi
     "save_cache",
 ]
 
-
-def default_rules():
-    """Fresh instances of every registered rule, in id order."""
-    return instantiate(all_rule_ids())

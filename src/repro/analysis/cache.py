@@ -35,8 +35,9 @@ from repro.analysis.findings import ANALYZER_VERSION, Finding
 #: definitions, resources, lazy inits); older caches carry summaries
 #: without them and must never be replayed.  Bumped to 4 when the
 #: program findings became one flat list and summaries dropped their
-#: import edges.
-CACHE_FORMAT_VERSION = 4
+#: import edges.  Bumped to 5 when ``refs`` stopped counting a
+#: definition's own name and summaries grew decorators and class sites.
+CACHE_FORMAT_VERSION = 5
 
 
 def content_hash(source: str) -> str:

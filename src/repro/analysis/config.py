@@ -38,8 +38,8 @@ DEFAULT_BASELINE = "analysis-baseline.json"
 #: Modules whose output ordering REP007 audits by default.
 DEFAULT_REPORT_PATHS = ("src/repro/core/reports.py",)
 #: Trees scanned (but not linted) so whole-program rules such as
-#: REP104 can see references from outside ``src/repro``.
-DEFAULT_REFERENCE_PATHS = ("tests", "benchmarks", "examples")
+#: REP104 and REP105 can see references from outside ``src/repro``.
+DEFAULT_REFERENCE_PATHS = ("tests", "benchmarks", "examples", "perfbench")
 #: Per-file results cache written next to pyproject.toml.
 DEFAULT_CACHE = ".repro-analysis-cache.json"
 #: Modules whose raw filesystem writes are sanctioned: they implement

@@ -474,27 +474,6 @@ class Analyzer:
             )
         return out
 
-    def check_file(self, root: Path, path: Path) -> List[Finding]:
-        """Analyze one file (per-file rules only)."""
-        relpath = self._relpath(root, path)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return [self._meta(relpath, 1, f"unreadable file: {exc}")]
-        return self.check_source(source, relpath)
-
-    def check_source(self, source: str, relpath: str) -> List[Finding]:
-        """Analyze source text as though read from ``relpath``.
-
-        Runs the per-file rules only; whole-program rules need the
-        project context and run in :meth:`run` (or
-        :meth:`check_project_sources`).
-        """
-        findings, _ = self.check_source_and_summary(
-            source, relpath, lint=True, want_summary=False
-        )
-        return findings
-
     def check_source_and_summary(
         self,
         source: str,
@@ -561,31 +540,6 @@ class Analyzer:
                         findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         return findings, summary
-
-    def check_project_sources(
-        self, sources: Dict[str, str]
-    ) -> List[Finding]:
-        """Analyze an in-memory ``{relpath: source}`` project (tests).
-
-        Runs both passes — per-file rules on every file, then the
-        whole-program rules over the assembled model — without
-        touching the filesystem.
-        """
-        results: Dict[str, _FileResult] = {}
-        for relpath in sorted(sources):
-            lint = not self.config.is_excluded(relpath)
-            findings, summary = self.check_source_and_summary(
-                sources[relpath],
-                relpath,
-                lint=lint,
-                want_summary=True,
-            )
-            results[relpath] = _FileResult(findings, summary, lint)
-        findings = [f for r in results.values() for f in r.findings]
-        if self.project_rules:
-            findings.extend(self._program_pass(results))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        return findings
 
     def _iter_files(
         self, root: Path, paths: Sequence[Path], honor_excludes: bool

@@ -9,12 +9,14 @@ REP101    clock purity propagates through the call graph
 REP102    RNG seed provenance: threaded, never stashed or constant
 REP103    layering holds for dynamic (``importlib``) imports too
 REP104    every exported name has a live reference somewhere
+REP105    every public definition has a use outside the tests
 ========  ==============================================================
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from pathlib import PurePosixPath
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.builtin import (
     WALL_CLOCK_QUALNAMES,
@@ -447,3 +449,125 @@ class DeadPublicApi(ProjectRule):
                 continue
             return True
         return False
+
+
+def _is_test_path(relpath: str) -> bool:
+    """Whether a scanned file lives under a ``tests`` directory."""
+    return "tests" in PurePosixPath(relpath).parts[:-1]
+
+
+@register
+class ProgramLiveness(ProjectRule):
+    """REP105 — every public definition has a use outside the tests.
+
+    Invariant:
+        Every public module-level function and class, and every public
+        method or property of a public class, in the lint scope is
+        mentioned by some module outside ``tests/`` (src, examples,
+        benchmarks, perfbench) other than by its own definition.  A
+        package re-export (an import plus an ``__all__`` entry) is not
+        a use.  Dunders, ``visit_*`` methods of ``ast.NodeVisitor``
+        subclasses and ``@register``-decorated definitions are exempt.
+
+    Why:
+        Code that only tests reach is surface no study run, trace or
+        report depends on, yet every later change must keep it
+        deterministic and passing.  Liveness is judged from the
+        program, not from the tests that would otherwise keep such code
+        alive.  A deliberate API edge takes ``# repro: noqa[REP105]``
+        with a reason.
+
+    Good::
+
+        # repro/core/study.py         # repro/cli.py
+        def run_study(seed): ...      run_study(args.seed)
+
+    Bad::
+
+        # repro/rand.py — only tests/test_rand.py calls it
+        def shuffled_copy(items, rng): ...
+    """
+
+    rule_id = "REP105"
+    severity = Severity.ERROR
+    description = (
+        "public functions, classes, methods and properties must be "
+        "used outside tests/ (src, examples, benchmarks, perfbench)"
+    )
+
+    def check(
+        self,
+        project: ProjectModel,
+        config: AnalysisConfig,
+    ) -> Iterable[Finding]:
+        """Flag public definitions whose every use lies under tests/."""
+        index = project.reference_index()
+        for module in sorted(project.lint_modules):
+            summary = project.modules[module]
+            for qualname, lineno, col, kind in self._definitions(
+                project, summary
+            ):
+                name = qualname.rsplit(".", 1)[-1]
+                referrers = index.get(name, set())
+                if self._is_live(project, referrers, module, name):
+                    continue
+                where = (
+                    "used only by tests"
+                    if any(
+                        _is_test_path(project.modules[r].relpath)
+                        for r in referrers
+                    )
+                    else "never used"
+                )
+                yield self.project_finding(
+                    config,
+                    summary.relpath,
+                    lineno,
+                    col,
+                    f"public {kind} '{qualname[len(module) + 1:]}' in "
+                    f"{module} is {where}; delete it or use it from "
+                    "the program",
+                )
+
+    @staticmethod
+    def _definitions(
+        project: ProjectModel, summary: ModuleSummary
+    ) -> Iterable[Tuple[str, int, int, str]]:
+        """``(qualname, lineno, col, kind)`` of each checked definition."""
+        for qualname, site in summary.class_sites.items():
+            if site.public and not _registered(site.decorators):
+                yield qualname, site.lineno, site.col, "class"
+        for qualname, info in summary.functions.items():
+            if not info.public or info.nested or _registered(info.decorators):
+                continue
+            if info.name.startswith("__"):
+                continue
+            if not info.is_method:
+                yield qualname, info.lineno, info.col, "function"
+                continue
+            owner = qualname.rsplit(".", 1)[0]
+            if info.name.startswith("visit_") and (
+                "ast.NodeVisitor" in project.exception_ancestors(owner)
+            ):
+                continue
+            kind = "property" if "property" in info.decorators else "method"
+            yield qualname, info.lineno, info.col, kind
+
+    @staticmethod
+    def _is_live(
+        project: ProjectModel, referrers: Set[str], module: str, name: str
+    ) -> bool:
+        for referrer in referrers:
+            other = project.modules[referrer]
+            if _is_test_path(other.relpath):
+                continue
+            if referrer != module and name in other.exports:
+                # A bare re-export is not a use.
+                continue
+            return True
+        return False
+
+
+def _registered(decorators: List[str]) -> bool:
+    """Whether a decorator registers the definition (``@register``)."""
+    return any(d.rsplit(".", 1)[-1] == "register" for d in decorators)

@@ -5,7 +5,8 @@ laundered through a helper two modules away.  This module builds the
 facts that make such flows visible:
 
 - a :class:`ModuleSummary` per file — bindings (what each local name
-  resolves to), definitions, call sites, exports, references,
+  resolves to), definitions, call sites, exports, references (uses
+  apart from definitions),
   dynamic-import sites, and per-function **effect summaries**
   (filesystem writes, fsync/replace, exception handlers, shared-state
   mutations, process/thread spawns, with-held lock contexts, lock
@@ -41,7 +42,8 @@ class FunctionInfo:
     lineno: int
     col: int
     public: bool
-    decorated: bool = False
+    #: Dotted decorator expressions (call decorators by their callee).
+    decorators: List[str] = field(default_factory=list)
     nested: bool = False
     is_method: bool = False
     #: Positional parameters in true declaration order (positional-only
@@ -57,7 +59,7 @@ class FunctionInfo:
             "lineno": self.lineno,
             "col": self.col,
             "public": self.public,
-            "decorated": self.decorated,
+            "decorators": list(self.decorators),
             "nested": self.nested,
             "is_method": self.is_method,
             "params": list(self.params),
@@ -66,6 +68,30 @@ class FunctionInfo:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "FunctionInfo":
+        """Rebuild from :meth:`to_json` output."""
+        return cls(**data)  # type: ignore[arg-type]
+
+
+@dataclass
+class ClassSite:
+    """Where one class (outside any function) is defined."""
+
+    lineno: int
+    col: int
+    public: bool
+    decorators: List[str] = field(default_factory=list)
+
+    def to_json(self) -> Dict[str, object]:
+        """Serializable form for the results cache."""
+        return {
+            "lineno": self.lineno,
+            "col": self.col,
+            "public": self.public,
+            "decorators": list(self.decorators),
+        }
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "ClassSite":
         """Rebuild from :meth:`to_json` output."""
         return cls(**data)  # type: ignore[arg-type]
 
@@ -455,6 +481,9 @@ class ModuleSummary:
     const_globals: Dict[str, int] = field(default_factory=dict)
     exports: List[str] = field(default_factory=list)
     exports_lineno: int = 0
+    #: Identifiers the module uses: names, attributes, imported names
+    #: and identifier-shaped string literals.  A definition's own name
+    #: is not a use, nor is an ``__all__`` entry.
     refs: List[str] = field(default_factory=list)
     noqa: Dict[int, List[str]] = field(default_factory=dict)
     #: Effect summaries keyed by function qualname (module-level
@@ -464,6 +493,8 @@ class ModuleSummary:
     #: Class qualname -> dotted base-class expressions, for
     #: exception-hierarchy resolution and cache-field grouping.
     classes: Dict[str, List[str]] = field(default_factory=dict)
+    #: Class qualname -> definition site, for classes outside functions.
+    class_sites: Dict[str, ClassSite] = field(default_factory=dict)
     #: Module-level names bound to mutable literals (dict/list/set
     #: displays, comprehensions, or container constructors) -> lineno.
     mutable_globals: Dict[str, int] = field(default_factory=dict)
@@ -491,6 +522,9 @@ class ModuleSummary:
                 if not fx.is_empty()
             },
             "classes": {name: list(b) for name, b in self.classes.items()},
+            "class_sites": {
+                name: site.to_json() for name, site in self.class_sites.items()
+            },
             "mutable_globals": dict(self.mutable_globals),
         }
 
@@ -525,6 +559,10 @@ class ModuleSummary:
             classes={
                 name: list(bases)
                 for name, bases in data.get("classes", {}).items()  # type: ignore[union-attr]
+            },
+            class_sites={
+                name: ClassSite.from_json(site)
+                for name, site in data.get("class_sites", {}).items()  # type: ignore[union-attr]
             },
             mutable_globals=dict(data.get("mutable_globals", {})),  # type: ignore[arg-type]
         )
@@ -574,6 +612,18 @@ _RESOURCE_OPENERS = frozenset({
 })
 
 
+def _decorator_names(node: ast.AST) -> List[str]:
+    """Dotted names of a definition's decorators (calls by callee)."""
+    names = []
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        dotted = _dotted_expr(decorator)
+        if dotted is not None:
+            names.append(dotted)
+    return names
+
+
 def _is_type_checking_test(test: ast.AST) -> bool:
     """Whether an ``if`` test is the ``typing.TYPE_CHECKING`` guard."""
     if isinstance(test, ast.Name):
@@ -613,6 +663,13 @@ class _Summarizer(ast.NodeVisitor):
     def _qualname(self, name: str) -> str:
         return ".".join([self.summary.module] + self._scope + [name])
 
+    def _public(self, qualname: str) -> bool:
+        """No part of the qualname below the module is underscored."""
+        return not any(
+            part.startswith("_")
+            for part in qualname[len(self.summary.module) + 1:].split(".")
+        )
+
     def _caller(self) -> str:
         if not self._scope or self._func_depth == 0:
             return MODULE_SCOPE
@@ -638,10 +695,6 @@ class _Summarizer(ast.NodeVisitor):
     def _handle_function(self, node: ast.AST) -> None:
         name = node.name
         qualname = self._qualname(name)
-        public = not any(
-            part.startswith("_")
-            for part in qualname[len(self.summary.module) + 1:].split(".")
-        )
         params = [arg.arg for arg in node.args.posonlyargs]
         params += [arg.arg for arg in node.args.args]
         kwonly = [arg.arg for arg in node.args.kwonlyargs]
@@ -650,8 +703,8 @@ class _Summarizer(ast.NodeVisitor):
             name=name,
             lineno=node.lineno,
             col=node.col_offset + 1,
-            public=public,
-            decorated=bool(node.decorator_list),
+            public=self._public(qualname),
+            decorators=_decorator_names(node),
             nested=self._func_depth > 0,
             is_method=self._class_depth > 0 and self._func_depth == 0,
             params=params,
@@ -662,7 +715,6 @@ class _Summarizer(ast.NodeVisitor):
             self.summary.bindings.setdefault(
                 name, f"{self.summary.module}.{name}"
             )
-        self.summary.refs.append(name)
         self._scope.append(name)
         self._func_depth += 1
         self._params.append(set(params) | set(kwonly))
@@ -686,13 +738,20 @@ class _Summarizer(ast.NodeVisitor):
             self.summary.bindings.setdefault(
                 node.name, f"{self.summary.module}.{node.name}"
             )
-        self.summary.refs.append(node.name)
         bases = [
             dotted
             for dotted in (_dotted_expr(base) for base in node.bases)
             if dotted is not None
         ]
-        self.summary.classes[self._qualname(node.name)] = bases
+        qualname = self._qualname(node.name)
+        self.summary.classes[qualname] = bases
+        if self._func_depth == 0:
+            self.summary.class_sites[qualname] = ClassSite(
+                lineno=node.lineno,
+                col=node.col_offset + 1,
+                public=self._public(qualname),
+                decorators=_decorator_names(node),
+            )
         self._scope.append(node.name)
         self._class_depth += 1
         self.generic_visit(node)
@@ -1039,6 +1098,11 @@ class _Summarizer(ast.NodeVisitor):
         if self._func_depth > 0:
             for target in node.targets:
                 self._record_mutation_target(target, "assign", node)
+        if not self._scope and [
+            t.id for t in node.targets if isinstance(t, ast.Name)
+        ] == ["__all__"]:
+            # An export list names definitions; it does not use them.
+            return
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -1294,6 +1358,12 @@ class _Summarizer(ast.NodeVisitor):
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self.summary.refs.append(node.attr)
         self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        # ``getattr(obj, "name")`` and tables of method names reach a
+        # definition through a string.
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.summary.refs.append(node.value)
 
     def _record_ref_expr(self, node: ast.AST) -> None:
         for child in ast.walk(node):
@@ -1583,23 +1653,3 @@ class ProjectModel:
             return False
         return "*" in ids or rule_id in ids
 
-
-def model_from_sources(sources: Dict[str, str]) -> ProjectModel:
-    """Build a model straight from ``{relpath: source}`` (test helper)."""
-    from repro.analysis.engine import module_name_for, parse_noqa
-    from pathlib import Path
-
-    summaries = []
-    for relpath in sorted(sources):
-        source = sources[relpath]
-        tree = ast.parse(source)
-        noqa_map, _ = parse_noqa(source)
-        summaries.append(
-            summarize_module(
-                tree,
-                module_name_for(Path(relpath)),
-                relpath,
-                noqa={line: ids for line, ids in noqa_map.items()},
-            )
-        )
-    return ProjectModel(summaries)

@@ -8,12 +8,11 @@ vendor's continuously updated intelligence feed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blocklist.categories import PAPER_CATEGORY_SHARES, ThreatCategory
-from repro.blocklist.store import BlocklistEntry, BlocklistStore
 from repro.dns.name import DomainName
 from repro.rand import WeightedTable
 from repro.errors import ConfigError
@@ -45,28 +44,3 @@ class FeedGenerator:
     def assign_category(self, domain: DomainName) -> ThreatCategory:
         """Draw a category from the configured priors."""
         return self._table.draw(self._rng)
-
-    def entries_for(
-        self, domains: Iterable[DomainName], listed_at: int = 0
-    ) -> List[BlocklistEntry]:
-        """Feed entries for a malicious population."""
-        return [
-            BlocklistEntry(
-                domain.registered_domain(),
-                self.assign_category(domain),
-                listed_at,
-                source="synthetic-feed",
-            )
-            for domain in domains
-        ]
-
-    def populate(
-        self,
-        store: BlocklistStore,
-        domains: Iterable[DomainName],
-        listed_at: int = 0,
-    ) -> int:
-        """Generate entries and add them to ``store``; returns count."""
-        entries = self.entries_for(domains, listed_at)
-        store.add_all(entries)
-        return len(entries)

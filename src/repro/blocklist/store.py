@@ -11,7 +11,7 @@ that operational constraint with a token-bucket limiter on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.blocklist.categories import ThreatCategory
 from repro.dns.name import DomainName
@@ -89,12 +89,6 @@ class BlocklistStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def category_histogram(self) -> Dict[ThreatCategory, int]:
-        counts: Dict[ThreatCategory, int] = {c: 0 for c in ThreatCategory}
-        for entry in self._entries.values():
-            counts[entry.category] += 1
-        return counts
-
     # -- external API (throttled, what the study calls) -------------------------
 
     def query(self, domain: DomainName, now: int) -> Optional[BlocklistEntry]:
@@ -111,18 +105,3 @@ class BlocklistStore:
             )
         self.queries_served += 1
         return self.lookup(domain)
-
-    def query_many(
-        self, domains: Iterable[DomainName], now: int
-    ) -> List[BlocklistEntry]:
-        """Throttled bulk query; hits only.  Raises mid-way when the
-        budget runs out, exactly like a real API would."""
-        hits = []
-        for domain in domains:
-            entry = self.query(domain, now)
-            if entry is not None:
-                hits.append(entry)
-        return hits
-
-    def remaining_budget(self, now: int) -> int:
-        return self._bucket.remaining(now)

@@ -40,24 +40,6 @@ def month_key(timestamp: int) -> str:
     return f"{date.year:04d}-{date.month:02d}"
 
 
-def month_range(start: _dt.date, end: _dt.date) -> list:
-    """All ``YYYY-MM`` keys between two dates, inclusive."""
-    months = []
-    year, month = start.year, start.month
-    while (year, month) <= (end.year, end.month):
-        months.append(f"{year:04d}-{month:02d}")
-        month += 1
-        if month == 13:
-            month = 1
-            year += 1
-    return months
-
-
-def days_between(earlier: int, later: int) -> int:
-    """Whole days from ``earlier`` to ``later`` (may be negative)."""
-    return (later - earlier) // SECONDS_PER_DAY
-
-
 @dataclass
 class SimClock:
     """A monotonically advancing simulated clock.
@@ -75,12 +57,6 @@ class SimClock:
             raise ConfigError("SimClock cannot move backwards")
         self.now += int(seconds)
         return self.now
-
-    def advance_days(self, days: float) -> int:
-        """Move forward by ``days`` (fractions allowed)."""
-        if days < 0:
-            raise ConfigError("SimClock cannot move backwards")
-        return self.advance(int(days * SECONDS_PER_DAY))
 
     def set_to(self, timestamp: int) -> int:
         """Jump to an absolute time, which must not be in the past."""

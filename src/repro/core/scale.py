@@ -89,12 +89,6 @@ class TldDistribution:
     def top(self, n: int = 20) -> List[Tuple[str, int, int]]:
         return self.rows[:n]
 
-    def rank_of(self, tld: str) -> Optional[int]:
-        for index, (name, _, _) in enumerate(self.rows):
-            if name == tld:
-                return index + 1
-        return None
-
     def shape_checks(self) -> Dict[str, bool]:
         """Figure 4's headline: .com first; .net/.cn/.ru/.org in the
         top five; query ranking tracks domain ranking."""

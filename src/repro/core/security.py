@@ -58,9 +58,6 @@ class SecurityRunResult:
     table1: List[HoneypotReport]
     reverse_ip: ReverseIpTable
 
-    def total_requests(self) -> int:
-        return self.filter_stats.input_requests
-
     def category_totals(self) -> Dict[Category, int]:
         return self.traffic.category_counts()
 

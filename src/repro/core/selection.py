@@ -10,7 +10,7 @@ trace population.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.clock import SECONDS_PER_DAY
 from repro.passivedns.database import PassiveDnsDatabase
@@ -104,18 +104,3 @@ def pick_study_set(
     chosen = malicious + benign
     chosen.sort(key=lambda s: s.monthly_queries, reverse=True)
     return chosen[:count]
-
-
-def selection_shape_checks(
-    candidates: List[SelectedDomain], study_set: List[SelectedDomain]
-) -> Dict[str, bool]:
-    return {
-        "candidates-exist": len(candidates) > 0,
-        "study-set-bounded": len(study_set) <= 19,
-        "has-malicious-and-benign": (
-            any(s.is_malicious for s in study_set)
-            and any(not s.is_malicious for s in study_set)
-        )
-        if len(study_set) >= 4
-        else True,
-    }

@@ -127,14 +127,6 @@ class FaultSweepReport:
     seeds: List[int]
     points: List[SweepPoint]
 
-    def robust_up_to(self, rate: float, threshold: float = 1.0) -> bool:
-        """True when every check holds at every point with rate ≤ ``rate``."""
-        return all(
-            point.report.robust(threshold)
-            for point in self.points
-            if point.rate <= rate
-        )
-
     def baseline(self) -> SweepPoint:
         """The lowest-rate point (the clean-collection reference)."""
         return min(self.points, key=lambda point: point.rate)

@@ -20,7 +20,7 @@ This package provides both sides of that pipeline:
 
 from repro.dga.base import DgaFamily, DgaSample
 from repro.dga.detector import DetectorMetrics, DgaDetector, TrainedModel
-from repro.dga.families import ALL_FAMILIES, family_by_name
+from repro.dga.families import ALL_FAMILIES
 from repro.dga.features import FEATURE_NAMES, extract_features
 
 __all__ = [  # repro: noqa[REP104] classifier I/O record types; exported for annotations
@@ -32,5 +32,4 @@ __all__ = [  # repro: noqa[REP104] classifier I/O record types; exported for ann
     "FEATURE_NAMES",
     "TrainedModel",
     "extract_features",
-    "family_by_name",
 ]

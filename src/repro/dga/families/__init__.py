@@ -8,7 +8,7 @@ about.  Chen et al. (CCS '17), cited by the paper, uncovered 12 DGA
 types from NXDomain data — hence twelve families here.
 """
 
-from typing import Dict, List, Type
+from typing import List, Type
 
 from repro.dga.base import DgaFamily
 from repro.dga.families.banjori import Banjori
@@ -24,7 +24,6 @@ from repro.dga.families.qakbot import Qakbot
 from repro.dga.families.ramnit import Ramnit
 from repro.dga.families.simda import Simda
 from repro.dga.families.suppobox import Suppobox
-from repro.errors import UnknownKeyError
 
 ALL_FAMILIES: List[Type[DgaFamily]] = [
     Banjori,
@@ -42,17 +41,5 @@ ALL_FAMILIES: List[Type[DgaFamily]] = [
     Suppobox,
 ]
 
-_BY_NAME: Dict[str, Type[DgaFamily]] = {cls.name: cls for cls in ALL_FAMILIES}
 
-
-def family_by_name(name: str) -> Type[DgaFamily]:
-    """Look up a family class by its malware name."""
-    try:
-        return _BY_NAME[name.lower()]
-    except KeyError:
-        raise UnknownKeyError(
-            f"unknown DGA family {name!r}; known: {sorted(_BY_NAME)}"
-        ) from None
-
-
-__all__ = ["ALL_FAMILIES", "family_by_name"] + [cls.__name__ for cls in ALL_FAMILIES]
+__all__ = ["ALL_FAMILIES"] + [cls.__name__ for cls in ALL_FAMILIES]

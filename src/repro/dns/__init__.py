@@ -9,7 +9,6 @@ hierarchy rather than being fabricated.
 from repro.dns.cache import CacheEntry, CacheOutcome, ResolverCache
 from repro.dns.hierarchy import DnsHierarchy
 from repro.dns.hijack import HijackingResolver
-from repro.dns.zonefile import parse_zone_file, serialize_zone
 from repro.dns.message import (
     DnsMessage,
     OpCode,
@@ -53,6 +52,4 @@ __all__ = [  # repro: noqa[REP104] resolver result types; exported for annotatio
     "Zone",
     "decode_message",
     "encode_message",
-    "parse_zone_file",
-    "serialize_zone",
 ]

@@ -39,10 +39,6 @@ class CacheEntry:
     records: List[ResourceRecord] = field(default_factory=list)
     rcode: RCode = RCode.NOERROR
 
-    @property
-    def is_negative(self) -> bool:
-        return self.rcode == RCode.NXDOMAIN or not self.records
-
     def expires_at(self) -> int:
         return self.stored_at + self.ttl
 
@@ -60,16 +56,6 @@ class CacheStats:
     negative_hits: int = 0
     insertions: int = 0
     evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.negative_hits
-
-    def hit_ratio(self) -> float:
-        total = self.lookups
-        if total == 0:
-            return 0.0
-        return (self.hits + self.negative_hits) / total
 
 
 class ResolverCache:
@@ -166,13 +152,6 @@ class ResolverCache:
         entry = CacheEntry(name, rtype, now, ttl, rcode=RCode.NOERROR)
         self._insert((name, rtype), entry)
         return entry
-
-    def flush_name(self, name: DomainName) -> int:
-        """Drop every entry for ``name``; returns the number removed."""
-        keys = [key for key in self._entries if key[0] == name]
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
 
     def clear(self) -> None:
         self._entries.clear()

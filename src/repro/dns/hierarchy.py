@@ -10,7 +10,7 @@ subsequent queries yield NXDOMAIN from the TLD server.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.dns.message import ResourceRecord, RRType, make_soa_record
 from repro.dns.name import DomainName
@@ -110,9 +110,6 @@ class DnsHierarchy:
 
     def is_registered(self, domain: DomainName) -> bool:
         return domain in self._registered
-
-    def registered_domains(self) -> List[DomainName]:
-        return sorted(self._registered)
 
     # -- resolvers -------------------------------------------------------
 

@@ -34,12 +34,6 @@ class HijackStats:
     nxdomains_seen: int = 0
     nxdomains_hijacked: int = 0
 
-    @property
-    def hijack_fraction(self) -> float:
-        if self.nxdomains_seen == 0:
-            return 0.0
-        return self.nxdomains_hijacked / self.nxdomains_seen
-
 
 class HijackingResolver:
     """A resolver whose NXDomain responses may be rewritten to ads.
@@ -92,11 +86,4 @@ class HijackingResolver:
             negative_ttl=None,
             from_cache=result.from_cache,
             trace=result.trace,
-        )
-
-    def is_ad_answer(self, result: ResolutionResult) -> bool:
-        """Detects the forged answer (what NXDomain-wildcard auditors do)."""
-        return any(
-            rr.rtype == RRType.A and rr.rdata == self.ad_server_address
-            for rr in result.answers
         )

@@ -5,8 +5,8 @@ responses for A/AAAA/NS/SOA/CNAME/TXT/PTR/MX records, response codes
 (NOERROR, NXDOMAIN, SERVFAIL, ...), and the header flags involved in
 iterative vs recursive resolution.  The distinction the paper leans on
 — an NXDOMAIN response versus a NOERROR response with an empty answer
-section (NODATA) — is encoded in :meth:`DnsMessage.is_nxdomain` and
-:meth:`DnsMessage.is_nodata`.
+section (NODATA) — is the response code plus the answer section;
+:meth:`DnsMessage.is_nxdomain` names the first.
 """
 
 from __future__ import annotations
@@ -145,19 +145,6 @@ class DnsMessage:
     def is_nxdomain(self) -> bool:
         """True for a Name Error response: the *name* does not exist."""
         return self.is_response and self.rcode == RCode.NXDOMAIN
-
-    def is_nodata(self) -> bool:
-        """True for NOERROR with an empty answer section (NODATA).
-
-        The queried name exists but has no record of the requested
-        type — crucially *not* an NXDomain, a distinction the paper
-        makes in §2 and which this library preserves end to end.
-        """
-        return (
-            self.is_response
-            and self.rcode == RCode.NOERROR
-            and not self.answers
-        )
 
     def is_referral(self) -> bool:
         """True when a non-authoritative answer delegates via NS records."""

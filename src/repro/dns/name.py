@@ -157,10 +157,6 @@ class DomainName:
             or self._labels[-2:] == ("ip6", "arpa")
         )
 
-    def is_idn(self) -> bool:
-        """True when any label is punycode (``xn--`` prefixed)."""
-        return any(label.startswith("xn--") for label in self._labels)
-
     # -- dunder plumbing ----------------------------------------------
 
     def __str__(self) -> str:
@@ -223,15 +219,3 @@ def _validate(labels: Tuple[str, ...]) -> None:
             )
         if not _LABEL_RE.match(label):
             raise DomainNameError(f"label contains invalid characters: {label!r}")
-
-
-def reverse_name_for_ipv4(address: str) -> DomainName:
-    """The in-addr.arpa name for a dotted-quad IPv4 address.
-
-    >>> str(reverse_name_for_ipv4("93.184.216.34"))
-    '34.216.184.93.in-addr.arpa'
-    """
-    octets = address.split(".")
-    if len(octets) != 4 or not all(o.isdigit() and 0 <= int(o) <= 255 for o in octets):
-        raise DomainNameError(f"not an IPv4 address: {address!r}")
-    return DomainName(".".join(reversed(octets)) + ".in-addr.arpa")

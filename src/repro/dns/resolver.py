@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.dns.cache import CacheOutcome, ResolverCache
 from repro.dns.message import DnsMessage, RCode, ResourceRecord, RRType
 from repro.dns.name import DomainName
 from repro.dns.zone import AuthoritativeServer
-from repro.errors import ResolutionError, TransientError
-from repro.resilience.retry import RetryPolicy
+from repro.errors import ResolutionError
 
 MAX_REFERRALS = 16
 MAX_CNAME_CHAIN = 8
@@ -61,13 +58,6 @@ class ResolutionTrace:
     def add(self, server: str, qname: DomainName, rtype: RRType, kind: StepKind) -> None:
         self.steps.append(TraceStep(server, qname, rtype, kind))
 
-    @property
-    def referral_count(self) -> int:
-        return sum(1 for s in self.steps if s.kind == StepKind.REFERRAL)
-
-    def servers_visited(self) -> List[str]:
-        return [s.server for s in self.steps]
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -87,10 +77,6 @@ class ResolutionResult:
     @property
     def is_nxdomain(self) -> bool:
         return self.rcode == RCode.NXDOMAIN
-
-    @property
-    def is_nodata(self) -> bool:
-        return self.rcode == RCode.NOERROR and not self.answers
 
     def addresses(self) -> List[str]:
         """All A/AAAA RDATA strings in the answer."""
@@ -112,29 +98,15 @@ class IterativeResolver:
         self,
         root_server: AuthoritativeServer,
         server_registry: Dict[str, AuthoritativeServer],
-        fault_hook: Optional[Callable[[DomainName], None]] = None,
     ) -> None:
         self.root_server = root_server
         self.server_registry = server_registry
         self.queries_sent = 0
-        #: Called with the qname before each walk; a fault harness can
-        #: raise :class:`~repro.errors.TransientResolutionError` here to
-        #: model an unreachable upstream path.
-        self.fault_hook = fault_hook
-
-    def register_server(self, hostname: DomainName, server: AuthoritativeServer) -> None:
-        """Make ``hostname`` route to ``server`` for future referrals."""
-        self.server_registry[str(hostname)] = server
-
-    def unregister_server(self, hostname: DomainName) -> None:
-        self.server_registry.pop(str(hostname), None)
 
     def resolve(
         self, qname: DomainName, rtype: RRType = RRType.A, msg_id: int = 0
     ) -> ResolutionResult:
         """Resolve iteratively, following referrals and CNAMEs."""
-        if self.fault_hook is not None:
-            self.fault_hook(qname)
         trace = ResolutionTrace()
         current_name = qname
         collected: List[ResourceRecord] = []
@@ -215,7 +187,6 @@ class RecursiveStats:
     cache_hits: int = 0
     negative_cache_hits: int = 0
     upstream_resolutions: int = 0
-    upstream_retries: int = 0
     nxdomain_responses: int = 0
     nodata_responses: int = 0
 
@@ -233,18 +204,11 @@ class RecursiveResolver:
         iterative: IterativeResolver,
         cache: Optional[ResolverCache] = None,
         use_negative_cache: bool = True,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.iterative = iterative
         self.cache = cache if cache is not None else ResolverCache()
         self.use_negative_cache = use_negative_cache
         self.stats = RecursiveStats()
-        #: When set, transient upstream failures (an injected
-        #: :class:`~repro.errors.TransientResolutionError`, a flapping
-        #: link) are retried instead of surfacing to the stub.
-        self.retry_policy = retry_policy
-        self.retry_rng = retry_rng
 
     def resolve(
         self, qname: DomainName, now: int, rtype: RRType = RRType.A
@@ -290,7 +254,7 @@ class RecursiveResolver:
             return result
 
         self.stats.upstream_resolutions += 1
-        result = self._resolve_upstream(qname, rtype)
+        result = self.iterative.resolve(qname, rtype)
         if result.rcode == RCode.NXDOMAIN:
             self.stats.nxdomain_responses += 1
             if self.use_negative_cache:
@@ -304,22 +268,6 @@ class RecursiveResolver:
                 ttl = result.negative_ttl if result.negative_ttl is not None else 900
                 self.cache.store_nodata(qname, rtype, ttl, now)
         return result
-
-    def _resolve_upstream(
-        self, qname: DomainName, rtype: RRType
-    ) -> ResolutionResult:
-        if self.retry_policy is None:
-            return self.iterative.resolve(qname, rtype)
-
-        def count_retry(attempt: int, error: BaseException) -> None:
-            self.stats.upstream_retries += 1
-
-        return self.retry_policy.run(
-            lambda: self.iterative.resolve(qname, rtype),
-            rng=self.retry_rng,
-            retry_on=(TransientError,),
-            on_retry=count_retry,
-        )
 
 
 def _single_cname(

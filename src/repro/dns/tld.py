@@ -143,13 +143,3 @@ class TldRegistry:
             for info in self._by_name.values()
             if include_special or not info.is_special
         ]
-
-    def generic_tlds(self) -> List[str]:
-        return [
-            info.name
-            for info in self._by_name.values()
-            if not info.is_country_code and not info.is_special
-        ]
-
-    def country_tlds(self) -> List[str]:
-        return [info.name for info in self._by_name.values() if info.is_country_code]

@@ -124,12 +124,6 @@ class Zone:
             candidate = candidate.parent()
         return best
 
-    def delegations(self) -> Iterable[DomainName]:
-        """All delegated child cuts of this zone."""
-        return sorted(
-            {owner for (owner, rtype) in self._records if rtype == RRType.NS and owner != self.apex}
-        )
-
     def records(self) -> Iterable[ResourceRecord]:
         """All records in canonical (owner, type) order, SOA excluded."""
         for (owner, rtype) in sorted(

@@ -57,10 +57,6 @@ class TransientStoreError(TransientError):
     """A store write failed transiently (the BigQuery load-job analogue)."""
 
 
-class TransientResolutionError(TransientError, ResolutionError):
-    """An upstream resolution failed transiently (timeout, SERVFAIL)."""
-
-
 class InjectedFaultError(TransientError):
     """A failure deliberately raised by the fault-injection harness."""
 
@@ -120,10 +116,6 @@ class RateLimitExceeded(ReproError):
     def __init__(self, message: str, retry_after=None) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class HoneypotError(ReproError):
-    """The honeypot recorder or categorizer was misused."""
 
 
 class WorkloadError(ReproError):

@@ -744,7 +744,7 @@ class StorageFaultInjector(Injector):
         )
 
 
-class TornWriteInjector(StorageFaultInjector):
+class TornWriteInjector(StorageFaultInjector):  # repro: noqa[REP105] listed by `faults --list-injectors` via vars(); fired by the spill crash matrix
     """A write lands partially, then the process dies.
 
     At a byte-writing boundary only a seeded fraction of the payload
@@ -764,7 +764,7 @@ class TornWriteInjector(StorageFaultInjector):
         return FaultAction(crash_before=True)
 
 
-class BitFlipInjector(StorageFaultInjector):
+class BitFlipInjector(StorageFaultInjector):  # repro: noqa[REP105] listed by `faults --list-injectors` via vars(); fired by the spill crash matrix
     """Silent at-rest corruption: one bit flips inside a written file.
 
     The writer *survives* and completes its protocol — the flip models
@@ -786,7 +786,7 @@ class BitFlipInjector(StorageFaultInjector):
         return FaultAction(crash_after=True)
 
 
-class FsyncLossInjector(StorageFaultInjector):
+class FsyncLossInjector(StorageFaultInjector):  # repro: noqa[REP105] listed by `faults --list-injectors` via vars(); fired by the spill crash matrix
     """An fsync reports success but the data never hits the platter.
 
     At an ``fsync`` boundary the file is rolled back to its pre-write

@@ -130,16 +130,6 @@ class FaultPlan:
         if self.horizon_end <= self.horizon_start:
             raise ConfigError("horizon_end must follow horizon_start")
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
-            and self.dropout_windows == 0
-            and self.burst_episodes == 0
-            and self.query_burst_episodes == 0
-        )
-
     @classmethod
     def loss(cls, rate: float) -> "FaultPlan":
         """The degradation-curve operating point for ``rate`` loss.
@@ -284,12 +274,6 @@ class FaultSchedule:
         )
         return tuple(DropoutWindow(s, s + duration) for s in starts)
 
-    def injector_seed(self, name: str) -> int:
-        """The derived child seed feeding the named injector's stream."""
-        if name not in self._injectors:
-            raise ConfigError(f"unknown injector {name!r}")
-        return self._seeds.child_seed(name)
-
     def counters(self) -> Dict[str, int]:
         """Per-injector uniform-draw counts (the checkpoint payload)."""
         return {name: inj.draws for name, inj in self._injectors.items()}
@@ -305,10 +289,6 @@ class FaultSchedule:
     def fingerprint(self) -> str:
         """The injection log's SHA-256 (bit-identity across runs)."""
         return self.log.fingerprint()
-
-    def injected_total(self) -> int:
-        """Total faults injected so far across every injector."""
-        return sum(inj.injected for inj in self._injectors.values())
 
     def summary(self) -> List[Tuple[str, int, int]]:
         """Per-injector (name, decisions, injected) rows, stable order."""

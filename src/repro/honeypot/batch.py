@@ -430,7 +430,7 @@ class PacketBatch:
             self.payload_sizes[rows],
         )
 
-    def to_packets(self) -> List[PacketRecord]:
+    def to_packets(self) -> List[PacketRecord]:  # repro: noqa[REP105] §6 object edge out, pinned by tests/honeypot/test_edges.py
         return [
             PacketRecord(
                 timestamp,

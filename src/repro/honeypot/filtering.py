@@ -44,9 +44,6 @@ class FilterStats:
     def dropped(self) -> int:
         return self.dropped_by_ip_baseline + self.dropped_by_control_group
 
-    def drop_fraction(self) -> float:
-        return self.dropped / self.input_requests if self.input_requests else 0.0
-
 
 class TwoStageFilter:
     """Learns noise signatures from the two calibration deployments."""
@@ -123,11 +120,3 @@ class TwoStageFilter:
             kept=int(keep.sum()),
         )
         return keep, stats
-
-    @property
-    def scanner_ip_count(self) -> int:
-        return len(self._scanner_ips)
-
-    @property
-    def control_signature_count(self) -> int:
-        return len(self._control_ips) + len(self._control_uris)

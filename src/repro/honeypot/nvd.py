@@ -108,10 +108,6 @@ class VulnerabilityDatabase:
         """§6.2's criterion: severity ≥ medium."""
         return self.severity_of(path) >= minimum
 
-    def has_suspicious_query(self, query_parameters: Dict[str, str]) -> bool:
-        """True when any parameter name is on the abuse list."""
-        return _any_suspicious(query_parameters)
-
     def is_malicious_uri(self, path: str, query: str) -> bool:
         """§6.2 step ③: a sensitive path or a suspicious query parameter.
 

@@ -22,9 +22,7 @@ with ``to_requests()`` / ``to_packets()``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.honeypot.batch import PacketBatch, RequestBatch
 from repro.honeypot.http import HttpRequest
@@ -40,31 +38,21 @@ class TrafficRecorder:
         #: Single requests in arrival order, columnized on the next
         #: batch write or read.
         self._pending: List[HttpRequest] = []
-        #: Called with a context string before each write; a fault
-        #: harness can raise :class:`~repro.errors.TransientStoreError`
-        #: here to model a full disk or a wedged capture process.
-        self.fault_hook: Optional[Callable[[str], None]] = None
 
     # -- capture --------------------------------------------------------
 
     def record_request(self, request: HttpRequest) -> None:
         """Record an HTTP request (and its transport-level shadow)."""
-        if self.fault_hook is not None:
-            self.fault_hook("request")
         self._pending.append(request)
 
     def record_batch(self, batch: RequestBatch) -> None:
         """Record every request of ``batch`` (and their shadows), in order."""
-        if self.fault_hook is not None:
-            self.fault_hook("request")
         self._flush()
         self._request_parts.append(batch)
         self._packet_parts.append(batch.packet_shadow())
 
     def record_packet_batch(self, batch: PacketBatch) -> None:
         """Record every packet of ``batch``, in order."""
-        if self.fault_hook is not None:
-            self.fault_hook("packet")
         self._flush()
         self._packet_parts.append(batch)
 
@@ -96,10 +84,6 @@ class TrafficRecorder:
     # -- views ------------------------------------------------------------
 
     @property
-    def packet_count(self) -> int:
-        return sum(map(len, self._packet_parts)) + len(self._pending)
-
-    @property
     def request_count(self) -> int:
         return sum(map(len, self._request_parts)) + len(self._pending)
 
@@ -112,17 +96,6 @@ class TrafficRecorder:
         return sorted(
             self.port_histogram().items(), key=lambda kv: kv[1], reverse=True
         )[:n]
-
-    def source_ips(self) -> Set[str]:
-        """Every source IP observed (packets and requests)."""
-        return set(self.packet_batch().src_ip.distinct())
-
-    def http_share(self) -> float:
-        """Fraction of packets on ports 80/443 (the paper's 81.7%)."""
-        ports = self.packet_batch().ports
-        if not len(ports):
-            return 0.0
-        return int(np.isin(ports, (80, 443)).sum()) / len(ports)
 
     def window(self, start: int, end: int) -> "TrafficRecorder":
         """A recorder view restricted to [start, end), order kept."""

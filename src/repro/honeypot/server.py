@@ -156,12 +156,6 @@ class NxdHoneypot:
         kept, _ = self.filtered_batch()
         return self.categorizer.categorize_batch(kept)
 
-    def report_for(self, domain: str) -> HoneypotReport:
-        """Table 1 row for one domain, counted off one categorized batch."""
-        categorized = self.categorized_batch()
-        lowered = domain.lower()
-        return _report(lowered, categorized, categorized.requests.host_rows(lowered))
-
     def reports(self) -> List[HoneypotReport]:
         """Table 1 rows for every hosted domain, by traffic volume."""
         return self.reports_from(self.categorized_batch())

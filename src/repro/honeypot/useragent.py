@@ -34,10 +34,6 @@ class UserAgentInfo:
     name: str = ""
     device: str = ""
 
-    @property
-    def is_automated(self) -> bool:
-        return self.kind in (AgentKind.CRAWLER, AgentKind.EMAIL_CRAWLER, AgentKind.SCRIPT)
-
 
 #: (token, crawler name) — declared web crawler services.
 _CRAWLER_TOKENS: Tuple[Tuple[str, str], ...] = (

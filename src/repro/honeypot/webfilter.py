@@ -72,10 +72,6 @@ class WebFilter:
             return ReferralKind.EMBEDDED
         return ReferralKind.MALICIOUS_LINK
 
-    def page_category(self, referer_url: str) -> Optional[str]:
-        page = self.fetch(referer_url)
-        return page.category if page else None
-
     def __len__(self) -> int:
         return len(self._pages)
 

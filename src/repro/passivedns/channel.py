@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.errors import ReproError, UnknownKeyError
+from repro.errors import ReproError
 from repro.passivedns.record import DnsObservation
 
 Subscriber = Callable[[DnsObservation], None]
@@ -47,15 +47,6 @@ class SieChannel:
     def subscribe(self, subscriber: Subscriber) -> None:
         """Register a callback invoked for each accepted observation."""
         self._subscribers.append(subscriber)
-
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        """Remove a previously registered callback."""
-        try:
-            self._subscribers.remove(subscriber)
-        except ValueError:
-            raise UnknownKeyError(
-                f"subscriber {subscriber!r} is not registered"
-            ) from None
 
     def publish(self, observation: DnsObservation) -> bool:
         """Offer an observation; returns True when it passed the filter.
@@ -104,7 +95,3 @@ class SieChannel:
         self.published += passed
         self.dropped += len(accepted) - passed
         return accepted
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)

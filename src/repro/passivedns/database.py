@@ -1288,32 +1288,6 @@ class PassiveDnsDatabase:
             series += np.diff(running[lo + bounds])
         return series
 
-    def high_traffic_domains(
-        self, min_monthly_queries: int
-    ) -> List[DomainProfile]:
-        """Domains averaging at least ``min_monthly_queries``/month.
-
-        The paper's §3.3 selection threshold is 10,000/month (scaled
-        in our workload).  Computed as one vectorized pass over the
-        aggregate columns.
-        """
-        if not self._domains:
-            return []
-        lifespans = (
-            self._last_seen.view() - self._first_seen.view()
-        ) // SECONDS_PER_DAY
-        months = np.maximum(lifespans, 1) / 30.0
-        rates = self._totals.view() / months
-        return [
-            DomainProfile(
-                domain=self._domains[domain_id],
-                first_seen=self._first_seen[domain_id],
-                last_seen=self._last_seen[domain_id],
-                total_queries=self._totals[domain_id],
-            )
-            for domain_id in np.nonzero(rates >= min_monthly_queries)[0]
-        ]
-
     # -- lifespan analyses (Figures 5 and 6) -----------------------------------------
 
     def lifespan_decay(self, max_days: int = 60) -> Tuple[np.ndarray, np.ndarray]:

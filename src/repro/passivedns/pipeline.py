@@ -243,10 +243,10 @@ def _previous_occurrence(matrix: np.ndarray) -> np.ndarray:
 class _DedupWindow:
     """The keys of the last ``size`` admitted rows, oldest first.
 
-    A key is ``(sensor id, qname id, rcode, rtype, time, count)`` in
-    :class:`_Names` ids: a :attr:`DnsObservation.observation_key` with
-    its two strings interned, so equal keys stand for equal
-    observations.
+    A key is ``(sensor id, qname id, rcode, rtype, time, count)`` with
+    the two strings as :class:`_Names` ids, so equal keys stand for
+    equal observations: two deliveries of the same sensed event share
+    a key, genuinely distinct observations never do.
     """
 
     #: Admissions the window remembers (a test may shrink it).
@@ -691,7 +691,7 @@ class ResilientIngestPipeline:
         )
         self.stats.checkpoints += 1
 
-    def resume(self) -> int:
+    def resume(self) -> int:  # repro: noqa[REP105] recovery half of checkpoint(); the crash/resume tests drive it
         """Continue from the checkpoint the spill store recovered.
 
         Returns the cursor: the caller should skip that many leading

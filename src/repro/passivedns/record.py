@@ -10,7 +10,6 @@ within a reporting interval, which is also how SIE keeps volume sane).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
@@ -42,22 +41,3 @@ class DnsObservation:
     def registered_domain(self) -> DomainName:
         """The registrable (SLD) projection the study operates on."""
         return self.qname.registered_domain()
-
-    @property
-    def observation_key(self) -> Tuple[str, str, int, int, int, int]:
-        """A hashable identity for idempotent ingestion.
-
-        Two deliveries of the *same* sensed event (same sensor,
-        name, type, outcome, reporting interval, and pre-aggregated
-        count) share a key, so the ingest pipeline's dedup window can
-        drop the at-least-once redelivery without collapsing genuinely
-        distinct observations.
-        """
-        return (
-            self.sensor_id,
-            str(self.qname),
-            int(self.rcode),
-            int(self.rtype),
-            self.timestamp,
-            self.count,
-        )

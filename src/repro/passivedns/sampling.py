@@ -38,10 +38,3 @@ def sample_domains(
         size = 1
     indices = rng.choice(population, size=size, replace=False)
     return [domains[int(i)] for i in np.sort(indices)]
-
-
-def scale_up(sampled_value: float, ratio: float) -> float:
-    """Estimate a population-level count from a sampled count."""
-    if not 0.0 < ratio <= 1.0:
-        raise ConfigError("ratio must lie in (0, 1]")
-    return sampled_value / ratio

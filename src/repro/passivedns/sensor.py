@@ -1,8 +1,7 @@
 """Collection sensors.
 
-A :class:`Sensor` is a wire tap: it is handed raw DNS response bytes
-(exactly what a span port sees), decodes them with the library's RFC
-1035 codec, and publishes qualifying observations to its channel.
+A :class:`Sensor` is a tap: it is handed resolution results and
+publishes qualifying observations to its channel.
 :class:`SensorTappedResolver` is the convenience deployment used by
 the workload layer — a recursive resolver whose *upstream* traffic is
 mirrored to a sensor, matching Farsight's dominant vantage point
@@ -10,9 +9,7 @@ mirrored to a sensor, matching Farsight's dominant vantage point
 
 A sensor injects no faults of its own: collection loss is modelled
 downstream by the ingest pipeline's fault schedule
-(:mod:`repro.passivedns.pipeline`).  Bytes that fail to decode come
-from outside the program, so they are counted in :class:`SensorStats`
-and dropped, never raised.
+(:mod:`repro.passivedns.pipeline`).
 """
 
 from __future__ import annotations
@@ -20,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dns.message import DnsMessage, RRType
+from repro.dns.message import RRType
 from repro.dns.name import DomainName
 from repro.dns.resolver import RecursiveResolver, ResolutionResult
-from repro.dns.wire import decode_message
-from repro.errors import WireFormatError
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.record import DnsObservation
 
@@ -34,13 +29,12 @@ class SensorStats:
     """Per-sensor accounting of what was tapped and where it went."""
 
     observed: int = 0
-    decode_errors: int = 0
     published: int = 0
     filtered: int = 0
 
 
 class Sensor:
-    """Decodes wire responses and publishes observations."""
+    """Turns resolver results into observations and publishes them."""
 
     def __init__(self, sensor_id: str, channel: SieChannel) -> None:
         self.sensor_id = sensor_id
@@ -48,33 +42,6 @@ class Sensor:
         self.stats = SensorStats()
 
     # -- capture -------------------------------------------------------------
-
-    def observe_wire(self, response_bytes: bytes, now: int) -> Optional[DnsObservation]:
-        """Tap one wire-format response; malformed packets are counted
-        and dropped, never raised (a sensor must not crash on noise)."""
-        try:
-            message = decode_message(response_bytes)
-        except WireFormatError:
-            self.stats.decode_errors += 1
-            return None
-        return self.observe_message(message, now)
-
-    def observe_message(
-        self, message: DnsMessage, now: int, count: int = 1
-    ) -> Optional[DnsObservation]:
-        """Tap an already-decoded response message."""
-        if not message.is_response or not message.questions:
-            return None
-        self.stats.observed += 1
-        observation = DnsObservation(
-            qname=message.question.name,
-            rcode=message.rcode,
-            timestamp=now,
-            sensor_id=self.sensor_id,
-            rtype=message.question.rtype,
-            count=count,
-        )
-        return self._publish(observation)
 
     def observe_result(
         self, result: ResolutionResult, now: int, count: int = 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from typing import Generic, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Generic, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 from repro.errors import ConfigError
@@ -121,7 +121,10 @@ class WeightedTable(Generic[T]):
     def from_weights(
         cls, items: Sequence[T], weights: Sequence[float]
     ) -> "WeightedTable[T]":
-        """Normalize unnormalized weights the way :func:`weighted_choice` does."""
+        """Normalize unnormalized weights by their ``ndarray.sum``.
+
+        Invalid weights raise the messages ``Generator.choice`` raises.
+        """
         if len(items) != len(weights):
             raise ConfigError("items and weights must have equal length")
         if not items:
@@ -135,44 +138,3 @@ class WeightedTable(Generic[T]):
     def draw(self, rng: np.random.Generator) -> T:
         """One item; consumes exactly one ``rng.random()``."""
         return self.items[bisect_right(self.cdf, rng.random())]
-
-
-def weighted_choice(
-    rng: np.random.Generator, items: Sequence[T], weights: Sequence[float]
-) -> T:
-    """Pick one item with the given (unnormalized) weights.
-
-    Builds a throwaway :class:`WeightedTable`; call sites that draw
-    from one pool many times keep the table instead.
-    """
-    return WeightedTable.from_weights(items, weights).draw(rng)
-
-
-def weighted_sample_counts(
-    rng: np.random.Generator, weights: Sequence[float], total: int
-) -> List[int]:
-    """Split ``total`` events across categories via a multinomial draw."""
-    probs = np.asarray(weights, dtype=float)
-    if probs.sum() <= 0:
-        raise ConfigError("weights must sum to a positive value")
-    counts = rng.multinomial(int(total), probs / probs.sum())
-    return [int(c) for c in counts]
-
-
-def zipf_weights(n: int, exponent: float = 1.0) -> List[float]:
-    """Zipf-like rank weights ``1/rank**exponent`` for ``n`` ranks.
-
-    Heavy-tailed popularity (domains, TLDs, URIs) throughout the
-    workload generators uses this shape, matching the skew the paper
-    observes in NXDomain query volume.
-    """
-    if n <= 0:
-        raise ConfigError("n must be positive")
-    return [1.0 / (rank**exponent) for rank in range(1, n + 1)]
-
-
-def stable_shuffle(rng: np.random.Generator, items: Iterable[T]) -> List[T]:
-    """Return a shuffled copy of ``items`` without mutating the input."""
-    out = list(items)
-    rng.shuffle(out)  # type: ignore[arg-type]
-    return out

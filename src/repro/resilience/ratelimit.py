@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigError, RateLimitExceeded
+from repro.errors import ConfigError
 
 
 @dataclass
@@ -51,19 +51,14 @@ class TokenBucket:
 
     def _refill(self, now: int) -> None:
         """Reset an elapsed window.  Reads never *open* a window — the
-        window starts at the first acquire, so probing ``remaining`` /
-        ``retry_after`` ahead of time has no side effect."""
+        window starts at the first acquire, so probing ``retry_after``
+        ahead of time has no side effect."""
         if (
             self._window_start is not None
             and now - self._window_start >= self.limit.window_seconds
         ):
             self._window_start = None
             self._used = 0
-
-    def remaining(self, now: int) -> int:
-        """Tokens left in the window containing ``now``."""
-        self._refill(now)
-        return self.limit.capacity - self._used
 
     def retry_after(self, now: int) -> int:
         """Seconds until a rejected caller should retry (0 = now)."""
@@ -85,12 +80,3 @@ class TokenBucket:
         self._used += tokens
         self.granted += 1
         return True
-
-    def acquire(self, now: int, tokens: int = 1) -> None:
-        """:meth:`try_acquire` or raise with ``retry_after`` filled in."""
-        if not self.try_acquire(now, tokens):
-            raise RateLimitExceeded(
-                f"limit of {self.limit.capacity} per "
-                f"{self.limit.window_seconds}s exhausted",
-                retry_after=self.retry_after(now),
-            )

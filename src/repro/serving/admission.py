@@ -146,10 +146,6 @@ class AdmissionController:
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    @property
-    def queued_cost(self) -> int:
-        return self._queued_cost
-
     def pressure(self) -> float:
         """Load signal in [0, ~]: worst of depth and queued-cost ratios."""
         depth = len(self) / self.policy.queue_capacity

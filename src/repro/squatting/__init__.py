@@ -19,7 +19,7 @@ from repro.squatting.detector import SquattingDetector, SquattingType
 from repro.squatting.dot import dotsquat_variants, is_dotsquat
 from repro.squatting.homo import homosquat_variants, is_homosquat
 from repro.squatting.targets import PopularDomains
-from repro.squatting.typo import typosquat_variants, is_typosquat
+from repro.squatting.typo import typosquat_variants
 
 __all__ = [
     "PopularDomains",
@@ -33,6 +33,5 @@ __all__ = [
     "is_combosquat",
     "is_dotsquat",
     "is_homosquat",
-    "is_typosquat",
     "typosquat_variants",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.dns.name import DomainName
 from repro.squatting.bit import is_bitsquat
@@ -76,8 +76,8 @@ class SquattingDetector:
         return None
 
     def _is_typosquat(self, candidate: DomainName, target: DomainName) -> bool:
-        """:func:`~repro.squatting.typo.is_typosquat`, with each
-        target's variant set generated once per detector."""
+        """One keystroke error from ``target`` under the same TLD; each
+        target's variant label set is generated once per detector."""
         candidate = candidate.registered_domain()
         target = target.registered_domain()
         if candidate.tld != target.tld or candidate == target:
@@ -109,12 +109,3 @@ class SquattingDetector:
 
     def is_squatting(self, candidate: DomainName) -> bool:
         return self.classify(candidate) is not None
-
-
-def census_table(counts: Dict[SquattingType, int]) -> List[Tuple[str, int]]:
-    """Figure-7-ordered (name, count) rows, largest first."""
-    return sorted(
-        ((t.value, c) for t, c in counts.items()),
-        key=lambda row: row[1],
-        reverse=True,
-    )

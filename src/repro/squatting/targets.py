@@ -91,6 +91,3 @@ class PopularDomains:
     def by_label(self, label: str) -> DomainName:
         """The target domain carrying ``label`` (KeyError when absent)."""
         return self._labels[label]
-
-    def has_label(self, label: str) -> bool:
-        return label in self._labels

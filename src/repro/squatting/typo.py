@@ -10,15 +10,15 @@ Typo-Patrol and Agten et al. (NDSS '15):
 5. adjacent-key insertion    (``googlke.com``)
 
 Generation enumerates the full variant space for a target; detection
-answers whether a candidate lies within it.
+answers whether a candidate lies within it (see
+:class:`~repro.squatting.detector.SquattingDetector`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.dns.name import _LABEL_RE, MAX_LABEL_LENGTH, DomainName
-from repro.errors import DomainNameError
 
 #: QWERTY adjacency, lowercase letters and digits.
 QWERTY_ADJACENT: Dict[str, str] = {
@@ -77,55 +77,3 @@ def typosquat_variants(target: DomainName) -> List[DomainName]:
         for label in sorted(_variant_labels(target.sld))
         if len(label) <= MAX_LABEL_LENGTH and _LABEL_RE.match(label)
     ]
-
-
-#: TLD typo targets: (intended TLD, mistyped TLDs actually registered
-#: against it in the wild — omissions and adjacent keys).
-TLD_TYPOS: Dict[str, Tuple[str, ...]] = {
-    "com": ("co", "om", "cm", "con", "vom", "xom", "comm"),
-    "net": ("ne", "et", "nte", "met", "bet"),
-    "org": ("og", "orh", "orf", "ogr"),
-    "ru": ("r", "eu"),
-    "de": ("d", "se"),
-}
-
-
-def tld_swap_variants(target: DomainName) -> List[DomainName]:
-    """Wrong-TLD typos: the brand label under a mistyped TLD.
-
-    ``example.com`` → ``example.co``, ``example.cm``, ... — the typo
-    class that country registries (.co, .cm, .om) famously monetize.
-    Kept separate from :func:`typosquat_variants` (same-TLD label
-    typos) so censuses calibrated on the paper's same-TLD counts are
-    unaffected.
-    """
-    target = target.registered_domain()
-    variants = []
-    for tld in TLD_TYPOS.get(target.tld, ()):
-        try:
-            variants.append(DomainName(f"{target.sld}.{tld}"))
-        except DomainNameError:  # pragma: no cover - all entries valid
-            continue
-    return variants
-
-
-def is_tld_swap(candidate: DomainName, target: DomainName) -> bool:
-    """True when the candidate is the target's label under a typo TLD."""
-    candidate = candidate.registered_domain()
-    target = target.registered_domain()
-    if candidate.sld != target.sld or candidate == target:
-        return False
-    return candidate.tld in TLD_TYPOS.get(target.tld, ())
-
-
-def is_typosquat(candidate: DomainName, target: DomainName) -> bool:
-    """True when ``candidate`` is one keystroke error from ``target``.
-
-    Compares second-level labels under the same TLD; the registered
-    domain of the candidate is used, so subdomains classify too.
-    """
-    candidate = candidate.registered_domain()
-    target = target.registered_domain()
-    if candidate.tld != target.tld or candidate == target:
-        return False
-    return candidate.sld in _variant_labels(target.sld)

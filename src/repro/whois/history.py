@@ -16,7 +16,7 @@ materializing per-domain state for misses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.dns.name import DomainName
 from repro.whois.record import WhoisRecord
@@ -33,10 +33,6 @@ class JoinResult:
     @property
     def hit_count(self) -> int:
         return len(self.with_history)
-
-    @property
-    def hit_fraction(self) -> float:
-        return self.hit_count / self.total if self.total else 0.0
 
 
 class WhoisHistoryDatabase:
@@ -70,20 +66,6 @@ class WhoisHistoryDatabase:
     def latest(self, domain: DomainName) -> Optional[WhoisRecord]:
         snapshots = self._by_domain.get(domain.registered_domain())
         return snapshots[-1] if snapshots else None
-
-    def first_registered_at(self, domain: DomainName) -> Optional[int]:
-        snapshots = self._by_domain.get(domain.registered_domain())
-        if not snapshots:
-            return None
-        return min(record.created_at for record in snapshots)
-
-    def registration_spans(self, domain: DomainName) -> List[Tuple[int, int]]:
-        """Distinct (created_at, expires_at) registration periods."""
-        spans = {
-            (record.created_at, record.expires_at)
-            for record in self._by_domain.get(domain.registered_domain(), [])
-        }
-        return sorted(spans)
 
     def domain_count(self) -> int:
         return len(self._by_domain)

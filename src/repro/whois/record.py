@@ -46,15 +46,6 @@ class WhoisRecord:
                 f"{self.domain}: snapshot captured before creation"
             )
 
-    @property
-    def registration_years(self) -> float:
-        """Length of the registration period in (365-day) years."""
-        return (self.expires_at - self.created_at) / (365 * 86_400)
-
-    def was_live_at(self, timestamp: int) -> bool:
-        """True when the registration covered ``timestamp``."""
-        return self.created_at <= timestamp < self.expires_at
-
     def __str__(self) -> str:
         return (
             f"{self.domain} [{self.status}] registrar={self.registrar} "

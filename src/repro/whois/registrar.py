@@ -70,12 +70,6 @@ class DropCatchService:
         queue.append(_Reservation(domain, customer, at))
         queue.sort(key=lambda r: r.placed_at)
 
-    def has_reservation(self, domain: DomainName) -> bool:
-        return bool(self._reservations.get(domain))
-
-    def pending_reservations(self, domain: DomainName) -> int:
-        return len(self._reservations.get(domain, []))
-
     def claim(self, domain: DomainName) -> Optional[str]:
         """Pop the winning customer for a just-released domain."""
         queue = self._reservations.get(domain)

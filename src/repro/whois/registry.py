@@ -60,10 +60,6 @@ class Registry:
 
     # -- registrar management ---------------------------------------------
 
-    def add_registrar(self, registrar: Registrar) -> Registrar:
-        self.registrars[registrar.name] = registrar
-        return registrar
-
     # -- registration operations -------------------------------------------
 
     def register(
@@ -173,9 +169,6 @@ class Registry:
     def is_nxdomain(self, domain: DomainName) -> bool:
         """Would an A query for the domain yield NXDOMAIN right now?"""
         return not self.status_of(domain).resolves_in_dns
-
-    def managed_domains(self) -> List[DomainName]:
-        return sorted(self._lifecycles)
 
     # -- internals -------------------------------------------------------------
 

@@ -128,11 +128,3 @@ def registered_domain_profiles() -> List[RegisteredDomainProfile]:
             )
         )
     return profiles
-
-
-def paper_row_total(domain: str) -> int:
-    """Sum of the row's category cells (the table's Total column is
-    reproduced from the cells; minor typesetting discrepancies in the
-    original are resolved in favour of the cells)."""
-    row, _ = PAPER_TABLE1[domain]
-    return sum(row)

@@ -30,17 +30,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from itertools import islice
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Union
 
 from repro.blocklist.categories import ThreatCategory
 from repro.blocklist.store import BlocklistEntry, BlocklistStore, RateLimit
 from repro.dns.name import DomainName
-from repro.faults.plan import FaultPlan
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.spill import atomic_write_bytes
-from repro.passivedns.pipeline import PipelineStats, ResilientIngestPipeline
 from repro.squatting.detector import SquattingType
 from repro.whois.io import load_history, save_history
 from repro.errors import ConfigError, CorruptArchiveError, WorkloadError
@@ -136,54 +133,6 @@ def load_trace(directory: PathLike) -> TraceResult:
     if len(trace.population) != manifest["domains"]:
         raise ConfigError("corrupt trace archive: population count mismatch")
     return trace
-
-
-def replay_with_checkpoints(
-    trace: TraceResult,
-    plan: FaultPlan,
-    seed: int,
-    directory: PathLike,
-    every: int = 5_000,
-    stop_after: Optional[int] = None,
-    spill_compact_threshold: int = 16,
-) -> Tuple[Optional[TraceResult], PipelineStats]:
-    """Faulted replay of ``trace.nx_db`` with durable progress.
-
-    The replayed store is spill-backed in ``directory`` and the
-    pipeline checkpoints every ``every`` offered observations; each
-    checkpoint is a crash-safe manifest-generation commit, and once
-    ``spill_compact_threshold`` segments accumulate the commit
-    compacts them into one superseding generation.  Crucially, the
-    replay *resumes* from whatever checkpoint ``directory`` already
-    holds, fast-forwarding the fault schedule's RNG streams so the
-    continued run makes exactly the decisions the interrupted one
-    would have; a directory holding a store without a checkpoint
-    (such as a saved trace's ``nx/``) is refused with
-    :class:`WorkloadError`.  ``stop_after`` aborts after that many
-    additional observations (checkpointing first) to simulate an
-    interruption; the return is then ``(None, stats)``.  A completed
-    replay returns the degraded :class:`TraceResult` and final
-    pipeline stats.
-    """
-    pipeline = ResilientIngestPipeline(
-        schedule=plan.schedule(seed),
-        checkpoint_every=every,
-        spill_dir=directory,
-        spill_compact_threshold=spill_compact_threshold,
-    )
-    cursor = pipeline.resume()
-    remaining = islice(trace.nx_db.iter_observations(), cursor, None)
-    if stop_after is None:
-        pipeline.ingest_many(remaining)
-    else:
-        # At least one observation goes in before an interruption.
-        limit = max(stop_after, 1)
-        pipeline.ingest_many(islice(remaining, limit))
-        if pipeline.stats.offered - cursor >= limit:
-            pipeline.checkpoint()
-            return None, pipeline.stats
-    stats = pipeline.finish()
-    return dataclasses.replace(trace, nx_db=pipeline.database), stats
 
 
 # ---------------------------------------------------------------------------

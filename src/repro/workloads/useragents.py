@@ -126,7 +126,7 @@ def table(pool: Tuple[Tuple[str, float], ...]) -> WeightedTable[str]:
 def pick(rng: np.random.Generator, pool: Tuple[Tuple[str, float], ...]) -> str:
     """Draw one UA string from a weighted pool.
 
-    The draw equals ``weighted_choice`` over the pool's strings and
-    weights.
+    The draw equals ``WeightedTable.from_weights`` over the pool's
+    strings and weights.
     """
     return table(pool).draw(rng)

@@ -4,7 +4,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import AnalysisConfig, Analyzer, default_rules, instantiate
+from repro.analysis import AnalysisConfig, Analyzer, instantiate
+from tests.analysis.harness import check_source, default_rules
 
 
 @pytest.fixture
@@ -15,7 +16,7 @@ def run_source():
         cfg = config if config is not None else AnalysisConfig()
         rules = instantiate(select) if select is not None else default_rules()
         analyzer = Analyzer(cfg, rules)
-        return analyzer.check_source(textwrap.dedent(code), relpath)
+        return check_source(analyzer, textwrap.dedent(code), relpath)
 
     return _run
 

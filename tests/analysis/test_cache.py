@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import cache as cache_mod
-from repro.analysis import AnalysisConfig, Analyzer, default_rules
+from repro.analysis import AnalysisConfig, Analyzer
+from tests.analysis.harness import default_rules
 
 
 def _write(root, relpath, text):
@@ -284,6 +285,54 @@ def test_deleting_only_referencer_surfaces_dead_export_warm(tmp_path):
     assert any(f.rule_id == "REP104" for f in warm)
 
 
+def test_deleting_sole_program_referencer_surfaces_test_only_api_warm(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/api.py",
+        '"""Doc."""\n\n\n'
+        "def parse(text):\n"
+        '    """Doc."""\n'
+        "    return text\n",
+    )
+    _write(
+        tmp_path,
+        "src/repro/use.py",
+        '"""Doc."""\n'
+        "from repro.api import parse\n\n"
+        'PARSED = parse("x")\n',
+    )
+    _write(tmp_path, "tests/test_api.py", "from repro.api import parse\n\nparse('y')\n")
+    cache = cache_mod.AnalysisCache(signature=_signature())
+    before = _run(tmp_path, cache=cache)
+    assert not any(f.rule_id == "REP105" for f in before)
+
+    # the program's only use goes away and the test's use remains:
+    # REP105 must fire on the unchanged api.py on the warm run exactly
+    # as it does on a cold one
+    (tmp_path / "src/repro/use.py").unlink()
+    warm = _run(tmp_path, cache=cache)
+    cold = _run(tmp_path)
+    assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
+    hits = [f for f in warm if f.rule_id == "REP105"]
+    assert [(f.path, f.line) for f in hits] == [("src/repro/api.py", 4)]
+    assert "used only by tests" in hits[0].message
+
+
+def test_format_4_cache_is_refused(project, tmp_path, monkeypatch):
+    # format-4 summaries count a definition's own name as a use, so
+    # REP105 must never judge liveness from them
+    monkeypatch.setattr(cache_mod, "CACHE_FORMAT_VERSION", 4)
+    cache = cache_mod.AnalysisCache(signature=_signature())
+    _run(project, cache=cache)
+    cache_file = tmp_path / "cache.json"
+    cache_mod.save_cache(cache_file, cache)
+    monkeypatch.undo()
+
+    assert cache_mod.CACHE_FORMAT_VERSION == 5
+    stale = cache_mod.load_cache(cache_file, _signature())
+    assert stale.files == {} and stale.program_findings is None
+
+
 def test_undecodable_sink_module_clears_importer_findings_warm(project):
     cache = cache_mod.AnalysisCache(signature=_signature())
     before = _run(project, cache=cache)
@@ -442,7 +491,8 @@ def test_program_valid_distinguishes_empty_from_unran(tmp_path):
         '"""Doc."""\n\n\n'
         "def add(a, b):\n"
         '    """Doc."""\n'
-        "    return a + b\n",
+        "    return a + b\n\n\n"
+        "TOTAL = add(1, 2)\n",
     )
     cache = cache_mod.AnalysisCache(signature=_signature())
     assert cache.program_findings is None

@@ -132,7 +132,7 @@ def test_default_run_writes_and_reuses_cache(tmp_path, capsys):
     src = tmp_path / "src" / "repro"
     src.mkdir(parents=True)
     (src / "mod.py").write_text(
-        '"""Doc."""\n\n\ndef f(a):\n    """Doc."""\n    return a\n',
+        '"""Doc."""\n\n\ndef f(a):\n    """Doc."""\n    return a\n\n\nONE = f(1)\n',
         encoding="utf-8",
     )
     (tmp_path / "pyproject.toml").write_text(
@@ -155,7 +155,7 @@ def test_explicit_paths_do_not_touch_cache(tmp_path, capsys):
     src = tmp_path / "src" / "repro"
     src.mkdir(parents=True)
     (src / "mod.py").write_text(
-        '"""Doc."""\n\n\ndef f(a):\n    """Doc."""\n    return a\n',
+        '"""Doc."""\n\n\ndef f(a):\n    """Doc."""\n    return a\n\n\nONE = f(1)\n',
         encoding="utf-8",
     )
     (tmp_path / "pyproject.toml").write_text(

@@ -1,15 +1,16 @@
 """The concurrency-safety rules REP301–REP305.
 
 Each scenario builds a small in-memory project and runs all four
-passes through :meth:`Analyzer.check_project_sources`, exactly as a
-real lint run would: per-file summaries carry the lock/resource
+passes through ``tests.analysis.harness.check_project_sources``,
+exactly as a real lint run would: per-file summaries carry the lock/resource
 facts, the project model resolves spawn reachability, and the REP30x
 rules judge the result.
 """
 
 import textwrap
 
-from repro.analysis import AnalysisConfig, Analyzer, default_rules
+from repro.analysis import AnalysisConfig, Analyzer
+from tests.analysis.harness import check_project_sources, default_rules
 
 
 def _lint(files, roots=(), lock_attributes=None):
@@ -18,7 +19,8 @@ def _lint(files, roots=(), lock_attributes=None):
     if lock_attributes is not None:
         config.lock_attributes = list(lock_attributes)
     analyzer = Analyzer(config, default_rules())
-    return analyzer.check_project_sources(
+    return check_project_sources(
+        analyzer,
         {path: textwrap.dedent(code) for path, code in files.items()}
     )
 

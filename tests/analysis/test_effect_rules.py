@@ -1,20 +1,22 @@
 """The effect-flow rules REP201–REP204.
 
 Each scenario builds a small in-memory project and runs all three
-passes through :meth:`Analyzer.check_project_sources`, exactly as a
-real lint run would: per-file summaries carry the effect facts, the
+passes through ``tests.analysis.harness.check_project_sources``,
+exactly as a real lint run would: per-file summaries carry the effect facts, the
 project model resolves reachability and class hierarchies, and the
 REP20x rules judge the result.
 """
 
 import textwrap
 
-from repro.analysis import AnalysisConfig, Analyzer, default_rules
+from repro.analysis import AnalysisConfig, Analyzer
+from tests.analysis.harness import check_project_sources, default_rules
 
 
 def _lint(files, config=None):
     analyzer = Analyzer(config or AnalysisConfig(), default_rules())
-    return analyzer.check_project_sources(
+    return check_project_sources(
+        analyzer,
         {path: textwrap.dedent(code) for path, code in files.items()}
     )
 

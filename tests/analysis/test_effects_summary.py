@@ -12,8 +12,9 @@ import textwrap
 import pytest
 
 from repro.analysis import cache as cache_mod
-from repro.analysis import AnalysisConfig, Analyzer, default_rules
+from repro.analysis import AnalysisConfig, Analyzer
 from repro.analysis.project import ModuleSummary
+from tests.analysis.harness import default_rules
 
 _EFFECTFUL_SOURCE = '''
 """Doc."""

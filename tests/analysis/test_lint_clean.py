@@ -4,9 +4,10 @@ caught.  This is the tier-1 gate for every REP invariant."""
 
 from pathlib import Path
 
-from repro.analysis import Analyzer, default_rules, load_config
+from repro.analysis import Analyzer, load_config
 from repro.analysis import baseline as baseline_mod
 from repro.analysis.findings import Severity
+from tests.analysis.harness import check_project_sources, check_source, default_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -47,7 +48,7 @@ def test_injected_wall_clock_violation_is_caught():
         "def _stamp():\n"
         "    return datetime.datetime.now()\n"
     )
-    findings = analyzer.check_source(poisoned, "src/repro/core/reports.py")
+    findings = check_source(analyzer, poisoned, "src/repro/core/reports.py")
     assert any(f.rule_id == "REP001" for f in findings)
 
 
@@ -60,7 +61,7 @@ def test_injected_unseeded_randomness_is_caught():
         "    '''doc'''\n"
         "    return np.random.default_rng().random()\n"
     )
-    findings = analyzer.check_source(poisoned, "src/repro/workloads/x.py")
+    findings = check_source(analyzer, poisoned, "src/repro/workloads/x.py")
     assert any(f.rule_id == "REP002" for f in findings)
 
 
@@ -89,7 +90,7 @@ def test_injected_laundered_clock_read_is_caught_whole_program():
     # module, invisible to any per-file rule
     config = load_config(REPO_ROOT)
     analyzer = Analyzer(config, default_rules())
-    findings = analyzer.check_project_sources({
+    findings = check_project_sources(analyzer, {
         "src/repro/core/hidden.py": (
             '"""Doc."""\n'
             "import time\n\n\n"

@@ -1,18 +1,20 @@
-"""The flow-sensitive whole-program rules REP101–REP104.
+"""The flow-sensitive whole-program rules REP101–REP105.
 
 Each scenario builds a small in-memory project and runs both passes
-through :meth:`Analyzer.check_project_sources`, so the tests exercise
-the same summary -> model -> rule path as a real lint run.
+through ``tests.analysis.harness.check_project_sources``, so the tests
+exercise the same summary -> model -> rule path as a real lint run.
 """
 
 import textwrap
 
-from repro.analysis import AnalysisConfig, Analyzer, default_rules
+from repro.analysis import AnalysisConfig, Analyzer
+from tests.analysis.harness import check_project_sources, default_rules
 
 
 def _lint(files):
     analyzer = Analyzer(AnalysisConfig(), default_rules())
-    return analyzer.check_project_sources(
+    return check_project_sources(
+        analyzer,
         {path: textwrap.dedent(code) for path, code in files.items()}
     )
 
@@ -318,3 +320,119 @@ def test_program_findings_report_once_per_location():
     first = [f.to_json() for f in _lint(files)]
     second = [f.to_json() for f in _lint(files)]
     assert first == second
+
+
+# -- REP105: public API only tests reach -----------------------------------
+
+
+def _rep105(files):
+    return {
+        (f.path, f.line): f.message for f in _ids(_lint(files), "REP105")
+    }
+
+
+def test_rep105_flags_definitions_only_tests_use():
+    hits = _rep105({
+        "src/repro/api.py": (
+            "def helper():\n"          # 1
+            "    return 1\n\n\n"
+            "def orphan():\n"          # 5
+            "    return 2\n\n\n"
+            "class Gadget:\n"          # 9
+            "    pass\n\n\n"
+            "class Thing:\n"           # 13
+            "    def run(self):\n"     # 14
+            "        return 3\n\n"
+            "    @property\n"
+            "    def size(self):\n"    # 18
+            "        return 4\n"
+        ),
+        "src/repro/use.py": "from repro.api import Thing\n\nTHING = Thing()\n",
+        "tests/test_api.py": (
+            "from repro.api import Gadget, Thing, helper\n\n"
+            "helper(), Gadget(), Thing().run(), Thing().size\n"
+        ),
+    })
+    assert sorted(hits) == [
+        ("src/repro/api.py", 1),
+        ("src/repro/api.py", 5),
+        ("src/repro/api.py", 9),
+        ("src/repro/api.py", 14),
+        ("src/repro/api.py", 18),
+    ]
+    assert "function 'helper'" in hits["src/repro/api.py", 1]
+    assert "used only by tests" in hits["src/repro/api.py", 1]
+    assert "never used" in hits["src/repro/api.py", 5]
+    assert "class 'Gadget'" in hits["src/repro/api.py", 9]
+    assert "method 'Thing.run'" in hits["src/repro/api.py", 14]
+    assert "property 'Thing.size'" in hits["src/repro/api.py", 18]
+
+
+def test_rep105_reexport_alone_does_not_count_as_use():
+    hits = _rep105({
+        "src/repro/pkg/__init__.py": (
+            "from repro.pkg.impl import thing\n\n"
+            '__all__ = ["thing"]\n'
+        ),
+        "src/repro/pkg/impl.py": "def thing():\n    return 1\n",
+        "tests/test_pkg.py": "from repro.pkg import thing\n\nthing()\n",
+    })
+    assert list(hits) == [("src/repro/pkg/impl.py", 1)]
+
+
+def test_rep105_program_uses_keep_definitions_live():
+    hits = _rep105({
+        "src/repro/api.py": (
+            "def from_src():\n    return 1\n\n\n"
+            "def from_example():\n    return 2\n\n\n"
+            "def from_perfbench():\n    return 3\n\n\n"
+            "def by_name():\n    return 4\n\n\n"
+            "def in_module():\n    return 5\n\n\n"
+            "RESULT = in_module()\n"
+        ),
+        "src/repro/use.py": "from repro.api import from_src\n\nfrom_src()\n",
+        "examples/demo.py": "from repro.api import from_example\n\nfrom_example()\n",
+        "perfbench/layers.py": (
+            "from repro import api\n\n"
+            'TABLE = ("from_perfbench",)\n'
+            'HOOK = getattr(api, "by_name")\n'
+        ),
+    })
+    assert hits == {}
+
+
+def test_rep105_exempts_dunders_visitors_and_registered_classes():
+    hits = _rep105({
+        "src/repro/walk.py": (
+            "import ast\n\n"
+            "from repro.registry import register\n\n\n"
+            "class Walker(ast.NodeVisitor):\n"
+            "    def __init__(self):\n"
+            "        self.seen = 0\n\n"
+            "    def visit_Name(self, node):\n"
+            "        self.seen += 1\n\n\n"
+            "@register\n"
+            "class Plugin:\n"
+            "    pass\n\n\n"
+            "WALKER = Walker()\n"
+        ),
+        "src/repro/registry.py": (
+            "PLUGINS = []\n\n\n"
+            "def register(cls):\n"
+            "    PLUGINS.append(cls)\n"
+            "    return cls\n\n\n"
+            "register(object)\n"
+        ),
+    })
+    assert hits == {}
+
+
+def test_rep105_noqa_suppresses():
+    hits = _rep105({
+        "src/repro/api.py": (
+            "def edge():  # repro: noqa[REP105] deliberate API edge\n"
+            "    return 1\n"
+        ),
+        "tests/test_api.py": "from repro.api import edge\n\nedge()\n",
+    })
+    assert hits == {}

@@ -9,12 +9,8 @@ against the model builder.
 
 import textwrap
 
-from repro.analysis.project import (
-    MODULE_SCOPE,
-    ModuleSummary,
-    ProjectModel,
-    model_from_sources,
-)
+from repro.analysis.project import MODULE_SCOPE, ModuleSummary, ProjectModel
+from tests.analysis.harness import model_from_sources
 
 
 def _model(files):
@@ -156,7 +152,7 @@ def test_decorated_and_nested_functions_are_modeled():
     summary = model.modules["repro.a"]
     outer = summary.functions["repro.a.outer"]
     inner = summary.functions["repro.a.outer.inner"]
-    assert outer.decorated and not outer.nested
+    assert outer.decorators == ["functools.lru_cache"] and not outer.nested
     assert inner.nested
     # outer's call to inner resolves through the enclosing scope chain
     assert "repro.a.outer.inner" in model.call_graph()["repro.a.outer"]
@@ -191,11 +187,16 @@ def test_taint_chain_is_deterministic_witness():
 
 def test_reference_index_spans_modules():
     model = _model({
-        "src/repro/a.py": "def widget():\n    pass\n",
+        "src/repro/a.py": (
+            '__all__ = ["widget"]\n\n\ndef widget():\n    pass\n'
+        ),
         "src/repro/b.py": "from repro.a import widget\n\nwidget()\n",
+        "src/repro/c.py": 'HOOK = "widget"\n',
     })
     index = model.reference_index()
-    assert index["widget"] == {"repro.a", "repro.b"}
+    # a definition and its __all__ entry are not uses; an import, a
+    # call and an identifier-shaped string are
+    assert index["widget"] == {"repro.b", "repro.c"}
 
 
 def test_summary_round_trips_through_json():

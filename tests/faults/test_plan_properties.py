@@ -94,7 +94,8 @@ def test_injector_streams_are_decorrelated(seed):
     plan = FaultPlan(drop_rate=0.5, duplicate_rate=0.5)
     schedule = plan.schedule(seed)
     names = [name for name, _, _ in schedule.summary()]
-    injector_seeds = [schedule.injector_seed(name) for name in names]
+    # each injector draws from the schedule's child stream of its name
+    injector_seeds = [schedule._seeds.child_seed(name) for name in names]
     assert len(set(injector_seeds)) == len(names)
 
 

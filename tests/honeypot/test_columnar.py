@@ -220,16 +220,3 @@ def test_full_report_builds_no_per_request_objects(monkeypatch):
     # The counters do see objects when a caller asks for them.
     HttpRequest(timestamp=0, src_ip="10.0.0.1", host="a.com")
     assert built["HttpRequest"] == 1
-
-
-def test_report_for_equals_the_matching_reports_row():
-    from repro.core.security import run_security_experiment
-
-    honeypot = run_security_experiment(make_rng(3), scale=0.001).honeypot
-    rows = {report.domain: report for report in honeypot.reports()}
-    assert set(rows) == honeypot.hosted_domains
-    for domain in sorted(honeypot.hosted_domains):
-        assert honeypot.report_for(domain) == rows[domain]
-    assert honeypot.report_for("RESHEBA.online") == rows["resheba.online"]
-    stranger = honeypot.report_for("stranger.example")
-    assert stranger.total == 0 and set(stranger.counts.values()) == {0}

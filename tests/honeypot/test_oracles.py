@@ -36,10 +36,10 @@ class TestNvd:
         assert nvd.is_sensitive("/weak.php", minimum=Severity.LOW)
 
     def test_suspicious_query(self, nvd):
-        assert nvd.has_suspicious_query({"cmd": "ls"})
-        assert nvd.has_suspicious_query({"imei": "A-1", "os": "23"})
-        assert not nvd.has_suspicious_query({"page": "2"})
-        assert not nvd.has_suspicious_query({})
+        assert nvd.is_malicious_uri("/", "cmd=ls")
+        assert nvd.is_malicious_uri("/", "imei=A-1&os=23")
+        assert not nvd.is_malicious_uri("/", "page=2")
+        assert not nvd.is_malicious_uri("/", "")
 
     def test_add_extends(self, nvd):
         before = len(nvd)
@@ -129,7 +129,6 @@ class TestWebFilter:
         assert webfilter.fetch("http://forum.example.org/thread/42/") is not None
 
     def test_page_category(self, webfilter):
-        assert webfilter.page_category("https://forum.example.org/thread/42") == (
-            "forums-blogs"
-        )
-        assert webfilter.page_category("https://nope.example") is None
+        page = webfilter.fetch("https://forum.example.org/thread/42")
+        assert page.category == "forums-blogs"
+        assert webfilter.fetch("https://nope.example") is None

@@ -135,10 +135,10 @@ def test_buffered_requests_interleave_with_packet_batches():
     recorder.record_packet_batch(_packet(1))
     recorder.record_request(_request(2))
     recorder.record_request(tls)
-    assert recorder.request_count == 2 and recorder.packet_count == 3
+    assert recorder.request_count == 2 and len(recorder.packet_batch()) == 3
     recorder.record_packet_batch(_packet(3, port=22))
     recorder.record_request(_request(4, host="b.example"))
-    assert recorder.request_count == 3 and recorder.packet_count == 5
+    assert recorder.request_count == 3 and len(recorder.packet_batch()) == 5
     assert _requests(recorder) == [_request(2), tls, _request(4, host="b.example")]
     assert _packets(recorder) == [
         *_packet(1).to_packets(),

@@ -56,7 +56,6 @@ class TestScripts:
         info = parse_user_agent(ua)
         assert info.kind == AgentKind.SCRIPT
         assert info.name == name
-        assert info.is_automated
 
 
 class TestBrowsers:

@@ -251,10 +251,10 @@ class ReferencePipeline:
     def admit(self, observation: DnsObservation) -> bool:
         """Advance the dedup window; whether ``observation`` should land.
 
-        A redelivery whose :attr:`DnsObservation.observation_key` is
-        still inside the window is suppressed and counted.
+        A redelivery whose :func:`observation_key` is still inside the
+        window is suppressed and counted.
         """
-        key = observation.observation_key
+        key = observation_key(observation)
         if key in self._recent_keys:
             self.stats.duplicates_suppressed += 1
             return False
@@ -321,6 +321,24 @@ class ReferencePipeline:
             text_keys(state.window)[-self.dedup_window :]
         )
         return state.cursor
+
+
+def observation_key(observation: DnsObservation) -> tuple:
+    """A hashable identity for idempotent ingestion.
+
+    Two deliveries of the *same* sensed event (same sensor, name, type,
+    outcome, reporting interval, and pre-aggregated count) share a key,
+    so the dedup window drops the at-least-once redelivery without
+    collapsing genuinely distinct observations.
+    """
+    return (
+        observation.sensor_id,
+        str(observation.qname),
+        int(observation.rcode),
+        int(observation.rtype),
+        observation.timestamp,
+        observation.count,
+    )
 
 
 def window_keys(keys: List[tuple]) -> WindowKeys:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.dns.hierarchy import DnsHierarchy
-from repro.dns.message import DnsMessage, RCode, RRType
+from repro.dns.message import RCode, RRType
 from repro.dns.name import DomainName
+from repro.dns.resolver import ResolutionResult
 from repro.dns.tld import TldRegistry
-from repro.dns.wire import encode_message
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.record import DnsObservation
 from repro.passivedns.sensor import Sensor, SensorTappedResolver
@@ -62,46 +62,16 @@ class TestChannel:
         channel.subscribe(b.append)
         channel.publish(nx_observation())
         assert len(a) == len(b) == 1
-        channel.unsubscribe(b.append)
-        channel.publish(nx_observation())
-        assert len(a) == 2 and len(b) == 1
-
-    def test_subscriber_count(self):
-        channel = SieChannel()
-        assert channel.subscriber_count == 0
-        channel.subscribe(lambda o: None)
-        assert channel.subscriber_count == 1
 
 
 class TestSensor:
-    def test_wire_tap_decodes_and_publishes(self):
-        channel = SieChannel()
-        received = []
-        channel.subscribe(received.append)
-        sensor = Sensor("eu-west", channel)
-        query = DnsMessage.make_query(GONE, msg_id=5)
-        response = query.make_response(rcode=RCode.NXDOMAIN)
-        obs = sensor.observe_wire(encode_message(response), now=50)
-        assert obs is not None
-        assert obs.qname == GONE
-        assert obs.sensor_id == "eu-west"
-        assert received == [obs]
-
-    def test_malformed_wire_counted_not_raised(self):
-        sensor = Sensor("s", SieChannel())
-        assert sensor.observe_wire(b"\x00\x01", now=0) is None
-        assert sensor.stats.decode_errors == 1
-
-    def test_queries_ignored(self):
-        sensor = Sensor("s", SieChannel())
-        query = DnsMessage.make_query(GONE)
-        assert sensor.observe_message(query, now=0) is None
 
     def test_noerror_filtered_by_channel(self):
         sensor = Sensor("s", SieChannel())
-        query = DnsMessage.make_query(GONE)
-        assert sensor.observe_message(query.make_response(), now=0) is None
+        result = ResolutionResult(GONE, RRType.A, RCode.NOERROR)
+        assert sensor.observe_result(result, now=0) is None
         assert sensor.stats.observed == 1
+        assert sensor.stats.filtered == 1
 
 
 class TestSensorTappedResolver:

@@ -30,7 +30,7 @@ from repro.passivedns.pipeline import (
     _Names,
 )
 from repro.passivedns.record import DnsObservation
-from repro.passivedns.sampling import sample_domains, scale_up
+from repro.passivedns.sampling import sample_domains
 from repro.rand import make_rng
 from tests.passivedns.reference import (
     ReferencePipeline,
@@ -125,15 +125,6 @@ class TestProfiles:
     def test_monthly_rate_single_day(self, db):
         # Zero-day lifespans use the one-day floor: 3 / (1/30) = 90.
         assert db.profile(D2).monthly_rate() == pytest.approx(90.0)
-
-    def test_high_traffic_selection(self, db):
-        # Both fixtures extrapolate to 90/month, so thresholds select on
-        # the unclamped rate.  100 excludes both; 90 keeps both; the §3.3
-        # study-set selection is unaffected because it also requires a
-        # >=180-day NX window, where the old clamp never bound.
-        assert db.high_traffic_domains(100) == []
-        assert {p.domain for p in db.high_traffic_domains(90)} == {D1, D2}
-        assert {p.domain for p in db.high_traffic_domains(1)} == {D1, D2}
 
 
 class TestSeries:
@@ -869,8 +860,3 @@ class TestSampling:
         assert sample_domains(population, 0.2, make_rng(5)) == sample_domains(
             population, 0.2, make_rng(5)
         )
-
-    def test_scale_up(self):
-        assert scale_up(146, 1 / 1000) == pytest.approx(146_000)
-        with pytest.raises(ValueError):
-            scale_up(1, 0)

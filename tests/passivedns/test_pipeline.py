@@ -5,7 +5,7 @@ import pytest
 from repro.clock import SECONDS_PER_DAY, STUDY_START, date_to_epoch
 from repro.dns.message import RCode
 from repro.dns.name import DomainName
-from repro.errors import ConfigError, UnknownKeyError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.faults import FaultPlan
 from repro.passivedns.channel import SieChannel
 from repro.passivedns.pipeline import ResilientIngestPipeline, _Names
@@ -260,12 +260,3 @@ def test_channel_raise_policy_still_delivers_to_everyone():
     # The crash no longer starves later subscribers.
     assert seen == [observation]
     assert channel.subscriber_errors == 1
-
-
-def test_unsubscribe_unknown_raises_library_error():
-    channel = SieChannel()
-    with pytest.raises(UnknownKeyError):
-        channel.unsubscribe(_failing_subscriber)
-    channel.subscribe(_failing_subscriber)
-    channel.unsubscribe(_failing_subscriber)
-    assert channel.subscriber_count == 0

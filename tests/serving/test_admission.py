@@ -98,7 +98,7 @@ def test_cost_pressure_alone_can_raise_the_floor():
                         shed_start=0.5, shed_hard=0.9, tenant_limit=None)
     )
     controller.offer(_request(priority=2), cost=60, now=0)
-    assert controller.queued_cost == 60
+    assert controller.pressure() == 0.6  # 60 of 100 cost units queued
     assert controller.shed_floor() == 1
     assert controller.offer(_request(priority=0), 1, now=0)[0] is Decision.SHED
 
@@ -119,4 +119,4 @@ def test_pop_order_and_deadline_stamping():
     third = controller.pop()
     assert third.deadline.expires_at == 130  # request-carried budget
     assert controller.pop() is None
-    assert controller.queued_cost == 0
+    assert controller.pressure() == 0.0

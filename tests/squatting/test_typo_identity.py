@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.dns.name import _LABEL_RE, DomainName
 from repro.errors import DomainNameError
 from repro.squatting.detector import SquattingDetector
-from repro.squatting.typo import _variant_labels, is_typosquat, typosquat_variants
+from repro.squatting.typo import _variant_labels, typosquat_variants
+from tests.squatting.reference import is_typosquat
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
 

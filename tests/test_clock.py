@@ -6,14 +6,11 @@ import pytest
 
 from repro.clock import (
     SECONDS_PER_DAY,
-    STUDY_END,
     STUDY_START,
     SimClock,
     date_to_epoch,
-    days_between,
     epoch_to_date,
     month_key,
-    month_range,
 )
 
 
@@ -25,19 +22,6 @@ class TestConversions:
     def test_month_key(self):
         assert month_key(date_to_epoch(datetime.date(2021, 3, 9))) == "2021-03"
 
-    def test_month_range_spans_years(self):
-        months = month_range(datetime.date(2014, 11, 1), datetime.date(2015, 2, 1))
-        assert months == ["2014-11", "2014-12", "2015-01", "2015-02"]
-
-    def test_study_window_has_108_months(self):
-        assert len(month_range(STUDY_START, STUDY_END)) == 108
-
-    def test_days_between(self):
-        t0 = date_to_epoch(datetime.date(2020, 1, 1))
-        t1 = t0 + 10 * SECONDS_PER_DAY
-        assert days_between(t0, t1) == 10
-        assert days_between(t1, t0) == -10
-
 
 class TestSimClock:
     def test_starts_at_study_start(self):
@@ -45,15 +29,13 @@ class TestSimClock:
 
     def test_advance(self):
         clock = SimClock()
-        clock.advance_days(31)
+        clock.advance(31 * SECONDS_PER_DAY)
         assert clock.date == datetime.date(2014, 2, 1)
 
     def test_cannot_go_backwards(self):
         clock = SimClock()
         with pytest.raises(ValueError):
             clock.advance(-1)
-        with pytest.raises(ValueError):
-            clock.advance_days(-0.5)
         with pytest.raises(ValueError):
             clock.set_to(clock.now - 1)
 

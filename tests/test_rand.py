@@ -2,18 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.rand import (
-    SeedSequenceFactory,
-    derive_seed,
-    make_rng,
-    stable_shuffle,
-    weighted_choice,
-    weighted_sample_counts,
-    zipf_weights,
-)
+from repro.rand import SeedSequenceFactory, WeightedTable, derive_seed, make_rng
+
+
+def weighted_choice(rng, items, weights):
+    return WeightedTable.from_weights(items, weights).draw(rng)
 
 
 class TestDeterminism:
@@ -52,28 +46,3 @@ class TestWeightedHelpers:
             weighted_choice(rng, [], [])
         with pytest.raises(ValueError):
             weighted_choice(rng, ["a"], [0.0])
-
-    def test_sample_counts_sum_to_total(self):
-        rng = make_rng(2)
-        counts = weighted_sample_counts(rng, [5, 3, 2], total=1000)
-        assert sum(counts) == 1000
-        assert counts[0] > counts[2]
-
-    def test_sample_counts_validation(self):
-        with pytest.raises(ValueError):
-            weighted_sample_counts(make_rng(1), [0.0], total=10)
-
-    def test_zipf_weights_decreasing(self):
-        weights = zipf_weights(10)
-        assert weights == sorted(weights, reverse=True)
-        assert weights[0] == 1.0
-
-    def test_zipf_validation(self):
-        with pytest.raises(ValueError):
-            zipf_weights(0)
-
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=20), st.integers(0, 60))
-    def test_shuffle_preserves_multiset(self, items, seed):
-        shuffled = stable_shuffle(make_rng(seed), items)
-        assert sorted(shuffled) == sorted(items)
-        assert items == items  # input not mutated

@@ -15,7 +15,7 @@ import pytest
 from repro.blocklist.categories import PAPER_CATEGORY_SHARES
 from repro.blocklist.feeds import FeedGenerator
 from repro.dga import corpus
-from repro.rand import WeightedTable, make_rng, weighted_choice
+from repro.rand import WeightedTable, make_rng
 from repro.workloads import botnet, trace
 from repro.workloads import useragents as ua
 
@@ -33,8 +33,8 @@ UA_POOLS = {
 }
 
 
-def _weighted_choice_p(weights):
-    """``weighted_choice``'s normalization before the tables."""
+def _from_weights_p(weights):
+    """``WeightedTable.from_weights``'s normalization."""
     probs = np.asarray(weights, dtype=float)
     return probs / probs.sum()
 
@@ -48,7 +48,7 @@ def _parent_pools():
                 f"ua-{name}",
                 ua._TABLES[pool],
                 [agent for agent, _ in pool],
-                _weighted_choice_p([w for _, w in pool]),
+                _from_weights_p([w for _, w in pool]),
             )
         )
     countries = list(botnet.COUNTRY_CODES)
@@ -84,7 +84,7 @@ def _parent_pools():
             "corpus-tlds",
             corpus._TLD_TABLE,
             list(corpus._TLD_POOL),
-            _weighted_choice_p(corpus._TLD_WEIGHTS),
+            _from_weights_p(corpus._TLD_WEIGHTS),
         )
     )
     out.append(
@@ -92,7 +92,7 @@ def _parent_pools():
             "trace-tlds",
             trace._TLD_TABLE,
             [t for t, _ in trace.TLD_WEIGHTS],
-            _weighted_choice_p([w for _, w in trace.TLD_WEIGHTS]),
+            _from_weights_p([w for _, w in trace.TLD_WEIGHTS]),
         )
     )
     out.append(
@@ -100,7 +100,7 @@ def _parent_pools():
             "blocklist-categories",
             FeedGenerator(make_rng(0))._table,
             [c for c, _ in PAPER_CATEGORY_SHARES],
-            _weighted_choice_p([w for _, w in PAPER_CATEGORY_SHARES]),
+            _from_weights_p([w for _, w in PAPER_CATEGORY_SHARES]),
         )
     )
     return out
@@ -163,17 +163,17 @@ def test_random_weights_match_choice():
             weights[0] = 1.0
         items = list(range(n))
         table = WeightedTable.from_weights(items, weights.tolist())
-        _assert_same_draws(table, items, _weighted_choice_p(weights), seed)
+        _assert_same_draws(table, items, _from_weights_p(weights), seed)
 
 
 def test_weighted_choice_matches_choice():
     weights = [3.0, 0.0, 1.5, 7.25, 0.5]
     items = list("abcde")
-    p = _weighted_choice_p(weights)
+    p = _from_weights_p(weights)
     for seed in SEEDS:
         ours, theirs = make_rng(seed), make_rng(seed)
         for _ in range(20):
-            assert weighted_choice(ours, items, weights) == items[
+            assert WeightedTable.from_weights(items, weights).draw(ours) == items[
                 int(theirs.choice(len(items), p=p))
             ]
 
@@ -187,7 +187,7 @@ def test_weighted_choice_matches_choice():
 def test_weighted_choice_keeps_choice_errors(weights):
     items = list(range(len(weights)))
     with pytest.raises(ValueError) as ours:
-        weighted_choice(make_rng(0), items, weights)
+        WeightedTable.from_weights(items, weights).draw(make_rng(0))
     with pytest.raises(ValueError) as theirs:
         probs = np.asarray(weights, dtype=float)
         make_rng(0).choice(len(items), p=probs / probs.sum())
@@ -204,9 +204,9 @@ def test_pick_on_foreign_pool_matches_weighted_choice():
     for seed in range(20):
         ours, theirs = make_rng(seed), make_rng(seed)
         for _ in range(20):
-            assert ua.pick(ours, pool) == weighted_choice(
-                theirs, [a for a, _ in pool], [w for _, w in pool]
-            )
+            assert ua.pick(ours, pool) == WeightedTable.from_weights(
+                [a for a, _ in pool], [w for _, w in pool]
+            ).draw(theirs)
 
 
 class _FixedUniform:
@@ -234,7 +234,7 @@ def test_draw_breaks_ties_like_searchsorted_right():
 
 def _ua_reference(rng, pool):
     items = [agent for agent, _ in pool]
-    return items[int(rng.choice(len(items), p=_weighted_choice_p([w for _, w in pool])))]
+    return items[int(rng.choice(len(items), p=_from_weights_p([w for _, w in pool])))]
 
 
 @pytest.mark.parametrize("pool", UA_POOLS.values(), ids=UA_POOLS.keys())
@@ -247,7 +247,7 @@ def test_pick_matches_parent_formula(pool):
 
 def test_blocklist_feed_matches_parent_formula():
     items = [c for c, _ in PAPER_CATEGORY_SHARES]
-    p = _weighted_choice_p([w for _, w in PAPER_CATEGORY_SHARES])
+    p = _from_weights_p([w for _, w in PAPER_CATEGORY_SHARES])
     for seed in range(30):
         feed, theirs = FeedGenerator(make_rng(seed)), make_rng(seed)
         for _ in range(30):
@@ -256,9 +256,9 @@ def test_blocklist_feed_matches_parent_formula():
 
 
 def test_corpus_and_trace_tlds_match_parent_formula():
-    corpus_p = _weighted_choice_p(corpus._TLD_WEIGHTS)
+    corpus_p = _from_weights_p(corpus._TLD_WEIGHTS)
     trace_items = [t for t, _ in trace.TLD_WEIGHTS]
-    trace_p = _weighted_choice_p([w for _, w in trace.TLD_WEIGHTS])
+    trace_p = _from_weights_p([w for _, w in trace.TLD_WEIGHTS])
     generator = trace.NxdomainTraceGenerator(seed=0)
     for seed in range(30):
         ours, theirs = make_rng(seed), make_rng(seed)

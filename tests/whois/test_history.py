@@ -31,15 +31,6 @@ class TestRecord:
         with pytest.raises(ValueError):
             record(created=100, expires=200, captured=50)
 
-    def test_registration_years(self):
-        assert record().registration_years == pytest.approx(1.0)
-
-    def test_was_live_at(self):
-        r = record()
-        assert r.was_live_at(0)
-        assert r.was_live_at(YEAR - 1)
-        assert not r.was_live_at(YEAR)
-
 
 class TestHistoryDatabase:
     def test_empty(self):
@@ -47,7 +38,6 @@ class TestHistoryDatabase:
         assert not db.has_history(DOMAIN)
         assert db.history(DOMAIN) == []
         assert db.latest(DOMAIN) is None
-        assert db.first_registered_at(DOMAIN) is None
 
     def test_append_and_lookup(self):
         db = WhoisHistoryDatabase()
@@ -70,16 +60,6 @@ class TestHistoryDatabase:
         assert captures == sorted(captures)
         assert db.latest(DOMAIN).captured_at == YEAR // 2
 
-    def test_first_registered_at_spans_reregistrations(self):
-        db = WhoisHistoryDatabase()
-        db.append(record(created=5 * YEAR, expires=6 * YEAR, captured=5 * YEAR))
-        db.append(record(created=YEAR, expires=2 * YEAR, captured=YEAR))
-        assert db.first_registered_at(DOMAIN) == YEAR
-        assert db.registration_spans(DOMAIN) == [
-            (YEAR, 2 * YEAR),
-            (5 * YEAR, 6 * YEAR),
-        ]
-
     def test_join_splits_hits_and_misses(self):
         db = WhoisHistoryDatabase()
         db.append(record())
@@ -92,12 +72,11 @@ class TestHistoryDatabase:
         assert result.total == 3
         assert result.hit_count == 2
         assert result.never_registered_count == 1
-        assert result.hit_fraction == pytest.approx(2 / 3)
 
     def test_join_empty_stream(self):
         result = WhoisHistoryDatabase().join([])
         assert result.total == 0
-        assert result.hit_fraction == 0.0
+        assert result.hit_count == 0
 
     @given(
         st.lists(

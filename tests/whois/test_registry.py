@@ -47,7 +47,8 @@ class TestRegistration:
             registry.register(DOMAIN, owner="h-1", at=0, registrar="nope")
 
     def test_named_registrar_charged(self, registry):
-        godaddy = registry.add_registrar(Registrar("godaddy", registration_fee=10))
+        godaddy = Registrar("godaddy", registration_fee=10)
+        registry.registrars["godaddy"] = godaddy
         registry.register(DOMAIN, owner="h-1", at=0, registrar="godaddy", years=2)
         assert godaddy.revenue == 20
         assert godaddy.registrations == 1
@@ -132,14 +133,6 @@ class TestQueries:
     def test_renew_unmanaged_rejected(self, registry):
         with pytest.raises(RegistryError):
             registry.renew(DomainName("ghost.net"), at=0)
-
-    def test_managed_domains_sorted(self, registry):
-        registry.register(DomainName("zed.com"), owner="h", at=0)
-        registry.register(DomainName("abc.com"), owner="h", at=0)
-        assert registry.managed_domains() == [
-            DomainName("abc.com"),
-            DomainName("zed.com"),
-        ]
 
     def test_custom_policy_flows_through(self, hierarchy):
         policy = LifecyclePolicy(auto_renew_grace_days=1)

@@ -76,8 +76,8 @@ class TestWhoisIntegration:
     def test_expired_have_history(self, trace):
         for record in trace.expired_domains()[:50]:
             assert trace.whois.has_history(record.domain)
-            spans = trace.whois.registration_spans(record.domain)
-            assert spans[0][0] < spans[0][1]
+            first = trace.whois.history(record.domain)[0]
+            assert first.created_at < first.expires_at
 
     def test_never_registered_have_none(self, trace):
         for record in trace.domains_of_kind(DomainKind.NEVER_REGISTERED_JUNK)[:50]:
@@ -86,7 +86,7 @@ class TestWhoisIntegration:
     def test_join_fraction(self, trace):
         result = trace.whois.join([d.domain for d in trace.population])
         expected = len(trace.expired_domains()) / len(trace.population)
-        assert result.hit_fraction == pytest.approx(expected, abs=0.01)
+        assert result.hit_count / result.total == pytest.approx(expected, abs=0.01)
 
 
 class TestBlocklistIntegration:

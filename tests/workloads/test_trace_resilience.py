@@ -1,15 +1,44 @@
 """Degraded traces and checkpointed faulted replay."""
 
+import dataclasses
+from itertools import islice
+
 import pytest
 
 from repro.errors import WorkloadError
 from repro.faults import FaultPlan
 from repro.passivedns.database import PassiveDnsDatabase
 from repro.passivedns.pipeline import ResilientIngestPipeline
-from repro.workloads.persistence import replay_with_checkpoints
 from repro.workloads.trace import NxdomainTraceGenerator, TraceConfig
 
 PLAN = FaultPlan.loss(0.08)
+
+
+def replay_with_checkpoints(trace, plan, seed, directory, every, stop_after=None):
+    """Faulted replay of ``trace.nx_db`` with durable progress.
+
+    The replayed store is spill-backed in ``directory`` and the
+    pipeline checkpoints every ``every`` offered observations.  The
+    replay resumes from whatever checkpoint ``directory`` already
+    holds.  ``stop_after`` aborts after that many additional
+    observations (checkpointing first) to simulate an interruption;
+    the return is then ``(None, stats)``.  A completed replay returns
+    the degraded trace and the final pipeline stats.
+    """
+    pipeline = ResilientIngestPipeline(
+        schedule=plan.schedule(seed), checkpoint_every=every, spill_dir=directory
+    )
+    cursor = pipeline.resume()
+    remaining = islice(trace.nx_db.iter_observations(), cursor, None)
+    if stop_after is None:
+        pipeline.ingest_many(remaining)
+    else:
+        pipeline.ingest_many(islice(remaining, stop_after))
+        if pipeline.stats.offered - cursor >= stop_after:
+            pipeline.checkpoint()
+            return None, pipeline.stats
+    stats = pipeline.finish()
+    return dataclasses.replace(trace, nx_db=pipeline.database), stats
 
 
 @pytest.fixture(scope="module")
